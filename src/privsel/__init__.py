@@ -44,6 +44,7 @@ from .profiles import (
     gaussian_rdp_curve,
     gaussian_sigma_for_eps_delta,
     profile_from_points,
+    rdp_eps_for_delta,
     rdp_profile,
     rdp_to_dp,
 )
@@ -96,6 +97,7 @@ __all__ = [
     "pld_compose",
     "pld_delta",
     "profile_from_points",
+    "rdp_eps_for_delta",
     "rdp_profile",
     "rdp_select_negbin",
     "rdp_select_poisson",

@@ -79,8 +79,16 @@ def _load_config(args):
     return cfg
 
 
+def _config_section(cfg, name):
+    section = cfg.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"config '{name}' must be a JSON object, "
+                          f"got {type(section).__name__}")
+    return dict(section)
+
+
 def _merge_base(cfg, args):
-    base = dict(cfg.get("base", {}))
+    base = _config_section(cfg, "base")
     if getattr(args, "base", None):
         base["kind"] = args.base
     for flag, key in (("sigma", "sigma"), ("sensitivity", "sensitivity"),
@@ -94,7 +102,7 @@ def _merge_base(cfg, args):
 
 
 def _merge_family(cfg, args):
-    fam = dict(cfg.get("family", {}))
+    fam = _config_section(cfg, "family")
     if getattr(args, "family", None):
         fam["kind"] = args.family
     for flag, key in (("eta", "eta"), ("gamma", "gamma"), ("m", "m"),
@@ -344,7 +352,10 @@ def cmd_adjust(args):
         except ValueError as e:
             raise ConfigError(f"bad --sigmas {args.sigmas!r}") from e
     elif "sigmas" in cfg:
-        sigmas = tuple(float(s) for s in cfg["sigmas"])
+        try:
+            sigmas = tuple(float(s) for s in cfg["sigmas"])
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"bad config 'sigmas': {e}") from e
     if sigmas is not None and len(sigmas) == 0:
         raise ConfigError("candidate list is empty")
     header, rows = presets.fig8_adjust_table(

@@ -23,6 +23,16 @@ from .errors import InfeasibleMeanError
 
 # Validation sums truncate the support where the right tail drops below this.
 TAIL_MASS = 1e-15
+# below this |shape * log(success)|, 1 - success**shape cancels
+_NEAR_ZERO_SHAPE = 1e-3
+
+
+def _near_zero_norm(g, eta):
+    """eta / (1 - g**eta) for |eta log g| < _NEAR_ZERO_SHAPE, through
+    expm1: the direct form loses digits there, down to 0/0 for shapes
+    within ~1e-16 of zero.  Tends to the shape-0 value 1/log(1/g)."""
+    t = eta * math.log(g)
+    return (1.0 if t == 0 else t / math.expm1(t)) / math.log(1 / g)
 
 
 @dataclass(frozen=True)
@@ -52,8 +62,13 @@ class TruncNegBinomial:
             if eta == 0:
                 logp = kf * math.log1p(-g) - np.log(kf) - math.log(math.log(1 / g))
             else:
-                # eta/(g^-eta - 1) > 0 for every eta > -1, so the log is safe
-                pref = math.log(eta / (g ** (-eta) - 1))
+                t = eta * math.log(g)
+                if abs(t) < _NEAR_ZERO_SHAPE:
+                    # eta/(g^-eta - 1) = g^eta * eta/(1 - g^eta)
+                    pref = t + math.log(_near_zero_norm(g, eta))
+                else:
+                    # eta/(g^-eta - 1) > 0 for every eta > -1, so the log is safe
+                    pref = math.log(eta / (g ** (-eta) - 1))
                 logp = (
                     pref
                     + kf * math.log1p(-g)
@@ -69,6 +84,8 @@ class TruncNegBinomial:
         eta = self.shape
         if eta == 0:
             return (1 / g - 1) / math.log(1 / g)
+        if abs(eta * math.log(g)) < _NEAR_ZERO_SHAPE:
+            return (1 / g - 1) * _near_zero_norm(g, eta)
         return eta * (1 - g) / (g * (1 - g**eta))
 
     def cdf(self, k):

@@ -22,6 +22,8 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import tempfile
+import zipfile
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -30,7 +32,7 @@ from scipy.signal import fftconvolve
 from scipy.special import ndtr, ndtri
 
 from .errors import GridTooCoarseError, MemoryBudgetError
-from .profiles import PrivacyProfile
+from .profiles import PrivacyProfile, clip_delta
 
 MAX_CELLS = 2**28
 # cumulative mass a convolution may shed from either end of its support;
@@ -40,6 +42,8 @@ MAX_CELLS = 2**28
 TRIM_MASS = 1e-15
 CACHE_ENV = "PRIVSEL_PLD_CACHE"
 _CACHE_VERSION = 2
+# composed distributions kept in memory, least recently used evicted first
+_COMPOSED_MAX = 16
 
 
 @dataclass(frozen=True)
@@ -51,8 +55,8 @@ class GridSpec:
     tail_mass: float = 1e-15
 
     def __post_init__(self):
-        if self.spacing <= 0:
-            raise ValueError("spacing must be positive")
+        if not 0 < self.spacing < math.inf:
+            raise ValueError(f"spacing must be positive and finite, got {self.spacing}")
         if not 0 < self.tail_mass < 1e-6:
             raise ValueError("tail mass budget out of range")
 
@@ -68,8 +72,8 @@ class SubsampledGaussianParams:
     def __post_init__(self):
         if not 0 < self.q <= 1:
             raise ValueError(f"q must be in (0,1], got {self.q}")
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
 
@@ -91,10 +95,10 @@ class DiscretePLD:
     def __post_init__(self):
         if self.mass.ndim != 1 or len(self.mass) == 0:
             raise ValueError("mass must be a non-empty 1-d array")
-        if float(self.mass.min()) < 0:
-            raise ValueError("negative mass cell")
+        if not float(self.mass.min()) >= 0:
+            raise ValueError("negative or NaN mass cell")
         total = float(self.mass.sum()) + self.tail_mass
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"mass plus tail is {total}, expected 1")
 
     @property
@@ -119,7 +123,7 @@ class DiscretePLD:
             val = float(np.sum((1.0 - np.exp(eps - ell[i:])) * self.mass[i:]))
         else:
             val = float(s1[i] - math.exp(eps) * s2[i])
-        return min(1.0, max(0.0, val + self.tail_mass))
+        return clip_delta(val + self.tail_mass)
 
 
 def _loss_survival_remove(ell, q, sigma):
@@ -291,7 +295,16 @@ def pld_delta(pld, eps):
     return pld.delta(eps)
 
 
+# insertion-ordered, so the first key is the least recently used
 _COMPOSED = {}
+
+
+def _remember(key, pld):
+    _COMPOSED.pop(key, None)
+    _COMPOSED[key] = pld
+    while len(_COMPOSED) > _COMPOSED_MAX:
+        del _COMPOSED[next(iter(_COMPOSED))]
+    return pld
 
 
 def _cache_path(key):
@@ -302,35 +315,58 @@ def _cache_path(key):
     return os.path.join(root, f"pld_{digest}.npz")
 
 
+def _load_cached(path):
+    """The PLD stored at path, or None when the file is missing, of
+    another version, or unreadable."""
+    try:
+        with np.load(path) as f:
+            if int(f["version"]) != _CACHE_VERSION:
+                return None
+            return DiscretePLD(
+                spacing=float(f["spacing"]),
+                origin_index=int(f["origin_index"]),
+                mass=f["mass"],
+                tail_mass=float(f["tail_mass"]),
+            )
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
+        return None
+
+
+def _save_cached(path, pld):
+    """Write to a temporary file in the same directory, then rename it
+    into place, so a crash mid-write never leaves a partial file at path."""
+    root = os.path.dirname(path) or "."
+    os.makedirs(root, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=root, prefix=".tmp_pld_", suffix=".npz")
+    try:
+        with os.fdopen(fd, "wb") as f:
+            np.savez(
+                f,
+                version=_CACHE_VERSION,
+                spacing=pld.spacing,
+                origin_index=pld.origin_index,
+                mass=pld.mass,
+                tail_mass=pld.tail_mass,
+            )
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def _composed_pld(q, sigma, steps, direction, grid):
     key = (q, sigma, steps, direction, grid.spacing, grid.tail_mass)
     if key in _COMPOSED:
-        return _COMPOSED[key]
+        return _remember(key, _COMPOSED[key])
     path = _cache_path(key)
-    if path and os.path.exists(path):
-        with np.load(path) as f:
-            if int(f["version"]) == _CACHE_VERSION:
-                pld = DiscretePLD(
-                    spacing=float(f["spacing"]),
-                    origin_index=int(f["origin_index"]),
-                    mass=f["mass"],
-                    tail_mass=float(f["tail_mass"]),
-                )
-                _COMPOSED[key] = pld
-                return pld
+    pld = _load_cached(path) if path else None
+    if pld is not None:
+        return _remember(key, pld)
     base = subsampled_gaussian_pld(SubsampledGaussianParams(q, sigma), direction, grid)
-    pld = compose(base, steps)
-    _COMPOSED[key] = pld
+    pld = _remember(key, compose(base, steps))
     if path:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        np.savez(
-            path,
-            version=_CACHE_VERSION,
-            spacing=pld.spacing,
-            origin_index=pld.origin_index,
-            mass=pld.mass,
-            tail_mass=pld.tail_mass,
-        )
+        _save_cached(path, pld)
     return pld
 
 

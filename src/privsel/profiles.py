@@ -3,13 +3,16 @@
 A privacy profile maps eps to an upper bound on the tight delta at that
 eps (the worst-case hockey-stick divergence between neighboring outputs).
 Profiles are plain immutable evaluators; everything downstream composes
-them functionally.
+them functionally.  A Renyi curve also carries its values on its order
+grid as an array, so converting it to (eps, delta) in either direction
+is one numpy expression.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -33,9 +36,26 @@ class PrivacyProfile:
     fn: Callable[[float], float]
     label: str = ""
     knots: tuple = ()
+    # exact eps(delta), certified against fn; epsilon_for_delta uses it
+    # instead of bisecting when present
+    inverse: Callable[[float], float] | None = None
 
     def __call__(self, eps):
         return self.fn(eps)
+
+
+def clip_delta(x):
+    """x clipped to [0, 1]; raises on NaN, which min/max clipping would
+    silently turn into delta = 0."""
+    if x != x:
+        raise ValueError("delta evaluated to NaN")
+    return 1.0 if x > 1.0 else (x if x > 0.0 else 0.0)
+
+
+def _check_positive(**kwargs):
+    for name, v in kwargs.items():
+        if not 0 < v < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {v}")
 
 
 @dataclass(frozen=True)
@@ -62,13 +82,48 @@ def default_orders():
 @dataclass(frozen=True)
 class RdpCurve:
     """Map from Renyi order alpha > 1 to an eps(alpha) bound, with the
-    finite order grid used for minimizations."""
+    finite order grid used for minimizations.
+
+    `values` holds fn over `orders` as a read-only float64 array.  It is
+    evaluated once at construction unless the caller supplies it (derived
+    curves compute it from their base curve's array); it takes no part in
+    equality or hashing.
+    """
 
     fn: Callable[[float], float]
     orders: tuple = field(default_factory=default_orders)
+    values: np.ndarray = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "orders", tuple(self.orders))
+        if self.values is None:
+            vals = np.array([self.fn(a) for a in self.orders], dtype=float)
+        else:
+            vals = np.array(self.values, dtype=float)
+        if vals.shape != (len(self.orders),):
+            raise ValueError(f"{vals.shape} values for {len(self.orders)} orders")
+        if np.isnan(vals).any():
+            bad = self.orders[int(np.argmax(np.isnan(vals)))]
+            raise ValueError(f"Renyi curve is NaN at order {bad:g}")
+        vals.flags.writeable = False
+        object.__setattr__(self, "values", vals)
 
     def __call__(self, alpha):
         return self.fn(alpha)
+
+
+@lru_cache(maxsize=8)
+def _order_terms(orders):
+    """Order-only parts of the Renyi-to-DP conversion, shared read-only by
+    every curve on the grid: alpha - 1, (alpha-1) log(1 - 1/alpha) and
+    log(alpha), kept apart so that rdp_to_dp sums them in the order of
+    its per-order formula."""
+    a = np.asarray(orders, dtype=float)
+    am1 = a - 1
+    terms = (am1, am1 * np.log1p(-1 / a), np.log(a))
+    for t in terms:
+        t.flags.writeable = False
+    return terms
 
 
 def gaussian_profile(sigma, sensitivity=1.0):
@@ -78,23 +133,23 @@ def gaussian_profile(sigma, sensitivity=1.0):
     r = sensitivity/sigma; the second term is evaluated in log space so
     the curve stays accurate far into the tail.
     """
-    if sigma <= 0 or sensitivity <= 0:
-        raise ValueError("sigma and sensitivity must be positive")
+    _check_positive(sigma=sigma, sensitivity=sensitivity)
     r = sensitivity / sigma
 
     def fn(eps):
         a = ndtr(r / 2 - eps / r)
         b = eps + log_ndtr(-r / 2 - eps / r)
-        return min(1.0, max(0.0, float(a - np.exp(b))))
+        return clip_delta(float(a - np.exp(b)))
 
     return PrivacyProfile(fn, f"gaussian(sigma={sigma:g},sens={sensitivity:g})")
 
 
 def gaussian_rdp_curve(sigma, sensitivity=1.0, orders=None):
     """Renyi curve alpha -> alpha * sensitivity^2 / (2 sigma^2) of the Gaussian mechanism."""
+    _check_positive(sigma=sigma, sensitivity=sensitivity)
     c = sensitivity**2 / (2 * sigma**2)
     orders = default_orders() if orders is None else tuple(orders)
-    return RdpCurve(lambda a: a * c, orders)
+    return RdpCurve(lambda a: a * c, orders, np.asarray(orders, dtype=float) * c)
 
 
 def profile_from_points(points):
@@ -110,6 +165,8 @@ def profile_from_points(points):
     )
     if not pts:
         raise ValueError("need at least one point")
+    if not all(math.isfinite(e) and math.isfinite(d) for e, d in pts):
+        raise ValueError(f"points must be finite, got {pts}")
     eps_arr = np.array([p[0] for p in pts])
     del_arr = np.array([p[1] for p in pts])
     exp_arr = np.exp(eps_arr)
@@ -117,8 +174,7 @@ def profile_from_points(points):
 
     def fn(eps):
         e = math.exp(min(eps, top))
-        val = float(np.min(del_arr + np.maximum(exp_arr - e, 0.0)))
-        return min(1.0, max(0.0, val))
+        return clip_delta(float(np.min(del_arr + np.maximum(exp_arr - e, 0.0))))
 
     label = "points(" + ",".join(f"({e:g},{d:g})" for e, d in pts) + ")"
     return PrivacyProfile(fn, label, knots=tuple(eps_arr))
@@ -130,30 +186,58 @@ def rdp_to_dp(curve, eps_target):
     Uses delta = exp((alpha-1)(eps' - eps)) / alpha * (1 - 1/alpha)^(alpha-1)
     minimized over the curve's order grid, clipped to [0,1].
     """
-    orders = np.asarray(curve.orders)
-    eps_alpha = np.array([curve(a) for a in curve.orders])
-    log_d = (
-        (orders - 1) * (eps_alpha - eps_target)
-        + (orders - 1) * np.log1p(-1 / orders)
-        - np.log(orders)
-    )
+    am1, log_frac, log_a = _order_terms(curve.orders)
+    log_d = am1 * (curve.values - eps_target) + log_frac - log_a
     return float(np.exp(min(0.0, np.min(log_d))))
 
 
+def rdp_eps_for_delta(curve, delta):
+    """Smallest eps with rdp_to_dp(curve, eps) <= delta, in closed form.
+
+    Each order certifies delta at every eps >= eps(alpha) + (log(1/delta)
+    + (alpha-1) log(1-1/alpha) - log(alpha))/(alpha-1); the minimum over
+    the grid, floored at 0, is the answer.  Rounding can leave the
+    converted delta a few ulps above target there, so eps is nudged
+    upward, one ulp first and by doubling steps after, until rdp_to_dp
+    itself certifies it.  May return a value above EPS_CAP (or inf).
+    """
+    if not 0 < delta <= 1:
+        raise ValueError(f"delta target must be in (0,1], got {delta}")
+    am1, log_frac, log_a = _order_terms(curve.orders)
+    cand = curve.values + (-math.log(delta) + log_frac - log_a) / am1
+    eps = max(0.0, float(np.min(cand)))
+    step = math.ulp(eps)
+    while eps <= EPS_CAP and rdp_to_dp(curve, eps) > delta:
+        eps += step
+        step *= 2
+    return eps
+
+
 def rdp_profile(curve, label=""):
-    """Wrap a Renyi curve as a PrivacyProfile via the conversion above."""
-    return PrivacyProfile(lambda eps: rdp_to_dp(curve, eps), label or "rdp-converted")
+    """Wrap a Renyi curve as a PrivacyProfile via the conversion above,
+    with its closed-form inverse."""
+    return PrivacyProfile(lambda eps: rdp_to_dp(curve, eps), label or "rdp-converted",
+                          inverse=lambda delta: rdp_eps_for_delta(curve, delta))
 
 
 def epsilon_for_delta(profile, delta_target, lo=0.0):
-    """Smallest eps at which the profile drops to delta_target, within 1e-6.
+    """Smallest eps at which the profile drops to delta_target.
 
-    Brackets by doubling from 1 up to a hard cap of 1e4, then bisects.
+    A profile with an exact inverse answers through it.  Otherwise the
+    answer is within 1e-6 above the true value: brackets by doubling from
+    1 up to a hard cap of 1e4, then bisects.
     """
     if not 0 < delta_target <= 1:
         raise ValueError(f"delta target must be in (0,1], got {delta_target}")
     if profile(lo) <= delta_target:
         return lo
+    if profile.inverse is not None:
+        eps = max(lo, profile.inverse(delta_target))
+        if eps > EPS_CAP:
+            raise UnreachableTargetError(
+                f"profile still above delta={delta_target:g} at eps={EPS_CAP:g}"
+            )
+        return eps
     hi = max(1.0, lo)
     while profile(hi) > delta_target:
         if hi >= EPS_CAP:

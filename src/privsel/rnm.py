@@ -28,8 +28,8 @@ class RnmSpec:
     def __post_init__(self):
         if self.candidates < 1:
             raise ValueError(f"candidates must be >= 1, got {self.candidates}")
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
 
     def noise_profile(self):
         """Profile of one noised score at the relevant sensitivity."""
@@ -78,8 +78,8 @@ def rnm_composition_profile(base_comp, candidates, rounds):
 def rnm_gaussian_eps(sigma, candidates, delta):
     """Closed-form eps(delta) for the non-monotone Gaussian mechanism:
     2/sigma^2 + (2/sigma) sqrt(2 log(candidates/delta))."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     if candidates < 1:
         raise ValueError(f"candidates must be >= 1, got {candidates}")
     if not 0 < delta < 1:

@@ -104,8 +104,8 @@ def _resolve_eps1(strategy, base, penalty, extra=()):
     if strategy == "optimized":
         return optimize_eps1(base, penalty, extra=extra)
     e1 = float(strategy)
-    if e1 < 0:
-        raise ValueError(f"fixed eps1 must be >= 0, got {e1}")
+    if not 0 <= e1 < math.inf:
+        raise ValueError(f"fixed eps1 must be >= 0 and finite, got {e1}")
     return e1
 
 
@@ -219,8 +219,8 @@ def bound_for_count(base, dist, eps1_strategy="optimized"):
 
 def select_negbin_pure(eps_base, eta):
     """Pure-DP special case: a base eps becomes (eta+2) * eps."""
-    if eps_base < 0:
-        raise ValueError(f"eps must be >= 0, got {eps_base}")
+    if not 0 <= eps_base < math.inf:
+        raise ValueError(f"eps must be >= 0 and finite, got {eps_base}")
     if eta <= -1:
         raise ValueError(f"eta must exceed -1, got {eta}")
     return (eta + 2.0) * eps_base
@@ -239,8 +239,8 @@ def select_negbin_pointwise(point, eta, gamma):
 def select_gdp_eps(sigma, eta, gamma, delta):
     """Closed-form tuned eps for a Gaussian base:
     (eta+2) * (1/(2 sigma^2) + sqrt(2 log(1/(gamma delta))) / sigma) + delta."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     if not 0 < gamma < 1:
         raise ValueError(f"gamma must be in (0,1), got {gamma}")
     if not 0 < delta < 1:
@@ -264,7 +264,7 @@ def rdp_select_negbin(base_rdp, eta, gamma):
     if not 0 < gamma < 1:
         raise ValueError(f"gamma must be in (0,1), got {gamma}")
     orders = np.asarray(base_rdp.orders, dtype=float)
-    vals = np.array([float(base_rdp(a)) for a in orders])
+    vals = base_rdp.values
     extra = (eta + 1.0) * float(
         np.min((1.0 - 1.0 / orders) * vals + math.log(1.0 / gamma) / orders)
     )
@@ -274,7 +274,7 @@ def rdp_select_negbin(base_rdp, eta, gamma):
     def fn(alpha):
         return base_rdp(alpha) + extra + log_m / (alpha - 1.0)
 
-    return RdpCurve(fn, orders=base_rdp.orders)
+    return RdpCurve(fn, base_rdp.orders, vals + extra + log_m / (orders - 1.0))
 
 
 def rdp_select_poisson(base_rdp, base_point, m):
@@ -283,12 +283,10 @@ def rdp_select_poisson(base_rdp, base_point, m):
     if m <= 0:
         raise ValueError(f"m must be positive, got {m}")
     eps_hat, delta_hat = base_point.eps, base_point.delta
-    if eps_hat == 0:
-        orders = tuple(base_rdp.orders)
-    else:
-        cap = 1.0 + 1.0 / math.expm1(eps_hat)
-        orders = tuple(a for a in base_rdp.orders if a <= cap)
-    if not orders:
+    cap = math.inf if eps_hat == 0 else 1.0 + 1.0 / math.expm1(eps_hat)
+    orders = np.asarray(base_rdp.orders, dtype=float)
+    keep = orders <= cap
+    if not keep.any():
         raise EmptyCurveError(
             f"no order admissible for base eps {eps_hat:g}; "
             f"need alpha <= 1 + 1/(e^eps - 1)"
@@ -299,7 +297,9 @@ def rdp_select_poisson(base_rdp, base_point, m):
     def fn(alpha):
         return base_rdp(alpha) + add + log_m / (alpha - 1.0)
 
-    return RdpCurve(fn, orders=orders)
+    kept = orders[keep]
+    return RdpCurve(fn, tuple(a for a, k in zip(base_rdp.orders, keep) if k),
+                    base_rdp.values[keep] + add + log_m / (kept - 1.0))
 
 
 def adjust_guarantee(eps1, delta1, eps_hat, eta, gamma, m, delta):

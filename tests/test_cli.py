@@ -159,3 +159,16 @@ def test_oracle_suite_passes():
     r = run_cli("oracle")
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip().endswith("7/7 oracle checks passed")
+
+
+def test_config_section_not_an_object_is_config_error(tmp_path):
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps({"base": [1]}))
+    r = run_cli("guarantee", "--config", str(cfg), "--delta", "1e-6")
+    assert r.returncode == 2
+    assert "'base' must be a JSON object" in r.stderr
+    cfg.write_text(json.dumps({"base": {"kind": "gaussian", "sigma": 4},
+                               "family": "negbin"}))
+    r = run_cli("guarantee", "--config", str(cfg), "--delta", "1e-6")
+    assert r.returncode == 2
+    assert "'family' must be a JSON object" in r.stderr

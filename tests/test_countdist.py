@@ -123,3 +123,13 @@ def test_from_expected_rejects_unreachable_means():
         from_expected("binomial", 5.0)
     with pytest.raises(ValueError):
         from_expected("uniform", 5.0)
+
+
+@pytest.mark.parametrize("shape", [5e-324, -5e-324, 1e-131, 1e-10, -1e-10])
+def test_near_zero_shape_approaches_log_series(shape):
+    # 1 - g**shape cancels to nothing here; the mean and the pmf must
+    # still tend to the shape-0 (logarithmic) distribution
+    near, log_series = TruncNegBinomial(shape, 0.5), TruncNegBinomial(0.0, 0.5)
+    assert near.mean() == pytest.approx(log_series.mean(), rel=1e-9)
+    k = np.arange(1, 60)
+    assert np.allclose(near.pmf(k), log_series.pmf(k), rtol=1e-9, atol=0.0)

@@ -1,6 +1,11 @@
 """Tests for the discretized privacy-loss machinery."""
 
 import math
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -252,3 +257,61 @@ def test_stale_cache_version_is_rebuilt(tmp_path, monkeypatch):
 
     monkeypatch.setattr(pldmod, "_COMPOSED", {})
     assert subsampled_gaussian_profile(params)(0.5) == want
+
+
+def test_composed_memo_is_a_bounded_lru(monkeypatch):
+    monkeypatch.delenv(pldmod.CACHE_ENV, raising=False)
+    monkeypatch.setattr(pldmod, "_COMPOSED", {})
+    grid = GridSpec()
+    first = pldmod._composed_pld(0.2, 1.0, 2, "remove", grid)
+    for steps in range(3, 3 + pldmod._COMPOSED_MAX):
+        # a hit makes the first entry the most recently used again
+        assert pldmod._composed_pld(0.2, 1.0, 2, "remove", grid) is first
+        pldmod._composed_pld(0.2, 1.0, steps, "remove", grid)
+    assert len(pldmod._COMPOSED) == pldmod._COMPOSED_MAX
+    keys = [k[2] for k in pldmod._COMPOSED]
+    assert 2 in keys and 3 not in keys  # the least recently used went first
+
+
+KILL_BETWEEN_WRITE_AND_RENAME = """
+import os, signal
+import privsel.pld as pld
+pld.os.replace = lambda src, dst: os.kill(os.getpid(), signal.SIGKILL)
+pld._composed_pld(0.2, 1.0, 4, "remove", pld.GridSpec())
+"""
+
+
+def test_kill_between_write_and_rename_leaves_no_partial_file(tmp_path, monkeypatch):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PRIVSEL_PLD_CACHE=str(tmp_path),
+               PYTHONPATH=os.pathsep.join(
+                   p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    r = subprocess.run([sys.executable, "-c", KILL_BETWEEN_WRITE_AND_RENAME],
+                       env=env, capture_output=True, text=True)
+    assert r.returncode == -signal.SIGKILL, r.stderr
+    # the fully written temporary stays behind, under a name no reader opens
+    assert list(tmp_path.iterdir())
+    assert not list(tmp_path.glob("pld_*.npz"))
+
+    monkeypatch.setenv(pldmod.CACHE_ENV, str(tmp_path))
+    monkeypatch.setattr(pldmod, "_COMPOSED", {})
+    got = pldmod._composed_pld(0.2, 1.0, 4, "remove", GridSpec())
+    want = compose(subsampled_gaussian_pld(SubsampledGaussianParams(0.2, 1.0),
+                                           "remove"), 4)
+    assert np.array_equal(got.mass, want.mass)
+    [path] = tmp_path.glob("pld_*.npz")
+    assert np.array_equal(pldmod._load_cached(str(path)).mass, want.mass)
+
+
+def test_unreadable_cache_file_is_rebuilt(tmp_path, monkeypatch):
+    monkeypatch.setenv(pldmod.CACHE_ENV, str(tmp_path))
+    monkeypatch.setattr(pldmod, "_COMPOSED", {})
+    key = (0.2, 1.0, 4, "add", GridSpec().spacing, GridSpec().tail_mass)
+    path = pldmod._cache_path(key)
+    with open(path, "wb") as f:
+        f.write(b"PK\x03\x04 truncated")
+    got = pldmod._composed_pld(0.2, 1.0, 4, "add", GridSpec())
+    want = compose(subsampled_gaussian_pld(SubsampledGaussianParams(0.2, 1.0),
+                                           "add"), 4)
+    assert np.array_equal(got.mass, want.mass)
+    assert np.array_equal(pldmod._load_cached(path).mass, want.mass)
