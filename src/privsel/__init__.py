@@ -28,8 +28,6 @@ from .pld import (
     GridSpec,
     SubsampledGaussianParams,
     compose,
-    pld_compose,
-    pld_delta,
     renyi_subsampled_gaussian,
     subsampled_gaussian_pld,
     subsampled_gaussian_profile,
@@ -94,8 +92,6 @@ __all__ = [
     "gaussian_sigma_for_eps_delta",
     "gptr_combine",
     "optimize_eps1",
-    "pld_compose",
-    "pld_delta",
     "profile_from_points",
     "rdp_eps_for_delta",
     "rdp_profile",

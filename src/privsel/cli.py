@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import presets
-from .countdist import from_expected
+from .countdist import Binomial, TruncNegBinomial, from_expected
 from .errors import (
     ConfigError,
     EmptyCurveError,
@@ -28,23 +28,19 @@ from .errors import (
 )
 from .pld import GridSpec, SubsampledGaussianParams, subsampled_gaussian_profile
 from .profiles import (
-    PointDP,
     epsilon_for_delta,
     gaussian_profile,
     gaussian_rdp_curve,
     profile_from_points,
     rdp_profile,
 )
-from .rnm import rnm_composition_profile, rnm_gaussian_eps, rnm_profile
+from .rnm import RnmSpec, rnm_composition_profile, rnm_gaussian_eps, rnm_profile
 from .selection import (
+    bound_for_count,
     rdp_select_negbin,
-    select_binomial_profile,
-    select_negbin_profile,
+    select_gdp_eps,
     select_negbin_pure,
-    select_poisson_profile,
 )
-
-_PRESETS = ("fig1", "fig2", "fig3", "fig4", "fig6", "fig7", "fig8")
 
 
 def _fmt(v):
@@ -122,50 +118,105 @@ def _grid_spec(args):
     return GridSpec(spacing=spacing)
 
 
-def _build_base_profile(base, grid=None):
-    kind = base.get("kind")
+def _out_path(args, cfg):
+    out = args.out or cfg.get("out")
+    if out is not None and not isinstance(out, str):
+        raise ConfigError(f"config 'out' must be a path string, got {out!r}")
+    return out
+
+
+def _finite(value, name):
+    """value as a finite float; ConfigError otherwise."""
     try:
-        if kind == "gaussian":
-            return gaussian_profile(float(base["sigma"]),
-                                    float(base.get("sensitivity", 1.0)))
-        if kind in ("subsampled_gaussian", "subsampled-gaussian"):
-            params = SubsampledGaussianParams(
-                float(base["q"]), float(base["sigma"]),
-                int(base.get("steps", 1)))
-            return subsampled_gaussian_profile(params, grid)
-        if kind == "pure":
-            return profile_from_points([(float(base["eps"]), 0.0)])
-        if kind in ("points", "pointwise"):
-            pts = [(float(e), float(d)) for e, d in base["points"]]
-            return profile_from_points(pts)
-    except (KeyError, TypeError, ValueError) as e:
-        raise ConfigError(f"bad base mechanism spec: {e}") from e
+        x = float(value)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ConfigError(f"{name} must be a number, got {value!r}") from e
+    if not math.isfinite(x):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return x
+
+
+def _real(spec, key, default=None):
+    """spec[key] as a finite float, or default when the key is absent
+    (an error when there is no default)."""
+    if key not in spec:
+        if default is None:
+            raise ConfigError(f"{spec.get('kind')} needs {key}")
+        return default
+    return _finite(spec[key], key)
+
+
+def _count(spec, key, default=None):
+    """spec[key] as an integer; a fractional value is refused, not floored."""
+    x = _real(spec, key, default)
+    if x != int(x):
+        raise ConfigError(f"{key} must be an integer, got {spec[key]!r}")
+    return int(x)
+
+
+def _either(fam, a, b):
+    """Whichever of keys a and b the family spec gives; both or neither
+    is an error, so no input is silently ignored."""
+    if (a in fam) == (b in fam):
+        raise ConfigError(f"{fam['kind']} family needs exactly one of {a} and {b}")
+    return a if a in fam else b
+
+
+def _base_params(base):
+    """(kind, params) of a merged base spec, every field checked once:
+    (sigma, sensitivity) for gaussian, SubsampledGaussianParams for
+    subsampled_gaussian, eps for pure, the (eps, delta) list for points."""
+    kind = base.get("kind")
+    if kind == "gaussian":
+        sigma, sens = _real(base, "sigma"), _real(base, "sensitivity", 1.0)
+        if not (sigma > 0 and sens > 0):
+            raise ConfigError("gaussian base needs sigma > 0 and sensitivity > 0")
+        return kind, (sigma, sens)
+    if kind == "subsampled_gaussian":
+        return kind, SubsampledGaussianParams(
+            _real(base, "q"), _real(base, "sigma"), _count(base, "steps", 1))
+    if kind == "pure":
+        return kind, _real(base, "eps")
+    if kind == "points":
+        try:
+            return kind, [(_finite(e, "eps"), _finite(d, "delta"))
+                          for e, d in base["points"]]
+        except (KeyError, TypeError, ValueError) as e:
+            raise ConfigError(f"bad points list: {e}") from e
     raise ConfigError(f"unknown base kind {kind!r}")
 
 
-def _build_base_rdp(base):
-    kind = base.get("kind")
-    try:
+def _build_base(kind, params, method="hs", grid=None):
+    """What `method` reads of a parsed base: its Renyi curve for rdp,
+    otherwise its privacy profile."""
+    if method == "rdp":
         if kind == "gaussian":
-            return gaussian_rdp_curve(float(base["sigma"]),
-                                      float(base.get("sensitivity", 1.0)))
-        if kind in ("subsampled_gaussian", "subsampled-gaussian"):
-            params = SubsampledGaussianParams(
-                float(base["q"]), float(base["sigma"]),
-                int(base.get("steps", 1)))
+            return gaussian_rdp_curve(*params)
+        if kind == "subsampled_gaussian":
             return presets.subsampled_rdp_curve(params)
-    except (KeyError, TypeError, ValueError) as e:
-        raise ConfigError(f"bad base mechanism spec: {e}") from e
-    raise ConfigError(f"method rdp needs a gaussian or subsampled_gaussian base")
+        raise ConfigError("method rdp needs a gaussian or subsampled_gaussian base")
+    if kind == "gaussian":
+        return gaussian_profile(*params)
+    if kind == "subsampled_gaussian":
+        return subsampled_gaussian_profile(params, grid)
+    if kind == "pure":
+        return profile_from_points([(params, 0.0)])
+    return profile_from_points(params)
 
 
-def _family_gamma(fam):
-    if "gamma" in fam:
-        return float(fam["gamma"])
-    if "m" in fam:
-        eta = float(fam.get("eta", 1.0))
-        return from_expected("negbin", float(fam["m"]), shape=eta).success
-    raise ConfigError("negbin family needs gamma or m")
+def _count_dist(family, fam):
+    """The run-count distribution of a negbin, binomial or poisson spec."""
+    if family == "negbin":
+        eta = _real(fam, "eta", 1.0)
+        if _either(fam, "gamma", "m") == "gamma":
+            return TruncNegBinomial(eta, _real(fam, "gamma"))
+        return from_expected("negbin", _real(fam, "m"), shape=eta)
+    if family == "binomial":
+        n = _count(fam, "n")
+        if _either(fam, "p", "m") == "p":
+            return Binomial(n, _real(fam, "p"))
+        return from_expected("binomial", _real(fam, "m"), trials=n)
+    return from_expected("poisson", _real(fam, "m"))
 
 
 def _eps_grid(args):
@@ -182,75 +233,116 @@ def _eps_grid(args):
 
 def cmd_profile(args):
     cfg = _load_config(args)
-    base = _merge_base(cfg, args)
-    profile = _build_base_profile(base, _grid_spec(args))
-    grid = _eps_grid(args)
-    rows = [(e, profile(e)) for e in grid]
-    _emit_csv(("eps", "delta"), rows, args.out or cfg.get("out"))
+    out = _out_path(args, cfg)
+    profile = _build_base(*_base_params(_merge_base(cfg, args)),
+                          grid=_grid_spec(args))
+    rows = [(e, profile(e)) for e in _eps_grid(args)]
+    _emit_csv(("eps", "delta"), rows, out)
     return 0
+
+
+# looked up at call time, so wrappers installed on presets are seen
+_PRESETS = {
+    "fig1": lambda grid: [presets.fig1_table()],
+    "fig2": lambda grid: [presets.fig2_table()],
+    "fig3": lambda grid: [presets.fig3_table()],
+    "fig4": lambda grid: presets.fig4_tables(),
+    "fig6": lambda grid: [presets.fig6_table(grid=grid)],
+    "fig7": lambda grid: [presets.fig7_table(grid=grid)],
+    "fig8": lambda grid: [presets.fig8_adjust_table(grid=grid)],
+}
 
 
 def cmd_compare(args):
-    if args.preset not in _PRESETS:
+    build = _PRESETS.get(args.preset)
+    if build is None:
         raise ConfigError(f"unknown preset {args.preset!r}, "
                           f"choose from {', '.join(_PRESETS)}")
-    grid = _grid_spec(args)
+    (header, rows), *extra = build(_grid_spec(args))
     out = args.out
-    if args.preset == "fig1":
-        header, rows = presets.fig1_table()
-    elif args.preset == "fig2":
-        header, rows = presets.fig2_table()
-    elif args.preset == "fig3":
-        header, rows = presets.fig3_table()
-    elif args.preset == "fig4":
-        (header, rows), (kheader, krows) = presets.fig4_tables()
+    _emit_csv(header, rows, out)
+    # fig4's count CDF table: a second file beside --out, else after a blank line
+    for kheader, krows in extra:
         if out:
             stem, dot, ext = out.rpartition(".")
-            kout = f"{stem}_kcdf.{ext}" if dot else f"{out}_kcdf"
-            _emit_csv(header, rows, out)
-            _emit_csv(kheader, krows, kout)
+            _emit_csv(kheader, krows, f"{stem}_kcdf.{ext}" if dot else f"{out}_kcdf")
         else:
-            _emit_csv(header, rows, None)
             sys.stdout.write("\n")
             _emit_csv(kheader, krows, None)
-        return 0
-    elif args.preset == "fig6":
-        header, rows = presets.fig6_table(grid=grid)
-    elif args.preset == "fig7":
-        header, rows = presets.fig7_table(grid=grid)
-    else:
-        header, rows = presets.fig8_adjust_table(grid=grid)
-    _emit_csv(header, rows, out)
     return 0
 
 
-def _guarantee_negbin(base_profile, base, fam, method, args):
-    """Returns (profile, eps1, direct) where direct is the closed-form eps
-    itself, reported as-is instead of being read back off the profile."""
-    eta = float(fam.get("eta", 1.0))
-    strategy = "optimized" if args.eps1 is None else args.eps1
+# the methods each family accepts; None is a query on the bare base
+_METHODS = {
+    None: ("hs", "rdp"),
+    "negbin": ("hs", "rdp", "closed"),
+    "binomial": ("hs",),
+    "poisson": ("hs",),
+    "rnm": ("hs", "closed"),
+}
+
+
+def _resolve_rnm(kind, params, fam, method, delta):
+    if kind != "gaussian":
+        raise ConfigError("rnm needs a gaussian base")
+    sigma, sens = params
+    monotone = fam.get("monotone", False)
+    if not isinstance(monotone, bool):
+        raise ConfigError(f"monotone must be true or false, got {monotone!r}")
+    spec = RnmSpec(_count(fam, "m"), monotone, sigma)
+    rounds = _count(fam, "rounds", 1)
+    if method == "closed":
+        if monotone or rounds != 1:
+            raise ConfigError("closed-form rnm needs one non-monotone round")
+        if delta is None:
+            raise ConfigError("closed-form rnm guarantee needs --delta")
+        eps = rnm_gaussian_eps(sigma / sens, spec.candidates, delta)
+        return profile_from_points([(eps, delta)]), math.nan, eps
+    if rounds == 1:
+        return rnm_profile(spec.noise_profile(sens), spec.candidates), math.nan, None
+    comp = spec.noise_profile(sens * math.sqrt(rounds))
+    return rnm_composition_profile(comp, spec.candidates, rounds), math.nan, None
+
+
+def _resolve(base, fam, method, args):
+    """(profile, eps1, direct) of a guarantee query, building only what
+    the method reads; direct is a closed-form eps, reported as-is instead
+    of being read back off the profile."""
+    family = None if fam is None else fam.get("kind")
+    if fam is not None and not (isinstance(family, str) and family in _METHODS):
+        raise ConfigError(f"unknown family kind {family!r}")
+    methods = _METHODS[family]
+    if not (isinstance(method, str) and method in methods):
+        raise ConfigError(f"method {method!r} is not available for "
+                          f"{family or 'a bare base'}, choose from "
+                          f"{', '.join(methods)}")
+    kind, params = _base_params(base)
+    grid = _grid_spec(args)
+    if family is None:
+        built = _build_base(kind, params, method, grid)
+        return (rdp_profile(built) if method == "rdp" else built), math.nan, None
+    if family == "rnm":
+        return _resolve_rnm(kind, params, fam, method, args.delta)
+    if method == "closed" and kind == "pure":
+        # the pure-base form depends on the count only through its shape
+        eps = select_negbin_pure(params, _real(fam, "eta", 1.0))
+        return profile_from_points([(eps, 0.0)]), math.nan, eps
+    dist = _count_dist(family, fam)
     if method == "hs":
-        res = select_negbin_profile(base_profile, eta, _family_gamma(fam),
-                                    strategy)
+        strategy = "optimized" if args.eps1 is None else args.eps1
+        res = bound_for_count(_build_base(kind, params, grid=grid), dist, strategy)
         return res.profile, res.eps1, None
     if method == "rdp":
-        curve = rdp_select_negbin(_build_base_rdp(base), eta, _family_gamma(fam))
+        curve = rdp_select_negbin(_build_base(kind, params, "rdp"),
+                                  dist.shape, dist.success)
         return rdp_profile(curve), math.nan, None
-    if method in ("closed", "closed-form"):
-        if base.get("kind") == "pure":
-            # the pure-base form depends on the count only through its shape
-            eps = select_negbin_pure(float(base["eps"]), eta)
-            return profile_from_points([(eps, 0.0)]), math.nan, eps
-        if base.get("kind") == "gaussian":
-            if args.delta is None:
-                raise ConfigError("closed-form negbin guarantee needs --delta")
-            from .selection import select_gdp_eps
-
-            eps = select_gdp_eps(float(base["sigma"]), eta, _family_gamma(fam),
-                                 args.delta)
-            return profile_from_points([(eps, args.delta)]), math.nan, eps
+    if kind != "gaussian":
         raise ConfigError("closed-form negbin needs a pure or gaussian base")
-    raise ConfigError(f"unknown method {method!r}")
+    if args.delta is None:
+        raise ConfigError("closed-form negbin guarantee needs --delta")
+    sigma, sens = params
+    eps = select_gdp_eps(sigma / sens, dist.shape, dist.success, args.delta)
+    return profile_from_points([(eps, args.delta)]), math.nan, eps
 
 
 def cmd_guarantee(args):
@@ -259,70 +351,9 @@ def cmd_guarantee(args):
         raise ConfigError("give a target: --delta or --eps")
     if args.delta is not None and args.eps is not None:
         raise ConfigError("give exactly one of --delta and --eps")
-    base = _merge_base(cfg, args)
-    fam = _merge_family(cfg, args)
     method = args.method or cfg.get("method", "hs")
-    grid = _grid_spec(args)
-
-    base_profile = _build_base_profile(base, grid)
-    eps1 = math.nan
-    direct = None
-    if fam is None:
-        if method == "rdp":
-            profile = rdp_profile(_build_base_rdp(base))
-        else:
-            profile = base_profile
-    else:
-        kind = fam.get("kind")
-        if kind == "negbin":
-            profile, eps1, direct = _guarantee_negbin(base_profile, base, fam,
-                                                      method, args)
-        elif kind == "binomial":
-            try:
-                n = int(fam["n"])
-            except KeyError as e:
-                raise ConfigError("binomial family needs n") from e
-            p = float(fam["p"]) if "p" in fam else float(fam["m"]) / n
-            strategy = "optimized" if args.eps1 is None else args.eps1
-            res = select_binomial_profile(base_profile, n, p, strategy)
-            profile, eps1 = res.profile, res.eps1
-        elif kind == "poisson":
-            try:
-                m = float(fam["m"])
-            except KeyError as e:
-                raise ConfigError("poisson family needs m") from e
-            strategy = "optimized" if args.eps1 is None else args.eps1
-            res = select_poisson_profile(base_profile, m, strategy)
-            profile, eps1 = res.profile, res.eps1
-        elif kind == "rnm":
-            try:
-                m = int(fam["m"])
-            except KeyError as e:
-                raise ConfigError("rnm family needs m (candidate count)") from e
-            rounds = int(fam.get("rounds", 1))
-            monotone = bool(fam.get("monotone", False))
-            if method in ("closed", "closed-form"):
-                if base.get("kind") != "gaussian" or monotone:
-                    raise ConfigError(
-                        "closed-form rnm needs a gaussian base, non-monotone")
-                if args.delta is None:
-                    raise ConfigError("closed-form rnm guarantee needs --delta")
-                eps = rnm_gaussian_eps(float(base["sigma"]), m, args.delta)
-                profile = profile_from_points([(eps, args.delta)])
-                direct = eps
-            else:
-                if base.get("kind") != "gaussian":
-                    raise ConfigError("rnm needs a gaussian base")
-                sigma = float(base["sigma"])
-                sens = 1.0 if monotone else 2.0
-                if rounds == 1:
-                    profile = rnm_profile(gaussian_profile(sigma, sens), m)
-                else:
-                    comp = gaussian_profile(sigma, sens * math.sqrt(rounds))
-                    profile = rnm_composition_profile(comp, m, rounds)
-        else:
-            raise ConfigError(f"unknown family kind {fam.get('kind')!r}")
-
+    profile, eps1, direct = _resolve(_merge_base(cfg, args),
+                                     _merge_family(cfg, args), method, args)
     if args.delta is not None:
         eps = direct if direct is not None else epsilon_for_delta(
             profile, args.delta)
@@ -330,51 +361,43 @@ def cmd_guarantee(args):
     else:
         eps = args.eps
         delta = profile(args.eps)
-    method_name = method if fam or method == "rdp" else "hs"
     if args.format == "json":
         sys.stdout.write(json.dumps(
-            {"eps": eps, "delta": delta, "method": method_name,
+            {"eps": eps, "delta": delta, "method": method,
              "eps1": None if math.isnan(eps1) else eps1}) + "\n")
     else:
         e1 = "nan" if math.isnan(eps1) else _fmt(eps1)
         sys.stdout.write(
             f"eps={_fmt(eps)} delta={_fmt(delta)} "
-            f"method={method_name} eps1={e1}\n")
+            f"method={method} eps1={e1}\n")
     return 0
 
 
 def cmd_adjust(args):
     cfg = _load_config(args)
+    out = _out_path(args, cfg)
+    raw = args.sigmas.split(",") if args.sigmas else cfg.get("sigmas")
     sigmas = None
-    if args.sigmas:
-        try:
-            sigmas = tuple(float(s) for s in args.sigmas.split(","))
-        except ValueError as e:
-            raise ConfigError(f"bad --sigmas {args.sigmas!r}") from e
-    elif "sigmas" in cfg:
-        try:
-            sigmas = tuple(float(s) for s in cfg["sigmas"])
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"bad config 'sigmas': {e}") from e
-    if sigmas is not None and len(sigmas) == 0:
-        raise ConfigError("candidate list is empty")
-    header, rows = presets.fig8_adjust_table(
-        q=args.q if args.q is not None else cfg.get("q"),
-        eps_q=args.eps_q if args.eps_q is not None else cfg.get("eps_q"),
-        delta=args.delta if args.delta is not None else cfg.get("delta"),
-        m=args.m if args.m is not None else cfg.get("m"),
-        eta=args.eta if args.eta is not None else cfg.get("eta"),
-        sigmas=sigmas,
-        grid=_grid_spec(args),
-    )
-    _emit_csv(header, rows, args.out or cfg.get("out"))
+    if raw is not None:
+        if not isinstance(raw, list):
+            raise ConfigError(f"config 'sigmas' must be a list, got {raw!r}")
+        sigmas = tuple(_finite(s, "sigmas") for s in raw)
+        if not sigmas:
+            raise ConfigError("candidate list is empty")
+    given = {}
+    for key in ("q", "eps_q", "delta", "m", "eta"):
+        v = getattr(args, key)
+        v = cfg.get(key) if v is None else v
+        if v is not None:
+            given[key] = _finite(v, key)
+    header, rows = presets.fig8_adjust_table(**given, sigmas=sigmas,
+                                             grid=_grid_spec(args))
+    _emit_csv(header, rows, out)
     return 0
 
 
 def _instance_bound(base_spec, dist):
     """Analytic bound profile matching a SELECTION_INSTANCES entry."""
-    from .selection import bound_for_count
-
     if base_spec[0] == "gaussian":
         base = gaussian_profile(base_spec[1], 1.0)
     else:

@@ -126,47 +126,27 @@ class DiscretePLD:
         return clip_delta(val + self.tail_mass)
 
 
-def _loss_survival_remove(ell, q, sigma):
-    """P(loss > ell) under the numerator (1-q) N(0,s^2) + q N(1,s^2)."""
+def _loss_survival(ell, q, sigma, direction):
+    """(numerator, denominator) probabilities of the event {loss > ell}.
+
+    With t the threshold on the Gaussian sample where the loss crosses
+    ell, remove measures {x > t} under the mixture (1-q) N(0,s^2) +
+    q N(1,s^2) against N(0,s^2); add measures {x < t} under N(0,s^2)
+    against the mixture.
+    """
     ell = np.asarray(ell, dtype=float)
-    inner = np.expm1(ell) / q
+    remove = direction == "remove"
+    inner = np.expm1(ell if remove else -ell) / q
     ok = inner > -1
     with np.errstate(divide="ignore", invalid="ignore"):
         t = sigma**2 * np.log1p(np.where(ok, inner, 0.0)) + 0.5
-    sf = (1 - q) * ndtr(-t / sigma) + q * ndtr(-(t - 1) / sigma)
-    return np.where(ok, sf, 1.0)
-
-
-def _loss_survival_remove_denom(ell, q, sigma):
-    """Same event {loss > ell}, measured under the denominator N(0,s^2)."""
-    ell = np.asarray(ell, dtype=float)
-    inner = np.expm1(ell) / q
-    ok = inner > -1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = sigma**2 * np.log1p(np.where(ok, inner, 0.0)) + 0.5
-    return np.where(ok, ndtr(-t / sigma), 1.0)
-
-
-def _loss_survival_add(ell, q, sigma):
-    """P(loss > ell) under the numerator N(0,s^2), denominator the mixture."""
-    ell = np.asarray(ell, dtype=float)
-    inner = np.expm1(-ell) / q
-    ok = inner > -1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = sigma**2 * np.log1p(np.where(ok, inner, 0.0)) + 0.5
-    sf = ndtr(t / sigma)
-    return np.where(ok, sf, 0.0)
-
-
-def _loss_survival_add_denom(ell, q, sigma):
-    """Same event {loss > ell}, measured under the denominator mixture."""
-    ell = np.asarray(ell, dtype=float)
-    inner = np.expm1(-ell) / q
-    ok = inner > -1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = sigma**2 * np.log1p(np.where(ok, inner, 0.0)) + 0.5
-    sf = (1 - q) * ndtr(t / sigma) + q * ndtr((t - 1) / sigma)
-    return np.where(ok, sf, 0.0)
+    if remove:
+        zero, one, beyond = ndtr(-t / sigma), ndtr(-(t - 1) / sigma), 1.0
+    else:
+        zero, one, beyond = ndtr(t / sigma), ndtr((t - 1) / sigma), 0.0
+    mix = (1 - q) * zero + q * one
+    num, den = (mix, zero) if remove else (zero, mix)
+    return np.where(ok, num, beyond), np.where(ok, den, beyond)
 
 
 def _loss_remove(t, q, sigma):
@@ -179,14 +159,10 @@ def _build(q, sigma, direction, spacing, tail_mass):
         t_lo, t_hi = -z * sigma, 1 + z * sigma
         l_lo = float(_loss_remove(t_lo, q, sigma))
         l_hi = float(_loss_remove(t_hi, q, sigma))
-        survival = _loss_survival_remove
-        survival_denom = _loss_survival_remove_denom
     elif direction == "add":
         t_lo, t_hi = -z * sigma, z * sigma
         l_lo = float(-_loss_remove(t_hi, q, sigma))
         l_hi = float(-_loss_remove(t_lo, q, sigma))
-        survival = _loss_survival_add
-        survival_denom = _loss_survival_add_denom
     else:
         raise ValueError(f"direction must be add or remove, got {direction!r}")
 
@@ -196,8 +172,7 @@ def _build(q, sigma, direction, spacing, tail_mass):
     if n > MAX_CELLS:
         raise MemoryBudgetError(f"loss grid needs {n} cells, budget is {MAX_CELLS}")
     ell = (j_lo + np.arange(n)) * spacing
-    sf_num = survival(ell, q, sigma)
-    sf_den = survival_denom(ell, q, sigma)
+    sf_num, sf_den = _loss_survival(ell, q, sigma, direction)
     p_cell = np.maximum(sf_num[:-1] - sf_num[1:], 0.0)
     # integral of e^(-loss) over the cell, taken under the numerator,
     # equals the denominator's probability of the same cell
@@ -286,13 +261,6 @@ def compose(pld, steps):
         if t:
             power = _convolve(power, power)
     return result
-
-
-pld_compose = compose
-
-
-def pld_delta(pld, eps):
-    return pld.delta(eps)
 
 
 # insertion-ordered, so the first key is the least recently used

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .countdist import Binomial, Poisson
+from .countdist import Binomial, Poisson, from_expected
 from .errors import EmptyCurveError
 from .pld import (
     GridSpec,
@@ -32,6 +32,7 @@ from .profiles import (
 from .rnm import rnm_gaussian_eps, rnm_profile
 from .selection import (
     adjust_guarantee,
+    negbin_penalty,
     optimize_eps1,
     rdp_select_negbin,
     rdp_select_poisson,
@@ -210,18 +211,20 @@ def fig7_table(delta=DELTA_DEFAULT, grid=None):
     return ("m", "eps_hs_negbin", "eps_rdp_negbin"), rows
 
 
-def _max_m(eps_fn, target_eps, m_lo=2, m_cap=10**12):
-    """Largest integer expected count whose eps stays at or below target."""
-    if eps_fn(m_lo) > target_eps:
+def _max_passing(ok, lo, cap):
+    """Largest integer n in [lo, cap] with ok(n), for ok true up to some
+    point and false after it; 0 when ok(lo) fails.  Probes lo, 2 lo,
+    4 lo, ... while they pass, then bisects the last doubling."""
+    if not ok(lo):
         return 0
-    lo, hi = m_lo, 2 * m_lo
-    while hi <= m_cap and eps_fn(hi) <= target_eps:
+    hi = 2 * lo
+    while hi <= cap and ok(hi):
         lo, hi = hi, 2 * hi
-    if hi > m_cap:
+    if hi > cap:
         return lo
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if eps_fn(mid) <= target_eps:
+        if ok(mid):
             lo = mid
         else:
             hi = mid
@@ -234,15 +237,16 @@ def fig7_max_counts(target_eps=None, delta=DELTA_DEFAULT, grid=None):
     base = subsampled_gaussian_profile(FIG7_PARAMS, grid)
     base_rdp = subsampled_rdp_curve(FIG7_PARAMS)
 
-    def eps_hs(m):
+    def hs_ok(m):
         return epsilon_for_delta(
             select_negbin_profile(base, 1.0, 1.0 / m).profile, delta
-        )
+        ) <= target
 
-    def eps_rdp(m):
-        return rdp_curve_eps(rdp_select_negbin(base_rdp, 1.0, 1.0 / m), delta)
+    def rdp_ok(m):
+        return rdp_curve_eps(rdp_select_negbin(base_rdp, 1.0, 1.0 / m),
+                             delta) <= target
 
-    return _max_m(eps_hs, target), _max_m(eps_rdp, target)
+    return _max_passing(hs_ok, 2, 10**12), _max_passing(rdp_ok, 2, 10**12)
 
 
 def fig8_adjust_table(q=None, eps_q=None, delta=None, m=None, eta=None,
@@ -258,18 +262,9 @@ def fig8_adjust_table(q=None, eps_q=None, delta=None, m=None, eta=None,
     eta = FIG8_DEFAULTS["eta"] if eta is None else eta
     sigmas = FIG8_DEFAULTS["sigmas"] if sigmas is None else sigmas
 
-    gamma = 1.0 / m  # eta=1 count with this mean; general eta solved below
-    if eta != 1.0:
-        from .countdist import from_expected
-
-        gamma = from_expected("negbin", m, shape=eta).success
-    ratio = (1.0 - gamma) / gamma
+    gamma = from_expected("negbin", m, shape=eta).success
     target = gaussian_profile(gaussian_sigma_for_eps_delta(eps_q, delta), 1.0)
-
-    def penalty(e1, d1):
-        return (eta + 1.0) * math.log(math.exp(e1) + ratio * d1)
-
-    eps1 = optimize_eps1(target, penalty)
+    eps1 = optimize_eps1(target, negbin_penalty(eta, gamma))
     delta1 = target(eps1)
     eps_hat = epsilon_for_delta(target, delta / m)
     final = adjust_guarantee(eps1, delta1, eps_hat, eta, gamma, m, delta)
@@ -285,20 +280,10 @@ def fig8_adjust_table(q=None, eps_q=None, delta=None, m=None, eta=None,
             prof = profile_at(steps)
             return prof(eps1) <= delta1 and prof(eps_hat) <= delta / m
 
-        if not ok(1):
+        max_steps = _max_passing(ok, 1, steps_cap)
+        if max_steps == 0:
             rows.append((sigma, 0, math.nan, delta, math.nan, math.nan))
             continue
-        lo, hi = 1, 2
-        while hi <= steps_cap and ok(hi):
-            lo, hi = hi, 2 * hi
-        if hi <= steps_cap:
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if ok(mid):
-                    lo = mid
-                else:
-                    hi = mid
-        max_steps = lo
         direct = select_negbin_profile(profile_at(max_steps), eta, gamma)
         eps_direct = epsilon_for_delta(direct.profile, delta)
         gap = final.eps / eps_direct - 1.0

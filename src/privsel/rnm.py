@@ -31,10 +31,12 @@ class RnmSpec:
         if not 0 < self.sigma < math.inf:
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
 
-    def noise_profile(self):
-        """Profile of one noised score at the relevant sensitivity."""
+    def noise_profile(self, scale=1.0):
+        """Profile of one noised score at the relevant sensitivity (1 when
+        monotone, else 2) times scale: the scores' own sensitivity, and
+        sqrt(rounds) for a composition over rounds."""
         sens = 1.0 if self.monotone else 2.0
-        return gaussian_profile(self.sigma, sens)
+        return gaussian_profile(self.sigma, sens * scale)
 
 
 def rnm_profile(base, candidates):

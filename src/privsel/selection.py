@@ -122,19 +122,25 @@ def _shifted_profile(base, shift, factor, label, positive_eps_only):
     return PrivacyProfile(fn, label, knots=knots)
 
 
-def select_negbin_profile(base, eta, gamma, eps1_strategy="optimized"):
-    """Best-of-K bound for K truncated negative binomial.
-
-    The queried eps is reduced by
-    (eta+1) * log(e^eps1 + ((1-gamma)/gamma) * base(eps1))
-    and the base delta there is scaled by E[K].
-    """
-    dist = TruncNegBinomial(eta, gamma)
+def negbin_penalty(eta, gamma):
+    """The eps shift of a truncated-negative-binomial count as a function
+    of (eps1, delta1): (eta+1) * log(e^eps1 + ((1-gamma)/gamma) * delta1)."""
     ratio = (1.0 - gamma) / gamma
 
     def penalty(e1, d1):
         return (eta + 1.0) * math.log(math.exp(e1) + ratio * d1)
 
+    return penalty
+
+
+def select_negbin_profile(base, eta, gamma, eps1_strategy="optimized"):
+    """Best-of-K bound for K truncated negative binomial.
+
+    The queried eps is reduced by negbin_penalty at (eps1, base(eps1))
+    and the base delta there is scaled by E[K].
+    """
+    dist = TruncNegBinomial(eta, gamma)
+    penalty = negbin_penalty(eta, gamma)
     eps1 = _resolve_eps1(eps1_strategy, base, penalty)
     shift = penalty(eps1, base(eps1))
     m = dist.mean()
@@ -317,10 +323,7 @@ def adjust_guarantee(eps1, delta1, eps_hat, eta, gamma, m, delta):
         raise ValueError(f"gamma must be in (0,1), got {gamma}")
     if m <= 0:
         raise ValueError(f"m must be positive, got {m}")
-    shift = (eta + 1.0) * math.log(
-        math.exp(eps1) + (1.0 - gamma) / gamma * delta1
-    )
-    return PointDP(eps_hat + shift, delta)
+    return PointDP(eps_hat + negbin_penalty(eta, gamma)(eps1, delta1), delta)
 
 
 def gptr_combine(eps, delta, eps_hat, delta_hat, delta_prime):

@@ -2,6 +2,8 @@
 
 Each accepted cell pins its exact stdout and exit code, so a change to
 how the CLI resolves a scenario cannot move a printed number unnoticed.
+Inputs that would otherwise be dropped are checked to be honoured (the
+sensitivity) or refused with exit 2 and nothing on stdout.
 """
 
 import contextlib
@@ -86,3 +88,110 @@ def test_accepted_cell_output_is_locked(name, tmp_path, monkeypatch):
         argv = points_config(tmp_path) + ["--family", "negbin", "--eta", "1",
                                           "--m", "10", "--delta", "1e-6"]
     assert run(argv) == (0, expected)
+
+
+def config(tmp_path, cfg):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(cfg))
+    return ["--config", str(path)]
+
+
+@pytest.mark.parametrize("family", [
+    NEGBIN + ["--method", "closed"],
+    ["--family", "rnm", "--m", "10"],
+    ["--family", "rnm", "--m", "10", "--rounds", "4"],
+    ["--family", "rnm", "--m", "10", "--monotone"],
+    ["--family", "rnm", "--m", "10", "--method", "closed"],
+], ids=["negbin-closed", "rnm-hs", "rnm-hs-rounds", "rnm-monotone", "rnm-closed"])
+def test_sensitivity_is_honoured_on_every_path(family):
+    # a Gaussian mechanism depends on sigma and sensitivity only through
+    # their ratio, so sigma 4 at sensitivity 2 must print what sigma 2 does
+    scaled = run(GAUSS + ["--sensitivity", "2", *family, "--delta", "1e-6"])
+    plain = run(["guarantee", "--base", "gaussian", "--sigma", "2", *family,
+                 "--delta", "1e-6"])
+    assert scaled == plain
+    assert scaled[0] == 0
+
+
+def test_closed_form_is_no_smaller_than_hs_at_sensitivity_two():
+    def eps(method):
+        rc, out = run(GAUSS + ["--sensitivity", "2", *NEGBIN,
+                               "--method", method, "--delta", "1e-6"])
+        assert rc == 0
+        return float(out.split()[0].removeprefix("eps="))
+
+    assert eps("closed") >= eps("hs")
+
+
+def refused(argv, capsys):
+    rc = cli.main(argv)
+    out = capsys.readouterr()
+    return rc == 2 and out.out == "" and out.err.startswith("error: ")
+
+
+RNM = ["--family", "rnm", "--m", "10"]
+
+
+@pytest.mark.parametrize("argv", [
+    GAUSS + RNM + ["--rounds", "4", "--method", "closed", "--delta", "1e-6"],
+    GAUSS + ["--family", "rnm", "--m", "10.9", "--delta", "1e-6"],
+    GAUSS + ["--family", "negbin", "--gamma", "0.01", "--m", "300",
+             "--delta", "1e-6"],
+    GAUSS + ["--family", "binomial", "--n", "50", "--p", "0.2", "--m", "10",
+             "--delta", "1e-6"],
+    GAUSS + ["--family", "binomial", "--n", "50", "--p", "0.2",
+             "--method", "rdp", "--delta", "1e-6"],
+    GAUSS + ["--family", "binomial", "--n", "50", "--p", "0.2",
+             "--method", "closed", "--delta", "1e-6"],
+    GAUSS + ["--family", "poisson", "--m", "10", "--method", "rdp",
+             "--delta", "1e-6"],
+    GAUSS + ["--family", "poisson", "--m", "10", "--method", "closed",
+             "--delta", "1e-6"],
+    GAUSS + RNM + ["--method", "rdp", "--delta", "1e-6"],
+    GAUSS + ["--method", "closed", "--delta", "1e-6"],
+], ids=["rnm-closed-rounds", "rnm-fractional-m", "negbin-gamma-and-m",
+        "binomial-p-and-m", "binomial-rdp", "binomial-closed", "poisson-rdp",
+        "poisson-closed", "rnm-rdp", "bare-closed"])
+def test_dropped_or_unsupported_input_is_refused(argv, capsys):
+    assert refused(argv, capsys)
+
+
+@pytest.mark.parametrize("cfg", [
+    {"base": {"kind": "gaussian", "sigma": 4},
+     "family": {"kind": "rnm", "m": 10, "rounds": 2.5}},
+    {"base": {"kind": "subsampled_gaussian", "q": 0.2, "sigma": 2,
+              "steps": 3.9}},
+    {"base": {"kind": "gaussian", "sigma": 4},
+     "family": {"kind": "binomial", "n": 50.5, "p": 0.2}},
+    {"base": {"kind": "gaussian", "sigma": 4},
+     "family": {"kind": "rnm", "m": 10, "monotone": "false"}},
+    {"base": {"kind": "gaussian", "sigma": 4}, "method": ["x"]},
+    {"base": {"kind": "gaussian", "sigma": 4},
+     "family": {"kind": "negbin", "eta": 1, "m": 300},
+     "method": "closed-form"},
+    {"base": {"kind": "subsampled-gaussian", "q": 0.2, "sigma": 2}},
+    {"base": {"kind": "pointwise", "points": POINTS}},
+], ids=["fractional-rounds", "fractional-steps", "fractional-trials",
+        "monotone-not-bool", "method-not-a-name", "alias-closed-form",
+        "alias-subsampled-gaussian", "alias-pointwise"])
+def test_bad_config_is_refused(cfg, tmp_path, capsys):
+    argv = ["guarantee", *config(tmp_path, cfg), "--delta", "1e-6"]
+    assert refused(argv, capsys)
+
+
+# an integer that names no open descriptor: open() would take it as one
+@pytest.mark.parametrize("out", [987654, ["x.csv"]], ids=["int", "list"])
+@pytest.mark.parametrize("command", ["profile", "adjust"])
+def test_config_out_must_be_a_path(command, out, tmp_path, capsys):
+    base = ["--base", "gaussian", "--sigma", "4"] if command == "profile" else []
+    argv = [command, *config(tmp_path, {"out": out, "sigmas": [2]}), *base]
+    assert refused(argv, capsys)
+
+
+@pytest.mark.parametrize("key", ["q", "eps_q", "delta", "m", "eta"])
+def test_adjust_config_reals_are_checked(key, tmp_path, capsys):
+    assert refused(["adjust", *config(tmp_path, {key: "abc"})], capsys)
+
+
+def test_adjust_mean_count_of_zero_is_refused(capsys):
+    assert refused(["adjust", "--m", "0", "--sigmas", "2"], capsys)

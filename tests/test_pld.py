@@ -18,8 +18,6 @@ from privsel.pld import (
     GridSpec,
     SubsampledGaussianParams,
     compose,
-    pld_compose,
-    pld_delta,
     renyi_subsampled_gaussian,
     subsampled_gaussian_pld,
     subsampled_gaussian_profile,
@@ -135,7 +133,6 @@ def test_full_batch_composition_matches_gaussian():
 def test_compose_identity_and_validation():
     one = subsampled_gaussian_pld(SubsampledGaussianParams(0.1, 1.0), "remove")
     assert compose(one, 1) is one
-    assert pld_compose is compose
     with pytest.raises(ValueError):
         compose(one, 0)
 
@@ -153,11 +150,6 @@ def test_composed_profile_frozen_values():
     prof = subsampled_gaussian_profile(SubsampledGaussianParams(0.1, 1.0, 8))
     for eps, want in COMPOSED_PINS.items():
         assert prof(eps) == pytest.approx(want, rel=1e-12)
-
-
-def test_pld_delta_alias():
-    one = subsampled_gaussian_pld(SubsampledGaussianParams(0.1, 1.0), "remove")
-    assert pld_delta(one, 0.5) == one.delta(0.5)
 
 
 def test_renyi_full_batch_identity():
