@@ -162,28 +162,35 @@ def _either(fam, a, b):
     return a if a in fam else b
 
 
+def _sigma_sens(base):
+    sigma, sens = _real(base, "sigma"), _real(base, "sensitivity", 1.0)
+    if not (sigma > 0 and sens > 0):
+        raise ConfigError(f"{base['kind']} base needs sigma > 0 and sensitivity > 0")
+    return sigma, sens
+
+
 def _base_params(base):
     """(kind, params) of a merged base spec, every field checked once:
     (sigma, sensitivity) for gaussian, SubsampledGaussianParams for
-    subsampled_gaussian, eps for pure, the (eps, delta) list for points."""
+    subsampled_gaussian (sigma divided by the sensitivity), eps for pure,
+    the (eps, delta) list for points."""
     kind = base.get("kind")
+    if kind not in ("gaussian", "subsampled_gaussian", "pure", "points"):
+        raise ConfigError(f"unknown base kind {kind!r}")
+    _check_fields(base, "base")
     if kind == "gaussian":
-        sigma, sens = _real(base, "sigma"), _real(base, "sensitivity", 1.0)
-        if not (sigma > 0 and sens > 0):
-            raise ConfigError("gaussian base needs sigma > 0 and sensitivity > 0")
-        return kind, (sigma, sens)
+        return kind, _sigma_sens(base)
     if kind == "subsampled_gaussian":
+        sigma, sens = _sigma_sens(base)
         return kind, SubsampledGaussianParams(
-            _real(base, "q"), _real(base, "sigma"), _count(base, "steps", 1))
+            _real(base, "q"), sigma / sens, _count(base, "steps", 1))
     if kind == "pure":
         return kind, _real(base, "eps")
-    if kind == "points":
-        try:
-            return kind, [(_finite(e, "eps"), _finite(d, "delta"))
-                          for e, d in base["points"]]
-        except (KeyError, TypeError, ValueError) as e:
-            raise ConfigError(f"bad points list: {e}") from e
-    raise ConfigError(f"unknown base kind {kind!r}")
+    try:
+        return kind, [(_finite(e, "eps"), _finite(d, "delta"))
+                      for e, d in base["points"]]
+    except (KeyError, TypeError, ValueError) as e:
+        raise ConfigError(f"bad points list: {e}") from e
 
 
 def _build_base(kind, params, method="hs", grid=None):
@@ -281,6 +288,27 @@ _METHODS = {
     "rnm": ("hs", "closed"),
 }
 
+# the fields each base and family kind reads; any other field is refused,
+# so no input is silently dropped
+_FIELDS = {
+    "gaussian": ("sigma", "sensitivity"),
+    "subsampled_gaussian": ("q", "sigma", "steps", "sensitivity"),
+    "pure": ("eps",),
+    "points": ("points",),
+    "negbin": ("eta", "gamma", "m"),
+    "binomial": ("n", "p", "m"),
+    "poisson": ("m",),
+    "rnm": ("m", "rounds", "monotone"),
+}
+
+
+def _check_fields(spec, what):
+    kind = spec["kind"]
+    unread = sorted(set(spec) - {"kind", *_FIELDS[kind]})
+    if unread:
+        raise ConfigError(f"{kind} {what} does not read {', '.join(unread)}; "
+                          f"its fields are {', '.join(_FIELDS[kind])}")
+
 
 def _resolve_rnm(kind, params, fam, method, delta):
     if kind != "gaussian":
@@ -316,6 +344,11 @@ def _resolve(base, fam, method, args):
         raise ConfigError(f"method {method!r} is not available for "
                           f"{family or 'a bare base'}, choose from "
                           f"{', '.join(methods)}")
+    if fam is not None:
+        _check_fields(fam, "family")
+    if args.eps1 is not None and (family in (None, "rnm") or method != "hs"):
+        raise ConfigError("--eps1 is read only by the hs bound of a negbin, "
+                          "binomial or poisson family")
     kind, params = _base_params(base)
     grid = _grid_spec(args)
     if family is None:

@@ -32,7 +32,7 @@ from scipy.signal import fftconvolve
 from scipy.special import ndtr, ndtri
 
 from .errors import GridTooCoarseError, MemoryBudgetError
-from .profiles import PrivacyProfile, clip_delta
+from .profiles import PrivacyProfile, clip_delta, default_orders
 
 MAX_CELLS = 2**28
 # cumulative mass a convolution may shed from either end of its support;
@@ -44,6 +44,8 @@ CACHE_ENV = "PRIVSEL_PLD_CACHE"
 _CACHE_VERSION = 2
 # composed distributions kept in memory, least recently used evicted first
 _COMPOSED_MAX = 16
+# one-step Renyi quadratures kept in memory: four full default order grids
+_RENYI_MAX = 4 * len(default_orders())
 
 
 @dataclass(frozen=True)
@@ -374,7 +376,7 @@ def _log_quad(log_f, lo, hi, inner_points):
     return shift + math.log(val)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_RENYI_MAX)
 def _renyi_one_step(q, sigma, alpha):
     # the alpha-tilted integrand is a Gaussian kernel whose center moves
     # as far as alpha (one direction) or 1 - alpha (the other)

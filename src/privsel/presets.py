@@ -54,6 +54,9 @@ FIG7_PARAMS = SubsampledGaussianParams(q=16384 / 50000, sigma=21.1, steps=250)
 # region where both the hockey-stick and Renyi curves are defined
 FIG7_TARGET_EPS = 2.5
 
+# largest step count the fig8 step search probes
+FIG8_STEPS_CAP = 1 << 20
+
 FIG8_DEFAULTS = {
     "q": 0.01,
     "eps_q": 1.5,
@@ -64,15 +67,14 @@ FIG8_DEFAULTS = {
 }
 
 
-def subsampled_rdp_curve(params, orders=None):
+def subsampled_rdp_curve(params):
     """Renyi curve of the composed subsampled Gaussian on the shared
     order grid; per-order values are quadrature results cached process-wide."""
-    grid = tuple(orders) if orders is not None else default_orders()
 
     def fn(alpha):
         return renyi_subsampled_gaussian(params, alpha)
 
-    return RdpCurve(fn, orders=grid)
+    return RdpCurve(fn, orders=default_orders())
 
 
 def rdp_curve_eps(curve, delta):
@@ -80,20 +82,15 @@ def rdp_curve_eps(curve, delta):
     return epsilon_for_delta(rdp_profile(curve), delta)
 
 
-def rdp_poisson_eps(base_rdp, m, delta, eps_hat_grid=None):
+def rdp_poisson_eps(base_rdp, m, delta):
     """Best final eps over the base-point grid for the Poisson Renyi bound.
 
     The bound needs the base stated as a single (eps, delta) point; each
-    candidate point is read off the base curve and the cheapest final
-    guarantee wins.
+    of 40 candidate points is read off the base curve and the cheapest
+    final guarantee wins.
     """
-    grid = (
-        np.asarray(eps_hat_grid, dtype=float)
-        if eps_hat_grid is not None
-        else np.geomspace(1e-3, 2.0, 40)
-    )
     best = math.inf
-    for eps_hat in grid:
+    for eps_hat in np.geomspace(1e-3, 2.0, 40):
         point = PointDP(float(eps_hat), rdp_to_dp(base_rdp, float(eps_hat)))
         try:
             curve = rdp_select_poisson(base_rdp, point, m)
@@ -105,6 +102,15 @@ def rdp_poisson_eps(base_rdp, m, delta, eps_hat_grid=None):
 
 def _int_ladder(lo, hi, count):
     return [int(v) for v in np.unique(np.round(np.geomspace(lo, hi, count)))]
+
+
+def _geometric_eps(base, base_rdp, m, delta):
+    """(hockey-stick eps, Renyi eps) at delta for a geometric run count
+    with mean m."""
+    gamma = 1.0 / m
+    eps_hs = epsilon_for_delta(select_negbin_profile(base, 1.0, gamma).profile, delta)
+    eps_rdp = rdp_curve_eps(rdp_select_negbin(base_rdp, 1.0, gamma), delta)
+    return eps_hs, eps_rdp
 
 
 def fig1_table(delta=DELTA_DEFAULT, sigma=4.0):
@@ -125,13 +131,9 @@ def fig2_table(delta=DELTA_DEFAULT, sigma=4.0):
     base_rdp = gaussian_rdp_curve(sigma, 1.0)
     rows = []
     for m in (30, 300, 3000):
-        gamma = 1.0 / m
-        eps_hs = epsilon_for_delta(
-            select_negbin_profile(base, 1.0, gamma).profile, delta
-        )
-        eps_rdp = rdp_curve_eps(rdp_select_negbin(base_rdp, 1.0, gamma), delta)
+        eps_hs, eps_rdp = _geometric_eps(base, base_rdp, m, delta)
         eps_hat = epsilon_for_delta(base, delta / m)
-        point = select_negbin_pointwise(PointDP(eps_hat, delta / m), 1.0, gamma)
+        point = select_negbin_pointwise(PointDP(eps_hat, delta / m), 1.0, 1.0 / m)
         rows.append((m, eps_hs, eps_rdp, point.eps))
     return ("m", "eps_hs", "eps_rdp", "eps_pointwise"), rows
 
@@ -142,12 +144,8 @@ def fig3_table(delta=DELTA_DEFAULT, sigma=4.0):
     base_rdp = gaussian_rdp_curve(sigma, 1.0)
     rows = []
     for m in _int_ladder(10, 3000, 15):
-        gamma = 1.0 / m
-        eps_hs = epsilon_for_delta(
-            select_negbin_profile(base, 1.0, gamma).profile, delta
-        )
-        eps_rdp = rdp_curve_eps(rdp_select_negbin(base_rdp, 1.0, gamma), delta)
-        eps_gdp = select_gdp_eps(sigma, 1.0, gamma, delta)
+        eps_hs, eps_rdp = _geometric_eps(base, base_rdp, m, delta)
+        eps_gdp = select_gdp_eps(sigma, 1.0, 1.0 / m, delta)
         rows.append((m, eps_hs, eps_rdp, eps_gdp))
     return ("m", "eps_hs", "eps_rdp", "eps_gdp"), rows
 
@@ -182,14 +180,10 @@ def fig6_table(delta=DELTA_DEFAULT, grid=None):
     base_rdp = subsampled_rdp_curve(FIG6_PARAMS)
     rows = []
     for m in _int_ladder(2, 1000, 15):
-        gamma = 1.0 / m
-        eps_hs_nb = epsilon_for_delta(
-            select_negbin_profile(base, 1.0, gamma).profile, delta
-        )
+        eps_hs_nb, eps_rdp_nb = _geometric_eps(base, base_rdp, m, delta)
         eps_hs_po = epsilon_for_delta(
             select_poisson_profile(base, float(m)).profile, delta
         )
-        eps_rdp_nb = rdp_curve_eps(rdp_select_negbin(base_rdp, 1.0, gamma), delta)
         eps_rdp_po = rdp_poisson_eps(base_rdp, float(m), delta)
         rows.append((m, eps_hs_nb, eps_hs_po, eps_rdp_nb, eps_rdp_po))
     return ("m", "eps_hs_negbin", "eps_hs_poisson", "eps_rdp_negbin",
@@ -202,12 +196,7 @@ def fig7_table(delta=DELTA_DEFAULT, grid=None):
     base_rdp = subsampled_rdp_curve(FIG7_PARAMS)
     rows = []
     for m in _int_ladder(2, 100_000, 21):
-        gamma = 1.0 / m
-        eps_hs = epsilon_for_delta(
-            select_negbin_profile(base, 1.0, gamma).profile, delta
-        )
-        eps_rdp = rdp_curve_eps(rdp_select_negbin(base_rdp, 1.0, gamma), delta)
-        rows.append((m, eps_hs, eps_rdp))
+        rows.append((m, *_geometric_eps(base, base_rdp, m, delta)))
     return ("m", "eps_hs_negbin", "eps_rdp_negbin"), rows
 
 
@@ -250,7 +239,7 @@ def fig7_max_counts(target_eps=None, delta=DELTA_DEFAULT, grid=None):
 
 
 def fig8_adjust_table(q=None, eps_q=None, delta=None, m=None, eta=None,
-                      sigmas=None, grid=None, steps_cap=1 << 20):
+                      sigmas=None, grid=None):
     """Per noise candidate: the largest step count whose composed profile
     stays inside both thresholds read off the target guarantee, the final
     adjusted guarantee, and the directly optimized bound for gap reporting.
@@ -280,7 +269,7 @@ def fig8_adjust_table(q=None, eps_q=None, delta=None, m=None, eta=None,
             prof = profile_at(steps)
             return prof(eps1) <= delta1 and prof(eps_hat) <= delta / m
 
-        max_steps = _max_passing(ok, 1, steps_cap)
+        max_steps = _max_passing(ok, 1, FIG8_STEPS_CAP)
         if max_steps == 0:
             rows.append((sigma, 0, math.nan, delta, math.nan, math.nan))
             continue

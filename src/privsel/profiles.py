@@ -144,11 +144,11 @@ def gaussian_profile(sigma, sensitivity=1.0):
     return PrivacyProfile(fn, f"gaussian(sigma={sigma:g},sens={sensitivity:g})")
 
 
-def gaussian_rdp_curve(sigma, sensitivity=1.0, orders=None):
+def gaussian_rdp_curve(sigma, sensitivity=1.0):
     """Renyi curve alpha -> alpha * sensitivity^2 / (2 sigma^2) of the Gaussian mechanism."""
     _check_positive(sigma=sigma, sensitivity=sensitivity)
     c = sensitivity**2 / (2 * sigma**2)
-    orders = default_orders() if orders is None else tuple(orders)
+    orders = default_orders()
     return RdpCurve(lambda a: a * c, orders, np.asarray(orders, dtype=float) * c)
 
 
@@ -178,6 +178,21 @@ def profile_from_points(points):
 
     label = "points(" + ",".join(f"({e:g},{d:g})" for e, d in pts) + ")"
     return PrivacyProfile(fn, label, knots=tuple(eps_arr))
+
+
+def scaled_profile(base, factor, shift=0.0, label="", positive_eps_only=False):
+    """min(1, factor * base(eps - shift)), with the knots shifted along.
+
+    With positive_eps_only the profile is 1 at eps <= 0: a mechanism
+    that may release nothing certifies nothing there.
+    """
+
+    def fn(eps):
+        if positive_eps_only and eps <= 0:
+            return 1.0
+        return min(1.0, factor * base(eps - shift))
+
+    return PrivacyProfile(fn, label, knots=tuple(k + shift for k in base.knots))
 
 
 def rdp_to_dp(curve, eps_target):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .profiles import PrivacyProfile, gaussian_profile
+from .profiles import PrivacyProfile, gaussian_profile, scaled_profile
 
 
 @dataclass(frozen=True)
@@ -47,11 +47,7 @@ def rnm_profile(base, candidates):
     """
     if candidates < 1:
         raise ValueError(f"candidates must be >= 1, got {candidates}")
-
-    def fn(eps):
-        return min(1.0, candidates * base(eps))
-
-    return PrivacyProfile(fn, f"rnm(m={candidates})", knots=base.knots)
+    return scaled_profile(base, candidates, label=f"rnm(m={candidates})")
 
 
 def rnm_composition_profile(base_comp, candidates, rounds):

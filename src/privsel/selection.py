@@ -19,7 +19,13 @@ import numpy as np
 
 from .countdist import Binomial, Poisson, TruncNegBinomial
 from .errors import EmptyCurveError, NoAdmissibleEps1Error, UnreachableTargetError
-from .profiles import PointDP, PrivacyProfile, RdpCurve, epsilon_for_delta
+from .profiles import (
+    PointDP,
+    PrivacyProfile,
+    RdpCurve,
+    epsilon_for_delta,
+    scaled_profile,
+)
 
 GRID_POINTS = 200
 GRID_LO = 1e-6
@@ -32,14 +38,11 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 @dataclass(frozen=True)
 class SelectionBoundResult:
     """A selection bound: the output profile, the eps1 the optimizer
-    settled on, the induced shift subtracted from queried eps values,
-    the count distribution, and the base profile's label."""
+    settled on, and the induced shift subtracted from queried eps values."""
 
     profile: PrivacyProfile
     eps1: float
     shift: float
-    dist: object
-    base_label: str = ""
 
     def __post_init__(self):
         if self.eps1 < 0:
@@ -109,19 +112,6 @@ def _resolve_eps1(strategy, base, penalty, extra=()):
     return e1
 
 
-def _shifted_profile(base, shift, factor, label, positive_eps_only):
-    """min(1, factor * base(eps - shift)); optionally 1 for eps <= 0
-    (families whose count can be zero certify nothing there)."""
-
-    def fn(eps):
-        if positive_eps_only and eps <= 0:
-            return 1.0
-        return min(1.0, factor * base(eps - shift))
-
-    knots = tuple(k + shift for k in base.knots)
-    return PrivacyProfile(fn, label, knots=knots)
-
-
 def negbin_penalty(eta, gamma):
     """The eps shift of a truncated-negative-binomial count as a function
     of (eps1, delta1): (eta+1) * log(e^eps1 + ((1-gamma)/gamma) * delta1)."""
@@ -133,94 +123,99 @@ def negbin_penalty(eta, gamma):
     return penalty
 
 
-def select_negbin_profile(base, eta, gamma, eps1_strategy="optimized"):
-    """Best-of-K bound for K truncated negative binomial.
-
-    The queried eps is reduced by negbin_penalty at (eps1, base(eps1))
-    and the base delta there is scaled by E[K].
-    """
-    dist = TruncNegBinomial(eta, gamma)
-    penalty = negbin_penalty(eta, gamma)
-    eps1 = _resolve_eps1(eps1_strategy, base, penalty)
-    shift = penalty(eps1, base(eps1))
-    m = dist.mean()
-    label = f"select-negbin(eta={eta:g},gamma={gamma:g})"
-    profile = _shifted_profile(base, shift, m, label, positive_eps_only=False)
-    return SelectionBoundResult(profile, eps1, shift, dist, base.label)
-
-
-def select_binomial_profile(base, n, p, eps1_strategy="optimized"):
-    """Best-of-K bound for K ~ Binomial(n, p).
-
-    Valid only above the admissibility threshold
-    eps1 >= log(1 + p/(1-p) * base(eps1)); the bound certifies nothing
-    at eps <= 0 because K = 0 has positive probability.
-    """
-    dist = Binomial(n, p)
+def _binomial_eps1_min(base, n, p):
+    """Smallest eps1 with eps1 >= log(1 + p/(1-p) * base(eps1)), the
+    admissibility threshold of a Binomial(n, p) count."""
     odds = p / (1.0 - p)
 
     def g(e1):
         return e1 - math.log1p(odds * base(e1))
 
     if g(0.0) >= 0:
-        eps1_min = 0.0
-    else:
-        hi = 1.0
-        while g(hi) < 0 and hi < EPS1_CAP:
-            hi *= 2
-        if g(hi) < 0:
-            raise NoAdmissibleEps1Error(
-                f"no admissible eps1 below {EPS1_CAP} for n={n}, p={p}"
-            )
-        lo = 0.0
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if g(mid) < 0:
-                lo = mid
-            else:
-                hi = mid
-        eps1_min = hi
+        return 0.0
+    hi = 1.0
+    while g(hi) < 0 and hi < EPS1_CAP:
+        hi *= 2
+    if g(hi) < 0:
+        raise NoAdmissibleEps1Error(
+            f"no admissible eps1 below {EPS1_CAP} for n={n}, p={p}"
+        )
+    lo = 0.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if g(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
-    def penalty(e1, d1):
-        if e1 < eps1_min:
-            return math.inf
-        return (n - 1.0) * math.log1p(p * math.expm1(e1) + p * d1)
 
+def _count_terms(base, dist):
+    """(penalty, smallest admissible eps1, label) of a count distribution.
+
+    The penalty maps (eps1, base(eps1)) to the shift subtracted from every
+    queried eps; it is +inf below the admissibility threshold.
+    """
+    if isinstance(dist, TruncNegBinomial):
+        eta, gamma = dist.shape, dist.success
+        return (negbin_penalty(eta, gamma), 0.0,
+                f"select-negbin(eta={eta:g},gamma={gamma:g})")
+    if isinstance(dist, Binomial):
+        n, p = dist.trials, dist.prob
+        eps1_min = _binomial_eps1_min(base, n, p)
+
+        def penalty(e1, d1):
+            if e1 < eps1_min:
+                return math.inf
+            return (n - 1.0) * math.log1p(p * math.expm1(e1) + p * d1)
+
+        return penalty, eps1_min, f"select-binomial(n={n},p={p:g})"
+    if isinstance(dist, Poisson):
+        m = dist.rate
+
+        def penalty(e1, d1):
+            return m * math.expm1(e1) + m * d1
+
+        return penalty, 0.0, f"select-poisson(m={m:g})"
+    raise TypeError(f"no selection bound for {type(dist).__name__}")
+
+
+def bound_for_count(base, dist, eps1_strategy="optimized"):
+    """Best-of-K bound for K drawn from dist: min(1, E[K] * base(eps - shift)).
+
+    The shift is the count's penalty at (eps1, base(eps1)), with eps1
+    optimized over the admissible range or fixed by the caller.  Binomial
+    and Poisson counts can be zero, so their bounds certify nothing at
+    eps <= 0.
+    """
+    penalty, eps1_min, label = _count_terms(base, dist)
     eps1 = _resolve_eps1(eps1_strategy, base, penalty, extra=(eps1_min,))
-    if penalty(eps1, base(eps1)) == math.inf:
+    shift = penalty(eps1, base(eps1))
+    if shift == math.inf:
         raise NoAdmissibleEps1Error(
             f"eps1={eps1:g} is below the admissibility threshold {eps1_min:g}"
         )
-    shift = penalty(eps1, base(eps1))
-    label = f"select-binomial(n={n},p={p:g})"
-    profile = _shifted_profile(base, shift, n * p, label, positive_eps_only=True)
-    return SelectionBoundResult(profile, eps1, shift, dist, base.label)
+    profile = scaled_profile(base, dist.mean(), shift, label,
+                             positive_eps_only=not isinstance(dist, TruncNegBinomial))
+    return SelectionBoundResult(profile, eps1, shift)
+
+
+def select_negbin_profile(base, eta, gamma, eps1_strategy="optimized"):
+    """Best-of-K bound for K truncated negative binomial: the queried eps
+    is reduced by negbin_penalty at (eps1, base(eps1))."""
+    return bound_for_count(base, TruncNegBinomial(eta, gamma), eps1_strategy)
+
+
+def select_binomial_profile(base, n, p, eps1_strategy="optimized"):
+    """Best-of-K bound for K ~ Binomial(n, p), valid only above the
+    admissibility threshold eps1 >= log(1 + p/(1-p) * base(eps1))."""
+    return bound_for_count(base, Binomial(n, p), eps1_strategy)
 
 
 def select_poisson_profile(base, m, eps1_strategy="optimized"):
     """Best-of-K bound for K ~ Poisson(m); the queried eps is reduced by
-    m*(e^eps1 - 1) + m*base(eps1).  Certifies nothing at eps <= 0."""
-    dist = Poisson(m)
-
-    def penalty(e1, d1):
-        return m * math.expm1(e1) + m * d1
-
-    eps1 = _resolve_eps1(eps1_strategy, base, penalty)
-    shift = penalty(eps1, base(eps1))
-    label = f"select-poisson(m={m:g})"
-    profile = _shifted_profile(base, shift, m, label, positive_eps_only=True)
-    return SelectionBoundResult(profile, eps1, shift, dist, base.label)
-
-
-def bound_for_count(base, dist, eps1_strategy="optimized"):
-    """Family bound matching a count distribution object."""
-    if isinstance(dist, TruncNegBinomial):
-        return select_negbin_profile(base, dist.shape, dist.success, eps1_strategy)
-    if isinstance(dist, Binomial):
-        return select_binomial_profile(base, dist.trials, dist.prob, eps1_strategy)
-    if isinstance(dist, Poisson):
-        return select_poisson_profile(base, dist.rate, eps1_strategy)
-    raise TypeError(f"no selection bound for {type(dist).__name__}")
+    m*(e^eps1 - 1) + m*base(eps1)."""
+    return bound_for_count(base, Poisson(m), eps1_strategy)
 
 
 def select_negbin_pure(eps_base, eta):
@@ -259,28 +254,35 @@ def select_gdp_eps(sigma, eta, gamma, delta):
     ) + delta
 
 
+def _rdp_selection_curve(base_rdp, orders, add, mean, keep=None):
+    """Renyi baseline base(alpha) + add + log(mean)/(alpha-1) on the base
+    curve's orders (`orders`: them as a float array), or on those where
+    the boolean mask `keep` holds."""
+    log_m = math.log(mean)
+
+    def fn(alpha):
+        return base_rdp(alpha) + add + log_m / (alpha - 1.0)
+
+    if keep is None:
+        return RdpCurve(fn, base_rdp.orders,
+                        base_rdp.values + add + log_m / (orders - 1.0))
+    return RdpCurve(fn, tuple(a for a, k in zip(base_rdp.orders, keep) if k),
+                    base_rdp.values[keep] + add + log_m / (orders[keep] - 1.0))
+
+
 def rdp_select_negbin(base_rdp, eta, gamma):
     """Renyi baseline for truncated-negative-binomial K.
 
     Adds to the base curve an order-independent term minimized over the
     curve's own grid, plus log(E[K])/(alpha-1).
     """
-    if eta <= -1:
-        raise ValueError(f"eta must exceed -1, got {eta}")
-    if not 0 < gamma < 1:
-        raise ValueError(f"gamma must be in (0,1), got {gamma}")
+    dist = TruncNegBinomial(eta, gamma)
     orders = np.asarray(base_rdp.orders, dtype=float)
     vals = base_rdp.values
     extra = (eta + 1.0) * float(
         np.min((1.0 - 1.0 / orders) * vals + math.log(1.0 / gamma) / orders)
     )
-    m = TruncNegBinomial(eta, gamma).mean()
-    log_m = math.log(m)
-
-    def fn(alpha):
-        return base_rdp(alpha) + extra + log_m / (alpha - 1.0)
-
-    return RdpCurve(fn, base_rdp.orders, vals + extra + log_m / (orders - 1.0))
+    return _rdp_selection_curve(base_rdp, orders, extra, dist.mean())
 
 
 def rdp_select_poisson(base_rdp, base_point, m):
@@ -297,15 +299,7 @@ def rdp_select_poisson(base_rdp, base_point, m):
             f"no order admissible for base eps {eps_hat:g}; "
             f"need alpha <= 1 + 1/(e^eps - 1)"
         )
-    add = m * delta_hat
-    log_m = math.log(m)
-
-    def fn(alpha):
-        return base_rdp(alpha) + add + log_m / (alpha - 1.0)
-
-    kept = orders[keep]
-    return RdpCurve(fn, tuple(a for a, k in zip(base_rdp.orders, keep) if k),
-                    base_rdp.values[keep] + add + log_m / (kept - 1.0))
+    return _rdp_selection_curve(base_rdp, orders, m * delta_hat, m, keep)
 
 
 def adjust_guarantee(eps1, delta1, eps_hat, eta, gamma, m, delta):

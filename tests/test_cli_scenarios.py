@@ -195,3 +195,83 @@ def test_adjust_config_reals_are_checked(key, tmp_path, capsys):
 
 def test_adjust_mean_count_of_zero_is_refused(capsys):
     assert refused(["adjust", "--m", "0", "--sigmas", "2"], capsys)
+
+
+SUBSAMPLED = ["guarantee", "--base", "subsampled_gaussian", "--q", "0.01",
+              "--steps", "10"]
+
+
+@pytest.mark.parametrize("argv", [
+    GAUSS + ["--family", "poisson", "--m", "10", "--rounds", "4",
+             "--delta", "1e-6"],
+    GAUSS + ["--family", "poisson", "--m", "10", "--eta", "2",
+             "--delta", "1e-6"],
+    GAUSS + ["--family", "binomial", "--n", "50", "--p", "0.2", "--eta", "2",
+             "--delta", "1e-6"],
+    GAUSS + NEGBIN + ["--rounds", "4", "--delta", "1e-6"],
+    GAUSS + NEGBIN + ["--monotone", "--delta", "1e-6"],
+    GAUSS + RNM + ["--eta", "2", "--delta", "1e-6"],
+    GAUSS + ["--steps", "1000", "--delta", "1e-6"],
+    GAUSS + ["--q", "0.01", "--delta", "1e-6"],
+    ["guarantee", "--base", "pure", "--eps-base", "1", "--sensitivity", "2",
+     *NEGBIN, "--method", "closed", "--delta", "1e-6"],
+    ["profile", "--base", "gaussian", "--sigma", "4", "--eps-base", "1"],
+], ids=["poisson-rounds", "poisson-eta", "binomial-eta", "negbin-rounds",
+        "negbin-monotone", "rnm-eta", "gaussian-steps", "gaussian-q",
+        "pure-sensitivity", "profile-gaussian-eps"])
+def test_field_the_kind_does_not_read_is_refused(argv, capsys):
+    assert refused(argv, capsys)
+
+
+@pytest.mark.parametrize("cfg", [
+    {"base": {"kind": "gaussian", "sigma": 4, "steps": 1000}},
+    {"base": {"kind": "gaussian", "sigma": 4},
+     "family": {"kind": "poisson", "m": 10, "rounds": 4}},
+    {"base": {"kind": "gaussian", "sigma": 4},
+     "family": {"kind": "rnm", "m": 10, "gamma": 0.1}},
+], ids=["base-field", "family-field", "rnm-field"])
+def test_config_field_the_kind_does_not_read_is_refused(cfg, tmp_path, capsys):
+    argv = ["guarantee", *config(tmp_path, cfg), "--delta", "1e-6"]
+    assert refused(argv, capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    GAUSS + NEGBIN + ["--method", "rdp"],
+    GAUSS + NEGBIN + ["--method", "closed"],
+    ["guarantee", "--base", "pure", "--eps-base", "1", *NEGBIN,
+     "--method", "closed"],
+    GAUSS + RNM,
+    GAUSS,
+], ids=["negbin-rdp", "negbin-closed", "pure-closed", "rnm", "bare-base"])
+def test_fixed_eps1_outside_a_count_hs_bound_is_refused(argv, capsys):
+    assert refused(argv + ["--eps1", "0.3", "--delta", "1e-6"], capsys)
+
+
+@pytest.mark.parametrize("family", [
+    NEGBIN,
+    ["--family", "binomial", "--n", "50", "--p", "0.2"],
+    ["--family", "poisson", "--m", "10"],
+], ids=["negbin", "binomial", "poisson"])
+def test_fixed_eps1_is_read_by_the_count_hs_bound(family):
+    rc, out = run(GAUSS + family + ["--eps1", "0.3", "--delta", "1e-6"])
+    assert rc == 0
+    assert out.endswith(" method=hs eps1=0.3\n")
+
+
+@pytest.mark.parametrize("method", ["hs", "rdp"])
+def test_subsampled_sensitivity_divides_sigma(method):
+    # sigma 2 at sensitivity 2 is the same mechanism as sigma 1 at 1
+    tail = ["--method", method, "--delta", "1e-6"]
+    scaled = run(SUBSAMPLED + ["--sigma", "2", "--sensitivity", "2", *tail])
+    plain = run(SUBSAMPLED + ["--sigma", "1", *tail])
+    assert scaled == plain
+    assert scaled[0] == 0
+
+
+@pytest.mark.parametrize("count", [["--m", "300"], ["--gamma", "0.01"]],
+                         ids=["m", "gamma"])
+def test_pure_closed_accepts_the_negbin_count(count):
+    argv = ["guarantee", "--base", "pure", "--eps-base", "1", "--family",
+            "negbin", "--eta", "1", *count, "--method", "closed",
+            "--delta", "1e-6"]
+    assert run(argv) == (0, "eps=3 delta=1e-06 method=closed eps1=nan\n")

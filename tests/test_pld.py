@@ -22,7 +22,7 @@ from privsel.pld import (
     subsampled_gaussian_pld,
     subsampled_gaussian_profile,
 )
-from privsel.profiles import gaussian_profile
+from privsel.profiles import default_orders, gaussian_profile
 
 FIG_Q = 256 / 60000
 FIG_SIGMA = 1.1
@@ -263,6 +263,12 @@ def test_composed_memo_is_a_bounded_lru(monkeypatch):
     assert len(pldmod._COMPOSED) == pldmod._COMPOSED_MAX
     keys = [k[2] for k in pldmod._COMPOSED]
     assert 2 in keys and 3 not in keys  # the least recently used went first
+
+
+def test_renyi_memo_is_bounded_and_holds_two_order_grids():
+    size = pldmod._renyi_one_step.cache_info().maxsize
+    assert size is not None
+    assert size >= 2 * len(default_orders())
 
 
 KILL_BETWEEN_WRITE_AND_RENAME = """
