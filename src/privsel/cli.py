@@ -111,10 +111,16 @@ def _merge_family(cfg, args):
     return fam if fam else None
 
 
-def _grid_spec(args):
+def _grid_spec(args, builds_grid):
+    """The --grid-spacing loss grid, None without the flag.  A query that
+    builds no loss grid refuses the flag rather than dropping it."""
     spacing = getattr(args, "grid_spacing", None)
     if spacing is None:
         return None
+    if not builds_grid:
+        raise ConfigError("--grid-spacing is read only where a loss grid is "
+                          "built: a subsampled_gaussian base under hs, "
+                          "compare fig6-fig8 and adjust")
     return GridSpec(spacing=spacing)
 
 
@@ -241,8 +247,9 @@ def _eps_grid(args):
 def cmd_profile(args):
     cfg = _load_config(args)
     out = _out_path(args, cfg)
-    profile = _build_base(*_base_params(_merge_base(cfg, args)),
-                          grid=_grid_spec(args))
+    kind, params = _base_params(_merge_base(cfg, args))
+    profile = _build_base(kind, params,
+                          grid=_grid_spec(args, kind == "subsampled_gaussian"))
     rows = [(e, profile(e)) for e in _eps_grid(args)]
     _emit_csv(("eps", "delta"), rows, out)
     return 0
@@ -258,6 +265,8 @@ _PRESETS = {
     "fig7": lambda grid: [presets.fig7_table(grid=grid)],
     "fig8": lambda grid: [presets.fig8_adjust_table(grid=grid)],
 }
+# the presets that build a loss grid, so the only ones --grid-spacing reaches
+_GRID_PRESETS = ("fig6", "fig7", "fig8")
 
 
 def cmd_compare(args):
@@ -265,7 +274,7 @@ def cmd_compare(args):
     if build is None:
         raise ConfigError(f"unknown preset {args.preset!r}, "
                           f"choose from {', '.join(_PRESETS)}")
-    (header, rows), *extra = build(_grid_spec(args))
+    (header, rows), *extra = build(_grid_spec(args, args.preset in _GRID_PRESETS))
     out = args.out
     _emit_csv(header, rows, out)
     # fig4's count CDF table: a second file beside --out, else after a blank line
@@ -350,7 +359,7 @@ def _resolve(base, fam, method, args):
         raise ConfigError("--eps1 is read only by the hs bound of a negbin, "
                           "binomial or poisson family")
     kind, params = _base_params(base)
-    grid = _grid_spec(args)
+    grid = _grid_spec(args, kind == "subsampled_gaussian" and method == "hs")
     if family is None:
         built = _build_base(kind, params, method, grid)
         return (rdp_profile(built) if method == "rdp" else built), math.nan, None
@@ -424,7 +433,7 @@ def cmd_adjust(args):
         if v is not None:
             given[key] = _finite(v, key)
     header, rows = presets.fig8_adjust_table(**given, sigmas=sigmas,
-                                             grid=_grid_spec(args))
+                                             grid=_grid_spec(args, True))
     _emit_csv(header, rows, out)
     return 0
 

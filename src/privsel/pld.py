@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import ndtr, ndtri
 
 from .errors import GridTooCoarseError, MemoryBudgetError
@@ -230,11 +230,26 @@ def _trim(mass, origin, tail):
     return out, origin + keep_lo, tail + float(beyond[keep_hi])
 
 
+def _fftconvolve(x, y):
+    """Full linear convolution of two float arrays by real FFT, at the
+    padded length and with the transforms `scipy.signal.fftconvolve`
+    uses, so the result is the same to the bit; a square (y is x) reuses
+    the one transform."""
+    if len(x) == 1 or len(y) == 1:
+        # fftconvolve skips the transform for a single-cell factor
+        return x * y
+    n_out = len(x) + len(y) - 1
+    n = next_fast_len(n_out, True)
+    fx = rfft(x, n)
+    fy = fx if y is x else rfft(y, n)
+    return irfft(fx * fy, n)[:n_out]
+
+
 def _convolve(a, b):
     n_out = len(a.mass) + len(b.mass) - 1
     if n_out > MAX_CELLS:
         raise MemoryBudgetError(f"convolution needs {n_out} cells, budget is {MAX_CELLS}")
-    mass = np.maximum(fftconvolve(a.mass, b.mass), 0.0)
+    mass = np.maximum(_fftconvolve(a.mass, b.mass), 0.0)
     # FFT rounding loses mass at relative scale ~1e-15 per convolution,
     # which compounds through the squaring ladder; scaling the deficit
     # back up keeps the result an upper bound

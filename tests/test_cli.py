@@ -172,3 +172,17 @@ def test_config_section_not_an_object_is_config_error(tmp_path):
     r = run_cli("guarantee", "--config", str(cfg), "--delta", "1e-6")
     assert r.returncode == 2
     assert "'family' must be a JSON object" in r.stderr
+
+
+def test_imports_leave_out_heavy_scipy_subpackages():
+    # every CLI call pays its imports; scipy.stats and scipy.signal alone
+    # cost about 1 s, and the accountant reads nothing of them
+    code = ("import json, sys, privsel, privsel.cli; "
+            "print(json.dumps(sorted(m for m in sys.modules "
+            "if m.startswith('scipy.'))))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, env=child_env())
+    assert r.returncode == 0, r.stderr
+    loaded = {m.split(".")[1] for m in json.loads(r.stdout)}
+    heavy = {"stats", "signal", "integrate", "optimize"}
+    assert not loaded & heavy, sorted(loaded & heavy)

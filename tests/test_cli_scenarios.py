@@ -275,3 +275,49 @@ def test_pure_closed_accepts_the_negbin_count(count):
             "negbin", "--eta", "1", *count, "--method", "closed",
             "--delta", "1e-6"]
     assert run(argv) == (0, "eps=3 delta=1e-06 method=closed eps1=nan\n")
+
+
+GRID = ["--grid-spacing", "1e-3"]
+
+
+@pytest.mark.parametrize("argv", [
+    GAUSS + ["--delta", "1e-6"],
+    GAUSS + NEGBIN + ["--delta", "1e-6"],
+    GAUSS + NEGBIN + ["--method", "rdp", "--delta", "1e-6"],
+    GAUSS + NEGBIN + ["--method", "closed", "--delta", "1e-6"],
+    GAUSS + RNM + ["--delta", "1e-6"],
+    ["guarantee", "--base", "pure", "--eps-base", "1", *NEGBIN,
+     "--delta", "1e-6"],
+    ["guarantee", "--base", "pure", "--eps-base", "1", *NEGBIN,
+     "--method", "closed", "--delta", "1e-6"],
+    SUBSAMPLED + ["--sigma", "1", "--method", "rdp", "--delta", "1e-6"],
+    SUBSAMPLED + ["--sigma", "1", *NEGBIN, "--method", "rdp",
+                  "--delta", "1e-6"],
+    ["profile", "--base", "gaussian", "--sigma", "4"],
+    ["profile", "--base", "pure", "--eps-base", "1"],
+    ["compare", "fig1"],
+    ["compare", "fig2"],
+    ["compare", "fig3"],
+    ["compare", "fig4"],
+], ids=["gaussian-bare", "gaussian-negbin-hs", "gaussian-negbin-rdp",
+        "gaussian-negbin-closed", "gaussian-rnm", "pure-negbin-hs",
+        "pure-negbin-closed", "subsampled-bare-rdp", "subsampled-negbin-rdp",
+        "profile-gaussian", "profile-pure", "fig1", "fig2", "fig3", "fig4"])
+def test_grid_spacing_without_a_loss_grid_is_refused(argv, capsys):
+    assert refused(argv + GRID, capsys)
+
+
+@pytest.mark.parametrize("command", ["guarantee", "profile"])
+def test_grid_spacing_on_a_points_base_is_refused(command, tmp_path, capsys):
+    _, *cfg = points_config(tmp_path)
+    tail = [*NEGBIN, "--delta", "1e-6"] if command == "guarantee" else []
+    assert refused([command, *cfg, *tail, *GRID], capsys)
+
+
+def test_grid_spacing_is_read_by_a_subsampled_hs_query():
+    argv = SUBSAMPLED + ["--sigma", "1", "--delta", "1e-6"]
+    rc, fine = run(argv)
+    assert rc == 0
+    rc, coarse = run(argv + GRID)
+    assert rc == 0
+    assert coarse != fine

@@ -313,3 +313,20 @@ def test_unreadable_cache_file_is_rebuilt(tmp_path, monkeypatch):
                                            "add"), 4)
     assert np.array_equal(got.mass, want.mass)
     assert np.array_equal(pldmod._load_cached(path).mass, want.mass)
+
+
+# output lengths at, just below and just past 5-smooth FFT sizes, odd and even
+@pytest.mark.parametrize("smooth", [64, 81, 125, 243, 1000, 1024, 3125, 4096, 15625])
+def test_fft_convolution_matches_scipy_signal_bit_for_bit(smooth):
+    from scipy.signal import fftconvolve
+
+    rng = np.random.default_rng(smooth)
+    for n_out in (smooth - 1, smooth, smooth + 1):
+        for la in (1, 2, n_out // 3, (n_out + 1) // 2, n_out):
+            x = rng.random(la) * rng.random(la) ** 8
+            y = rng.random(n_out + 1 - la) / n_out
+            np.testing.assert_array_equal(pldmod._fftconvolve(x, y),
+                                          fftconvolve(x, y))
+        # a square reuses one transform and must still agree
+        x = rng.random((n_out + 1) // 2)
+        np.testing.assert_array_equal(pldmod._fftconvolve(x, x), fftconvolve(x, x))
