@@ -5,10 +5,10 @@ releases the best run.  The privacy bounds only touch these distributions
 through their pmf, mean and the derivative of the probability generating
 function, so that is the whole interface.
 
-Binomial and Poisson values come from the `scipy.special` kernels that
-`scipy.stats.binom` and `scipy.stats.poisson` call, with the support
-handling `rv_discrete` adds around them, so they match `scipy.stats` bit
-for bit without importing it (about 1 s of start-up).
+Binomial and Poisson pmf, cdf and tail support come from `scipy.stats`,
+imported inside those methods: only the fig4 table and the oracles call
+them, and importing `scipy.stats` costs about 0.7 s of start-up that every
+other query would pay.  The bounds read only `mean()` and the parameters.
 
 The truncated negative binomial lives on {1, 2, ...}; binomial and Poisson
 put mass on K = 0, which the selection bounds treat separately.
@@ -21,8 +21,7 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import gammaln, pdtr, pdtrc, pdtrik, xlogy
-from scipy.special._ufuncs import _binom_cdf, _binom_pmf
+from scipy.special import gammaln
 
 from .errors import InfeasibleMeanError
 
@@ -30,25 +29,6 @@ from .errors import InfeasibleMeanError
 TAIL_MASS = 1e-15
 # below this |shape * log(success)|, 1 - success**shape cancels
 _NEAR_ZERO_SHAPE = 1e-3
-
-
-def _support_pmf(k, hi, kernel):
-    """kernel(k) at the integers k in [0, hi], clipped to [0, 1], and 0
-    elsewhere: what `rv_discrete.pmf` wraps around a bare pmf kernel."""
-    k = np.asarray(k)
-    inside = (k >= 0) & (k <= hi) & (np.floor(k) == k)
-    out = np.where(inside, np.clip(kernel(np.where(inside, k, 0)), 0, 1), 0.0)
-    return float(out) if out.ndim == 0 else out
-
-
-def _support_cdf(k, hi, kernel):
-    """kernel(floor(k)) clipped to [0, 1] for k in [0, hi), 0 below and 1
-    from hi on: what `rv_discrete.cdf` wraps around a bare cdf kernel."""
-    if k < 0:
-        return 0.0
-    if k >= hi:
-        return 1.0
-    return float(np.clip(kernel(np.floor(k)), 0, 1))
 
 
 def _near_zero_norm(g, eta):
@@ -161,15 +141,17 @@ class Binomial:
             raise ValueError(f"prob must be in (0,1), got {self.prob}")
 
     def pmf(self, k):
-        return _support_pmf(k, self.trials,
-                            lambda k: _binom_pmf(k, self.trials, self.prob))
+        from scipy import stats
+
+        return stats.binom.pmf(k, self.trials, self.prob)
 
     def mean(self):
         return self.trials * self.prob
 
     def cdf(self, k):
-        return _support_cdf(k, self.trials,
-                            lambda k: _binom_cdf(k, self.trials, self.prob))
+        from scipy import stats
+
+        return float(stats.binom.cdf(k, self.trials, self.prob))
 
     def pgf_deriv(self, z):
         _check_z(z)
@@ -191,30 +173,27 @@ class Poisson:
             raise ValueError(f"rate must be positive, got {self.rate}")
 
     def pmf(self, k):
-        mu = self.rate
-        return _support_pmf(k, math.inf,
-                            lambda k: np.exp(xlogy(k, mu) - gammaln(k + 1) - mu))
+        from scipy import stats
+
+        return stats.poisson.pmf(k, self.rate)
 
     def mean(self):
         return self.rate
 
     def cdf(self, k):
-        return _support_cdf(k, math.inf, lambda k: pdtr(k, self.rate))
+        from scipy import stats
+
+        return float(stats.poisson.cdf(k, self.rate))
 
     def pgf_deriv(self, z):
         _check_z(z)
         return self.rate * math.exp(self.rate * (z - 1))
 
     def support_upper(self, tail=TAIL_MASS):
-        mu = self.rate
-        # the 1 - tail quantile as scipy.stats.poisson.isf finds it: the
-        # ceiling of the continuous inverse, stepped down where it overshoots
-        q = 1.0 - tail
-        k = math.ceil(pdtrik(q, mu))
-        if pdtr(max(k - 1, 0), mu) >= q:
-            k = max(k - 1, 0)
-        k += 2
-        while pdtrc(k, mu) > tail:
+        from scipy import stats
+
+        k = int(stats.poisson.isf(tail, self.rate)) + 2
+        while stats.poisson.sf(k, self.rate) > tail:
             k += 1
         return k
 

@@ -133,58 +133,3 @@ def test_near_zero_shape_approaches_log_series(shape):
     assert near.mean() == pytest.approx(log_series.mean(), rel=1e-9)
     k = np.arange(1, 60)
     assert np.allclose(near.pmf(k), log_series.pmf(k), rtol=1e-9, atol=0.0)
-
-
-# The binomial and Poisson methods call the scipy.special kernels behind
-# scipy.stats.binom and scipy.stats.poisson without importing scipy.stats;
-# these tests hold them to the scipy.stats values bit for bit, so a scipy
-# release that moves or changes a kernel fails here first.
-BINOM_PROBS = (1e-12, 1e-6, 0.01, 0.3, 0.5, 0.9, 1 - 1e-6, 1 - 1e-12)
-# the last five put the continuous 1 - tail quantile just past an integer,
-# where scipy.stats steps its ceiling back down (tail 1e-15, then 1e-12)
-POISSON_RATES = tuple(np.logspace(-3, 5, 33)) + (
-    0.5, 1.0, 2.0, 40.0, 333.3, 0.00262, 0.0095, 1.38, 4.39, 1870.3099990018864)
-
-
-def _cdf_points(lo, hi, centre):
-    """Integers from below lo to past hi: both edges and the bulk densely,
-    the rest sparsely, so scalar cdf calls stay few at large supports."""
-    ks = {*range(lo - 3, lo + 60), *range(hi - 60, hi + 4),
-          *range(int(centre) - 60, int(centre) + 60),
-          *np.linspace(lo, hi, 200).astype(int).tolist()}
-    return sorted(ks)
-
-
-@pytest.mark.parametrize("n", [1, 15, 1000, 100000])
-def test_binomial_matches_scipy_stats_bit_for_bit(n):
-    from scipy import stats
-
-    ks = np.arange(-3, n + 4)
-    for p in BINOM_PROBS:
-        dist = Binomial(n, p)
-        np.testing.assert_array_equal(dist.pmf(ks), stats.binom.pmf(ks, n, p))
-        for k in (-1, 0, n // 2, n, n + 1):
-            assert dist.pmf(k) == stats.binom.pmf(k, n, p)
-        pts = _cdf_points(0, n, n * p)
-        got = [dist.cdf(k) for k in pts]
-        np.testing.assert_array_equal(got, stats.binom.cdf(pts, n, p))
-
-
-@pytest.mark.parametrize("rate", POISSON_RATES, ids=lambda r: f"{r:.4g}")
-def test_poisson_matches_scipy_stats_bit_for_bit(rate):
-    from scipy import stats
-
-    dist = Poisson(rate)
-    for tail in (1e-15, 1e-12):
-        want = int(stats.poisson.isf(tail, rate)) + 2
-        while stats.poisson.sf(want, rate) > tail:
-            want += 1
-        assert dist.support_upper(tail) == want
-    hi = dist.support_upper(1e-15)
-    ks = np.arange(-3, hi + 4)
-    np.testing.assert_array_equal(dist.pmf(ks), stats.poisson.pmf(ks, rate))
-    for k in (-1, 0, int(rate), hi):
-        assert dist.pmf(k) == stats.poisson.pmf(k, rate)
-    pts = _cdf_points(0, hi, rate)
-    got = [dist.cdf(k) for k in pts]
-    np.testing.assert_array_equal(got, stats.poisson.cdf(pts, rate))
