@@ -69,7 +69,7 @@ FIG8_DEFAULTS = {
 
 def subsampled_rdp_curve(params):
     """Renyi curve of the composed subsampled Gaussian on the shared
-    order grid; per-order values are quadrature results cached process-wide."""
+    order grid; per-order one-step values are cached process-wide."""
 
     def fn(alpha):
         return renyi_subsampled_gaussian(params, alpha)

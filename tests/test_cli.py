@@ -186,3 +186,17 @@ def test_imports_leave_out_heavy_scipy_subpackages():
     loaded = {m.split(".")[1] for m in json.loads(r.stdout)}
     heavy = {"stats", "signal", "integrate", "optimize"}
     assert not loaded & heavy, sorted(loaded & heavy)
+
+
+def test_subsampled_renyi_curve_leaves_scipy_integrate_unloaded():
+    # the Renyi baseline of a subsampled base is summed and integrated in
+    # numpy; scipy.integrate alone costs about 0.2 s on a cold start
+    code = ("import sys; from privsel import presets; "
+            "from privsel.pld import SubsampledGaussianParams; "
+            "presets.subsampled_rdp_curve("
+            "SubsampledGaussianParams(0.01, 1.0, 10)); "
+            "print('scipy.integrate' in sys.modules)")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, env=child_env())
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "False\n"
