@@ -29,7 +29,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
-from scipy.special import gammaln, logsumexp, ndtr, ndtri, xlog1py
+from scipy.special import gammaln, ndtr, ndtri, xlog1py
 
 from .errors import GridTooCoarseError, MemoryBudgetError
 from .profiles import PrivacyProfile, clip_delta, default_orders
@@ -375,6 +375,12 @@ def subsampled_gaussian_profile(params, grid=None):
     return PrivacyProfile(fn, label)
 
 
+def _logsumexp(x):
+    # scipy.special.logsumexp spends about 0.1 ms a call on dispatch
+    shift = float(x.max())
+    return shift + math.log(float(np.sum(np.exp(x - shift))))
+
+
 def _log_moment_binomial(q, sigma, alpha):
     """log E[exp(alpha loss)] under N(0,s^2), loss the remove loss, at an
     integer order: sum_k C(alpha,k) (1-q)^(alpha-k) q^k exp(k(k-1)/(2s^2)).
@@ -385,7 +391,7 @@ def _log_moment_binomial(q, sigma, alpha):
     log_terms = (gammaln(alpha + 1) - gammaln(k + 1) - gammaln(alpha - k + 1)
                  + xlog1py(alpha - k, -q) + k * math.log(q)
                  + c + np.log(-np.expm1(-c)))
-    return float(np.logaddexp(0.0, logsumexp(log_terms)))
+    return float(np.logaddexp(0.0, _logsumexp(log_terms)))
 
 
 def _log_moment_trapezoid(q, sigma, alpha):
@@ -403,9 +409,7 @@ def _log_moment_trapezoid(q, sigma, alpha):
         tilt = alpha * _loss_remove(t, q, sigma)
     if tilt.max() < 700:  # expm1 overflows at 709.78
         return math.log1p(h * float(np.sum(np.exp(log_g0) * np.expm1(tilt))))
-    log_f = log_g0 + tilt
-    shift = float(log_f.max())
-    return shift + math.log(h * float(np.sum(np.exp(log_f - shift))))
+    return math.log(h) + _logsumexp(log_g0 + tilt)
 
 
 @lru_cache(maxsize=_RENYI_MAX)

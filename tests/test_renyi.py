@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
 import privsel.pld as pldmod
+from privsel.errors import MemoryBudgetError
 from privsel.pld import SubsampledGaussianParams, renyi_subsampled_gaussian
 from privsel.presets import FIG6_PARAMS, FIG7_PARAMS
 
@@ -110,7 +111,8 @@ def test_trapezoid_matches_closed_form_at_integer_orders(q, sigma):
 def test_trapezoid_excess_form_loses_digits_only_as_q_over_sigma_shrinks():
     # the excess sums terms of size about alpha q / sigma to a moment
     # excess of about (alpha q / sigma)^2, so rounding costs a relative
-    # eps sigma / q: 1e-12 of a 1e-11 divergence at q = 1e-4, sigma = 30
+    # eps sigma / q, about 7e-11 at q = 1e-4 and sigma = 30, where the
+    # divergence itself is about 1e-11
     for alpha in range(2, 11):
         got = pldmod._log_moment_trapezoid(1e-4, 30.0, float(alpha))
         want = pldmod._log_moment_binomial(1e-4, 30.0, float(alpha))
@@ -149,3 +151,10 @@ def test_order_must_be_finite_and_above_one(alpha):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="alpha"):
             renyi_subsampled_gaussian(params, alpha)
+
+
+def test_trapezoid_refuses_a_grid_over_the_point_budget():
+    # step sigma/64 over a window wider than 11 sigma: a tiny sigma would
+    # need billions of points
+    with pytest.raises(MemoryBudgetError, match="budget"):
+        renyi_subsampled_gaussian(SubsampledGaussianParams(0.01, 1e-6), 1.5)
