@@ -402,7 +402,7 @@ def _log_moment_trapezoid(q, sigma, alpha):
     window = alpha + 1 + sigma * math.sqrt(2 * math.log(1e30))
     n = 2 * math.ceil(64 * window / sigma) + 1
     if n > _RENYI_MAX_POINTS:
-        raise MemoryBudgetError(f"Renyi trapezoid needs {n} points, budget is {_RENYI_MAX_POINTS}")
+        raise MemoryBudgetError(f"Renyi grid needs {n} points, budget is {_RENYI_MAX_POINTS}")
     t, h = np.linspace(-window, window, n, retstep=True)
     log_g0 = -0.5 * (t / sigma) ** 2 - math.log(sigma * math.sqrt(2 * math.pi))
     with np.errstate(divide="ignore"):  # q = 1 sends the far left loss to -inf
@@ -426,5 +426,5 @@ def renyi_subsampled_gaussian(params, alpha):
     (Mironov, Talwar, Zhang, arXiv 1908.10530, section 3.3): an exact
     binomial sum at integer orders, one trapezoid pass at the others."""
     if not 1 < alpha < math.inf:
-        raise ValueError(f"alpha must exceed 1, got {alpha}")
+        raise ValueError(f"alpha must be finite and exceed 1, got {alpha}")
     return params.steps * _renyi_one_step(params.q, params.sigma, float(alpha))
