@@ -43,6 +43,10 @@ from .selection import (
 )
 
 
+# rows a profile table may have
+EPS_GRID_MAX_POINTS = 100_000
+
+
 def _fmt(v):
     if isinstance(v, (int, np.integer)):
         return str(int(v))
@@ -238,8 +242,13 @@ def _eps_grid(args):
         lo, hi, step = (float(x) for x in spec.split(":"))
     except ValueError as e:
         raise ConfigError(f"bad eps grid {spec!r}, want lo:hi:step") from e
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise ConfigError(f"bad eps grid {spec!r}: bounds and step must be finite")
     if step <= 0 or hi < lo:
         raise ConfigError(f"bad eps grid {spec!r}: need step > 0 and hi >= lo")
+    # checked before rounding: the quotient may overflow to inf
+    if not (hi - lo) / step + 1 <= EPS_GRID_MAX_POINTS:
+        raise ConfigError(f"eps grid {spec!r} exceeds {EPS_GRID_MAX_POINTS} points")
     n = int(round((hi - lo) / step)) + 1
     return [lo + i * step for i in range(n)]
 

@@ -154,8 +154,11 @@ def _loss_survival(ell, q, sigma, direction):
 
 
 def _loss_remove(t, q, sigma):
-    # log((1-q) + q e^x), with e^x factored out past expm1's range
+    # log((1-q) + q e^x), with e^x factored out past expm1's range; at
+    # q = 1 it is x, which log1p(expm1(x)) sends to -inf far left
     x = (2 * t - 1) / (2 * sigma**2)
+    if q == 1:
+        return x
     big = np.maximum(x, 700.0)
     return np.where(x < 700, np.log1p(q * np.expm1(np.minimum(x, 700.0))),
                     big + math.log(q) + np.log1p((1 - q) / q * np.exp(-big)))
@@ -310,7 +313,7 @@ def _load_cached(path):
     """The PLD stored at path, or None when the file is missing, of
     another version, or unreadable."""
     try:
-        with np.load(path) as f:
+        with open(path, "rb") as fh, np.load(fh) as f:
             if int(f["version"]) != _CACHE_VERSION:
                 return None
             return DiscretePLD(
@@ -405,8 +408,7 @@ def _log_moment_trapezoid(q, sigma, alpha):
         raise MemoryBudgetError(f"Renyi grid needs {n} points, budget is {_RENYI_MAX_POINTS}")
     t, h = np.linspace(-window, window, n, retstep=True)
     log_g0 = -0.5 * (t / sigma) ** 2 - math.log(sigma * math.sqrt(2 * math.pi))
-    with np.errstate(divide="ignore"):  # q = 1 sends the far left loss to -inf
-        tilt = alpha * _loss_remove(t, q, sigma)
+    tilt = alpha * _loss_remove(t, q, sigma)
     if tilt.max() < 700:  # expm1 overflows at 709.78
         return math.log1p(h * float(np.sum(np.exp(log_g0) * np.expm1(tilt))))
     return math.log(h) + _logsumexp(log_g0 + tilt)

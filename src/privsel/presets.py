@@ -70,11 +70,8 @@ FIG8_DEFAULTS = {
 def subsampled_rdp_curve(params):
     """Renyi curve of the composed subsampled Gaussian on the shared
     order grid; per-order one-step values are cached process-wide."""
-
-    def fn(alpha):
-        return renyi_subsampled_gaussian(params, alpha)
-
-    return RdpCurve(fn, orders=default_orders())
+    orders = default_orders()
+    return RdpCurve(orders, [renyi_subsampled_gaussian(params, a) for a in orders])
 
 
 def rdp_curve_eps(curve, delta):

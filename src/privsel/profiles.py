@@ -3,15 +3,15 @@
 A privacy profile maps eps to an upper bound on the tight delta at that
 eps (the worst-case hockey-stick divergence between neighboring outputs).
 Profiles are plain immutable evaluators; everything downstream composes
-them functionally.  A Renyi curve also carries its values on its order
-grid as an array, so converting it to (eps, delta) in either direction
-is one numpy expression.
+them functionally.  A Renyi curve is data: its eps(alpha) bounds on a
+finite order grid, held as an array, so converting it to (eps, delta)
+in either direction is one numpy expression.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -79,27 +79,22 @@ def default_orders():
     return tuple(fine + coarse)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RdpCurve:
-    """Map from Renyi order alpha > 1 to an eps(alpha) bound, with the
-    finite order grid used for minimizations.
+    """Renyi curve as data: `values[i]` bounds eps at order `orders[i]`.
 
-    `values` holds fn over `orders` as a read-only float64 array.  It is
-    evaluated once at construction unless the caller supplies it (derived
-    curves compute it from their base curve's array); it takes no part in
-    equality or hashing.
+    `orders` is a tuple of alpha > 1 and `values` a read-only float64
+    array.  Calling the curve looks an order up on that grid and refuses
+    any other order, where the curve certifies nothing.  Equality is
+    identity.
     """
 
-    fn: Callable[[float], float]
-    orders: tuple = field(default_factory=default_orders)
-    values: np.ndarray = field(default=None, compare=False, repr=False)
+    orders: tuple
+    values: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "orders", tuple(self.orders))
-        if self.values is None:
-            vals = np.array([self.fn(a) for a in self.orders], dtype=float)
-        else:
-            vals = np.array(self.values, dtype=float)
+        vals = np.array(self.values, dtype=float)
         if vals.shape != (len(self.orders),):
             raise ValueError(f"{vals.shape} values for {len(self.orders)} orders")
         if np.isnan(vals).any():
@@ -109,7 +104,10 @@ class RdpCurve:
         object.__setattr__(self, "values", vals)
 
     def __call__(self, alpha):
-        return self.fn(alpha)
+        try:
+            return float(self.values[self.orders.index(alpha)])
+        except ValueError:
+            raise ValueError(f"order {alpha:g} is not on the curve's grid") from None
 
 
 @lru_cache(maxsize=8)
@@ -149,7 +147,7 @@ def gaussian_rdp_curve(sigma, sensitivity=1.0):
     _check_positive(sigma=sigma, sensitivity=sensitivity)
     c = sensitivity**2 / (2 * sigma**2)
     orders = default_orders()
-    return RdpCurve(lambda a: a * c, orders, np.asarray(orders, dtype=float) * c)
+    return RdpCurve(orders, np.asarray(orders, dtype=float) * c)
 
 
 def profile_from_points(points):
@@ -165,10 +163,12 @@ def profile_from_points(points):
     )
     if not pts:
         raise ValueError("need at least one point")
-    if not all(math.isfinite(e) and math.isfinite(d) for e, d in pts):
-        raise ValueError(f"points must be finite, got {pts}")
     eps_arr = np.array([p[0] for p in pts])
     del_arr = np.array([p[1] for p in pts])
+    # PointDP's rule; a NaN fails every comparison
+    ok = (0 <= eps_arr) & (eps_arr < math.inf) & (0 <= del_arr) & (del_arr <= 1)
+    if not ok.all():
+        raise ValueError(f"points need finite eps >= 0 and delta in [0,1], got {pts}")
     exp_arr = np.exp(eps_arr)
     top = eps_arr[-1]
 

@@ -259,14 +259,9 @@ def _rdp_selection_curve(base_rdp, orders, add, mean, keep=None):
     curve's orders (`orders`: them as a float array), or on those where
     the boolean mask `keep` holds."""
     log_m = math.log(mean)
-
-    def fn(alpha):
-        return base_rdp(alpha) + add + log_m / (alpha - 1.0)
-
     if keep is None:
-        return RdpCurve(fn, base_rdp.orders,
-                        base_rdp.values + add + log_m / (orders - 1.0))
-    return RdpCurve(fn, tuple(a for a, k in zip(base_rdp.orders, keep) if k),
+        return RdpCurve(base_rdp.orders, base_rdp.values + add + log_m / (orders - 1.0))
+    return RdpCurve(tuple(a for a, k in zip(base_rdp.orders, keep) if k),
                     base_rdp.values[keep] + add + log_m / (orders[keep] - 1.0))
 
 

@@ -234,7 +234,7 @@ def test_10_noise_ladder_step_budgets():
 
 
 def test_11_renyi_conversion_hand_value():
-    curve = RdpCurve(lambda a: 1.0, orders=(2.0,))
+    curve = RdpCurve((2.0,), [1.0])
     got = rdp_to_dp(curve, 3.0)
     want = math.exp(-2.0) / 4.0
     grid = [rdp_to_dp(curve, e) for e in np.linspace(0.0, 6.0, 25)]

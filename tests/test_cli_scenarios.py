@@ -321,3 +321,28 @@ def test_grid_spacing_is_read_by_a_subsampled_hs_query():
     rc, coarse = run(argv + GRID)
     assert rc == 0
     assert coarse != fine
+
+
+# each once printed a more private-looking answer and exited 0
+@pytest.mark.parametrize("points, target", [
+    ([[1.0, -0.5]], ["--delta", "1e-6"]),
+    ([[1.0, -0.5]], ["--eps", "1"]),
+    ([[-3.0, 1e-7]], ["--delta", "1e-6"]),
+], ids=["negative-delta", "negative-delta-at-eps", "negative-eps"])
+def test_invalid_base_point_is_refused(points, target, tmp_path, capsys):
+    base = {"kind": "points", "points": points}
+    assert refused(["guarantee", *config(tmp_path, {"base": base}), *target], capsys)
+
+
+def test_pure_base_with_negative_eps_is_refused(capsys):
+    argv = ["guarantee", "--base", "pure", "--eps-base", "-1", "--delta", "1e-6"]
+    assert refused(argv, capsys)
+
+
+@pytest.mark.parametrize("grid", ["0:inf:1", "-1e308:1e308:1", "0:1e9:1e-3",
+                                  "0:1:1e-5"],
+                         ids=["inf-bound", "overflowing-span", "huge", "over-cap"])
+def test_unbounded_eps_grid_is_refused(grid, capsys):
+    argv = ["profile", "--base", "gaussian", "--sigma", "4", f"--eps-grid={grid}"]
+    assert refused(argv, capsys)
+

@@ -1,10 +1,12 @@
 """Tests for the discretized privacy-loss machinery."""
 
+import gc
 import math
 import os
 import signal
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -128,6 +130,16 @@ def test_full_batch_composition_matches_gaussian():
     for eps in (0.5, 1.0, 2.0, 3.0, 4.0):
         gap = prof(eps) - exact(eps)
         assert 0.0 <= gap <= 5e-9
+
+
+def test_full_batch_profile_dominates_gaussian_at_small_sigma():
+    # at q = 1 the remove loss is x itself; far left in the window
+    # log1p(expm1(x)) would be -inf, which once made small sigma crash
+    for sigma in (0.1, 0.5, 1.0, 3.0):
+        prof = subsampled_gaussian_profile(SubsampledGaussianParams(1.0, sigma))
+        exact = gaussian_profile(sigma)
+        for eps in np.linspace(0.0, 60.0, 121):
+            assert prof(eps) >= exact(eps) - 1e-12
 
 
 def test_compose_identity_and_validation():
@@ -313,6 +325,16 @@ def test_unreadable_cache_file_is_rebuilt(tmp_path, monkeypatch):
                                            "add"), 4)
     assert np.array_equal(got.mass, want.mass)
     assert np.array_equal(pldmod._load_cached(path).mass, want.mass)
+
+
+def test_unreadable_cache_file_is_closed(tmp_path):
+    path = tmp_path / "pld_bad.npz"
+    path.write_bytes(b"PK\x03\x04 truncated")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert pldmod._load_cached(str(path)) is None
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 # output lengths at, just below and just past 5-smooth FFT sizes, odd and even

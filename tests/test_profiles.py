@@ -86,6 +86,12 @@ def test_profile_from_points_rejects_empty():
         profile_from_points([])
 
 
+@pytest.mark.parametrize("point", [(1.0, -0.5), (-3.0, 1e-7), (1.0, 1.5)])
+def test_profile_from_points_keeps_the_point_dp_rule(point):
+    with pytest.raises(ValueError):
+        profile_from_points([(0.5, 1e-6), point])
+
+
 def test_point_dp_validation():
     with pytest.raises(ValueError):
         PointDP(-0.1, 0.0)
@@ -94,12 +100,12 @@ def test_point_dp_validation():
 
 
 def test_rdp_to_dp_single_order():
-    curve = RdpCurve(lambda a: 1.0, orders=(2.0,))
+    curve = RdpCurve((2.0,), [1.0])
     assert rdp_to_dp(curve, 3.0) == pytest.approx(RDP_SINGLE_ORDER_DELTA, rel=1e-14)
 
 
 def test_rdp_to_dp_clips_to_one():
-    curve = RdpCurve(lambda a: 50.0, orders=(2.0, 4.0))
+    curve = RdpCurve((2.0, 4.0), [50.0, 50.0])
     assert rdp_to_dp(curve, 0.0) == 1.0
 
 
@@ -108,7 +114,7 @@ def test_rdp_profile_beats_no_order():
     curve = gaussian_rdp_curve(2.0)
     prof = rdp_profile(curve)
     for eps in (0.5, 1.0, 2.0):
-        single = rdp_to_dp(RdpCurve(curve.fn, orders=(8.0,)), eps)
+        single = rdp_to_dp(RdpCurve((8.0,), [curve(8.0)]), eps)
         assert prof(eps) <= single + 1e-18
 
 

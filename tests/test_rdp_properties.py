@@ -1,11 +1,13 @@
 """Property tests of Renyi curves as arrays and their exact inversion.
 
 Over random Gaussian noise scales, negative-binomial and Poisson count
-parameters, Poisson base points and delta targets: a curve's cached
-array matches its scalar map bit for bit, the vectorised conversion
+parameters, Poisson base points and delta targets: a curve's array
+matches per-order formulas bit for bit, the vectorised conversion
 matches a per-order loop, and the closed-form eps(delta) is certified by
 the conversion and sits within the bisection tolerance below the
-bisection answer.
+bisection answer.  The paper's claim is checked the same way: the tuned
+hockey-stick eps of a Gaussian base under a negative-binomial count is
+below the Renyi baseline's.
 """
 
 import math
@@ -15,19 +17,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from privsel.countdist import TruncNegBinomial
 from privsel.errors import EmptyCurveError, UnreachableTargetError
 from privsel.profiles import (
     BISECT_TOL,
     PointDP,
     PrivacyProfile,
     RdpCurve,
+    default_orders,
     epsilon_for_delta,
+    gaussian_profile,
     gaussian_rdp_curve,
     rdp_eps_for_delta,
     rdp_profile,
     rdp_to_dp,
 )
-from privsel.selection import rdp_select_negbin, rdp_select_poisson
+from privsel.selection import rdp_select_negbin, rdp_select_poisson, select_negbin_profile
 
 PROPS = settings(max_examples=60, deadline=None, database=None, derandomize=True)
 
@@ -69,12 +74,32 @@ def bisection_eps(curve, delta):
     return epsilon_for_delta(PrivacyProfile(lambda e: rdp_to_dp(curve, e)), delta)
 
 
-@PROPS
-@given(curves())
-def test_cached_values_match_scalar_map_bit_for_bit(curve):
-    expect = np.array([curve.fn(a) for a in curve.orders], dtype=float)
+def assert_curve_is(curve, orders, values):
+    assert curve.orders == tuple(orders)
     assert curve.values.dtype == np.float64
-    assert np.array_equal(curve.values, expect)
+    assert np.array_equal(curve.values, np.array(values, dtype=float))
+
+
+@PROPS
+@given(sigmas, etas, gammas, base_eps, means)
+def test_values_match_per_order_formulas_bit_for_bit(sigma, eta, gamma, eps_hat, m):
+    orders = default_orders()
+    base = gaussian_rdp_curve(sigma)
+    base_ref = [a * (1.0 / (2 * sigma**2)) for a in orders]
+    assert_curve_is(base, orders, base_ref)
+
+    extra = (eta + 1.0) * min((1.0 - 1.0 / a) * v + math.log(1.0 / gamma) / a
+                              for a, v in zip(orders, base_ref))
+    log_mean = math.log(TruncNegBinomial(eta, gamma).mean())
+    assert_curve_is(rdp_select_negbin(base, eta, gamma), orders,
+                    [v + extra + log_mean / (a - 1.0) for a, v in zip(orders, base_ref)])
+
+    delta_hat = rdp_to_dp(base, eps_hat)
+    cap = 1.0 + 1.0 / math.expm1(eps_hat)
+    kept = [(a, v) for a, v in zip(orders, base_ref) if a <= cap]
+    assert_curve_is(rdp_select_poisson(base, PointDP(eps_hat, delta_hat), m),
+                    [a for a, _ in kept],
+                    [v + m * delta_hat + math.log(m) / (a - 1.0) for a, v in kept])
 
 
 @PROPS
@@ -101,9 +126,9 @@ def test_closed_form_eps_is_certified_and_within_bisection_tolerance(curve, delt
 
 def test_nan_in_curve_raises_when_array_is_built():
     with pytest.raises(ValueError, match="NaN"):
-        RdpCurve(lambda a: math.nan if a > 5 else a)
+        RdpCurve(default_orders(), [math.nan if a > 5 else a for a in default_orders()])
     with pytest.raises(ValueError, match="NaN"):
-        RdpCurve(lambda a: a, orders=(2.0, 3.0), values=np.array([2.0, np.nan]))
+        RdpCurve((2.0, 3.0), np.array([2.0, np.nan]))
 
 
 def test_inverse_keeps_the_contract_at_the_edges():
@@ -112,13 +137,43 @@ def test_inverse_keeps_the_contract_at_the_edges():
     # every order certifies delta = 1 at eps = 0
     assert epsilon_for_delta(profile, 1.0) == 0.0
     # far beyond the search cap the closed form refuses as bisection does
-    huge = RdpCurve(lambda a: 1e6, orders=(2.0, 4.0))
+    huge = RdpCurve((2.0, 4.0), [1e6, 1e6])
     with pytest.raises(UnreachableTargetError):
         epsilon_for_delta(rdp_profile(huge), 1e-6)
     assert rdp_eps_for_delta(huge, 1e-6) > 1e4
+
+
+def test_an_order_off_the_grid_is_refused():
+    base = gaussian_rdp_curve(4.0)
+    assert base(2.0) == 2.0 / 32.0
+    with pytest.raises(ValueError, match="not on the curve's grid"):
+        base(2.05)
+    # only orders up to 1 + 1/(e^0.5 - 1) = 2.54 are admissible here, so
+    # the Poisson curve drops 200 and certifies nothing there
+    poisson = rdp_select_poisson(base, PointDP(0.5, 1e-7), 10.0)
+    assert max(poisson.orders) < 2.6
+    with pytest.raises(ValueError, match="not on the curve's grid"):
+        poisson(200.0)
+    # equality is identity, not a comparison of arrays
+    assert gaussian_rdp_curve(2.0) != gaussian_rdp_curve(2.0)
 
 
 def test_lower_bracket_is_respected():
     profile = rdp_profile(gaussian_rdp_curve(4.0))
     free = epsilon_for_delta(profile, 1e-6)
     assert epsilon_for_delta(profile, 1e-6, lo=free + 1.0) == free + 1.0
+
+
+# about 1 ms an instance
+CLAIM = settings(max_examples=500, deadline=None, database=None, derandomize=True)
+
+
+@CLAIM
+@given(st.floats(0.3, 30.0), st.floats(-1.0, 3.0, exclude_min=True),
+       st.floats(1e-4, 0.9), st.floats(-9.0, -3.0).map(lambda x: 10.0**x))
+def test_profile_route_beats_the_renyi_route(sigma, eta, gamma, delta):
+    eps_hs = epsilon_for_delta(
+        select_negbin_profile(gaussian_profile(sigma), eta, gamma).profile, delta)
+    eps_rdp = epsilon_for_delta(
+        rdp_profile(rdp_select_negbin(gaussian_rdp_curve(sigma), eta, gamma)), delta)
+    assert eps_hs < eps_rdp

@@ -10,6 +10,7 @@ from privsel.errors import EmptyCurveError, NoAdmissibleEps1Error
 from privsel.profiles import (
     PointDP,
     RdpCurve,
+    default_orders,
     epsilon_for_delta,
     gaussian_profile,
     gaussian_rdp_curve,
@@ -174,7 +175,8 @@ def test_optimizer_no_worse_than_dense_scan():
 
 def test_rdp_negbin_constant_curve_identity():
     c, eta, gamma = 0.5, 1.0, 0.1
-    curve = rdp_select_negbin(RdpCurve(lambda a: c), eta, gamma)
+    grid = default_orders()
+    curve = rdp_select_negbin(RdpCurve(grid, np.full(len(grid), c)), eta, gamma)
     orders = np.asarray(curve.orders)
     extra = (eta + 1.0) * float(
         np.min((1 - 1 / orders) * c + math.log(1 / gamma) / orders))
