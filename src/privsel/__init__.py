@@ -9,7 +9,6 @@ and quadrature oracles that certify the bounds on small instances.
 
 from .countdist import (
     Binomial,
-    CountDistribution,
     Poisson,
     TruncNegBinomial,
     from_expected,
@@ -65,7 +64,6 @@ from .selection import (
 __all__ = [
     "Binomial",
     "ConfigError",
-    "CountDistribution",
     "DiscretePLD",
     "EmptyCurveError",
     "GridSpec",

@@ -427,22 +427,21 @@ def cmd_guarantee(args):
 def cmd_adjust(args):
     cfg = _load_config(args)
     out = _out_path(args, cfg)
+    # only the keys given reach the table; it holds the defaults
+    given = {}
     raw = args.sigmas.split(",") if args.sigmas else cfg.get("sigmas")
-    sigmas = None
     if raw is not None:
         if not isinstance(raw, list):
             raise ConfigError(f"config 'sigmas' must be a list, got {raw!r}")
-        sigmas = tuple(_finite(s, "sigmas") for s in raw)
-        if not sigmas:
+        given["sigmas"] = tuple(_finite(s, "sigmas") for s in raw)
+        if not given["sigmas"]:
             raise ConfigError("candidate list is empty")
-    given = {}
     for key in ("q", "eps_q", "delta", "m", "eta"):
         v = getattr(args, key)
         v = cfg.get(key) if v is None else v
         if v is not None:
             given[key] = _finite(v, key)
-    header, rows = presets.fig8_adjust_table(**given, sigmas=sigmas,
-                                             grid=_grid_spec(args, True))
+    header, rows = presets.fig8_adjust_table(**given, grid=_grid_spec(args, True))
     _emit_csv(header, rows, out)
     return 0
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 from scipy.special import gammaln
@@ -196,9 +195,6 @@ class Poisson:
         while stats.poisson.sf(k, self.rate) > tail:
             k += 1
         return k
-
-
-CountDistribution = Union[TruncNegBinomial, Binomial, Poisson]
 
 
 def _check_z(z):

@@ -105,10 +105,6 @@ class DiscretePLD:
         if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"mass plus tail is {total}, expected 1")
 
-    @property
-    def eps0(self):
-        return self.origin_index * self.spacing
-
     @cached_property
     def _grid(self):
         ell = (self.origin_index + np.arange(len(self.mass))) * self.spacing
@@ -374,8 +370,7 @@ def subsampled_gaussian_profile(params, grid=None):
     def fn(eps):
         return max(rem.delta(eps), add.delta(eps))
 
-    label = f"subsampled-gaussian(q={params.q:g},sigma={params.sigma:g},steps={params.steps})"
-    return PrivacyProfile(fn, label)
+    return PrivacyProfile(fn)
 
 
 def _logsumexp(x):

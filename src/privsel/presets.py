@@ -44,6 +44,9 @@ from .selection import (
 )
 
 DELTA_DEFAULT = 1e-6
+# noise scale of the Gaussian base in fig1-fig4, and fig4's expected run count
+GAUSSIAN_SIGMA = 4.0
+FIG4_MEAN = 10.0
 
 FIG6_PARAMS = SubsampledGaussianParams(q=256 / 60000, sigma=1.1, steps=14063)
 # the long composition amplifies residual discretization error, so this
@@ -56,15 +59,6 @@ FIG7_TARGET_EPS = 2.5
 
 # largest step count the fig8 step search probes
 FIG8_STEPS_CAP = 1 << 20
-
-FIG8_DEFAULTS = {
-    "q": 0.01,
-    "eps_q": 1.5,
-    "delta": 1e-6,
-    "m": 10.0,
-    "eta": 1.0,
-    "sigmas": (2.0, 3.0, 4.0),
-}
 
 
 def subsampled_rdp_curve(params):
@@ -101,48 +95,50 @@ def _int_ladder(lo, hi, count):
     return [int(v) for v in np.unique(np.round(np.geomspace(lo, hi, count)))]
 
 
-def _geometric_eps(base, base_rdp, m, delta):
-    """(hockey-stick eps, Renyi eps) at delta for a geometric run count
-    with mean m."""
+def _geometric_eps(base, base_rdp, m):
+    """(hockey-stick eps, Renyi eps) at DELTA_DEFAULT for a geometric run
+    count with mean m."""
     gamma = 1.0 / m
-    eps_hs = epsilon_for_delta(select_negbin_profile(base, 1.0, gamma).profile, delta)
-    eps_rdp = rdp_curve_eps(rdp_select_negbin(base_rdp, 1.0, gamma), delta)
+    eps_hs = epsilon_for_delta(select_negbin_profile(base, 1.0, gamma).profile,
+                               DELTA_DEFAULT)
+    eps_rdp = rdp_curve_eps(rdp_select_negbin(base_rdp, 1.0, gamma), DELTA_DEFAULT)
     return eps_hs, eps_rdp
 
 
-def fig1_table(delta=DELTA_DEFAULT, sigma=4.0):
+def fig1_table():
     """Noisy-argmax eps at fixed delta: profile inversion vs closed form."""
-    base = gaussian_profile(sigma, 2.0)
+    base = gaussian_profile(GAUSSIAN_SIGMA, 2.0)
     rows = []
     for m in _int_ladder(1, 10_000, 25):
-        eps_hs = epsilon_for_delta(rnm_profile(base, m), delta)
-        eps_cf = rnm_gaussian_eps(sigma, m, delta)
+        eps_hs = epsilon_for_delta(rnm_profile(base, m), DELTA_DEFAULT)
+        eps_cf = rnm_gaussian_eps(GAUSSIAN_SIGMA, m, DELTA_DEFAULT)
         rows.append((m, eps_hs, eps_cf))
     return ("m", "eps_hs", "eps_closed"), rows
 
 
-def fig2_table(delta=DELTA_DEFAULT, sigma=4.0):
+def fig2_table():
     """Geometric-count tuning of a Gaussian base: hockey-stick bound vs
     the Renyi baseline vs the single-point closed form."""
-    base = gaussian_profile(sigma, 1.0)
-    base_rdp = gaussian_rdp_curve(sigma, 1.0)
+    base = gaussian_profile(GAUSSIAN_SIGMA, 1.0)
+    base_rdp = gaussian_rdp_curve(GAUSSIAN_SIGMA, 1.0)
     rows = []
     for m in (30, 300, 3000):
-        eps_hs, eps_rdp = _geometric_eps(base, base_rdp, m, delta)
-        eps_hat = epsilon_for_delta(base, delta / m)
-        point = select_negbin_pointwise(PointDP(eps_hat, delta / m), 1.0, 1.0 / m)
+        eps_hs, eps_rdp = _geometric_eps(base, base_rdp, m)
+        delta_hat = DELTA_DEFAULT / m
+        eps_hat = epsilon_for_delta(base, delta_hat)
+        point = select_negbin_pointwise(PointDP(eps_hat, delta_hat), 1.0, 1.0 / m)
         rows.append((m, eps_hs, eps_rdp, point.eps))
     return ("m", "eps_hs", "eps_rdp", "eps_pointwise"), rows
 
 
-def fig3_table(delta=DELTA_DEFAULT, sigma=4.0):
+def fig3_table():
     """Growth of the tuned eps with the expected run count."""
-    base = gaussian_profile(sigma, 1.0)
-    base_rdp = gaussian_rdp_curve(sigma, 1.0)
+    base = gaussian_profile(GAUSSIAN_SIGMA, 1.0)
+    base_rdp = gaussian_rdp_curve(GAUSSIAN_SIGMA, 1.0)
     rows = []
     for m in _int_ladder(10, 3000, 15):
-        eps_hs, eps_rdp = _geometric_eps(base, base_rdp, m, delta)
-        eps_gdp = select_gdp_eps(sigma, 1.0, 1.0 / m, delta)
+        eps_hs, eps_rdp = _geometric_eps(base, base_rdp, m)
+        eps_gdp = select_gdp_eps(GAUSSIAN_SIGMA, 1.0, 1.0 / m, DELTA_DEFAULT)
         rows.append((m, eps_hs, eps_rdp, eps_gdp))
     return ("m", "eps_hs", "eps_rdp", "eps_gdp"), rows
 
@@ -150,10 +146,11 @@ def fig3_table(delta=DELTA_DEFAULT, sigma=4.0):
 FIG4_TRIALS = (15, 20, 50, 1000)
 
 
-def fig4_tables(sigma=4.0, m=10.0):
+def fig4_tables():
     """Binomial-count profiles stepping toward the Poisson-count profile,
     plus the count CDF table that explains the ordering."""
-    base = gaussian_profile(sigma, 1.0)
+    m = FIG4_MEAN
+    base = gaussian_profile(GAUSSIAN_SIGMA, 1.0)
     profiles = [
         select_binomial_profile(base, n, m / n).profile for n in FIG4_TRIALS
     ]
@@ -170,30 +167,30 @@ def fig4_tables(sigma=4.0, m=10.0):
     return (header, rows), (kheader, krows)
 
 
-def fig6_table(delta=DELTA_DEFAULT, grid=None):
+def fig6_table(grid=None):
     """Tuned DP-SGD eps vs expected run count: hockey-stick bounds for
     geometric and Poisson counts against both Renyi baselines."""
     base = subsampled_gaussian_profile(FIG6_PARAMS, grid or FIG6_GRID)
     base_rdp = subsampled_rdp_curve(FIG6_PARAMS)
     rows = []
     for m in _int_ladder(2, 1000, 15):
-        eps_hs_nb, eps_rdp_nb = _geometric_eps(base, base_rdp, m, delta)
+        eps_hs_nb, eps_rdp_nb = _geometric_eps(base, base_rdp, m)
         eps_hs_po = epsilon_for_delta(
-            select_poisson_profile(base, float(m)).profile, delta
+            select_poisson_profile(base, float(m)).profile, DELTA_DEFAULT
         )
-        eps_rdp_po = rdp_poisson_eps(base_rdp, float(m), delta)
+        eps_rdp_po = rdp_poisson_eps(base_rdp, float(m), DELTA_DEFAULT)
         rows.append((m, eps_hs_nb, eps_hs_po, eps_rdp_nb, eps_rdp_po))
     return ("m", "eps_hs_negbin", "eps_hs_poisson", "eps_rdp_negbin",
             "eps_rdp_poisson"), rows
 
 
-def fig7_table(delta=DELTA_DEFAULT, grid=None):
+def fig7_table(grid=None):
     """Tuned eps vs expected run count for the large-batch DP-SGD setting."""
     base = subsampled_gaussian_profile(FIG7_PARAMS, grid)
     base_rdp = subsampled_rdp_curve(FIG7_PARAMS)
     rows = []
     for m in _int_ladder(2, 100_000, 21):
-        rows.append((m, *_geometric_eps(base, base_rdp, m, delta)))
+        rows.append((m, *_geometric_eps(base, base_rdp, m)))
     return ("m", "eps_hs_negbin", "eps_rdp_negbin"), rows
 
 
@@ -217,37 +214,29 @@ def _max_passing(ok, lo, cap):
     return lo
 
 
-def fig7_max_counts(target_eps=None, delta=DELTA_DEFAULT, grid=None):
-    """(hockey-stick max count, Renyi max count) at the target eps."""
-    target = FIG7_TARGET_EPS if target_eps is None else target_eps
-    base = subsampled_gaussian_profile(FIG7_PARAMS, grid)
+def fig7_max_counts():
+    """(hockey-stick max count, Renyi max count) at FIG7_TARGET_EPS."""
+    base = subsampled_gaussian_profile(FIG7_PARAMS)
     base_rdp = subsampled_rdp_curve(FIG7_PARAMS)
 
     def hs_ok(m):
         return epsilon_for_delta(
-            select_negbin_profile(base, 1.0, 1.0 / m).profile, delta
-        ) <= target
+            select_negbin_profile(base, 1.0, 1.0 / m).profile, DELTA_DEFAULT
+        ) <= FIG7_TARGET_EPS
 
     def rdp_ok(m):
         return rdp_curve_eps(rdp_select_negbin(base_rdp, 1.0, 1.0 / m),
-                             delta) <= target
+                             DELTA_DEFAULT) <= FIG7_TARGET_EPS
 
     return _max_passing(hs_ok, 2, 10**12), _max_passing(rdp_ok, 2, 10**12)
 
 
-def fig8_adjust_table(q=None, eps_q=None, delta=None, m=None, eta=None,
-                      sigmas=None, grid=None):
+def fig8_adjust_table(q=0.01, eps_q=1.5, delta=DELTA_DEFAULT, m=10.0, eta=1.0,
+                      sigmas=(2.0, 3.0, 4.0), grid=None):
     """Per noise candidate: the largest step count whose composed profile
     stays inside both thresholds read off the target guarantee, the final
     adjusted guarantee, and the directly optimized bound for gap reporting.
     """
-    q = FIG8_DEFAULTS["q"] if q is None else q
-    eps_q = FIG8_DEFAULTS["eps_q"] if eps_q is None else eps_q
-    delta = FIG8_DEFAULTS["delta"] if delta is None else delta
-    m = FIG8_DEFAULTS["m"] if m is None else m
-    eta = FIG8_DEFAULTS["eta"] if eta is None else eta
-    sigmas = FIG8_DEFAULTS["sigmas"] if sigmas is None else sigmas
-
     gamma = from_expected("negbin", m, shape=eta).success
     target = gaussian_profile(gaussian_sigma_for_eps_delta(eps_q, delta), 1.0)
     eps1 = optimize_eps1(target, negbin_penalty(eta, gamma))

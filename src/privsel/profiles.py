@@ -34,7 +34,6 @@ class PrivacyProfile:
     """
 
     fn: Callable[[float], float]
-    label: str = ""
     knots: tuple = ()
     # exact eps(delta), certified against fn; epsilon_for_delta uses it
     # instead of bisecting when present
@@ -139,7 +138,7 @@ def gaussian_profile(sigma, sensitivity=1.0):
         b = eps + log_ndtr(-r / 2 - eps / r)
         return clip_delta(float(a - np.exp(b)))
 
-    return PrivacyProfile(fn, f"gaussian(sigma={sigma:g},sens={sensitivity:g})")
+    return PrivacyProfile(fn)
 
 
 def gaussian_rdp_curve(sigma, sensitivity=1.0):
@@ -176,11 +175,10 @@ def profile_from_points(points):
         e = math.exp(min(eps, top))
         return clip_delta(float(np.min(del_arr + np.maximum(exp_arr - e, 0.0))))
 
-    label = "points(" + ",".join(f"({e:g},{d:g})" for e, d in pts) + ")"
-    return PrivacyProfile(fn, label, knots=tuple(eps_arr))
+    return PrivacyProfile(fn, knots=tuple(eps_arr))
 
 
-def scaled_profile(base, factor, shift=0.0, label="", positive_eps_only=False):
+def scaled_profile(base, factor, shift=0.0, positive_eps_only=False):
     """min(1, factor * base(eps - shift)), with the knots shifted along.
 
     With positive_eps_only the profile is 1 at eps <= 0: a mechanism
@@ -192,7 +190,7 @@ def scaled_profile(base, factor, shift=0.0, label="", positive_eps_only=False):
             return 1.0
         return min(1.0, factor * base(eps - shift))
 
-    return PrivacyProfile(fn, label, knots=tuple(k + shift for k in base.knots))
+    return PrivacyProfile(fn, knots=tuple(k + shift for k in base.knots))
 
 
 def rdp_to_dp(curve, eps_target):
@@ -228,14 +226,14 @@ def rdp_eps_for_delta(curve, delta):
     return eps
 
 
-def rdp_profile(curve, label=""):
+def rdp_profile(curve):
     """Wrap a Renyi curve as a PrivacyProfile via the conversion above,
     with its closed-form inverse."""
-    return PrivacyProfile(lambda eps: rdp_to_dp(curve, eps), label or "rdp-converted",
+    return PrivacyProfile(lambda eps: rdp_to_dp(curve, eps),
                           inverse=lambda delta: rdp_eps_for_delta(curve, delta))
 
 
-def epsilon_for_delta(profile, delta_target, lo=0.0):
+def epsilon_for_delta(profile, delta_target):
     """Smallest eps at which the profile drops to delta_target.
 
     A profile with an exact inverse answers through it.  Otherwise the
@@ -244,16 +242,16 @@ def epsilon_for_delta(profile, delta_target, lo=0.0):
     """
     if not 0 < delta_target <= 1:
         raise ValueError(f"delta target must be in (0,1], got {delta_target}")
-    if profile(lo) <= delta_target:
-        return lo
+    if profile(0.0) <= delta_target:
+        return 0.0
     if profile.inverse is not None:
-        eps = max(lo, profile.inverse(delta_target))
+        eps = max(0.0, profile.inverse(delta_target))
         if eps > EPS_CAP:
             raise UnreachableTargetError(
                 f"profile still above delta={delta_target:g} at eps={EPS_CAP:g}"
             )
         return eps
-    hi = max(1.0, lo)
+    lo, hi = 0.0, 1.0
     while profile(hi) > delta_target:
         if hi >= EPS_CAP:
             raise UnreachableTargetError(

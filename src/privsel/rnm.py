@@ -47,7 +47,7 @@ def rnm_profile(base, candidates):
     """
     if candidates < 1:
         raise ValueError(f"candidates must be >= 1, got {candidates}")
-    return scaled_profile(base, candidates, label=f"rnm(m={candidates})")
+    return scaled_profile(base, candidates)
 
 
 def rnm_composition_profile(base_comp, candidates, rounds):
@@ -69,8 +69,7 @@ def rnm_composition_profile(base_comp, candidates, rounds):
             return 0.0
         return math.exp(min(0.0, log_m + math.log(d)))
 
-    return PrivacyProfile(fn, f"rnm-composed(m={candidates},rounds={rounds})",
-                          knots=base_comp.knots)
+    return PrivacyProfile(fn, knots=base_comp.knots)
 
 
 def rnm_gaussian_eps(sigma, candidates, delta):

@@ -151,15 +151,13 @@ def _binomial_eps1_min(base, n, p):
 
 
 def _count_terms(base, dist):
-    """(penalty, smallest admissible eps1, label) of a count distribution.
+    """(penalty, smallest admissible eps1) of a count distribution.
 
     The penalty maps (eps1, base(eps1)) to the shift subtracted from every
     queried eps; it is +inf below the admissibility threshold.
     """
     if isinstance(dist, TruncNegBinomial):
-        eta, gamma = dist.shape, dist.success
-        return (negbin_penalty(eta, gamma), 0.0,
-                f"select-negbin(eta={eta:g},gamma={gamma:g})")
+        return negbin_penalty(dist.shape, dist.success), 0.0
     if isinstance(dist, Binomial):
         n, p = dist.trials, dist.prob
         eps1_min = _binomial_eps1_min(base, n, p)
@@ -169,14 +167,14 @@ def _count_terms(base, dist):
                 return math.inf
             return (n - 1.0) * math.log1p(p * math.expm1(e1) + p * d1)
 
-        return penalty, eps1_min, f"select-binomial(n={n},p={p:g})"
+        return penalty, eps1_min
     if isinstance(dist, Poisson):
         m = dist.rate
 
         def penalty(e1, d1):
             return m * math.expm1(e1) + m * d1
 
-        return penalty, 0.0, f"select-poisson(m={m:g})"
+        return penalty, 0.0
     raise TypeError(f"no selection bound for {type(dist).__name__}")
 
 
@@ -188,34 +186,34 @@ def bound_for_count(base, dist, eps1_strategy="optimized"):
     and Poisson counts can be zero, so their bounds certify nothing at
     eps <= 0.
     """
-    penalty, eps1_min, label = _count_terms(base, dist)
+    penalty, eps1_min = _count_terms(base, dist)
     eps1 = _resolve_eps1(eps1_strategy, base, penalty, extra=(eps1_min,))
     shift = penalty(eps1, base(eps1))
     if shift == math.inf:
         raise NoAdmissibleEps1Error(
             f"eps1={eps1:g} is below the admissibility threshold {eps1_min:g}"
         )
-    profile = scaled_profile(base, dist.mean(), shift, label,
+    profile = scaled_profile(base, dist.mean(), shift,
                              positive_eps_only=not isinstance(dist, TruncNegBinomial))
     return SelectionBoundResult(profile, eps1, shift)
 
 
-def select_negbin_profile(base, eta, gamma, eps1_strategy="optimized"):
+def select_negbin_profile(base, eta, gamma):
     """Best-of-K bound for K truncated negative binomial: the queried eps
     is reduced by negbin_penalty at (eps1, base(eps1))."""
-    return bound_for_count(base, TruncNegBinomial(eta, gamma), eps1_strategy)
+    return bound_for_count(base, TruncNegBinomial(eta, gamma))
 
 
-def select_binomial_profile(base, n, p, eps1_strategy="optimized"):
+def select_binomial_profile(base, n, p):
     """Best-of-K bound for K ~ Binomial(n, p), valid only above the
     admissibility threshold eps1 >= log(1 + p/(1-p) * base(eps1))."""
-    return bound_for_count(base, Binomial(n, p), eps1_strategy)
+    return bound_for_count(base, Binomial(n, p))
 
 
-def select_poisson_profile(base, m, eps1_strategy="optimized"):
+def select_poisson_profile(base, m):
     """Best-of-K bound for K ~ Poisson(m); the queried eps is reduced by
     m*(e^eps1 - 1) + m*base(eps1)."""
-    return bound_for_count(base, Poisson(m), eps1_strategy)
+    return bound_for_count(base, Poisson(m))
 
 
 def select_negbin_pure(eps_base, eta):

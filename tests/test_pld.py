@@ -82,7 +82,6 @@ def test_discrete_pld_validation():
 def test_discrete_pld_delta_by_hand():
     d = DiscretePLD(spacing=1.0, origin_index=0,
                     mass=np.array([0.5, 0.5]), tail_mass=0.0)
-    assert d.eps0 == 0.0
     assert d.delta(0.0) == pytest.approx(0.5 * (1 - math.exp(-1.0)), rel=1e-15)
     assert d.delta(0.5) == pytest.approx(0.5 * (1 - math.exp(-0.5)), rel=1e-15)
     assert d.delta(2.0) == 0.0

@@ -21,6 +21,7 @@ from privsel.selection import (
     adjust_guarantee,
     bound_for_count,
     gptr_combine,
+    negbin_penalty,
     optimize_eps1,
     rdp_select_negbin,
     rdp_select_poisson,
@@ -110,7 +111,7 @@ def test_hs_below_rdp_and_closed_form():
 def test_shift_arithmetic_with_fixed_eps1():
     base = gaussian_profile(4.0, 1.0)
     e1 = 0.5
-    res = select_negbin_profile(base, 1.0, 0.1, eps1_strategy=e1)
+    res = bound_for_count(base, TruncNegBinomial(1.0, 0.1), e1)
     assert res.eps1 == e1
     expect = 2.0 * math.log(math.exp(e1) + 9.0 * base(e1))
     assert res.shift == pytest.approx(expect, rel=1e-14)
@@ -118,13 +119,13 @@ def test_shift_arithmetic_with_fixed_eps1():
         assert res.profile(eps) == pytest.approx(
             min(1.0, 10.0 * base(eps - res.shift)), rel=1e-12)
     with pytest.raises(ValueError):
-        select_negbin_profile(base, 1.0, 0.1, eps1_strategy=-0.5)
+        bound_for_count(base, TruncNegBinomial(1.0, 0.1), -0.5)
 
 
 def test_poisson_shift_arithmetic():
     base = gaussian_profile(4.0, 1.0)
     e1 = 0.2
-    res = select_poisson_profile(base, 5.0, eps1_strategy=e1)
+    res = bound_for_count(base, Poisson(5.0), e1)
     expect = 5.0 * math.expm1(e1) + 5.0 * base(e1)
     assert res.shift == pytest.approx(expect, rel=1e-14)
     # a count with mass at zero certifies nothing at eps <= 0
@@ -158,7 +159,7 @@ def test_binomial_inadmissible_eps1_raises():
     # a base stuck at delta ~ 1 has no eps1 satisfying the threshold
     flat = profile_from_points([(0.0, 1.0)])
     with pytest.raises(NoAdmissibleEps1Error):
-        select_binomial_profile(flat, 10, 0.9, eps1_strategy=0.0)
+        bound_for_count(flat, Binomial(10, 0.9), 0.0)
 
 
 def test_optimizer_no_worse_than_dense_scan():
@@ -226,9 +227,18 @@ def test_bound_for_count_dispatch():
     nb = bound_for_count(base, TruncNegBinomial(1.0, 0.1))
     bi = bound_for_count(base, Binomial(50, 0.2))
     po = bound_for_count(base, Poisson(10.0))
-    assert "negbin" in nb.profile.label
-    assert "binomial" in bi.profile.label
-    assert "poisson" in po.profile.label
+    # each shift is its family's penalty at the eps1 it settled on
+    nb_pen = negbin_penalty(1.0, 0.1)(nb.eps1, base(nb.eps1))
+    bi_pen = 49.0 * math.log1p(0.2 * math.expm1(bi.eps1) + 0.2 * base(bi.eps1))
+    po_pen = 10.0 * math.expm1(po.eps1) + 10.0 * base(po.eps1)
+    assert nb.shift == pytest.approx(nb_pen, rel=1e-14)
+    assert bi.shift == pytest.approx(bi_pen, rel=1e-14)
+    assert po.shift == pytest.approx(po_pen, rel=1e-14)
+    # counts that can draw zero certify nothing at eps = 0; a negbin count
+    # never draws zero, so a small-mean one certifies something there
+    assert bi.profile(0.0) == 1.0
+    assert po.profile(0.0) == 1.0
+    assert bound_for_count(base, TruncNegBinomial(1.0, 0.9)).profile(0.0) < 1.0
     with pytest.raises(TypeError):
         bound_for_count(base, object())
 
