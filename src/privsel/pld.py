@@ -202,11 +202,14 @@ def _build(q, sigma, direction, spacing, tail_mass):
 
 
 def subsampled_gaussian_pld(params, direction, grid=None):
-    """One-step discretized loss distribution for the given direction.
+    """One-step discretized loss distribution for the given direction;
+    params.steps must be 1 (compose builds the multi-step distribution).
 
     Construction checks its own resolution: if halving the spacing moves
     delta(0) by more than 1e-3 the grid is refused as too coarse.
     """
+    if params.steps != 1:
+        raise ValueError(f"a one-step distribution needs steps = 1, got {params.steps}")
     grid = grid or GridSpec()
     pld = _build(params.q, params.sigma, direction, grid.spacing, grid.tail_mass)
     finer = _build(params.q, params.sigma, direction, grid.spacing / 2, grid.tail_mass)
@@ -318,7 +321,8 @@ def _load_cached(path):
                 mass=f["mass"],
                 tail_mass=float(f["tail_mass"]),
             )
-    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
+    # TypeError: a plain .npy array loads as an ndarray, not an archive
+    except (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile):
         return None
 
 

@@ -168,14 +168,24 @@ def profile_from_points(points):
     ok = (0 <= eps_arr) & (eps_arr < math.inf) & (0 <= del_arr) & (del_arr <= 1)
     if not ok.all():
         raise ValueError(f"points need finite eps >= 0 and delta in [0,1], got {pts}")
-    exp_arr = np.exp(eps_arr)
+    with np.errstate(over="ignore"):
+        exp_arr = np.exp(eps_arr)
     top = eps_arr[-1]
 
     def fn(eps):
         e = math.exp(min(eps, top))
         return clip_delta(float(np.min(del_arr + np.maximum(exp_arr - e, 0.0))))
 
-    return PrivacyProfile(fn, knots=tuple(eps_arr))
+    def fn_past_exp_range(eps):
+        # e^eps_i overflows, so the gap above eps is e^eps expm1(eps_i - eps);
+        # an infinite gap is a term clipped to 1, as it should be
+        above = eps_arr > eps
+        with np.errstate(over="ignore", invalid="ignore"):
+            gap = np.exp(eps) * np.expm1(eps_arr - eps)
+        return clip_delta(float(np.min(del_arr + np.where(above, gap, 0.0))))
+
+    return PrivacyProfile(fn if math.isfinite(exp_arr[-1]) else fn_past_exp_range,
+                          knots=tuple(eps_arr))
 
 
 def scaled_profile(base, factor, shift=0.0, positive_eps_only=False):

@@ -346,3 +346,17 @@ def test_unbounded_eps_grid_is_refused(grid, capsys):
     argv = ["profile", "--base", "gaussian", "--sigma", "4", f"--eps-grid={grid}"]
     assert refused(argv, capsys)
 
+
+
+def test_pure_base_past_the_exp_range_is_answered(recwarn):
+    # e^800 overflows a float; the profile must still answer without warnings
+    from privsel.profiles import BISECT_TOL
+
+    argv = ["guarantee", "--base", "pure", "--eps-base", "800"]
+    rc, out = run(argv + ["--delta", "1e-6"])
+    assert rc == 0
+    eps = float(out.split()[0].removeprefix("eps="))
+    assert 800.0 <= eps <= 800.0 + BISECT_TOL
+    assert run(argv + ["--eps", "1000"]) == (
+        0, "eps=1000 delta=0 method=hs eps1=nan\n")
+    assert not recwarn.list

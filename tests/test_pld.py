@@ -326,6 +326,28 @@ def test_unreadable_cache_file_is_rebuilt(tmp_path, monkeypatch):
     assert np.array_equal(pldmod._load_cached(path).mass, want.mass)
 
 
+def test_cache_file_holding_a_plain_array_is_rebuilt(tmp_path, monkeypatch):
+    monkeypatch.setenv(pldmod.CACHE_ENV, str(tmp_path))
+    monkeypatch.setattr(pldmod, "_COMPOSED", {})
+    key = (0.2, 1.0, 4, "add", GridSpec().spacing, GridSpec().tail_mass)
+    path = pldmod._cache_path(key)
+    with open(path, "wb") as f:
+        np.save(f, np.arange(3.0))
+    assert pldmod._load_cached(path) is None
+    got = pldmod._composed_pld(0.2, 1.0, 4, "add", GridSpec())
+    want = compose(subsampled_gaussian_pld(SubsampledGaussianParams(0.2, 1.0),
+                                           "add"), 4)
+    assert np.array_equal(got.mass, want.mass)
+    assert np.array_equal(pldmod._load_cached(path).mass, want.mass)
+
+
+def test_one_step_pld_refuses_a_step_count():
+    # the one-step distribution of a 100-step params would look far more
+    # private than the 100-step composition
+    with pytest.raises(ValueError, match="steps"):
+        subsampled_gaussian_pld(SubsampledGaussianParams(0.1, 1.0, 100), "remove")
+
+
 def test_unreadable_cache_file_is_closed(tmp_path):
     path = tmp_path / "pld_bad.npz"
     path.write_bytes(b"PK\x03\x04 truncated")

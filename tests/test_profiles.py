@@ -81,6 +81,21 @@ def test_profile_from_points_accepts_point_dp():
     assert prof(0.999) > 0.0
 
 
+def test_profile_from_points_past_the_exp_range():
+    # the largest point's e^eps overflows a float: no overflow, no warning,
+    # and every eps below that point is still charged the full gap
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prof = profile_from_points([(1.0, 1e-3), (800.0, 0.0)])
+        assert prof(1000.0) == 0.0
+        assert prof(800.0) == 0.0
+        assert prof(799.9) == 1e-3
+        assert prof(0.99) == pytest.approx(1e-3 + math.e - math.exp(0.99), rel=1e-12)
+        assert profile_from_points([(800.0, 0.0)])(799.9) == 1.0
+
+
 def test_profile_from_points_rejects_empty():
     with pytest.raises(ValueError):
         profile_from_points([])
