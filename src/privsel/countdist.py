@@ -1,9 +1,9 @@
 """Distributions over the number of base-mechanism runs.
 
 Randomized selection draws a count K, runs the base mechanism K times and
-releases the best run.  The privacy bounds only touch these distributions
-through their pmf, mean and the derivative of the probability generating
-function, so that is the whole interface.
+releases the best run.  Each distribution offers its pmf, cdf, mean, the
+derivative of its probability generating function and a tail support
+bound; the oracles and the fig4 table use those.
 
 Binomial and Poisson pmf, cdf and tail support come from `scipy.stats`,
 imported inside those methods: only the fig4 table and the oracles call
