@@ -3,7 +3,9 @@
 A privacy profile maps eps to an upper bound on the tight delta at that
 eps (the worst-case hockey-stick divergence between neighboring outputs).
 Profiles are plain immutable evaluators; everything downstream composes
-them functionally.  A Renyi curve is data: its eps(alpha) bounds on a
+them functionally.  A base profile may also carry an array evaluator
+whose values equal the scalar ones bit for bit; `optimize_eps1` scans
+its whole eps1 candidate grid through it in one call.  A Renyi curve is data: its eps(alpha) bounds on a
 finite order grid, held as an array, so converting it to (eps, delta)
 in either direction is one numpy expression.
 """
@@ -22,6 +24,9 @@ from .errors import UnreachableTargetError
 
 BISECT_TOL = 1e-6
 EPS_CAP = 1e4
+# (eps, point) cells a points profile's batch evaluates at once
+_BATCH_CELLS = 1 << 16
+_TINY = math.ulp(0.0)
 
 
 @dataclass(frozen=True)
@@ -38,9 +43,19 @@ class PrivacyProfile:
     # exact eps(delta), certified against fn; epsilon_for_delta uses it
     # instead of bisecting when present
     inverse: Callable[[float], float] | None = None
+    # fn over a 1-d float64 array of eps, equal to fn entry for entry bit
+    # for bit
+    batch: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __call__(self, eps):
         return self.fn(eps)
+
+    def on_array(self, eps):
+        """The profile at each eps of a 1-d float64 array, as a float64
+        array: through `batch` when set, else one fn call per entry."""
+        if self.batch is not None:
+            return self.batch(eps)
+        return np.array([self.fn(e) for e in eps.tolist()], dtype=float)
 
 
 def clip_delta(x):
@@ -49,6 +64,13 @@ def clip_delta(x):
     if x != x:
         raise ValueError("delta evaluated to NaN")
     return 1.0 if x > 1.0 else (x if x > 0.0 else 0.0)
+
+
+def clip_delta_array(x):
+    """clip_delta of every entry of a float64 array."""
+    if np.isnan(x).any():
+        raise ValueError("delta evaluated to NaN")
+    return np.where(x > 1.0, 1.0, np.where(x > 0.0, x, 0.0))
 
 
 def _check_positive(**kwargs):
@@ -133,12 +155,14 @@ def gaussian_profile(sigma, sensitivity=1.0):
     _check_positive(sigma=sigma, sensitivity=sensitivity)
     r = sensitivity / sigma
 
-    def fn(eps):
+    def unclipped(eps):
+        # one expression for a float and for an array of eps alike
         a = ndtr(r / 2 - eps / r)
         b = eps + log_ndtr(-r / 2 - eps / r)
-        return clip_delta(float(a - np.exp(b)))
+        return a - np.exp(b)
 
-    return PrivacyProfile(fn)
+    return PrivacyProfile(lambda eps: clip_delta(float(unclipped(eps))),
+                          batch=lambda eps: clip_delta_array(unclipped(eps)))
 
 
 def gaussian_rdp_curve(sigma, sensitivity=1.0):
@@ -172,20 +196,46 @@ def profile_from_points(points):
         exp_arr = np.exp(eps_arr)
     top = eps_arr[-1]
 
-    def fn(eps):
-        e = math.exp(min(eps, top))
-        return clip_delta(float(np.min(del_arr + np.maximum(exp_arr - e, 0.0))))
+    # the unclipped minimum over the points, at a float or at each entry
+    # of a column: `below` takes e^min(eps, top), `past` takes eps
+    def below(e):
+        return np.min(del_arr + np.maximum(exp_arr - e, 0.0), axis=-1)
 
-    def fn_past_exp_range(eps):
+    def past(eps):
         # e^eps_i overflows, so the gap above eps is e^eps expm1(eps_i - eps);
-        # an infinite gap is a term clipped to 1, as it should be
-        above = eps_arr > eps
+        # an infinite gap is a term clipped to 1, as it should be.  e^eps is
+        # floored at the least subnormal, so that below eps = -745 the gap
+        # is inf and not 0 * inf.  A NaN eps puts every point above it, so
+        # the NaN reaches the clip.
+        above = ~(eps_arr <= eps)
         with np.errstate(over="ignore", invalid="ignore"):
-            gap = np.exp(eps) * np.expm1(eps_arr - eps)
-        return clip_delta(float(np.min(del_arr + np.where(above, gap, 0.0))))
+            gap = np.maximum(np.exp(eps), _TINY) * np.expm1(eps_arr - eps)
+        return np.min(del_arr + np.where(above, gap, 0.0), axis=-1)
 
-    return PrivacyProfile(fn if math.isfinite(exp_arr[-1]) else fn_past_exp_range,
-                          knots=tuple(eps_arr))
+    if math.isfinite(exp_arr[-1]):
+        def fn(eps):
+            return clip_delta(float(below(math.exp(min(eps, top)))))
+
+        def rows(eps):
+            # math.exp per entry as in fn: np.exp rounds some values differently
+            e = [math.exp(x) for x in np.minimum(eps, top).tolist()]
+            return below(np.array(e)[:, None])
+    else:
+        def fn(eps):
+            return clip_delta(float(past(eps)))
+
+        def rows(eps):
+            return past(eps[:, None])
+
+    step = max(1, _BATCH_CELLS // len(pts))
+
+    def batch(eps):
+        out = np.empty(len(eps))
+        for i in range(0, len(eps), step):
+            out[i:i + step] = rows(eps[i:i + step])
+        return clip_delta_array(out)
+
+    return PrivacyProfile(fn, knots=tuple(eps_arr), batch=batch)
 
 
 def scaled_profile(base, factor, shift=0.0, positive_eps_only=False):

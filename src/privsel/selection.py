@@ -70,8 +70,9 @@ def optimize_eps1(base, penalty, extra=()):
 
     Candidates are 0, a 200-point log-spaced grid up to where the base
     delta bottoms out (capped at 50), any kink locations the profile
-    declares, and any caller-supplied extras; the best grid point is then
-    sharpened by golden-section search to 1e-6.  Ties go to the smallest
+    declares, and any caller-supplied extras, all evaluated on the base in
+    one array call; the best grid point is then sharpened by
+    golden-section search to 1e-6.  Ties go to the smallest
     eps1.  A penalty may return +inf to mark an eps1 inadmissible.
     """
     try:
@@ -80,16 +81,16 @@ def optimize_eps1(base, penalty, extra=()):
         eps_hi = EPS1_CAP
     eps_hi = max(eps_hi, 1e-3)
 
-    cand = [0.0]
-    cand.extend(np.geomspace(GRID_LO, eps_hi, GRID_POINTS))
+    cand = [0.0, *np.geomspace(GRID_LO, eps_hi, GRID_POINTS).tolist()]
     cand.extend(k for k in base.knots if 0.0 <= k <= eps_hi)
     cand.extend(e for e in extra if 0.0 <= e <= eps_hi)
-    cand = sorted(set(float(c) for c in cand))
+    cand = sorted(set(map(float, cand)))
 
     def f(e1):
         return penalty(e1, base(e1))
 
-    vals = [f(c) for c in cand]
+    deltas = base.on_array(np.array(cand)).tolist()
+    vals = [penalty(c, d) for c, d in zip(cand, deltas)]
     i = min(range(len(cand)), key=lambda j: (vals[j], cand[j]))
     best_e, best_v = cand[i], vals[i]
 
@@ -188,11 +189,17 @@ def bound_for_count(base, dist, eps1_strategy="optimized"):
     """
     penalty, eps1_min = _count_terms(base, dist)
     eps1 = _resolve_eps1(eps1_strategy, base, penalty, extra=(eps1_min,))
-    shift = penalty(eps1, base(eps1))
-    if shift == math.inf:
+    if eps1 < eps1_min:
         raise NoAdmissibleEps1Error(
             f"eps1={eps1:g} is below the admissibility threshold {eps1_min:g}"
         )
+    try:
+        shift = penalty(eps1, base(eps1))
+    except OverflowError:
+        shift = math.inf
+    if shift == math.inf:
+        raise ValueError(f"eps1={eps1:g} is too large: the shift it induces "
+                         f"overflows a float")
     profile = scaled_profile(base, dist.mean(), shift,
                              positive_eps_only=not isinstance(dist, TruncNegBinomial))
     return SelectionBoundResult(profile, eps1, shift)

@@ -258,6 +258,27 @@ def test_fixed_eps1_is_read_by_the_count_hs_bound(family):
     assert out.endswith(" method=hs eps1=0.3\n")
 
 
+@pytest.mark.parametrize("argv", [
+    GAUSS + ["--family", "negbin", "--eta", "1", "--m", "10"],
+    GAUSS + ["--family", "poisson", "--m", "10"],
+    GAUSS + ["--family", "binomial", "--n", "100", "--p", "0.1"],
+    ["guarantee", "--base", "pure", "--eps-base", "1",
+     "--family", "negbin", "--eta", "1", "--m", "10"],
+], ids=["negbin", "poisson", "binomial", "pure-negbin"])
+def test_fixed_eps1_whose_shift_overflows_is_refused(argv, capsys):
+    # e^710 overflows a float, so the count's shift cannot be computed
+    rc = cli.main(argv + ["--eps1", "710", "--delta", "1e-6"])
+    out = capsys.readouterr()
+    assert (rc, out.out) == (2, "")
+    assert out.err.startswith("error: eps1=710 ")
+
+
+def test_large_fixed_eps1_below_the_overflow_is_answered():
+    argv = GAUSS + ["--family", "negbin", "--eta", "1", "--m", "10",
+                    "--eps1", "700", "--delta", "1e-6"]
+    assert run(argv) == (0, "eps=1401.18174648 delta=1e-06 method=hs eps1=700\n")
+
+
 @pytest.mark.parametrize("method", ["hs", "rdp"])
 def test_subsampled_sensitivity_divides_sigma(method):
     # sigma 2 at sensitivity 2 is the same mechanism as sigma 1 at 1

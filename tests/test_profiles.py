@@ -96,6 +96,15 @@ def test_profile_from_points_past_the_exp_range():
         assert profile_from_points([(800.0, 0.0)])(799.9) == 1.0
 
 
+def test_profile_from_points_past_the_exp_range_far_below_zero():
+    # e^eps underflows to 0 below eps = -745 while e^(eps_i - eps) overflows;
+    # the gap is then infinite, not 0 * inf = NaN
+    prof = profile_from_points([(0.0, 0.0), (710.0, 0.0)])
+    assert prof(-746.0) == 1.0
+    assert prof(-1e4) == 1.0
+    assert prof(0.0) == 0.0
+
+
 def test_profile_from_points_rejects_empty():
     with pytest.raises(ValueError):
         profile_from_points([])

@@ -162,6 +162,16 @@ def test_binomial_inadmissible_eps1_raises():
         bound_for_count(flat, Binomial(10, 0.9), 0.0)
 
 
+def test_fixed_eps1_whose_shift_overflows_raises():
+    base = gaussian_profile(4.0, 1.0)
+    # e^710 overflows math.exp; m * (e^700 - 1) overflows to inf
+    for dist, e1 in ((TruncNegBinomial(1.0, 0.1), 710.0),
+                     (Binomial(100, 0.1), 710.0),
+                     (Poisson(1e300), 700.0)):
+        with pytest.raises(ValueError, match=f"eps1={e1:g} is too large"):
+            bound_for_count(base, dist, e1)
+
+
 def test_optimizer_no_worse_than_dense_scan():
     base = gaussian_profile(4.0, 1.0)
 
