@@ -5,9 +5,10 @@ eps (the worst-case hockey-stick divergence between neighboring outputs).
 Profiles are plain immutable evaluators; everything downstream composes
 them functionally.  A base profile may also carry an array evaluator
 whose values equal the scalar ones bit for bit; `optimize_eps1` scans
-its whole eps1 candidate grid through it in one call.  A Renyi curve is data: its eps(alpha) bounds on a
-finite order grid, held as an array, so converting it to (eps, delta)
-in either direction is one numpy expression.
+its whole eps1 candidate grid through it in one call.  A Renyi curve is
+data: its eps(alpha) bounds on a finite order grid, held as an array,
+so converting it to (eps, delta) in either direction is one numpy
+expression.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ BISECT_TOL = 1e-6
 EPS_CAP = 1e4
 # (eps, point) cells a points profile's batch evaluates at once
 _BATCH_CELLS = 1 << 16
+# least positive subnormal float
 _TINY = math.ulp(0.0)
 
 

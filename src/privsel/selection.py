@@ -70,10 +70,10 @@ def optimize_eps1(base, penalty, extra=()):
 
     Candidates are 0, a 200-point log-spaced grid up to where the base
     delta bottoms out (capped at 50), any kink locations the profile
-    declares, and any caller-supplied extras, all evaluated on the base in
-    one array call; the best grid point is then sharpened by
-    golden-section search to 1e-6.  Ties go to the smallest
-    eps1.  A penalty may return +inf to mark an eps1 inadmissible.
+    declares, and any caller-supplied extras, all evaluated on the base
+    in one array call; the best grid point is then sharpened by
+    golden-section search to 1e-6.  Ties go to the smallest eps1.  A
+    penalty may return +inf to mark an eps1 inadmissible.
     """
     try:
         eps_hi = min(epsilon_for_delta(base, 1e-15), EPS1_CAP)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from privsel.errors import UnreachableTargetError
 from privsel.profiles import (
     clip_delta_array,
     epsilon_for_delta,
@@ -27,7 +28,6 @@ from privsel.selection import (
     negbin_penalty,
     optimize_eps1,
 )
-from privsel.errors import UnreachableTargetError
 
 PROPS = settings(max_examples=150, deadline=None, database=None, derandomize=True)
 SCANS = settings(max_examples=60, deadline=None, database=None, derandomize=True)
