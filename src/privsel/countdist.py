@@ -250,11 +250,12 @@ def _solve_success(shape, m):
     if mean_at(hi) > m:
         raise InfeasibleMeanError(f"mean {m} out of reach for shape {shape}")
     # iterate to relative width ~1e-18 so the mean round-trips within 1e-9
-    # even when the solution sits at success ~ 1/m with m in the thousands
+    # even when the solution sits at success ~ 1/m with m in the thousands;
+    # a step that leaves (lo, hi) as it was would leave it so for good
     for _ in range(90):
         mid = 0.5 * (lo + hi)
-        if mean_at(mid) > m:
-            lo = mid
-        else:
-            hi = mid
+        step = (mid, hi) if mean_at(mid) > m else (lo, mid)
+        if step == (lo, hi):
+            break
+        lo, hi = step
     return 0.5 * (lo + hi)

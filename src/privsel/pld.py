@@ -114,8 +114,20 @@ class DiscretePLD:
 
     def delta(self, eps):
         """Hockey-stick value sum_{l > eps} (1 - e^(eps-l)) mass(l) + tail."""
+        if eps != eps:
+            raise ValueError("eps is NaN")
+        return self._delta_in(int(np.searchsorted(self._grid[0], eps, side="right")), eps)
+
+    def deltas(self, eps):
+        """delta at each eps of a float64 array, with one search for the cells."""
+        if np.isnan(eps).any():
+            raise ValueError("eps is NaN")
+        cells = np.searchsorted(self._grid[0], eps, side="right").tolist()
+        return np.array([self._delta_in(i, e) for i, e in zip(cells, eps.tolist())])
+
+    def _delta_in(self, i, eps):
+        # delta at an eps whose grid search returned i
         ell, s1, s2 = self._grid
-        i = int(np.searchsorted(ell, eps, side="right"))
         if i >= len(ell):
             return min(1.0, self.tail_mass)
         if eps > 500:
@@ -368,13 +380,24 @@ def subsampled_gaussian_profile(params, grid=None):
     """Profile eps -> max over neighborhood directions of the composed
     discretized delta; both composed distributions are cached."""
     grid = grid or GridSpec()
-    rem = _composed_pld(params.q, params.sigma, params.steps, "remove", grid)
-    add = _composed_pld(params.q, params.sigma, params.steps, "add", grid)
+    return Pld(_composed_pld(params.q, params.sigma, params.steps, "remove", grid),
+               _composed_pld(params.q, params.sigma, params.steps, "add", grid))
 
-    def fn(eps):
-        return max(rem.delta(eps), add.delta(eps))
 
-    return PrivacyProfile(fn)
+@dataclass(frozen=True, eq=False)
+class Pld(PrivacyProfile):
+    """The larger delta of two composed loss distributions, one per
+    neighborhood direction."""
+
+    remove: DiscretePLD
+    add: DiscretePLD
+
+    def _at(self, eps):
+        return max(self.remove.delta(eps), self.add.delta(eps))
+
+    def on_array(self, eps):
+        rem, add = self.remove.deltas(eps), self.add.deltas(eps)
+        return np.where(add > rem, add, rem)
 
 
 def _logsumexp(x):

@@ -2,13 +2,21 @@
 
 A privacy profile maps eps to an upper bound on the tight delta at that
 eps (the worst-case hockey-stick divergence between neighboring outputs).
-Profiles are plain immutable evaluators; everything downstream composes
-them functionally.  A base profile may also carry an array evaluator
-whose values equal the scalar ones bit for bit; `optimize_eps1` scans
-its whole eps1 candidate grid through it in one call.  A Renyi curve is
-data: its eps(alpha) bounds on a finite order grid, held as an array,
-so converting it to (eps, delta) in either direction is one numpy
-expression.
+Profiles are data: a small tree of immutable nodes, each evaluated at one
+eps by a call and over an array of eps by `on_array`, bit for bit alike.
+Four leaves and one interior node:
+
+- `Gaussian(r)`: the Gaussian mechanism at r = sensitivity/sigma;
+- `Points(eps, delta)`: the pessimistic curve through (eps, delta) points;
+- `Renyi(curve)`: a Renyi curve converted to delta, inverted in closed form;
+- `Pld(remove, add)` (in `privsel.pld`): the larger delta of two
+  discretized privacy-loss distributions;
+- `Scaled(base, factor, shift, positive_eps_only)`: min(1, factor *
+  base(eps - shift)), the transform of every selection and argmax bound.
+
+A Renyi curve is data too: its eps(alpha) bounds on a finite order grid,
+held as an array, so converting it to (eps, delta) in either direction
+is one numpy expression.
 """
 
 from __future__ import annotations
@@ -16,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 from scipy.special import log_ndtr, ndtr
@@ -25,39 +32,30 @@ from .errors import UnreachableTargetError
 
 BISECT_TOL = 1e-6
 EPS_CAP = 1e4
-# (eps, point) cells a points profile's batch evaluates at once
+# (eps, point) cells Points.on_array evaluates at once
 _BATCH_CELLS = 1 << 16
 # least positive subnormal float
 _TINY = math.ulp(0.0)
 
 
-@dataclass(frozen=True)
 class PrivacyProfile:
-    """Non-increasing map eps -> delta in [0,1].
+    """Non-increasing map eps -> delta in [0,1]; the base of the nodes.
 
-    `knots` lists eps values where the curve has kinks (piecewise curves
-    expose their corner points); optimizers add them to their candidate
-    sets so piecewise-linear-in-exp(eps) curves are minimized exactly.
+    A node gives its value at one eps in `_at`, reached only through
+    `__call__`, and over a 1-d float64 array of eps in `on_array`, equal
+    entry for entry bit for bit; both refuse a NaN eps.  `knots` lists eps
+    values where the curve has kinks; optimizers add them to their
+    candidate sets so piecewise-linear-in-exp(eps) curves are minimized
+    exactly.
     """
 
-    fn: Callable[[float], float]
-    knots: tuple = ()
-    # exact eps(delta), certified against fn; epsilon_for_delta uses it
-    # instead of bisecting when present
-    inverse: Callable[[float], float] | None = None
-    # fn over a 1-d float64 array of eps, equal to fn entry for entry bit
-    # for bit
-    batch: Callable[[np.ndarray], np.ndarray] | None = None
+    knots = ()
 
     def __call__(self, eps):
-        return self.fn(eps)
+        return self._at(eps)
 
     def on_array(self, eps):
-        """The profile at each eps of a 1-d float64 array, as a float64
-        array: through `batch` when set, else one fn call per entry."""
-        if self.batch is not None:
-            return self.batch(eps)
-        return np.array([self.fn(e) for e in eps.tolist()], dtype=float)
+        raise NotImplementedError
 
 
 def clip_delta(x):
@@ -147,24 +145,33 @@ def _order_terms(orders):
     return terms
 
 
-def gaussian_profile(sigma, sensitivity=1.0):
+@dataclass(frozen=True, eq=False)
+class Gaussian(PrivacyProfile):
     """Exact profile of the Gaussian mechanism, valid at every real eps.
 
     delta(eps) = Phi(r/2 - eps/r) - e^eps Phi(-r/2 - eps/r) with
     r = sensitivity/sigma; the second term is evaluated in log space so
     the curve stays accurate far into the tail.
     """
-    _check_positive(sigma=sigma, sensitivity=sensitivity)
-    r = sensitivity / sigma
 
-    def unclipped(eps):
+    r: float
+
+    def _unclipped(self, eps):
         # one expression for a float and for an array of eps alike
-        a = ndtr(r / 2 - eps / r)
-        b = eps + log_ndtr(-r / 2 - eps / r)
-        return a - np.exp(b)
+        r = self.r
+        return ndtr(r / 2 - eps / r) - np.exp(eps + log_ndtr(-r / 2 - eps / r))
 
-    return PrivacyProfile(lambda eps: clip_delta(float(unclipped(eps))),
-                          batch=lambda eps: clip_delta_array(unclipped(eps)))
+    def _at(self, eps):
+        return clip_delta(float(self._unclipped(eps)))
+
+    def on_array(self, eps):
+        return clip_delta_array(self._unclipped(eps))
+
+
+def gaussian_profile(sigma, sensitivity=1.0):
+    """The Gaussian node of noise scale sigma at the given sensitivity."""
+    _check_positive(sigma=sigma, sensitivity=sensitivity)
+    return Gaussian(sensitivity / sigma)
 
 
 def gaussian_rdp_curve(sigma, sensitivity=1.0):
@@ -175,13 +182,63 @@ def gaussian_rdp_curve(sigma, sensitivity=1.0):
     return RdpCurve(orders, np.asarray(orders, dtype=float) * c)
 
 
-def profile_from_points(points):
-    """Pessimistic profile through a list of (eps, delta) guarantees.
+@dataclass(frozen=True, eq=False)
+class Points(PrivacyProfile):
+    """Pessimistic profile through (eps, delta) guarantees, sorted by eps.
 
     Between stored points the curve uses delta_i + (e^{eps_i} - e^eps)_+,
     valid because the hockey-stick divergence is 1-Lipschitz in e^eps;
     the minimum over stored points is taken and clipped to [0,1].
     """
+
+    eps: np.ndarray
+    delta: np.ndarray
+
+    def __post_init__(self):
+        with np.errstate(over="ignore"):
+            object.__setattr__(self, "_exp", np.exp(self.eps))
+        # the largest eps_i, past which the curve is flat, if every e^eps_i is finite
+        object.__setattr__(self, "_top", self.eps[-1] if math.isfinite(self._exp[-1]) else None)
+        object.__setattr__(self, "knots", tuple(self.eps))
+
+    # the unclipped minimum over the points, at a float or at each entry
+    # of a column: `_below` takes e^min(eps, top), `_past` takes eps
+    def _below(self, e):
+        return np.min(self.delta + np.maximum(self._exp - e, 0.0), axis=-1)
+
+    def _past(self, eps):
+        # e^eps_i overflows, so the gap above eps is e^eps expm1(eps_i - eps);
+        # an infinite gap is a term clipped to 1, as it should be.  e^eps is
+        # floored at the least subnormal, so that below eps = -745 the gap
+        # is inf and not 0 * inf.  A NaN eps puts every point above it, so
+        # the NaN reaches the clip.
+        above = ~(self.eps <= eps)
+        with np.errstate(over="ignore", invalid="ignore"):
+            gap = np.maximum(np.exp(eps), _TINY) * np.expm1(self.eps - eps)
+        return np.min(self.delta + np.where(above, gap, 0.0), axis=-1)
+
+    def _at(self, eps):
+        if self._top is None:
+            return clip_delta(float(self._past(eps)))
+        return clip_delta(float(self._below(math.exp(min(eps, self._top)))))
+
+    def on_array(self, eps):
+        out = np.empty(len(eps))
+        step = max(1, _BATCH_CELLS // len(self.eps))
+        for i in range(0, len(eps), step):
+            block = eps[i:i + step]
+            if self._top is None:
+                out[i:i + step] = self._past(block[:, None])
+            else:
+                # math.exp per entry as in _at: np.exp rounds some values differently
+                e = [math.exp(x) for x in np.minimum(block, self._top).tolist()]
+                out[i:i + step] = self._below(np.array(e)[:, None])
+        return clip_delta_array(out)
+
+
+def profile_from_points(points):
+    """The Points node through a list of (eps, delta) guarantees, given
+    as PointDP or pairs; each needs finite eps >= 0 and delta in [0,1]."""
     pts = sorted(
         (p.eps, p.delta) if isinstance(p, PointDP) else (float(p[0]), float(p[1]))
         for p in points
@@ -194,65 +251,55 @@ def profile_from_points(points):
     ok = (0 <= eps_arr) & (eps_arr < math.inf) & (0 <= del_arr) & (del_arr <= 1)
     if not ok.all():
         raise ValueError(f"points need finite eps >= 0 and delta in [0,1], got {pts}")
-    with np.errstate(over="ignore"):
-        exp_arr = np.exp(eps_arr)
-    top = eps_arr[-1]
+    return Points(eps_arr, del_arr)
 
-    # the unclipped minimum over the points, at a float or at each entry
-    # of a column: `below` takes e^min(eps, top), `past` takes eps
-    def below(e):
-        return np.min(del_arr + np.maximum(exp_arr - e, 0.0), axis=-1)
 
-    def past(eps):
-        # e^eps_i overflows, so the gap above eps is e^eps expm1(eps_i - eps);
-        # an infinite gap is a term clipped to 1, as it should be.  e^eps is
-        # floored at the least subnormal, so that below eps = -745 the gap
-        # is inf and not 0 * inf.  A NaN eps puts every point above it, so
-        # the NaN reaches the clip.
-        above = ~(eps_arr <= eps)
-        with np.errstate(over="ignore", invalid="ignore"):
-            gap = np.maximum(np.exp(eps), _TINY) * np.expm1(eps_arr - eps)
-        return np.min(del_arr + np.where(above, gap, 0.0), axis=-1)
+@dataclass(frozen=True, eq=False)
+class Scaled(PrivacyProfile):
+    """min(1, factor * base(eps - shift)), with the base's knots shifted along.
 
-    if math.isfinite(exp_arr[-1]):
-        def fn(eps):
-            return clip_delta(float(below(math.exp(min(eps, top)))))
+    With positive_eps_only the profile is 1 at eps <= 0: a mechanism
+    that may release nothing certifies nothing there.  With log_factor,
+    `factor` is the log of the multiplier and the product is formed in
+    log space, exp(min(0, factor + log base)), 0 where the base is 0, so
+    a multiplier past float range (candidates**rounds) still scales.
+    """
 
-        def rows(eps):
-            # math.exp per entry as in fn: np.exp rounds some values differently
-            e = [math.exp(x) for x in np.minimum(eps, top).tolist()]
-            return below(np.array(e)[:, None])
-    else:
-        def fn(eps):
-            return clip_delta(float(past(eps)))
+    base: PrivacyProfile
+    factor: float
+    shift: float = 0.0
+    positive_eps_only: bool = False
+    log_factor: bool = False
 
-        def rows(eps):
-            return past(eps[:, None])
+    @property
+    def knots(self):
+        return tuple(k + self.shift for k in self.base.knots)
 
-    step = max(1, _BATCH_CELLS // len(pts))
+    def _at(self, eps):
+        if self.positive_eps_only and eps <= 0:
+            return 1.0
+        d = self.base(eps - self.shift)
+        if self.log_factor:
+            return 0.0 if d <= 0.0 else math.exp(min(0.0, self.factor + math.log(d)))
+        return min(1.0, self.factor * d)
 
-    def batch(eps):
-        out = np.empty(len(eps))
-        for i in range(0, len(eps), step):
-            out[i:i + step] = rows(eps[i:i + step])
-        return clip_delta_array(out)
-
-    return PrivacyProfile(fn, knots=tuple(eps_arr), batch=batch)
+    def on_array(self, eps):
+        # the base is evaluated at the eps _at evaluates it at, a NaN among them
+        keep = ~(eps <= 0) if self.positive_eps_only else slice(None)
+        d = self.base.on_array(eps[keep] - self.shift)
+        out = np.ones(len(eps))
+        if self.log_factor:
+            # math.log and math.exp per entry, as in _at
+            out[keep] = [0.0 if x <= 0.0 else math.exp(min(0.0, self.factor + math.log(x)))
+                         for x in d.tolist()]
+        else:
+            out[keep] = np.where(self.factor * d < 1.0, self.factor * d, 1.0)
+        return out
 
 
 def scaled_profile(base, factor, shift=0.0, positive_eps_only=False):
-    """min(1, factor * base(eps - shift)), with the knots shifted along.
-
-    With positive_eps_only the profile is 1 at eps <= 0: a mechanism
-    that may release nothing certifies nothing there.
-    """
-
-    def fn(eps):
-        if positive_eps_only and eps <= 0:
-            return 1.0
-        return min(1.0, factor * base(eps - shift))
-
-    return PrivacyProfile(fn, knots=tuple(k + shift for k in base.knots))
+    """The Scaled node min(1, factor * base(eps - shift)); see `Scaled`."""
+    return Scaled(base, factor, shift, positive_eps_only)
 
 
 def rdp_to_dp(curve, eps_target):
@@ -261,6 +308,8 @@ def rdp_to_dp(curve, eps_target):
     Uses delta = exp((alpha-1)(eps' - eps)) / alpha * (1 - 1/alpha)^(alpha-1)
     minimized over the curve's order grid, clipped to [0,1].
     """
+    if eps_target != eps_target:
+        raise ValueError("eps is NaN")
     am1, log_frac, log_a = _order_terms(curve.orders)
     log_d = am1 * (curve.values - eps_target) + log_frac - log_a
     return float(np.exp(min(0.0, np.min(log_d))))
@@ -288,17 +337,34 @@ def rdp_eps_for_delta(curve, delta):
     return eps
 
 
+@dataclass(frozen=True, eq=False)
+class Renyi(PrivacyProfile):
+    """A Renyi curve as a profile, through rdp_to_dp; epsilon_for_delta
+    inverts it in closed form, through rdp_eps_for_delta."""
+
+    curve: RdpCurve
+
+    def _at(self, eps):
+        return rdp_to_dp(self.curve, eps)
+
+    def on_array(self, eps):
+        # rdp_to_dp broadcast over a column of eps; min(0, x) is 0 at a NaN x
+        if np.isnan(eps).any():
+            raise ValueError("eps is NaN")
+        am1, log_frac, log_a = _order_terms(self.curve.orders)
+        log_d = np.min(am1 * (self.curve.values - eps[:, None]) + log_frac - log_a, axis=1)
+        return np.exp(np.where(log_d < 0.0, log_d, 0.0))
+
+
 def rdp_profile(curve):
-    """Wrap a Renyi curve as a PrivacyProfile via the conversion above,
-    with its closed-form inverse."""
-    return PrivacyProfile(lambda eps: rdp_to_dp(curve, eps),
-                          inverse=lambda delta: rdp_eps_for_delta(curve, delta))
+    """The Renyi node of a curve."""
+    return Renyi(curve)
 
 
 def epsilon_for_delta(profile, delta_target):
     """Smallest eps at which the profile drops to delta_target.
 
-    A profile with an exact inverse answers through it.  Otherwise the
+    A Renyi node answers through its closed-form inverse.  Otherwise the
     answer is within 1e-6 above the true value: brackets by doubling from
     1 up to a hard cap of 1e4, then bisects.
     """
@@ -306,8 +372,8 @@ def epsilon_for_delta(profile, delta_target):
         raise ValueError(f"delta target must be in (0,1], got {delta_target}")
     if profile(0.0) <= delta_target:
         return 0.0
-    if profile.inverse is not None:
-        eps = max(0.0, profile.inverse(delta_target))
+    if isinstance(profile, Renyi):
+        eps = max(0.0, rdp_eps_for_delta(profile.curve, delta_target))
         if eps > EPS_CAP:
             raise UnreachableTargetError(
                 f"profile still above delta={delta_target:g} at eps={EPS_CAP:g}"

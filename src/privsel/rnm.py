@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .profiles import PrivacyProfile, gaussian_profile, scaled_profile
+from .profiles import Scaled, gaussian_profile, scaled_profile
 
 
 @dataclass(frozen=True)
@@ -55,21 +55,14 @@ def rnm_composition_profile(base_comp, candidates, rounds):
 
     base_comp must already be the rounds-fold composed single-score
     profile (for Gaussian noise: gaussian_profile(sigma, sens*sqrt(rounds)));
-    the candidate factor then enters once per round.
+    the candidate factor then enters once per round, as
+    min(1, candidates**rounds * base_comp(eps)) formed in log space.
     """
     if candidates < 1:
         raise ValueError(f"candidates must be >= 1, got {candidates}")
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
-    log_m = rounds * math.log(candidates)
-
-    def fn(eps):
-        d = base_comp(eps)
-        if d <= 0.0:
-            return 0.0
-        return math.exp(min(0.0, log_m + math.log(d)))
-
-    return PrivacyProfile(fn, knots=base_comp.knots)
+    return Scaled(base_comp, rounds * math.log(candidates), log_factor=True)
 
 
 def rnm_gaussian_eps(sigma, candidates, delta):

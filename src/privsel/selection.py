@@ -21,8 +21,8 @@ from .countdist import Binomial, Poisson, TruncNegBinomial
 from .errors import EmptyCurveError, NoAdmissibleEps1Error, UnreachableTargetError
 from .profiles import (
     PointDP,
-    PrivacyProfile,
     RdpCurve,
+    Scaled,
     epsilon_for_delta,
     scaled_profile,
 )
@@ -40,7 +40,7 @@ class SelectionBoundResult:
     """A selection bound: the output profile, the eps1 the optimizer
     settled on, and the induced shift subtracted from queried eps values."""
 
-    profile: PrivacyProfile
+    profile: Scaled
     eps1: float
     shift: float
 

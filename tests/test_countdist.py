@@ -23,6 +23,32 @@ def test_log_series_success_frozen():
     assert d.mean() == pytest.approx(10.0, rel=1e-9)
 
 
+def ninety_step_success(shape, m):
+    """The negbin success solve as it was before it stopped early: 90
+    bisection steps from the same bracket, whatever they change."""
+    def mean_at(g):
+        return TruncNegBinomial(shape, g).mean()
+
+    lo = min(0.5, 1 / m)
+    while mean_at(lo) < m:
+        lo /= 10
+    hi = 1 - 1e-12
+    for _ in range(90):
+        mid = 0.5 * (lo + hi)
+        if mean_at(mid) > m:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("shape", [-0.9, -0.5, -1e-4, 0.0, 1e-12, 0.3, 2.0, 7.5])
+@pytest.mark.parametrize("m", [1.0 + 1e-9, 1.5, 2.0, 17.3, 300.0, 3000.0, 1e6])
+def test_success_solve_stops_on_the_ninety_step_bits(shape, m):
+    got = from_expected("negbin", m, shape=shape).success
+    assert got.hex() == ninety_step_success(shape, m).hex()
+
+
 def test_from_expected_round_trips_mean():
     for kind, kwargs in (
         ("negbin", {"shape": 0.5}),

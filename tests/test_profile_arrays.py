@@ -1,9 +1,9 @@
-"""Array evaluation of base profiles against their scalar form.
+"""Array evaluation of every profile node against its scalar form.
 
-A Gaussian or point-list profile evaluated over an array of eps must give
-exactly the floats its scalar evaluator gives one eps at a time, refuse
-a NaN the same way, and leave `optimize_eps1` choosing the same eps1 as
-a scan that calls the base once per candidate.
+Each node (Gaussian, Points, Scaled, Renyi, Pld) evaluated over an array
+of eps must give exactly the floats its scalar evaluator gives one eps at
+a time, and refuse a NaN the same way.  `optimize_eps1` must choose the
+same eps1 as a scan that calls the base once per candidate.
 """
 
 import math
@@ -14,12 +14,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from privsel.errors import UnreachableTargetError
+from privsel.pld import (
+    DiscretePLD,
+    GridSpec,
+    Pld,
+    SubsampledGaussianParams,
+    subsampled_gaussian_profile,
+)
 from privsel.profiles import (
+    PointDP,
+    Scaled,
     clip_delta_array,
     epsilon_for_delta,
     gaussian_profile,
+    gaussian_rdp_curve,
     profile_from_points,
+    rdp_profile,
+    rdp_to_dp,
+    scaled_profile,
 )
+from privsel.rnm import rnm_composition_profile, rnm_profile
 from privsel.selection import (
     EPS1_CAP,
     GRID_LO,
@@ -27,6 +41,8 @@ from privsel.selection import (
     REFINE_TOL,
     negbin_penalty,
     optimize_eps1,
+    rdp_select_negbin,
+    rdp_select_poisson,
 )
 
 PROPS = settings(max_examples=150, deadline=None, database=None, derandomize=True)
@@ -88,11 +104,116 @@ def test_points_array_is_evaluated_in_blocks():
         assert array_values(prof, eps) == scalar_values(prof, eps)
 
 
+bases = st.one_of(
+    st.floats(0.3, 30.0).map(gaussian_profile),
+    point_lists(past_exp_range=False).map(profile_from_points),
+    point_lists(past_exp_range=True).map(profile_from_points),
+)
+
+
+@PROPS
+@given(bases, st.floats(1.0, 1e4), st.floats(-5.0, 50.0), st.booleans(), eps_arrays)
+def test_scaled_array_equals_scalar(base, factor, shift, positive_eps_only, eps):
+    prof = scaled_profile(base, factor, shift, positive_eps_only)
+    eps = np.concatenate([eps, np.array(prof.knots), [0.0, -0.0, shift]])
+    assert array_values(prof, eps) == scalar_values(prof, eps)
+
+
+@PROPS
+@given(bases, st.integers(1, 10**6), st.integers(1, 60), eps_arrays)
+def test_log_space_rnm_composition_array_equals_scalar(base, candidates, rounds, eps):
+    prof = rnm_composition_profile(base, candidates, rounds)
+    assert isinstance(prof, Scaled) and prof.log_factor
+    assert array_values(prof, eps) == scalar_values(prof, eps)
+
+
+def test_log_space_composition_is_zero_where_the_base_is():
+    # the base is exactly 0 from eps = 2 on, and candidates**rounds
+    # overflows a float
+    prof = rnm_composition_profile(profile_from_points([(2.0, 0.0)]), 10**9, 40)
+    eps = np.array([-1.0, 0.0, 1.0, 1.999, 2.0, 3.0, 800.0])
+    assert array_values(prof, eps) == scalar_values(prof, eps)
+    assert prof(2.0) == 0.0 and prof(1.999) == 1.0
+    assert rnm_profile(profile_from_points([(2.0, 0.0)]), 7)(3.0) == 0.0
+
+
+@st.composite
+def renyi_curves(draw):
+    """A Gaussian curve over the full order grid, its negbin baseline, or
+    a Poisson baseline that keeps only its admissible orders."""
+    base = gaussian_rdp_curve(draw(st.floats(0.3, 30.0)))
+    kind = draw(st.sampled_from(("base", "negbin", "poisson")))
+    if kind == "negbin":
+        return rdp_select_negbin(base, draw(st.floats(-0.9, 3.0)), draw(st.floats(1e-4, 0.9)))
+    if kind == "poisson":
+        eps_hat = draw(st.floats(0.05, 2.0))
+        point = PointDP(eps_hat, rdp_to_dp(base, eps_hat))
+        return rdp_select_poisson(base, point, draw(st.floats(1.0, 1e4)))
+    return base
+
+
+@PROPS
+@given(renyi_curves(), eps_arrays)
+def test_renyi_array_equals_scalar(curve, eps):
+    prof = rdp_profile(curve)
+    assert array_values(prof, eps) == scalar_values(prof, eps)
+
+
+def test_renyi_array_over_a_poisson_filtered_curve():
+    base = gaussian_rdp_curve(2.0)
+    curve = rdp_select_poisson(base, PointDP(1.0, rdp_to_dp(base, 1.0)), 50.0)
+    assert len(curve.orders) < len(base.orders)
+    eps = np.linspace(-2.0, 40.0, 301)
+    assert array_values(rdp_profile(curve), eps) == scalar_values(rdp_profile(curve), eps)
+
+
+@st.composite
+def loss_distributions(draw):
+    """A small discretized loss distribution whose grid reaches past
+    eps = 500, where delta sums directly instead of factoring e^eps."""
+    spacing = draw(st.sampled_from([0.5, 1.0, 7.0]))
+    origin = draw(st.integers(int(-50 / spacing), int(560 / spacing)))
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
+    tail = draw(st.sampled_from([0.0, 1e-12, 0.25]))
+    mass = np.array(weights) + 1e-3
+    return DiscretePLD(spacing, origin, mass * ((1.0 - tail) / mass.sum()), tail)
+
+
+@PROPS
+@given(loss_distributions(), loss_distributions(), eps_arrays)
+def test_pld_array_equals_scalar(remove, add, eps):
+    prof = Pld(remove, add)
+    # the grid points, and beyond both ends of each grid
+    for d in (remove, add):
+        ell = (d.origin_index + np.arange(len(d.mass))) * d.spacing
+        eps = np.concatenate([eps, ell, ell[-1:] + 1.0, ell[:1] - 1.0])
+    for direction in (remove, add):
+        assert [v.hex() for v in direction.deltas(eps).tolist()] == [
+            direction.delta(e).hex() for e in eps.tolist()]
+    assert array_values(prof, eps) == scalar_values(prof, eps)
+
+
+def test_subsampled_gaussian_array_equals_scalar():
+    prof = subsampled_gaussian_profile(SubsampledGaussianParams(0.05, 1.0, 4),
+                                       GridSpec(spacing=1e-3))
+    eps = np.concatenate([np.linspace(-1.0, 12.0, 500), [0.0, 600.0, 1e4]])
+    assert array_values(prof, eps) == scalar_values(prof, eps)
+
+
+_PLD = DiscretePLD(1.0, 498, np.array([0.25, 0.5, 0.25]), 0.0)
+
+
 @pytest.mark.parametrize("profile", [
     gaussian_profile(4.0),
     profile_from_points([(0.5, 1e-3), (3.0, 1e-9)]),
     profile_from_points([(0.5, 1e-3), (800.0, 0.0)]),
-], ids=["gaussian", "points", "points-past-exp-range"])
+    scaled_profile(gaussian_profile(4.0), 30.0, 0.7),
+    scaled_profile(profile_from_points([(0.5, 1e-3)]), 30.0, 0.7, positive_eps_only=True),
+    rnm_composition_profile(gaussian_profile(4.0, 4.0), 10, 4),
+    rdp_profile(gaussian_rdp_curve(4.0)),
+    Pld(_PLD, _PLD),
+], ids=["gaussian", "points", "points-past-exp-range", "scaled", "scaled-positive",
+        "rnm-composition", "renyi", "pld"])
 def test_nan_eps_is_refused_by_both_forms(profile):
     with pytest.raises(ValueError, match="NaN"):
         profile(math.nan)
@@ -177,13 +298,6 @@ def penalties(draw):
         return (n - 1.0) * math.log1p(p * math.expm1(e1) + p * d1)
 
     return penalty, (t,)
-
-
-bases = st.one_of(
-    st.floats(0.3, 30.0).map(gaussian_profile),
-    point_lists(past_exp_range=False).map(profile_from_points),
-    point_lists(past_exp_range=True).map(profile_from_points),
-)
 
 
 @SCANS

@@ -70,8 +70,19 @@ def reference_rdp_to_dp(curve, eps):
     return math.exp(best)
 
 
+class BisectedRenyi(PrivacyProfile):
+    """A Renyi curve's profile with no closed-form inverse, so that
+    epsilon_for_delta bisects it."""
+
+    def __init__(self, curve):
+        self.curve = curve
+
+    def _at(self, eps):
+        return rdp_to_dp(self.curve, eps)
+
+
 def bisection_eps(curve, delta):
-    return epsilon_for_delta(PrivacyProfile(lambda e: rdp_to_dp(curve, e)), delta)
+    return epsilon_for_delta(BisectedRenyi(curve), delta)
 
 
 def assert_curve_is(curve, orders, values):
