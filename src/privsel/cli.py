@@ -87,32 +87,46 @@ def _config_section(cfg, name):
     return dict(section)
 
 
-def _merge_base(cfg, args):
-    base = _config_section(cfg, "base")
-    if getattr(args, "base", None):
-        base["kind"] = args.base
-    for flag, key in (("sigma", "sigma"), ("sensitivity", "sensitivity"),
-                      ("q", "q"), ("steps", "steps"), ("eps_base", "eps")):
-        v = getattr(args, flag, None)
-        if v is not None:
-            base[key] = v
-    if "kind" not in base:
-        raise ConfigError("no base mechanism given (config 'base' or --base)")
-    return base
+# the fields each kind reads; any other field is refused, so no input is
+# silently dropped.  A family also lists the methods it accepts, and the
+# family None is a query on the bare base.
+_BASES = {
+    "gaussian": ("sigma", "sensitivity"),
+    "subsampled_gaussian": ("q", "sigma", "steps", "sensitivity"),
+    "pure": ("eps",),
+    "points": ("points",),
+}
+_FAMILIES = {
+    None: ((), ("hs", "rdp")),
+    "negbin": (("eta", "gamma", "m"), ("hs", "rdp", "closed")),
+    "binomial": (("n", "p", "m"), ("hs",)),
+    "poisson": (("m",), ("hs",)),
+    "rnm": (("m", "rounds", "monotone"), ("hs", "closed")),
+}
 
 
-def _merge_family(cfg, args):
-    fam = _config_section(cfg, "family")
-    if getattr(args, "family", None):
-        fam["kind"] = args.family
-    for flag, key in (("eta", "eta"), ("gamma", "gamma"), ("m", "m"),
-                      ("n", "n"), ("p", "p"), ("rounds", "rounds")):
-        v = getattr(args, flag, None)
-        if v is not None:
-            fam[key] = v
-    if getattr(args, "monotone", False):
-        fam["monotone"] = True
-    return fam if fam else None
+def _check_fields(spec, what, fields):
+    kind = spec["kind"]
+    unread = sorted(set(spec) - {"kind", *fields})
+    if unread:
+        raise ConfigError(f"{kind} {what} does not read {', '.join(unread)}; "
+                          f"its fields are {', '.join(fields)}")
+
+
+def _merge(cfg, args, section, field_lists):
+    """The config section ("base" or "family") with the kind flag and every
+    given field flag laid over it; a field's flag is named after its key,
+    but for eps, which is --eps-base."""
+    spec = _config_section(cfg, section)
+    kind = getattr(args, section, None)
+    if kind:
+        spec["kind"] = kind
+    for key in dict.fromkeys(f for fields in field_lists for f in fields):
+        v = getattr(args, "eps_base" if key == "eps" else key, None)
+        # not `if v`: --sigma 0, --steps 0 and --eta 0 are given values
+        if v is not None and v is not False:
+            spec[key] = v
+    return spec
 
 
 def _grid_spec(args, builds_grid):
@@ -184,10 +198,12 @@ def _base_params(base):
     (sigma, sensitivity) for gaussian, SubsampledGaussianParams for
     subsampled_gaussian (sigma divided by the sensitivity), eps for pure,
     the (eps, delta) list for points."""
-    kind = base.get("kind")
-    if kind not in ("gaussian", "subsampled_gaussian", "pure", "points"):
+    if "kind" not in base:
+        raise ConfigError("no base mechanism given (config 'base' or --base)")
+    kind = base["kind"]
+    if not (isinstance(kind, str) and kind in _BASES):
         raise ConfigError(f"unknown base kind {kind!r}")
-    _check_fields(base, "base")
+    _check_fields(base, "base", _BASES[kind])
     if kind == "gaussian":
         return kind, _sigma_sens(base)
     if kind == "subsampled_gaussian":
@@ -256,7 +272,7 @@ def _eps_grid(args):
 def cmd_profile(args):
     cfg = _load_config(args)
     out = _out_path(args, cfg)
-    kind, params = _base_params(_merge_base(cfg, args))
+    kind, params = _base_params(_merge(cfg, args, "base", _BASES.values()))
     profile = _build_base(kind, params,
                           grid=_grid_spec(args, kind == "subsampled_gaussian"))
     rows = [(e, profile(e)) for e in _eps_grid(args)]
@@ -297,37 +313,6 @@ def cmd_compare(args):
     return 0
 
 
-# the methods each family accepts; None is a query on the bare base
-_METHODS = {
-    None: ("hs", "rdp"),
-    "negbin": ("hs", "rdp", "closed"),
-    "binomial": ("hs",),
-    "poisson": ("hs",),
-    "rnm": ("hs", "closed"),
-}
-
-# the fields each base and family kind reads; any other field is refused,
-# so no input is silently dropped
-_FIELDS = {
-    "gaussian": ("sigma", "sensitivity"),
-    "subsampled_gaussian": ("q", "sigma", "steps", "sensitivity"),
-    "pure": ("eps",),
-    "points": ("points",),
-    "negbin": ("eta", "gamma", "m"),
-    "binomial": ("n", "p", "m"),
-    "poisson": ("m",),
-    "rnm": ("m", "rounds", "monotone"),
-}
-
-
-def _check_fields(spec, what):
-    kind = spec["kind"]
-    unread = sorted(set(spec) - {"kind", *_FIELDS[kind]})
-    if unread:
-        raise ConfigError(f"{kind} {what} does not read {', '.join(unread)}; "
-                          f"its fields are {', '.join(_FIELDS[kind])}")
-
-
 def _resolve_rnm(kind, params, fam, method, delta):
     if kind != "gaussian":
         raise ConfigError("rnm needs a gaussian base")
@@ -355,15 +340,15 @@ def _resolve(base, fam, method, args):
     the method reads; direct is a closed-form eps, reported as-is instead
     of being read back off the profile."""
     family = None if fam is None else fam.get("kind")
-    if fam is not None and not (isinstance(family, str) and family in _METHODS):
+    if fam is not None and not (isinstance(family, str) and family in _FAMILIES):
         raise ConfigError(f"unknown family kind {family!r}")
-    methods = _METHODS[family]
+    fields, methods = _FAMILIES[family]
     if not (isinstance(method, str) and method in methods):
         raise ConfigError(f"method {method!r} is not available for "
                           f"{family or 'a bare base'}, choose from "
                           f"{', '.join(methods)}")
     if fam is not None:
-        _check_fields(fam, "family")
+        _check_fields(fam, "family", fields)
     if args.eps1 is not None and (family in (None, "rnm") or method != "hs"):
         raise ConfigError("--eps1 is read only by the hs bound of a negbin, "
                           "binomial or poisson family")
@@ -403,8 +388,11 @@ def cmd_guarantee(args):
     if args.delta is not None and args.eps is not None:
         raise ConfigError("give exactly one of --delta and --eps")
     method = args.method or cfg.get("method", "hs")
-    profile, eps1, direct = _resolve(_merge_base(cfg, args),
-                                     _merge_family(cfg, args), method, args)
+    base = _merge(cfg, args, "base", _BASES.values())
+    if "kind" not in base:
+        _base_params(base)  # raises: a missing base is named before the family
+    fam = _merge(cfg, args, "family", (fields for fields, _ in _FAMILIES.values()))
+    profile, eps1, direct = _resolve(base, fam or None, method, args)
     if args.delta is not None:
         eps = direct if direct is not None else epsilon_for_delta(
             profile, args.delta)
@@ -549,8 +537,7 @@ def build_parser():
 
     def add_base_flags(p):
         p.add_argument("--config", help="JSON scenario file; flags override it")
-        p.add_argument("--base", choices=["gaussian", "subsampled_gaussian",
-                                          "pure", "points"])
+        p.add_argument("--base", choices=list(_BASES))
         p.add_argument("--sigma", type=float)
         p.add_argument("--sensitivity", type=float)
         p.add_argument("--q", type=float)
@@ -573,7 +560,7 @@ def build_parser():
 
     p = sub.add_parser("guarantee", help="single (eps, delta) query")
     add_base_flags(p)
-    p.add_argument("--family", choices=["negbin", "binomial", "poisson", "rnm"])
+    p.add_argument("--family", choices=[f for f in _FAMILIES if f])
     p.add_argument("--eta", type=float)
     p.add_argument("--gamma", type=float)
     p.add_argument("--m", type=float)
@@ -581,7 +568,8 @@ def build_parser():
     p.add_argument("--p", type=float)
     p.add_argument("--monotone", action="store_true")
     p.add_argument("--rounds", type=int)
-    p.add_argument("--method", choices=["hs", "rdp", "closed"])
+    p.add_argument("--method", choices=list(dict.fromkeys(
+        m for _, methods in _FAMILIES.values() for m in methods)))
     p.add_argument("--delta", type=float)
     p.add_argument("--eps", type=float)
     p.add_argument("--eps1", type=float,

@@ -26,6 +26,7 @@ import tempfile
 import zipfile
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import ClassVar
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
@@ -52,17 +53,16 @@ _RENYI_MAX_POINTS = 2**22
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Loss grid parameters: spacing, and the density tail mass the grid
-    range may leave uncovered on each construction."""
+    """Loss grid parameters: the spacing, and the density tail mass the
+    grid range may leave uncovered on each construction, the same for
+    every grid."""
 
     spacing: float = 1e-4
-    tail_mass: float = 1e-15
+    tail_mass: ClassVar[float] = 1e-15
 
     def __post_init__(self):
         if not 0 < self.spacing < math.inf:
             raise ValueError(f"spacing must be positive and finite, got {self.spacing}")
-        if not 0 < self.tail_mass < 1e-6:
-            raise ValueError("tail mass budget out of range")
 
 
 @dataclass(frozen=True)

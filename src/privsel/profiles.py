@@ -297,11 +297,6 @@ class Scaled(PrivacyProfile):
         return out
 
 
-def scaled_profile(base, factor, shift=0.0, positive_eps_only=False):
-    """The Scaled node min(1, factor * base(eps - shift)); see `Scaled`."""
-    return Scaled(base, factor, shift, positive_eps_only)
-
-
 def rdp_to_dp(curve, eps_target):
     """Delta at eps_target implied by a Renyi curve.
 
@@ -373,7 +368,7 @@ def epsilon_for_delta(profile, delta_target):
     if profile(0.0) <= delta_target:
         return 0.0
     if isinstance(profile, Renyi):
-        eps = max(0.0, rdp_eps_for_delta(profile.curve, delta_target))
+        eps = rdp_eps_for_delta(profile.curve, delta_target)
         if eps > EPS_CAP:
             raise UnreachableTargetError(
                 f"profile still above delta={delta_target:g} at eps={EPS_CAP:g}"

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .profiles import Scaled, gaussian_profile, scaled_profile
+from .profiles import Scaled, gaussian_profile
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ def rnm_profile(base, candidates):
     """
     if candidates < 1:
         raise ValueError(f"candidates must be >= 1, got {candidates}")
-    return scaled_profile(base, candidates)
+    return Scaled(base, candidates)
 
 
 def rnm_composition_profile(base_comp, candidates, rounds):

@@ -24,7 +24,6 @@ from .profiles import (
     RdpCurve,
     Scaled,
     epsilon_for_delta,
-    scaled_profile,
 )
 
 GRID_POINTS = 200
@@ -104,15 +103,6 @@ def optimize_eps1(base, penalty, extra=()):
     return best_e
 
 
-def _resolve_eps1(strategy, base, penalty, extra=()):
-    if strategy == "optimized":
-        return optimize_eps1(base, penalty, extra=extra)
-    e1 = float(strategy)
-    if not 0 <= e1 < math.inf:
-        raise ValueError(f"fixed eps1 must be >= 0 and finite, got {e1}")
-    return e1
-
-
 def negbin_penalty(eta, gamma):
     """The eps shift of a truncated-negative-binomial count as a function
     of (eps1, delta1): (eta+1) * log(e^eps1 + ((1-gamma)/gamma) * delta1)."""
@@ -188,7 +178,12 @@ def bound_for_count(base, dist, eps1_strategy="optimized"):
     eps <= 0.
     """
     penalty, eps1_min = _count_terms(base, dist)
-    eps1 = _resolve_eps1(eps1_strategy, base, penalty, extra=(eps1_min,))
+    if eps1_strategy == "optimized":
+        eps1 = optimize_eps1(base, penalty, extra=(eps1_min,))
+    else:
+        eps1 = float(eps1_strategy)
+        if not 0 <= eps1 < math.inf:
+            raise ValueError(f"fixed eps1 must be >= 0 and finite, got {eps1}")
     if eps1 < eps1_min:
         raise NoAdmissibleEps1Error(
             f"eps1={eps1:g} is below the admissibility threshold {eps1_min:g}"
@@ -200,8 +195,8 @@ def bound_for_count(base, dist, eps1_strategy="optimized"):
     if shift == math.inf:
         raise ValueError(f"eps1={eps1:g} is too large: the shift it induces "
                          f"overflows a float")
-    profile = scaled_profile(base, dist.mean(), shift,
-                             positive_eps_only=not isinstance(dist, TruncNegBinomial))
+    profile = Scaled(base, dist.mean(), shift,
+                     positive_eps_only=not isinstance(dist, TruncNegBinomial))
     return SelectionBoundResult(profile, eps1, shift)
 
 

@@ -182,8 +182,7 @@ def test_08_loss_grid_refinement_stability():
                          (presets.FIG7_PARAMS, GridSpec())):
         coarse = subsampled_gaussian_profile(params, grid)
         fine = subsampled_gaussian_profile(
-            params, GridSpec(spacing=grid.spacing / 2,
-                             tail_mass=grid.tail_mass))
+            params, GridSpec(spacing=grid.spacing / 2))
         for e in eps_grid:
             worst = max(worst, abs(coarse(e) - fine(e))
                         - (1e-4 * fine(e) + 1e-12))

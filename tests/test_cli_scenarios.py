@@ -235,6 +235,44 @@ def test_config_field_the_kind_does_not_read_is_refused(cfg, tmp_path, capsys):
     assert refused(argv, capsys)
 
 
+# a flag of 0 is given and overrides the config: 0 == False, so a test of
+# truthiness would drop it and leave the config value in force
+ZERO_CFG = {"base": {"kind": "gaussian", "sigma": 4},
+            "family": {"kind": "negbin", "eta": 1, "m": 30}}
+
+
+def test_zero_valued_flag_overrides_the_config(tmp_path):
+    argv = ["guarantee", *config(tmp_path, ZERO_CFG), "--delta", "1e-6"]
+    assert run(argv) == (
+        0, "eps=2.28831100464 delta=1e-06 method=hs eps1=0.423411503464\n")
+    assert run(argv + ["--eta", "0"]) == (
+        0, "eps=1.9077539444 delta=1e-06 method=hs eps1=0.587818769544\n")
+
+
+@pytest.mark.parametrize("cfg, flag, message", [
+    (ZERO_CFG, ["--sigma", "0"],
+     "gaussian base needs sigma > 0 and sensitivity > 0"),
+    ({"base": {"kind": "subsampled_gaussian", "q": 0.01, "sigma": 1, "steps": 5}},
+     ["--steps", "0"], "steps must be >= 1, got 0"),
+], ids=["sigma", "steps"])
+def test_zero_valued_flag_is_checked_not_dropped(cfg, flag, message, tmp_path,
+                                                 capsys):
+    rc = cli.main(["guarantee", *config(tmp_path, cfg), *flag, "--delta", "1e-6"])
+    out = capsys.readouterr()
+    assert (rc, out.out, out.err) == (2, "", f"error: {message}\n")
+
+
+def test_unset_monotone_flag_is_not_a_given_field(tmp_path):
+    cfg = {"base": {"kind": "gaussian", "sigma": 4},
+           "family": {"kind": "poisson", "m": 10}}
+    args = cli.build_parser().parse_args(["guarantee", *config(tmp_path, cfg)])
+    assert args.monotone is False
+    fields = (fields for fields, _ in cli._FAMILIES.values())
+    assert cli._merge(cfg, args, "family", fields) == {"kind": "poisson", "m": 10}
+    assert run(["guarantee", *config(tmp_path, cfg), "--delta", "1e-6"]) == (
+        0, "eps=2.17651081085 delta=1e-06 method=hs eps1=0\n")
+
+
 @pytest.mark.parametrize("argv", [
     GAUSS + NEGBIN + ["--method", "rdp"],
     GAUSS + NEGBIN + ["--method", "closed"],

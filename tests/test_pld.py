@@ -45,15 +45,11 @@ RENYI_A16_ONE_STEP = 0.7918914327818983
 
 
 def test_grid_spec_validation():
-    GridSpec(spacing=1e-4, tail_mass=1e-15)
+    GridSpec(spacing=1e-4)
     with pytest.raises(ValueError):
         GridSpec(spacing=0.0)
     with pytest.raises(ValueError):
         GridSpec(spacing=-1e-4)
-    with pytest.raises(ValueError):
-        GridSpec(tail_mass=0.0)
-    with pytest.raises(ValueError):
-        GridSpec(tail_mass=1e-5)
 
 
 def test_params_validation():

@@ -31,7 +31,6 @@ from privsel.profiles import (
     profile_from_points,
     rdp_profile,
     rdp_to_dp,
-    scaled_profile,
 )
 from privsel.rnm import rnm_composition_profile, rnm_profile
 from privsel.selection import (
@@ -114,7 +113,7 @@ bases = st.one_of(
 @PROPS
 @given(bases, st.floats(1.0, 1e4), st.floats(-5.0, 50.0), st.booleans(), eps_arrays)
 def test_scaled_array_equals_scalar(base, factor, shift, positive_eps_only, eps):
-    prof = scaled_profile(base, factor, shift, positive_eps_only)
+    prof = Scaled(base, factor, shift, positive_eps_only)
     eps = np.concatenate([eps, np.array(prof.knots), [0.0, -0.0, shift]])
     assert array_values(prof, eps) == scalar_values(prof, eps)
 
@@ -207,8 +206,8 @@ _PLD = DiscretePLD(1.0, 498, np.array([0.25, 0.5, 0.25]), 0.0)
     gaussian_profile(4.0),
     profile_from_points([(0.5, 1e-3), (3.0, 1e-9)]),
     profile_from_points([(0.5, 1e-3), (800.0, 0.0)]),
-    scaled_profile(gaussian_profile(4.0), 30.0, 0.7),
-    scaled_profile(profile_from_points([(0.5, 1e-3)]), 30.0, 0.7, positive_eps_only=True),
+    Scaled(gaussian_profile(4.0), 30.0, 0.7),
+    Scaled(profile_from_points([(0.5, 1e-3)]), 30.0, 0.7, positive_eps_only=True),
     rnm_composition_profile(gaussian_profile(4.0, 4.0), 10, 4),
     rdp_profile(gaussian_rdp_curve(4.0)),
     Pld(_PLD, _PLD),
