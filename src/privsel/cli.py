@@ -322,6 +322,8 @@ def _resolve_rnm(kind, params, fam, method, delta):
         raise ConfigError(f"monotone must be true or false, got {monotone!r}")
     spec = RnmSpec(_count(fam, "m"), monotone, sigma)
     rounds = _count(fam, "rounds", 1)
+    if rounds < 1:
+        raise ConfigError(f"rounds must be >= 1, got {rounds}")
     if method == "closed":
         if monotone or rounds != 1:
             raise ConfigError("closed-form rnm needs one non-monotone round")

@@ -38,6 +38,20 @@ def _near_zero_norm(g, eta):
     return (1.0 if t == 0 else t / math.expm1(t)) / math.log(1 / g)
 
 
+def _check_shape(eta):
+    if not eta > -1:
+        raise ValueError(f"shape must exceed -1, got {eta}")
+
+
+def _negbin_mean(eta, g):
+    """Mean of the truncated negative binomial of shape eta and success g."""
+    if eta == 0:
+        return (1 / g - 1) / math.log(1 / g)
+    if abs(eta * math.log(g)) < _NEAR_ZERO_SHAPE:
+        return (1 / g - 1) * _near_zero_norm(g, eta)
+    return eta * (1 - g) / (g * (1 - g**eta))
+
+
 @dataclass(frozen=True)
 class TruncNegBinomial:
     """Truncated negative binomial on {1, 2, ...}.
@@ -51,8 +65,7 @@ class TruncNegBinomial:
     success: float
 
     def __post_init__(self):
-        if not self.shape > -1:
-            raise ValueError(f"shape must exceed -1, got {self.shape}")
+        _check_shape(self.shape)
         if not 0 < self.success < 1:
             raise ValueError(f"success must be in (0,1), got {self.success}")
 
@@ -83,13 +96,7 @@ class TruncNegBinomial:
         return float(out) if out.ndim == 0 else out
 
     def mean(self):
-        g = self.success
-        eta = self.shape
-        if eta == 0:
-            return (1 / g - 1) / math.log(1 / g)
-        if abs(eta * math.log(g)) < _NEAR_ZERO_SHAPE:
-            return (1 / g - 1) * _near_zero_norm(g, eta)
-        return eta * (1 - g) / (g * (1 - g**eta))
+        return _negbin_mean(self.shape, self.success)
 
     def cdf(self, k):
         k = int(k)
@@ -236,25 +243,23 @@ def from_expected(kind, m, *, shape=None, trials=None):
 
 
 def _solve_success(shape, m):
+    _check_shape(shape)
     # mean is continuous and strictly decreasing in the success parameter,
     # from +inf near 0 down to 1 near 1, so plain bisection is safe
-    def mean_at(g):
-        return TruncNegBinomial(shape, g).mean()
-
     lo = min(0.5, 1 / m)
-    while mean_at(lo) < m:
+    while _negbin_mean(shape, lo) < m:
         lo /= 10
         if lo < 1e-280:
             raise InfeasibleMeanError(f"mean {m} out of reach for shape {shape}")
     hi = 1 - 1e-12
-    if mean_at(hi) > m:
+    if _negbin_mean(shape, hi) > m:
         raise InfeasibleMeanError(f"mean {m} out of reach for shape {shape}")
     # iterate to relative width ~1e-18 so the mean round-trips within 1e-9
     # even when the solution sits at success ~ 1/m with m in the thousands;
     # a step that leaves (lo, hi) as it was would leave it so for good
     for _ in range(90):
         mid = 0.5 * (lo + hi)
-        step = (mid, hi) if mean_at(mid) > m else (lo, mid)
+        step = (mid, hi) if _negbin_mean(shape, mid) > m else (lo, mid)
         if step == (lo, hi):
             break
         lo, hi = step

@@ -30,6 +30,9 @@ GRID_POINTS = 200
 GRID_LO = 1e-6
 EPS1_CAP = 50.0
 REFINE_TOL = 1e-6
+# the grid's log10 steps and its low end, as np.geomspace forms them
+_GRID_K = np.arange(GRID_POINTS, dtype=float)
+_LOG_GRID_LO = np.log10(GRID_LO)
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -64,15 +67,29 @@ def _golden(f, a, b, tol):
     return 0.5 * (a + b)
 
 
+def _grid(eps_hi):
+    """np.geomspace(GRID_LO, eps_hi, GRID_POINTS), bit for bit, by numpy's
+    own arithmetic for it: a linspace of log10 values raised to the
+    power 10, with both ends then set exactly."""
+    log_hi = np.log10(eps_hi)
+    y = _GRID_K * ((log_hi - _LOG_GRID_LO) / (GRID_POINTS - 1)) + _LOG_GRID_LO
+    y[-1] = log_hi
+    out = np.power(10.0, y)
+    out[0], out[-1] = GRID_LO, eps_hi
+    return out
+
+
 def optimize_eps1(base, penalty, extra=()):
     """Minimize penalty(eps1, base(eps1)) over eps1 >= 0.
 
     Candidates are 0, a 200-point log-spaced grid up to where the base
     delta bottoms out (capped at 50), any kink locations the profile
-    declares, and any caller-supplied extras, all evaluated on the base
-    in one array call; the best grid point is then sharpened by
-    golden-section search to 1e-6.  Ties go to the smallest eps1.  A
-    penalty may return +inf to mark an eps1 inadmissible.
+    declares, and any caller-supplied extras.  The base and the penalty
+    node are evaluated over all of them in one array pass each; the
+    candidates whose array value lies within a small window of the least
+    are scored again by the penalty's scalar form, and the best of those,
+    the smallest eps1 on a tie, is sharpened by golden-section search to
+    1e-6.  A penalty may return +inf to mark an eps1 inadmissible.
     """
     try:
         eps_hi = min(epsilon_for_delta(base, 1e-15), EPS1_CAP)
@@ -80,22 +97,37 @@ def optimize_eps1(base, penalty, extra=()):
         eps_hi = EPS1_CAP
     eps_hi = max(eps_hi, 1e-3)
 
-    cand = [0.0, *np.geomspace(GRID_LO, eps_hi, GRID_POINTS).tolist()]
-    cand.extend(k for k in base.knots if 0.0 <= k <= eps_hi)
-    cand.extend(e for e in extra if 0.0 <= e <= eps_hi)
-    cand = sorted(set(map(float, cand)))
+    cand = np.concatenate(([0.0], _grid(eps_hi), base.knots, extra))
+    # + 0.0 turns a -0.0 knot that np.unique kept into 0.0
+    cand = np.unique(cand[(0.0 <= cand) & (cand <= eps_hi)]) + 0.0
+    deltas = base.on_array(cand)
+    vals = penalty.on_array(cand, deltas)
 
-    def f(e1):
-        return penalty(e1, base(e1))
+    # The array form only prunes.  It applies the scalar form's IEEE
+    # operations in the same order, but numpy's exp, log, expm1 and log1p
+    # may each round an ulp or two away from math's.  For Poisson and
+    # binomial (sums and products of non-negative terms, log1p of a
+    # non-negative argument) the forms then differ by a few ulps of the
+    # value; for negbin, whose log may sit near log(1), by that plus
+    # (eta+1) times a few ulps of 1, about (eta+1) * 5e-16.  If err bounds
+    # that difference, the scalar winner w and the array minimizer c obey
+    # array(w) <= scalar(w) + err <= scalar(c) + err <= least + 2 err.
+    # The window below holds 2 err while eta+1 < 1000, and for any eta
+    # once the least value exceeds 1e-6 (eta+1); every candidate in it is
+    # scored again by the scalar form, so the choice is the scalar scan's.
+    least = vals.min()
+    near = np.flatnonzero(vals <= least + 1e-9 * abs(least) + 1e-12).tolist()
+    best_v, best_e, i = min(
+        (penalty(e, d), e, j)
+        for e, d, j in zip(cand[near].tolist(), deltas[near].tolist(), near)
+    )
 
-    deltas = base.on_array(np.array(cand)).tolist()
-    vals = [penalty(c, d) for c, d in zip(cand, deltas)]
-    i = min(range(len(cand)), key=lambda j: (vals[j], cand[j]))
-    best_e, best_v = cand[i], vals[i]
-
-    lo = cand[i - 1] if i > 0 else cand[i]
-    hi = cand[i + 1] if i + 1 < len(cand) else cand[i]
+    lo = float(cand[i - 1]) if i > 0 else best_e
+    hi = float(cand[i + 1]) if i + 1 < len(cand) else best_e
     if hi - lo > REFINE_TOL:
+        def f(e1):
+            return penalty(e1, base(e1))
+
         refined = _golden(f, lo, hi, REFINE_TOL)
         rv = f(refined)
         if rv < best_v or (rv == best_v and refined < best_e):
@@ -103,15 +135,64 @@ def optimize_eps1(base, penalty, extra=()):
     return best_e
 
 
+@dataclass(frozen=True)
+class NegBinPenalty:
+    """weight * log(e^eps1 + ratio * delta1), the shift of a truncated
+    negative binomial count, with weight eta+1 and ratio (1-gamma)/gamma;
+    `negbin_penalty(eta, gamma)` builds it."""
+
+    weight: float
+    ratio: float
+    eps1_min = 0.0
+
+    def __call__(self, e1, d1):
+        return self.weight * math.log(math.exp(e1) + self.ratio * d1)
+
+    def on_array(self, e1, d1):
+        with np.errstate(over="ignore"):
+            return self.weight * np.log(np.exp(e1) + self.ratio * d1)
+
+
 def negbin_penalty(eta, gamma):
     """The eps shift of a truncated-negative-binomial count as a function
     of (eps1, delta1): (eta+1) * log(e^eps1 + ((1-gamma)/gamma) * delta1)."""
-    ratio = (1.0 - gamma) / gamma
+    return NegBinPenalty(eta + 1.0, (1.0 - gamma) / gamma)
 
-    def penalty(e1, d1):
-        return (eta + 1.0) * math.log(math.exp(e1) + ratio * d1)
 
-    return penalty
+@dataclass(frozen=True)
+class BinomialPenalty:
+    """(n-1) * log(1 + p (e^eps1 - 1) + p delta1), the shift of a
+    Binomial(n, p) count, and +inf below its admissibility threshold
+    eps1_min."""
+
+    n: int
+    p: float
+    eps1_min: float
+
+    def __call__(self, e1, d1):
+        if e1 < self.eps1_min:
+            return math.inf
+        return (self.n - 1.0) * math.log1p(self.p * math.expm1(e1) + self.p * d1)
+
+    def on_array(self, e1, d1):
+        with np.errstate(over="ignore"):
+            v = (self.n - 1.0) * np.log1p(self.p * np.expm1(e1) + self.p * d1)
+        return np.where(e1 < self.eps1_min, math.inf, v)
+
+
+@dataclass(frozen=True)
+class PoissonPenalty:
+    """m (e^eps1 - 1) + m delta1, the shift of a Poisson(m) count."""
+
+    m: float
+    eps1_min = 0.0
+
+    def __call__(self, e1, d1):
+        return self.m * math.expm1(e1) + self.m * d1
+
+    def on_array(self, e1, d1):
+        with np.errstate(over="ignore"):
+            return self.m * np.expm1(e1) + self.m * d1
 
 
 def _binomial_eps1_min(base, n, p):
@@ -132,40 +213,27 @@ def _binomial_eps1_min(base, n, p):
             f"no admissible eps1 below {EPS1_CAP} for n={n}, p={p}"
         )
     lo = 0.0
+    # a step that leaves (lo, hi) as it was would leave it so for good
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if g(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
+        step = (mid, hi) if g(mid) < 0 else (lo, mid)
+        if step == (lo, hi):
+            break
+        lo, hi = step
     return hi
 
 
-def _count_terms(base, dist):
-    """(penalty, smallest admissible eps1) of a count distribution.
-
-    The penalty maps (eps1, base(eps1)) to the shift subtracted from every
-    queried eps; it is +inf below the admissibility threshold.
-    """
+def _count_penalty(base, dist):
+    """The penalty node of a count distribution: it maps (eps1,
+    base(eps1)) to the shift subtracted from every queried eps, and is
+    +inf below its `eps1_min`, the smallest admissible eps1."""
     if isinstance(dist, TruncNegBinomial):
-        return negbin_penalty(dist.shape, dist.success), 0.0
+        return negbin_penalty(dist.shape, dist.success)
     if isinstance(dist, Binomial):
         n, p = dist.trials, dist.prob
-        eps1_min = _binomial_eps1_min(base, n, p)
-
-        def penalty(e1, d1):
-            if e1 < eps1_min:
-                return math.inf
-            return (n - 1.0) * math.log1p(p * math.expm1(e1) + p * d1)
-
-        return penalty, eps1_min
+        return BinomialPenalty(n, p, _binomial_eps1_min(base, n, p))
     if isinstance(dist, Poisson):
-        m = dist.rate
-
-        def penalty(e1, d1):
-            return m * math.expm1(e1) + m * d1
-
-        return penalty, 0.0
+        return PoissonPenalty(dist.rate)
     raise TypeError(f"no selection bound for {type(dist).__name__}")
 
 
@@ -177,7 +245,8 @@ def bound_for_count(base, dist, eps1_strategy="optimized"):
     and Poisson counts can be zero, so their bounds certify nothing at
     eps <= 0.
     """
-    penalty, eps1_min = _count_terms(base, dist)
+    penalty = _count_penalty(base, dist)
+    eps1_min = penalty.eps1_min
     if eps1_strategy == "optimized":
         eps1 = optimize_eps1(base, penalty, extra=(eps1_min,))
     else:

@@ -156,6 +156,15 @@ def test_dropped_or_unsupported_input_is_refused(argv, capsys):
     assert refused(argv, capsys)
 
 
+@pytest.mark.parametrize("rounds", ["0", "-2"])
+def test_rnm_rounds_below_one_is_refused_by_name(rounds, capsys):
+    argv = GAUSS + RNM + ["--rounds", rounds, "--delta", "1e-6"]
+    assert cli.main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: rounds must be >= 1, got {rounds}\n"
+
+
 @pytest.mark.parametrize("cfg", [
     {"base": {"kind": "gaussian", "sigma": 4},
      "family": {"kind": "rnm", "m": 10, "rounds": 2.5}},

@@ -49,6 +49,12 @@ def test_success_solve_stops_on_the_ninety_step_bits(shape, m):
     assert got.hex() == ninety_step_success(shape, m).hex()
 
 
+@pytest.mark.parametrize("shape", [-1.0, -2.0, -50.0, float("nan")])
+def test_success_solve_refuses_a_shape_at_or_below_minus_one(shape):
+    with pytest.raises(ValueError, match="shape must exceed -1"):
+        from_expected("negbin", 10.0, shape=shape)
+
+
 def test_from_expected_round_trips_mean():
     for kind, kwargs in (
         ("negbin", {"shape": 0.5}),

@@ -3,7 +3,8 @@
 Each node (Gaussian, Points, Scaled, Renyi, Pld) evaluated over an array
 of eps must give exactly the floats its scalar evaluator gives one eps at
 a time, and refuse a NaN the same way.  `optimize_eps1` must choose the
-same eps1 as a scan that calls the base once per candidate.
+same eps1 as a scan that calls the base and the penalty once per
+candidate, and build the same candidate grid as `np.geomspace`.
 """
 
 import math
@@ -38,6 +39,10 @@ from privsel.selection import (
     GRID_LO,
     GRID_POINTS,
     REFINE_TOL,
+    BinomialPenalty,
+    NegBinPenalty,
+    PoissonPenalty,
+    _grid,
     negbin_penalty,
     optimize_eps1,
     rdp_select_negbin,
@@ -286,17 +291,30 @@ def penalties(draw):
         return negbin_penalty(draw(st.floats(-0.9, 3.0)),
                               draw(st.floats(1e-4, 0.9))), ()
     if kind == "poisson":
-        m = draw(st.floats(0.1, 1000.0))
-        return (lambda e1, d1: m * math.expm1(e1) + m * d1), ()
+        return PoissonPenalty(draw(st.floats(0.1, 1000.0))), ()
     n, p = draw(st.integers(2, 200)), draw(st.floats(0.01, 0.99))
     t = draw(st.floats(0.0, 3.0))
+    return BinomialPenalty(n, p, t), (t,)
 
-    def penalty(e1, d1):
-        if e1 < t:
-            return math.inf
-        return (n - 1.0) * math.log1p(p * math.expm1(e1) + p * d1)
 
-    return penalty, (t,)
+@pytest.mark.parametrize("penalty", [
+    *map(PoissonPenalty, (0.1, 3.0, 1e3, 1e300)),
+    *(negbin_penalty(eta, gamma) for eta, gamma in
+      ((-0.9, 0.9), (0.0, 0.5), (3.0, 1e-4), (1.0, 1e-300))),
+    BinomialPenalty(2, 0.01, 0.0), BinomialPenalty(200, 0.99, 1.5),
+    BinomialPenalty(10**6, 0.5, 0.3),
+], ids=repr)
+def test_penalty_array_form_tracks_the_scalar_form(penalty):
+    # the bound optimize_eps1's pruning window rests on, and no warning
+    # (an error under this suite) where the scalar form is +inf
+    e1 = np.concatenate(([0.0], np.geomspace(GRID_LO, EPS1_CAP, GRID_POINTS)))
+    for d1 in (0.0, 1e-15, 1e-6, 0.3, 1.0):
+        got = penalty.on_array(e1, np.full(len(e1), d1))
+        want = np.array([penalty(e, d1) for e in e1.tolist()])
+        weight = getattr(penalty, "weight", 0.0)
+        assert (np.isinf(got) == np.isinf(want)).all()
+        fin = np.isfinite(want)
+        assert (abs(got[fin] - want[fin]) <= 1e-14 * want[fin] + weight * 1e-15).all()
 
 
 @SCANS
@@ -305,3 +323,52 @@ def test_optimize_eps1_matches_a_scalar_scan(base, pen):
     penalty, extra = pen
     got = optimize_eps1(base, penalty, extra=extra)
     assert got.hex() == scalar_scan_optimize(base, penalty, extra=extra).hex()
+
+
+
+def test_grid_is_geomspace_bit_for_bit():
+    rng = np.random.default_rng(7)
+    lo, hi = math.log(1e-3), math.log(EPS1_CAP)
+    for eps_hi in [1e-3, EPS1_CAP, *np.exp(rng.uniform(lo, hi, 500)).tolist(),
+                   *rng.uniform(1e-3, EPS1_CAP, 500).tolist()]:
+        want = np.geomspace(GRID_LO, eps_hi, GRID_POINTS)
+        assert _grid(eps_hi).tobytes() == want.tobytes(), eps_hi
+
+
+def test_a_negative_zero_knot_yields_a_positive_zero_eps1():
+    # delta is 0 from eps = 0 on, so eps1 = 0 wins; with this many knots
+    # and unsorted extras np.unique may keep the knot -0.0 over 0.0
+    rng = np.random.default_rng(0)
+    for _ in range(4):
+        base = profile_from_points([(-0.0, 0.0)] + [
+            (e, 0.0) for e in rng.uniform(0.0, 1e-3, 500).tolist()])
+        assert math.copysign(1.0, base.knots[0]) == -1.0
+        extra = tuple(rng.uniform(0.0, 1e-3, 50).tolist())
+        for penalty in (negbin_penalty(1.0, 0.1), PoissonPenalty(3.0)):
+            assert optimize_eps1(base, penalty, extra).hex() == "0x0.0p+0"
+            assert scalar_scan_optimize(base, penalty, extra).hex() == "0x0.0p+0"
+
+
+def test_exact_ties_go_to_the_smallest_eps1():
+    # a flat base and a ratio so large that e^eps1 vanishes beside it:
+    # every candidate below eps1 ~ 7.6 has the same penalty, to the bit
+    base = profile_from_points([(0.0, 0.3)])
+    penalty = NegBinPenalty(2.0, 1e20)
+    assert penalty(0.0, 0.3) == penalty(7.0, 0.3)
+    got = optimize_eps1(base, penalty)
+    assert got == 0.0
+    assert got.hex() == scalar_scan_optimize(base, penalty).hex()
+
+
+@pytest.mark.parametrize("e0", [0.1, 0.3, 0.5, 0.7, 1.0, 2.0])
+def test_rounding_level_ties_are_settled_by_the_scalar_form(e0):
+    # below e0 the base is e^e0 - e^eps1, so a Poisson penalty m (e^e0 - 1)
+    # and a negbin penalty with ratio 1, w e0, are flat in exact
+    # arithmetic; the candidates then differ only by rounding, where
+    # numpy's expm1 and exp differ from math's
+    base = profile_from_points([(e0, 0.0)])
+    for penalty in [*map(PoissonPenalty, (0.5, 1.0, 3.0, 7.0, 10.0, 100.0)),
+                    *(NegBinPenalty(w, 1.0) for w in (1.0, 2.0, 3.5))]:
+        got = optimize_eps1(base, penalty)
+        assert got.hex() == scalar_scan_optimize(base, penalty).hex()
+

@@ -18,6 +18,9 @@ from privsel.profiles import (
     rdp_profile,
 )
 from privsel.selection import (
+    EPS1_CAP,
+    NegBinPenalty,
+    _binomial_eps1_min,
     adjust_guarantee,
     bound_for_count,
     gptr_combine,
@@ -174,14 +177,55 @@ def test_fixed_eps1_whose_shift_overflows_raises():
 
 def test_optimizer_no_worse_than_dense_scan():
     base = gaussian_profile(4.0, 1.0)
-
-    def penalty(e1, d1):
-        return 2.0 * math.log(math.exp(e1) + 99.0 * d1)
-
+    # 2 log(e^e1 + 99 d1)
+    penalty = NegBinPenalty(2.0, 99.0)
     star = optimize_eps1(base, penalty)
     best = penalty(star, base(star))
     for e1 in np.linspace(0.0, 6.0, 2001):
         assert best <= penalty(float(e1), base(float(e1))) + 1e-9
+
+
+def eighty_step_eps1_min(base, p):
+    """The binomial admissibility threshold as it was before it stopped
+    early: 80 bisection steps from the same bracket, whatever they change."""
+    odds = p / (1.0 - p)
+
+    def g(e1):
+        return e1 - math.log1p(odds * base(e1))
+
+    if g(0.0) >= 0:
+        return 0.0
+    hi = 1.0
+    while g(hi) < 0 and hi < EPS1_CAP:
+        hi *= 2
+    lo = 0.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if g(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def test_binomial_threshold_stops_on_the_eighty_step_bits():
+    rng = np.random.default_rng(11)
+    positive = 0
+    for _ in range(150):
+        if rng.random() < 0.5:
+            base = gaussian_profile(float(rng.uniform(0.3, 10.0)))
+        else:
+            eps = rng.uniform(0.0, 5.0, int(rng.integers(1, 6)))
+            base = profile_from_points(zip(eps.tolist(),
+                                           (10.0 ** rng.uniform(-12, 0, len(eps))).tolist()))
+        p = float(rng.uniform(0.01, 0.99))
+        try:
+            got = _binomial_eps1_min(base, 10, p)
+        except NoAdmissibleEps1Error:
+            continue
+        assert got.hex() == eighty_step_eps1_min(base, p).hex()
+        positive += got > 0
+    assert positive > 100
 
 
 def test_rdp_negbin_constant_curve_identity():
