@@ -19,6 +19,7 @@ grids of factors exactly aligned under convolution.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import math
 import os
@@ -124,6 +125,29 @@ class DiscretePLD:
             raise ValueError("eps is NaN")
         cells = np.searchsorted(self._grid[0], eps, side="right").tolist()
         return np.array([self._delta_in(i, e) for i, e in zip(cells, eps.tolist())])
+
+    def epsilon(self, delta, floor):
+        """Least eps >= floor with delta(eps) <= delta (< 1), in closed form:
+        the cell is found by a binary search over the deltas at the grid
+        points, and in it delta(eps) = s1 - e^eps s2 + tail is solved for
+        e^eps.  inf where the tail alone exceeds delta; None where the
+        answer passes eps 500, past which delta sums directly."""
+        ell, s1, s2 = self._grid
+        n = len(ell)
+        # the delta at grid point k is read from the cell above it, k + 1
+        k = bisect.bisect_left(
+            range(n), True, key=lambda j: self._delta_in(j + 1, float(ell[j])) <= delta)
+        if k == n:
+            return math.inf
+        x = (float(s1[k]) + self.tail_mass - delta) / float(s2[k]) if s2[k] > 0 else math.inf
+        eps = math.log(x) if x > 0.0 else -math.inf
+        # the root lies in the cell, up to rounding: above point k - 1, at most point k
+        eps = min(eps, float(ell[k]))
+        if k:
+            eps = max(eps, float(ell[k - 1]))
+        if eps > 500:
+            return None
+        return max(eps, floor)
 
     def _delta_in(self, i, eps):
         # delta at an eps whose grid search returned i
@@ -387,7 +411,7 @@ def subsampled_gaussian_profile(params, grid=None):
 @dataclass(frozen=True, eq=False)
 class Pld(PrivacyProfile):
     """The larger delta of two composed loss distributions, one per
-    neighborhood direction."""
+    neighborhood direction; its inverse is the larger of theirs."""
 
     remove: DiscretePLD
     add: DiscretePLD
@@ -398,6 +422,11 @@ class Pld(PrivacyProfile):
     def on_array(self, eps):
         rem, add = self.remove.deltas(eps), self.add.deltas(eps)
         return np.where(add > rem, add, rem)
+
+    def _inverse(self, delta, floor):
+        # both directions must drop to delta; past eps 500, bisection
+        rem, add = self.remove.epsilon(delta, floor), self.add.epsilon(delta, floor)
+        return None if rem is None or add is None else max(rem, add)
 
 
 def _logsumexp(x):

@@ -3,16 +3,20 @@
 A privacy profile maps eps to an upper bound on the tight delta at that
 eps (the worst-case hockey-stick divergence between neighboring outputs).
 Profiles are data: a small tree of immutable nodes, each evaluated at one
-eps by a call and over an array of eps by `on_array`, bit for bit alike.
-Four leaves and one interior node:
+eps by a call and over an array of eps by `on_array`, bit for bit alike,
+and inverted at one delta by `inverse`.  Four leaves and one interior node:
 
-- `Gaussian(r)`: the Gaussian mechanism at r = sensitivity/sigma;
-- `Points(eps, delta)`: the pessimistic curve through (eps, delta) points;
+- `Gaussian(r)`: the Gaussian mechanism at r = sensitivity/sigma,
+  inverted by bisection;
+- `Points(eps, delta)`: the pessimistic curve through (eps, delta) points,
+  inverted in closed form;
 - `Renyi(curve)`: a Renyi curve converted to delta, inverted in closed form;
 - `Pld(remove, add)` (in `privsel.pld`): the larger delta of two
-  discretized privacy-loss distributions;
+  discretized privacy-loss distributions, inverted in closed form in one
+  grid cell of each;
 - `Scaled(base, factor, shift, positive_eps_only)`: min(1, factor *
-  base(eps - shift)), the transform of every selection and argmax bound.
+  base(eps - shift)), the transform of every selection and argmax bound,
+  inverted through its base at delta/factor.
 
 A Renyi curve is data too: its eps(alpha) bounds on a finite order grid,
 held as an array, so converting it to (eps, delta) in either direction
@@ -22,6 +26,7 @@ is one numpy expression.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -36,6 +41,9 @@ EPS_CAP = 1e4
 _BATCH_CELLS = 1 << 16
 # least positive subnormal float
 _TINY = math.ulp(0.0)
+# upward steps `_certified` takes, one ulp and then doubling (255 ulps in
+# all), before it falls back to bisection
+_NUDGES = 8
 
 
 class PrivacyProfile:
@@ -43,10 +51,13 @@ class PrivacyProfile:
 
     A node gives its value at one eps in `_at`, reached only through
     `__call__`, and over a 1-d float64 array of eps in `on_array`, equal
-    entry for entry bit for bit; both refuse a NaN eps.  `knots` lists eps
-    values where the curve has kinks; optimizers add them to their
-    candidate sets so piecewise-linear-in-exp(eps) curves are minimized
-    exactly.
+    entry for entry bit for bit; both refuse a NaN eps.  A node with a
+    form of its own for the least eps >= floor at which it is at most
+    delta proposes it in `_inverse`, reached only through `inverse`,
+    which certifies the proposal; any other node is bisected.  `knots`
+    lists eps values where the curve has kinks; optimizers add them to
+    their candidate sets so piecewise-linear-in-exp(eps) curves are
+    minimized exactly.
     """
 
     knots = ()
@@ -56,6 +67,61 @@ class PrivacyProfile:
 
     def on_array(self, eps):
         raise NotImplementedError
+
+    def inverse(self, delta, floor=0.0):
+        """Least eps >= floor at which the node is at most delta (> 0),
+        within BISECT_TOL above it where the node is bisected, or a value
+        above EPS_CAP (possibly inf) where it stays above delta up to
+        EPS_CAP.  Every answer up to EPS_CAP is certified: the node
+        evaluates to at most delta there."""
+        if not delta > 0:
+            raise ValueError(f"delta target must be positive, got {delta}")
+        if delta >= 1.0:
+            return floor
+        eps = self._inverse(delta, floor)
+        if eps is None:
+            return _bisect(self, delta, floor)
+        return _certified(self, eps, delta, floor)
+
+    def _inverse(self, delta, floor):
+        # the node's own form of its inverse, or None to be bisected
+        return None
+
+
+def _bisect(node, delta, floor):
+    """The least eps >= floor at which node(eps) <= delta, to within
+    BISECT_TOL above it: brackets by doubling the width from 1 until the
+    end passes EPS_CAP (inf there), then bisects.  hi is certified as it
+    goes."""
+    lo, hi = floor, floor + 1.0
+    while node(hi) > delta:
+        if hi >= EPS_CAP:
+            return math.inf
+        lo, hi = hi, min(floor + 2 * (hi - floor), EPS_CAP)
+    while hi - lo > BISECT_TOL:
+        mid = 0.5 * (lo + hi)
+        if node(mid) <= delta:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _certified(node, eps, delta, floor):
+    """eps, stepped upward until node(eps) <= delta: first by one ulp of
+    max(|eps|, 1), since e^eps resolves no finer below 1, then by doubling
+    steps, _NUDGES steps in all.  A closed form lands within a few ulps of
+    the exact root, and rounding may leave the node a hair above delta
+    there.  Where the steps are not enough, as on a stretch where the node
+    is flat at delta up to rounding, the node is bisected.  An eps above
+    EPS_CAP is returned as it is."""
+    step = math.ulp(max(abs(eps), 1.0))
+    for _ in range(_NUDGES + 1):
+        if eps > EPS_CAP or node(eps) <= delta:
+            return eps
+        eps += step
+        step *= 2
+    return _bisect(node, delta, floor)
 
 
 def clip_delta(x):
@@ -204,7 +270,7 @@ class Points(PrivacyProfile):
     # the unclipped minimum over the points, at a float or at each entry
     # of a column: `_below` takes e^min(eps, top), `_past` takes eps
     def _below(self, e):
-        return np.min(self.delta + np.maximum(self._exp - e, 0.0), axis=-1)
+        return (self.delta + np.maximum(self._exp - e, 0.0)).min(axis=-1)
 
     def _past(self, eps):
         # e^eps_i overflows, so the gap above eps is e^eps expm1(eps_i - eps);
@@ -215,7 +281,7 @@ class Points(PrivacyProfile):
         above = ~(self.eps <= eps)
         with np.errstate(over="ignore", invalid="ignore"):
             gap = np.maximum(np.exp(eps), _TINY) * np.expm1(self.eps - eps)
-        return np.min(self.delta + np.where(above, gap, 0.0), axis=-1)
+        return (self.delta + np.where(above, gap, 0.0)).min(axis=-1)
 
     def _at(self, eps):
         if self._top is None:
@@ -234,6 +300,19 @@ class Points(PrivacyProfile):
                 e = [math.exp(x) for x in np.minimum(block, self._top).tolist()]
                 out[i:i + step] = self._below(np.array(e)[:, None])
         return clip_delta_array(out)
+
+    def _inverse(self, delta, floor):
+        # point i certifies delta from e^eps = e^eps_i - (delta - delta_i)
+        # on, when delta_i <= delta; the least such eps wins.  Past e^709
+        # the exponentials overflow, and the curve is bisected
+        if self._top is None:
+            return None
+        gaps = [e - (delta - d)
+                for e, d in zip(self._exp.tolist(), self.delta.tolist()) if d <= delta]
+        if not gaps:
+            return math.inf
+        least = min(gaps)
+        return max(math.log(least), floor) if least > 0.0 else floor
 
 
 def profile_from_points(points):
@@ -296,6 +375,20 @@ class Scaled(PrivacyProfile):
             out[keep] = np.where(self.factor * d < 1.0, self.factor * d, 1.0)
         return out
 
+    def _inverse(self, delta, floor):
+        # the base's inverse at delta/factor, shifted; a target the base
+        # cannot resolve, below the least normal float, leaves this node
+        # to be bisected
+        if self.log_factor:
+            target = math.exp(math.log(delta) - self.factor)
+        else:
+            target = delta / self.factor
+        if target < sys.float_info.min:
+            return None
+        eps = self.shift + self.base.inverse(target, floor - self.shift)
+        # with positive_eps_only the node is 1 at eps <= 0
+        return max(eps, _TINY) if self.positive_eps_only else eps
+
 
 def rdp_to_dp(curve, eps_target):
     """Delta at eps_target implied by a Renyi curve.
@@ -311,31 +404,18 @@ def rdp_to_dp(curve, eps_target):
 
 
 def rdp_eps_for_delta(curve, delta):
-    """Smallest eps with rdp_to_dp(curve, eps) <= delta, in closed form.
-
-    Each order certifies delta at every eps >= eps(alpha) + (log(1/delta)
-    + (alpha-1) log(1-1/alpha) - log(alpha))/(alpha-1); the minimum over
-    the grid, floored at 0, is the answer.  Rounding can leave the
-    converted delta a few ulps above target there, so eps is nudged
-    upward, one ulp first and by doubling steps after, until rdp_to_dp
-    itself certifies it.  May return a value above EPS_CAP (or inf).
-    """
+    """Smallest eps >= 0 with rdp_to_dp(curve, eps) <= delta: the closed
+    form of the Renyi node's inverse, certified as every inverse is.  May
+    return a value above EPS_CAP (or inf)."""
     if not 0 < delta <= 1:
         raise ValueError(f"delta target must be in (0,1], got {delta}")
-    am1, log_frac, log_a = _order_terms(curve.orders)
-    cand = curve.values + (-math.log(delta) + log_frac - log_a) / am1
-    eps = max(0.0, float(np.min(cand)))
-    step = math.ulp(eps)
-    while eps <= EPS_CAP and rdp_to_dp(curve, eps) > delta:
-        eps += step
-        step *= 2
-    return eps
+    return Renyi(curve).inverse(delta)
 
 
 @dataclass(frozen=True, eq=False)
 class Renyi(PrivacyProfile):
-    """A Renyi curve as a profile, through rdp_to_dp; epsilon_for_delta
-    inverts it in closed form, through rdp_eps_for_delta."""
+    """A Renyi curve as a profile, through rdp_to_dp, inverted in closed
+    form."""
 
     curve: RdpCurve
 
@@ -350,6 +430,14 @@ class Renyi(PrivacyProfile):
         log_d = np.min(am1 * (self.curve.values - eps[:, None]) + log_frac - log_a, axis=1)
         return np.exp(np.where(log_d < 0.0, log_d, 0.0))
 
+    def _inverse(self, delta, floor):
+        # order alpha certifies delta from eps(alpha) + (log(1/delta) +
+        # (alpha-1) log(1-1/alpha) - log(alpha))/(alpha-1) on; the least
+        # such eps wins
+        am1, log_frac, log_a = _order_terms(self.curve.orders)
+        cand = self.curve.values + (-math.log(delta) + log_frac - log_a) / am1
+        return max(float(np.min(cand)), floor)
+
 
 def rdp_profile(curve):
     """The Renyi node of a curve."""
@@ -357,38 +445,26 @@ def rdp_profile(curve):
 
 
 def epsilon_for_delta(profile, delta_target):
-    """Smallest eps at which the profile drops to delta_target.
+    """Smallest eps >= 0 at which the profile drops to delta_target.
 
-    A Renyi node answers through its closed-form inverse.  Otherwise the
-    answer is within 1e-6 above the true value: brackets by doubling from
-    1 up to a hard cap of 1e4, then bisects.
+    0 if the profile is already there at eps = 0.  Otherwise the node's
+    own inverse answers: Points, Pld and Renyi in closed form, Scaled
+    through its base at delta_target/factor, and a Gaussian (and any node
+    without its own) by bisection, within BISECT_TOL above the true value.
+    Every answer is certified, the profile evaluating to at most
+    delta_target there; one that passes EPS_CAP (1e4) raises
+    UnreachableTargetError.
     """
     if not 0 < delta_target <= 1:
         raise ValueError(f"delta target must be in (0,1], got {delta_target}")
     if profile(0.0) <= delta_target:
         return 0.0
-    if isinstance(profile, Renyi):
-        eps = rdp_eps_for_delta(profile.curve, delta_target)
-        if eps > EPS_CAP:
-            raise UnreachableTargetError(
-                f"profile still above delta={delta_target:g} at eps={EPS_CAP:g}"
-            )
-        return eps
-    lo, hi = 0.0, 1.0
-    while profile(hi) > delta_target:
-        if hi >= EPS_CAP:
-            raise UnreachableTargetError(
-                f"profile still above delta={delta_target:g} at eps={EPS_CAP:g}"
-            )
-        lo = hi
-        hi = min(2 * hi, EPS_CAP)
-    while hi - lo > BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if profile(mid) <= delta_target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    eps = profile.inverse(delta_target)
+    if eps > EPS_CAP:
+        raise UnreachableTargetError(
+            f"profile still above delta={delta_target:g} at eps={EPS_CAP:g}"
+        )
+    return eps
 
 
 def gaussian_sigma_for_eps_delta(eps, delta):

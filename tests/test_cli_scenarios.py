@@ -74,9 +74,9 @@ LOCKED = {
     "subsampled-hs": (
         ["guarantee", "--base", "subsampled_gaussian", "--q", "0.2",
          "--sigma", "2", "--steps", "4", "--delta", "1e-6"],
-        "eps=1.33478355408 delta=1e-06 method=hs eps1=nan\n"),
+        "eps=1.3347826788 delta=1e-06 method=hs eps1=nan\n"),
     "points-negbin-hs": (
-        "points", "eps=4.01088809967 delta=1e-06 method=hs eps1=0.5\n"),
+        "points", "eps=4.01088785671 delta=1e-06 method=hs eps1=0.5\n"),
 }
 
 

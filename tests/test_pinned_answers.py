@@ -57,7 +57,7 @@ SELECTION = {
         ("0x1.3ec5e40000000p+2", "0x0.0p+0", "0x1.1b8be26a5794bp+2")),
     "points-negbin": (
         lambda: negbin(profile_from_points(POINTS), 1.0, 30.0), 1e-6,
-        ("0x1.023b5c0000000p+2", "0x1.0000000000000p-1", "0x1.08ed6f63fe08cp+0")),
+        ("0x1.023b5bd74503ep+2", "0x1.0000000000000p-1", "0x1.08ed6f63fe08cp+0")),
     "points-negbin-past-exp-range": (
         lambda: negbin(profile_from_points(POINTS_PAST_EXP_RANGE), 0.5, 10.0), 1e-6,
         ("0x1.61bd300000000p+1", "0x1.0000000000000p-1", "0x1.86f4a4d0ee60dp-1")),
