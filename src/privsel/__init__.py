@@ -41,7 +41,6 @@ from .profiles import (
     gaussian_rdp_curve,
     gaussian_sigma_for_eps_delta,
     profile_from_points,
-    rdp_eps_for_delta,
     rdp_profile,
     rdp_to_dp,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "gptr_combine",
     "optimize_eps1",
     "profile_from_points",
-    "rdp_eps_for_delta",
     "rdp_profile",
     "rdp_select_negbin",
     "rdp_select_poisson",

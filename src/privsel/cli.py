@@ -34,7 +34,7 @@ from .profiles import (
     profile_from_points,
     rdp_profile,
 )
-from .rnm import RnmSpec, rnm_composition_profile, rnm_gaussian_eps, rnm_profile
+from .rnm import RnmSpec, rnm_composition_profile, rnm_gaussian_eps
 from .selection import (
     bound_for_count,
     rdp_select_negbin,
@@ -331,8 +331,6 @@ def _resolve_rnm(kind, params, fam, method, delta):
             raise ConfigError("closed-form rnm guarantee needs --delta")
         eps = rnm_gaussian_eps(sigma / sens, spec.candidates, delta)
         return profile_from_points([(eps, delta)]), math.nan, eps
-    if rounds == 1:
-        return rnm_profile(spec.noise_profile(sens), spec.candidates), math.nan, None
     comp = spec.noise_profile(sens * math.sqrt(rounds))
     return rnm_composition_profile(comp, spec.candidates, rounds), math.nan, None
 

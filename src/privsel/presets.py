@@ -242,7 +242,7 @@ def fig8_adjust_table(q=0.01, eps_q=1.5, delta=DELTA_DEFAULT, m=10.0, eta=1.0,
     eps1 = optimize_eps1(target, negbin_penalty(eta, gamma))
     delta1 = target(eps1)
     eps_hat = epsilon_for_delta(target, delta / m)
-    final = adjust_guarantee(eps1, delta1, eps_hat, eta, gamma, m, delta)
+    final = adjust_guarantee(eps1, delta1, eps_hat, eta, gamma, delta)
 
     rows = []
     for sigma in sigmas:

@@ -73,7 +73,9 @@ class PrivacyProfile:
         within BISECT_TOL above it where the node is bisected, or a value
         above EPS_CAP (possibly inf) where it stays above delta up to
         EPS_CAP.  Every answer up to EPS_CAP is certified: the node
-        evaluates to at most delta there."""
+        evaluates to at most delta there.  A Scaled node whose base target
+        delta/factor is below the least normal float raises
+        UnreachableTargetError."""
         if not delta > 0:
             raise ValueError(f"delta target must be positive, got {delta}")
         if delta >= 1.0:
@@ -338,17 +340,13 @@ class Scaled(PrivacyProfile):
     """min(1, factor * base(eps - shift)), with the base's knots shifted along.
 
     With positive_eps_only the profile is 1 at eps <= 0: a mechanism
-    that may release nothing certifies nothing there.  With log_factor,
-    `factor` is the log of the multiplier and the product is formed in
-    log space, exp(min(0, factor + log base)), 0 where the base is 0, so
-    a multiplier past float range (candidates**rounds) still scales.
+    that may release nothing certifies nothing there.
     """
 
     base: PrivacyProfile
     factor: float
     shift: float = 0.0
     positive_eps_only: bool = False
-    log_factor: bool = False
 
     @property
     def knots(self):
@@ -357,34 +355,26 @@ class Scaled(PrivacyProfile):
     def _at(self, eps):
         if self.positive_eps_only and eps <= 0:
             return 1.0
-        d = self.base(eps - self.shift)
-        if self.log_factor:
-            return 0.0 if d <= 0.0 else math.exp(min(0.0, self.factor + math.log(d)))
-        return min(1.0, self.factor * d)
+        return min(1.0, self.factor * self.base(eps - self.shift))
 
     def on_array(self, eps):
         # the base is evaluated at the eps _at evaluates it at, a NaN among them
         keep = ~(eps <= 0) if self.positive_eps_only else slice(None)
         d = self.base.on_array(eps[keep] - self.shift)
         out = np.ones(len(eps))
-        if self.log_factor:
-            # math.log and math.exp per entry, as in _at
-            out[keep] = [0.0 if x <= 0.0 else math.exp(min(0.0, self.factor + math.log(x)))
-                         for x in d.tolist()]
-        else:
-            out[keep] = np.where(self.factor * d < 1.0, self.factor * d, 1.0)
+        out[keep] = np.where(self.factor * d < 1.0, self.factor * d, 1.0)
         return out
 
     def _inverse(self, delta, floor):
-        # the base's inverse at delta/factor, shifted; a target the base
-        # cannot resolve, below the least normal float, leaves this node
-        # to be bisected
-        if self.log_factor:
-            target = math.exp(math.log(delta) - self.factor)
-        else:
-            target = delta / self.factor
+        # the base's inverse at delta/factor, shifted.  Below the least
+        # normal float a base's value certifies nothing (a Gaussian's ndtr
+        # is 0 at -37.7, where the true value is 2.5e-311), so such a
+        # target is refused, not searched for
+        target = delta / self.factor
         if target < sys.float_info.min:
-            return None
+            raise UnreachableTargetError(
+                f"delta/factor = {delta:g}/{self.factor:g} is below the least "
+                f"normal float, where the base certifies nothing")
         eps = self.shift + self.base.inverse(target, floor - self.shift)
         # with positive_eps_only the node is 1 at eps <= 0
         return max(eps, _TINY) if self.positive_eps_only else eps
@@ -401,15 +391,6 @@ def rdp_to_dp(curve, eps_target):
     am1, log_frac, log_a = _order_terms(curve.orders)
     log_d = am1 * (curve.values - eps_target) + log_frac - log_a
     return float(np.exp(min(0.0, np.min(log_d))))
-
-
-def rdp_eps_for_delta(curve, delta):
-    """Smallest eps >= 0 with rdp_to_dp(curve, eps) <= delta: the closed
-    form of the Renyi node's inverse, certified as every inverse is.  May
-    return a value above EPS_CAP (or inf)."""
-    if not 0 < delta <= 1:
-        raise ValueError(f"delta target must be in (0,1], got {delta}")
-    return Renyi(curve).inverse(delta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -452,7 +433,8 @@ def epsilon_for_delta(profile, delta_target):
     through its base at delta_target/factor, and a Gaussian (and any node
     without its own) by bisection, within BISECT_TOL above the true value.
     Every answer is certified, the profile evaluating to at most
-    delta_target there; one that passes EPS_CAP (1e4) raises
+    delta_target there; one that passes EPS_CAP (1e4), or a Scaled
+    target delta_target/factor below the least normal float, raises
     UnreachableTargetError.
     """
     if not 0 < delta_target <= 1:

@@ -56,13 +56,19 @@ def rnm_composition_profile(base_comp, candidates, rounds):
     base_comp must already be the rounds-fold composed single-score
     profile (for Gaussian noise: gaussian_profile(sigma, sens*sqrt(rounds)));
     the candidate factor then enters once per round, as
-    min(1, candidates**rounds * base_comp(eps)) formed in log space.
+    min(1, candidates**rounds * base_comp(eps)).  A factor past float
+    range is refused: no delta below 1 is certifiable there.
     """
     if candidates < 1:
         raise ValueError(f"candidates must be >= 1, got {candidates}")
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
-    return Scaled(base_comp, rounds * math.log(candidates), log_factor=True)
+    try:
+        factor = float(candidates) ** rounds
+    except OverflowError:
+        raise ValueError(f"candidates**rounds = {candidates}**{rounds} "
+                         f"overflows float64") from None
+    return Scaled(base_comp, factor)
 
 
 def rnm_gaussian_eps(sigma, candidates, delta):

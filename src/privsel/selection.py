@@ -366,7 +366,7 @@ def rdp_select_poisson(base_rdp, base_point, m):
     return _rdp_selection_curve(base_rdp, orders, m * delta_hat, m, keep)
 
 
-def adjust_guarantee(eps1, delta1, eps_hat, eta, gamma, m, delta):
+def adjust_guarantee(eps1, delta1, eps_hat, eta, gamma, delta):
     """Final guarantee for a base that is both (eps1, delta1)-DP and
     (eps_hat, delta/m)-DP when the run count is truncated negative
     binomial with E[K] = m:
@@ -379,8 +379,6 @@ def adjust_guarantee(eps1, delta1, eps_hat, eta, gamma, m, delta):
         raise ValueError("inputs must be non-negative")
     if not 0 < gamma < 1:
         raise ValueError(f"gamma must be in (0,1), got {gamma}")
-    if m <= 0:
-        raise ValueError(f"m must be positive, got {m}")
     return PointDP(eps_hat + negbin_penalty(eta, gamma)(eps1, delta1), delta)
 
 

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 GUARANTEE_HS = ["guarantee", "--base", "gaussian", "--sigma", "4",
@@ -118,6 +120,30 @@ def test_unreachable_target_exit_code():
                 "--m", "10", "--method", "hs", "--delta", "1e-30")
     assert r.returncode == 3
     assert "1e-30" in r.stderr
+
+
+RNM_BILLION = ["guarantee", "--base", "gaussian", "--sigma", "1", "--family", "rnm",
+               "--m", "1000000000", "--delta", "1e-6"]
+
+
+def test_rnm_composition_at_the_edge_of_float_range():
+    # 30 rounds: the factor 1e270 and the target 1e-276 are normal floats,
+    # and the answer is sound at the exact Gaussian value, score
+    # sensitivity 2 sqrt(30) over sigma 1
+    r = run_cli(*RNM_BILLION, "--rounds", "30")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "eps=448.714556694 delta=1e-06 method=hs eps1=nan\n"
+    r = run_cli(*RNM_BILLION, "--rounds", "30", "--format", "json")
+    with mpmath.workdps(60):
+        eps, s = mpmath.mpf(json.loads(r.stdout)["eps"]), 2 * mpmath.sqrt(30)
+        g = mpmath.ncdf(s / 2 - eps / s) - mpmath.exp(eps) * mpmath.ncdf(-s / 2 - eps / s)
+        assert 30 * mpmath.log(10**9) + mpmath.log(g) <= mpmath.log(mpmath.mpf(1e-6))
+    # 34 rounds: the target 1e-312 is subnormal, where the base certifies
+    # nothing; 40 rounds: the factor 1e360 overflows
+    for rounds, code in (("34", 3), ("40", 2)):
+        r = run_cli(*RNM_BILLION, "--rounds", rounds)
+        assert r.returncode == code and r.stdout == ""
+        assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, r.stderr
 
 
 def test_memory_budget_exit_code():

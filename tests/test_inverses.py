@@ -1,7 +1,7 @@
 """Property tests of each profile node's own inverse.
 
-Over random Gaussian, point-list, Renyi, scaled (plain and log-space) and
-small discretized loss-distribution nodes and random delta targets, the eps
+Over random Gaussian, point-list, Renyi, scaled and small discretized
+loss-distribution nodes and random delta targets, the eps
 that `epsilon_for_delta` reads off a node is certified (the node is at
 most delta there), is minimal (0, or the node is above delta a little
 below it: BISECT_TOL below for a bisected node, 1e-12 relative below for
@@ -14,6 +14,8 @@ neighbouring instance at the eps read off them.
 """
 
 import math
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from privsel.profiles import (
     EPS_CAP,
     Gaussian,
     Points,
+    PrivacyProfile,
     Scaled,
     epsilon_for_delta,
     gaussian_profile,
@@ -217,20 +220,38 @@ def test_pld_answer_past_eps_500_is_bisected():
     assert node(eps) <= 1e-3 < node(eps - BISECT_TOL)
 
 
-def test_scaled_target_below_the_normal_range_is_bisected():
-    # delta / candidates**rounds underflows, so the node bisects itself,
-    # the old way, instead of asking its base for delta 0
-    node = rnm_composition_profile(gaussian_profile(1.0), 10**9, 40)
-    assert math.exp(math.log(1e-6) - node.factor) == 0.0
-    assert epsilon_for_delta(node, 1e-6) == reference_bisection(node, 1e-6)
+def test_scaled_target_below_the_normal_range_is_refused():
+    # delta / candidates**rounds = 1e-312 is subnormal, where a Gaussian
+    # base's value certifies nothing: the node refuses instead of
+    # answering off a base that has underflowed to 0
+    node = rnm_composition_profile(gaussian_profile(1.0), 10**9, 34)
+    assert 0.0 < 1e-6 / node.factor < sys.float_info.min
+    with pytest.raises(UnreachableTargetError):
+        node.inverse(1e-6)
+    with pytest.raises(UnreachableTargetError):
+        epsilon_for_delta(node, 1e-6)
+
+
+@dataclass(frozen=True, eq=False)
+class HairAboveFlat(PrivacyProfile):
+    """A point list one ulp above 0.1 wherever it is 0.1, from eps 0 to
+    log(e - 0.09), about 0.97, proposing the point list's own inverse."""
+
+    base: Points
+
+    def _at(self, eps):
+        d = self.base(eps)
+        return math.nextafter(d, 1.0) if d == 0.1 else d
+
+    def _inverse(self, delta, floor):
+        return self.base.inverse(delta, floor)
 
 
 def test_flat_stretch_at_delta_falls_back_to_bisection():
-    # in log space the node is e^log(0.1) = 0.1 + 1 ulp from eps 0 to
-    # about 0.97, while its base is 0.1 there: the base's answer, 0, stays
-    # above delta however far it is stepped up by ulps
-    node = rnm_composition_profile(profile_from_points([(0.0, 0.1), (1.0, 0.01)]), 1, 1)
-    assert node(0.5) > 0.1
+    # the proposal at delta 0.1 is eps 0, and the node stays above delta
+    # however far it is stepped up by ulps
+    node = HairAboveFlat(profile_from_points([(0.0, 0.1), (1.0, 0.01)]))
+    assert node.base.inverse(0.1) == 0.0 and node(0.5) > 0.1
     eps = epsilon_for_delta(node, 0.1)
     assert eps == reference_bisection(node, 0.1)
     assert eps == pytest.approx(math.log(math.e - 0.09), abs=BISECT_TOL)

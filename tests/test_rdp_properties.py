@@ -28,7 +28,6 @@ from privsel.profiles import (
     epsilon_for_delta,
     gaussian_profile,
     gaussian_rdp_curve,
-    rdp_eps_for_delta,
     rdp_profile,
     rdp_to_dp,
 )
@@ -151,7 +150,7 @@ def test_inverse_keeps_the_contract_at_the_edges():
     huge = RdpCurve((2.0, 4.0), [1e6, 1e6])
     with pytest.raises(UnreachableTargetError):
         epsilon_for_delta(rdp_profile(huge), 1e-6)
-    assert rdp_eps_for_delta(huge, 1e-6) > 1e4
+    assert rdp_profile(huge).inverse(1e-6) > 1e4
 
 
 def test_an_order_off_the_grid_is_refused():

@@ -254,17 +254,17 @@ def test_rdp_poisson_filters_orders():
 
 
 def test_adjust_guarantee_arithmetic():
-    out = adjust_guarantee(0.5, 1e-3, 1.2, 1.0, 0.1, 10.0, DELTA)
+    out = adjust_guarantee(0.5, 1e-3, 1.2, 1.0, 0.1, DELTA)
     shift = 2.0 * math.log(math.exp(0.5) + 9.0 * 1e-3)
     assert out.eps == pytest.approx(1.2 + shift, rel=1e-14)
     assert out.delta == DELTA
     # a zero delta1 collapses the shift to (eta+1) * eps1
-    clean = adjust_guarantee(0.5, 0.0, 1.2, 1.0, 0.1, 10.0, DELTA)
+    clean = adjust_guarantee(0.5, 0.0, 1.2, 1.0, 0.1, DELTA)
     assert clean.eps == pytest.approx(1.2 + 1.0, rel=1e-14)
     with pytest.raises(ValueError):
-        adjust_guarantee(-0.1, 0.0, 1.0, 1.0, 0.1, 10.0, DELTA)
+        adjust_guarantee(-0.1, 0.0, 1.0, 1.0, 0.1, DELTA)
     with pytest.raises(ValueError):
-        adjust_guarantee(0.5, 0.0, 1.0, 1.0, 1.5, 10.0, DELTA)
+        adjust_guarantee(0.5, 0.0, 1.0, 1.0, 1.5, DELTA)
 
 
 def test_gptr_combine_arithmetic():

@@ -2,9 +2,10 @@
 
 Over random Gaussian noise scales and random negative-binomial, binomial
 and Poisson counts, the best-of-K bound is at least the exact divergence
-computed by quadrature from the selection output densities; and every
-best-of-K and noisy-argmax profile stays in [0, 1] and is non-increasing
-in eps.
+computed by quadrature from the selection output densities; the eps of
+the Renyi route for Poisson counts is sound against that divergence in
+both directions; and every best-of-K and noisy-argmax profile stays in
+[0, 1] and is non-increasing in eps.
 """
 
 import numpy as np
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 from privsel.countdist import Binomial, Poisson, TruncNegBinomial
 from privsel.errors import NoAdmissibleEps1Error
 from privsel.oracles import gaussian_pair, selection_exact_divergence
-from privsel.profiles import gaussian_profile
+from privsel.presets import rdp_poisson_eps
+from privsel.profiles import gaussian_profile, gaussian_rdp_curve
 from privsel.rnm import rnm_composition_profile, rnm_profile
 from privsel.selection import bound_for_count
 
@@ -57,6 +59,18 @@ def test_selection_bound_dominates_exact_divergence(sigma, dist, eps):
         return
     exact = selection_exact_divergence(gaussian_pair(0.0, 1.0, sigma), dist, eps)
     assert bound(eps) >= exact - 1e-12
+
+
+@settings(max_examples=20, deadline=None, database=None, derandomize=True)
+@given(st.floats(1.0, 30.0), st.floats(2.0, 2000.0),
+       st.floats(-8.0, -3.0).map(lambda x: 10.0**x))
+def test_renyi_poisson_eps_is_sound_against_the_exact_divergence(sigma, m, delta):
+    # one neighbouring instance of the best-of-K selection over a
+    # Poisson(m) run count, in both directions
+    eps = rdp_poisson_eps(gaussian_rdp_curve(sigma), m, delta)
+    for mu_p, mu_q in ((0.0, 1.0), (1.0, 0.0)):
+        pair = gaussian_pair(mu_p, mu_q, sigma)
+        assert selection_exact_divergence(pair, Poisson(m), eps) <= delta
 
 
 @PROPS
