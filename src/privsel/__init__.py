@@ -5,107 +5,56 @@ the argmax of noised queries and for releasing the best of a random
 number of private runs are built on top of them, with Renyi baselines,
 a discretized loss-distribution accountant for the subsampled Gaussian,
 and quadrature oracles that certify the bounds on small instances.
+
+`import privsel` loads numpy only. Each public name below, and each
+submodule named in `_EXPORTS`, is imported on first access, so
+`scipy.special` loads with `profiles` or `countdist` and `scipy.fft`
+with `pld`. Names are not cached here: every access reads the
+submodule's current attribute.
 """
 
-from .countdist import (
-    Binomial,
-    Poisson,
-    TruncNegBinomial,
-    from_expected,
-)
-from .errors import (
-    ConfigError,
-    EmptyCurveError,
-    GridTooCoarseError,
-    InfeasibleMeanError,
-    MemoryBudgetError,
-    NoAdmissibleEps1Error,
-    UnreachableTargetError,
-)
-from .pld import (
-    DiscretePLD,
-    GridSpec,
-    SubsampledGaussianParams,
-    compose,
-    renyi_subsampled_gaussian,
-    subsampled_gaussian_pld,
-    subsampled_gaussian_profile,
-)
-from .profiles import (
-    PointDP,
-    PrivacyProfile,
-    RdpCurve,
-    default_orders,
-    epsilon_for_delta,
-    gaussian_profile,
-    gaussian_rdp_curve,
-    gaussian_sigma_for_eps_delta,
-    profile_from_points,
-    rdp_profile,
-    rdp_to_dp,
-)
-from .rnm import RnmSpec, rnm_composition_profile, rnm_gaussian_eps, rnm_profile
-from .selection import (
-    SelectionBoundResult,
-    adjust_guarantee,
-    gptr_combine,
-    optimize_eps1,
-    rdp_select_negbin,
-    rdp_select_poisson,
-    select_binomial_profile,
-    select_gdp_eps,
-    select_negbin_pointwise,
-    select_negbin_profile,
-    select_negbin_pure,
-    select_poisson_profile,
-)
+import importlib
 
-__all__ = [
-    "Binomial",
-    "ConfigError",
-    "DiscretePLD",
-    "EmptyCurveError",
-    "GridSpec",
-    "GridTooCoarseError",
-    "InfeasibleMeanError",
-    "MemoryBudgetError",
-    "NoAdmissibleEps1Error",
-    "PointDP",
-    "Poisson",
-    "PrivacyProfile",
-    "RdpCurve",
-    "RnmSpec",
-    "SelectionBoundResult",
-    "SubsampledGaussianParams",
-    "TruncNegBinomial",
-    "UnreachableTargetError",
-    "adjust_guarantee",
-    "compose",
-    "default_orders",
-    "epsilon_for_delta",
-    "from_expected",
-    "gaussian_profile",
-    "gaussian_rdp_curve",
-    "gaussian_sigma_for_eps_delta",
-    "gptr_combine",
-    "optimize_eps1",
-    "profile_from_points",
-    "rdp_profile",
-    "rdp_select_negbin",
-    "rdp_select_poisson",
-    "rdp_to_dp",
-    "renyi_subsampled_gaussian",
-    "rnm_composition_profile",
-    "rnm_gaussian_eps",
-    "rnm_profile",
-    "select_binomial_profile",
-    "select_gdp_eps",
-    "select_negbin_pointwise",
-    "select_negbin_profile",
-    "select_negbin_pure",
-    "select_poisson_profile",
-    "subsampled_gaussian_pld",
-    "subsampled_gaussian_profile",
-]
+# every submodule needs numpy, and perfbench's set-up reads its version
+# straight after `import privsel`
+import numpy  # noqa: F401
+
+_EXPORTS = {
+    "countdist": ("Binomial", "Poisson", "TruncNegBinomial", "from_expected"),
+    "errors": ("ConfigError", "EmptyCurveError", "GridTooCoarseError",
+               "InfeasibleMeanError", "MemoryBudgetError",
+               "NoAdmissibleEps1Error", "UnreachableTargetError"),
+    "pld": ("DiscretePLD", "GridSpec", "SubsampledGaussianParams", "compose",
+            "renyi_subsampled_gaussian", "subsampled_gaussian_pld",
+            "subsampled_gaussian_profile"),
+    "profiles": ("PointDP", "PrivacyProfile", "RdpCurve", "default_orders",
+                 "epsilon_for_delta", "gaussian_profile", "gaussian_rdp_curve",
+                 "gaussian_sigma_for_eps_delta", "profile_from_points",
+                 "rdp_profile", "rdp_to_dp"),
+    "rnm": ("RnmSpec", "rnm_composition_profile", "rnm_gaussian_eps",
+            "rnm_profile"),
+    "selection": ("SelectionBoundResult", "adjust_guarantee", "gptr_combine",
+                  "optimize_eps1", "rdp_select_negbin", "rdp_select_poisson",
+                  "select_binomial_profile", "select_gdp_eps",
+                  "select_negbin_pointwise", "select_negbin_profile",
+                  "select_negbin_pure", "select_poisson_profile"),
+}
+# public name -> the submodule that defines it
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
 
 __version__ = "1.0.0"
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_EXPORTS})

@@ -4,6 +4,12 @@ oracle validation suite.
 
 Exit codes: 0 success, 1 oracle validation failure, 2 configuration
 error, 3 unreachable target, 4 numerical guard tripped.
+
+At import this module loads numpy and the stdlib only. Each command
+imports the privsel modules it reads where it reads them, after its
+input is checked, so an argument or config error exits before any scipy
+import, and a `profile` or `guarantee` call that builds no loss grid
+never loads `pld` or `scipy.fft`.
 """
 
 from __future__ import annotations
@@ -15,8 +21,6 @@ import sys
 
 import numpy as np
 
-from . import presets
-from .countdist import Binomial, TruncNegBinomial, from_expected
 from .errors import (
     ConfigError,
     EmptyCurveError,
@@ -26,21 +30,14 @@ from .errors import (
     NoAdmissibleEps1Error,
     UnreachableTargetError,
 )
-from .pld import GridSpec, SubsampledGaussianParams, subsampled_gaussian_profile
-from .profiles import (
-    epsilon_for_delta,
-    gaussian_profile,
-    gaussian_rdp_curve,
-    profile_from_points,
-    rdp_profile,
-)
-from .rnm import RnmSpec, rnm_composition_profile, rnm_gaussian_eps
-from .selection import (
-    bound_for_count,
-    rdp_select_negbin,
-    select_gdp_eps,
-    select_negbin_pure,
-)
+
+
+def __getattr__(name):
+    # the package's public names, resolved as `privsel.<name>` resolves them
+    package = sys.modules[__package__]
+    if name in package.__all__:
+        return getattr(package, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # rows a profile table may have
@@ -139,7 +136,8 @@ def _grid_spec(args, builds_grid):
         raise ConfigError("--grid-spacing is read only where a loss grid is "
                           "built: a subsampled_gaussian base under hs, "
                           "compare fig6-fig8 and adjust")
-    return GridSpec(spacing=spacing)
+    from . import pld
+    return pld.GridSpec(spacing=spacing)
 
 
 def _out_path(args, cfg):
@@ -208,7 +206,8 @@ def _base_params(base):
         return kind, _sigma_sens(base)
     if kind == "subsampled_gaussian":
         sigma, sens = _sigma_sens(base)
-        return kind, SubsampledGaussianParams(
+        from . import pld
+        return kind, pld.SubsampledGaussianParams(
             _real(base, "q"), sigma / sens, _count(base, "steps", 1))
     if kind == "pure":
         return kind, _real(base, "eps")
@@ -222,34 +221,38 @@ def _base_params(base):
 def _build_base(kind, params, method="hs", grid=None):
     """What `method` reads of a parsed base: its Renyi curve for rdp,
     otherwise its privacy profile."""
+    from . import profiles
     if method == "rdp":
         if kind == "gaussian":
-            return gaussian_rdp_curve(*params)
+            return profiles.gaussian_rdp_curve(*params)
         if kind == "subsampled_gaussian":
+            from . import presets
             return presets.subsampled_rdp_curve(params)
         raise ConfigError("method rdp needs a gaussian or subsampled_gaussian base")
     if kind == "gaussian":
-        return gaussian_profile(*params)
+        return profiles.gaussian_profile(*params)
     if kind == "subsampled_gaussian":
-        return subsampled_gaussian_profile(params, grid)
+        from . import pld
+        return pld.subsampled_gaussian_profile(params, grid)
     if kind == "pure":
-        return profile_from_points([(params, 0.0)])
-    return profile_from_points(params)
+        return profiles.profile_from_points([(params, 0.0)])
+    return profiles.profile_from_points(params)
 
 
 def _count_dist(family, fam):
     """The run-count distribution of a negbin, binomial or poisson spec."""
+    from . import countdist
     if family == "negbin":
         eta = _real(fam, "eta", 1.0)
         if _either(fam, "gamma", "m") == "gamma":
-            return TruncNegBinomial(eta, _real(fam, "gamma"))
-        return from_expected("negbin", _real(fam, "m"), shape=eta)
+            return countdist.TruncNegBinomial(eta, _real(fam, "gamma"))
+        return countdist.from_expected("negbin", _real(fam, "m"), shape=eta)
     if family == "binomial":
         n = _count(fam, "n")
         if _either(fam, "p", "m") == "p":
-            return Binomial(n, _real(fam, "p"))
-        return from_expected("binomial", _real(fam, "m"), trials=n)
-    return from_expected("poisson", _real(fam, "m"))
+            return countdist.Binomial(n, _real(fam, "p"))
+        return countdist.from_expected("binomial", _real(fam, "m"), trials=n)
+    return countdist.from_expected("poisson", _real(fam, "m"))
 
 
 def _eps_grid(args):
@@ -280,15 +283,16 @@ def cmd_profile(args):
     return 0
 
 
-# looked up at call time, so wrappers installed on presets are seen
+# each preset's tables, read off the presets module at call time, so
+# wrappers installed on presets are seen
 _PRESETS = {
-    "fig1": lambda grid: [presets.fig1_table()],
-    "fig2": lambda grid: [presets.fig2_table()],
-    "fig3": lambda grid: [presets.fig3_table()],
-    "fig4": lambda grid: presets.fig4_tables(),
-    "fig6": lambda grid: [presets.fig6_table(grid=grid)],
-    "fig7": lambda grid: [presets.fig7_table(grid=grid)],
-    "fig8": lambda grid: [presets.fig8_adjust_table(grid=grid)],
+    "fig1": lambda presets, grid: [presets.fig1_table()],
+    "fig2": lambda presets, grid: [presets.fig2_table()],
+    "fig3": lambda presets, grid: [presets.fig3_table()],
+    "fig4": lambda presets, grid: presets.fig4_tables(),
+    "fig6": lambda presets, grid: [presets.fig6_table(grid=grid)],
+    "fig7": lambda presets, grid: [presets.fig7_table(grid=grid)],
+    "fig8": lambda presets, grid: [presets.fig8_adjust_table(grid=grid)],
 }
 # the presets that build a loss grid, so the only ones --grid-spacing reaches
 _GRID_PRESETS = ("fig6", "fig7", "fig8")
@@ -299,7 +303,9 @@ def cmd_compare(args):
     if build is None:
         raise ConfigError(f"unknown preset {args.preset!r}, "
                           f"choose from {', '.join(_PRESETS)}")
-    (header, rows), *extra = build(_grid_spec(args, args.preset in _GRID_PRESETS))
+    grid = _grid_spec(args, args.preset in _GRID_PRESETS)
+    from . import presets
+    (header, rows), *extra = build(presets, grid)
     out = args.out
     _emit_csv(header, rows, out)
     # fig4's count CDF table: a second file beside --out, else after a blank line
@@ -314,13 +320,14 @@ def cmd_compare(args):
 
 
 def _resolve_rnm(kind, params, fam, method, delta):
+    from . import profiles, rnm
     if kind != "gaussian":
         raise ConfigError("rnm needs a gaussian base")
     sigma, sens = params
     monotone = fam.get("monotone", False)
     if not isinstance(monotone, bool):
         raise ConfigError(f"monotone must be true or false, got {monotone!r}")
-    spec = RnmSpec(_count(fam, "m"), monotone, sigma)
+    spec = rnm.RnmSpec(_count(fam, "m"), monotone, sigma)
     rounds = _count(fam, "rounds", 1)
     if rounds < 1:
         raise ConfigError(f"rounds must be >= 1, got {rounds}")
@@ -329,10 +336,10 @@ def _resolve_rnm(kind, params, fam, method, delta):
             raise ConfigError("closed-form rnm needs one non-monotone round")
         if delta is None:
             raise ConfigError("closed-form rnm guarantee needs --delta")
-        eps = rnm_gaussian_eps(sigma / sens, spec.candidates, delta)
-        return profile_from_points([(eps, delta)]), math.nan, eps
+        eps = rnm.rnm_gaussian_eps(sigma / sens, spec.candidates, delta)
+        return profiles.profile_from_points([(eps, delta)]), math.nan, eps
     comp = spec.noise_profile(sens * math.sqrt(rounds))
-    return rnm_composition_profile(comp, spec.candidates, rounds), math.nan, None
+    return rnm.rnm_composition_profile(comp, spec.candidates, rounds), math.nan, None
 
 
 def _resolve(base, fam, method, args):
@@ -354,31 +361,33 @@ def _resolve(base, fam, method, args):
                           "binomial or poisson family")
     kind, params = _base_params(base)
     grid = _grid_spec(args, kind == "subsampled_gaussian" and method == "hs")
+    from . import profiles, selection
     if family is None:
         built = _build_base(kind, params, method, grid)
-        return (rdp_profile(built) if method == "rdp" else built), math.nan, None
+        return (profiles.rdp_profile(built) if method == "rdp" else built), math.nan, None
     if family == "rnm":
         return _resolve_rnm(kind, params, fam, method, args.delta)
     if method == "closed" and kind == "pure":
         # the pure-base form depends on the count only through its shape
-        eps = select_negbin_pure(params, _real(fam, "eta", 1.0))
-        return profile_from_points([(eps, 0.0)]), math.nan, eps
+        eps = selection.select_negbin_pure(params, _real(fam, "eta", 1.0))
+        return profiles.profile_from_points([(eps, 0.0)]), math.nan, eps
     dist = _count_dist(family, fam)
     if method == "hs":
         strategy = "optimized" if args.eps1 is None else args.eps1
-        res = bound_for_count(_build_base(kind, params, grid=grid), dist, strategy)
+        res = selection.bound_for_count(_build_base(kind, params, grid=grid), dist, strategy)
         return res.profile, res.eps1, None
     if method == "rdp":
-        curve = rdp_select_negbin(_build_base(kind, params, "rdp"),
-                                  dist.shape, dist.success)
-        return rdp_profile(curve), math.nan, None
+        curve = selection.rdp_select_negbin(_build_base(kind, params, "rdp"),
+                                            dist.shape, dist.success)
+        return profiles.rdp_profile(curve), math.nan, None
     if kind != "gaussian":
         raise ConfigError("closed-form negbin needs a pure or gaussian base")
     if args.delta is None:
         raise ConfigError("closed-form negbin guarantee needs --delta")
     sigma, sens = params
-    eps = select_gdp_eps(sigma / sens, dist.shape, dist.success, args.delta)
-    return profile_from_points([(eps, args.delta)]), math.nan, eps
+    eps = selection.select_gdp_eps(sigma / sens, dist.shape, dist.success,
+                                   args.delta)
+    return profiles.profile_from_points([(eps, args.delta)]), math.nan, eps
 
 
 def cmd_guarantee(args):
@@ -394,7 +403,8 @@ def cmd_guarantee(args):
     fam = _merge(cfg, args, "family", (fields for fields, _ in _FAMILIES.values()))
     profile, eps1, direct = _resolve(base, fam or None, method, args)
     if args.delta is not None:
-        eps = direct if direct is not None else epsilon_for_delta(
+        from . import profiles
+        eps = direct if direct is not None else profiles.epsilon_for_delta(
             profile, args.delta)
         delta = args.delta
     else:
@@ -429,24 +439,27 @@ def cmd_adjust(args):
         v = cfg.get(key) if v is None else v
         if v is not None:
             given[key] = _finite(v, key)
-    header, rows = presets.fig8_adjust_table(**given, grid=_grid_spec(args, True))
+    grid = _grid_spec(args, True)
+    from . import presets
+    header, rows = presets.fig8_adjust_table(**given, grid=grid)
     _emit_csv(header, rows, out)
     return 0
 
 
 def _instance_bound(base_spec, dist):
     """Analytic bound profile matching a SELECTION_INSTANCES entry."""
+    from . import profiles, selection
     if base_spec[0] == "gaussian":
-        base = gaussian_profile(base_spec[1], 1.0)
+        base = profiles.gaussian_profile(base_spec[1], 1.0)
     else:
-        base = subsampled_gaussian_profile(
-            SubsampledGaussianParams(base_spec[1], base_spec[2], 1))
-    return bound_for_count(base, dist).profile
+        from . import pld
+        base = pld.subsampled_gaussian_profile(
+            pld.SubsampledGaussianParams(base_spec[1], base_spec[2], 1))
+    return selection.bound_for_count(base, dist).profile
 
 
 def _oracle_checks():
-    from .countdist import Binomial as BinomialDist
-    from .countdist import Poisson as PoissonDist
+    from .countdist import Binomial, Poisson
     from .oracles import (
         SELECTION_INSTANCES,
         argmax_probabilities,
@@ -458,6 +471,7 @@ def _oracle_checks():
         selection_exact_divergence,
         selection_mean_quadrature,
     )
+    from .profiles import gaussian_profile
 
     checks = []
     pair = gaussian_pair(0.0, 1.0, 4.0)
@@ -487,7 +501,7 @@ def _oracle_checks():
     checks.append(("noisy-argmax bound dominates exact", viol <= 1e-12,
                    f"worst excess {viol:.2e}"))
 
-    one = BinomialDist(1, 1 - 1e-12)
+    one = Binomial(1, 1 - 1e-12)
     sel_gap = abs(selection_exact_divergence(pair, one, 1.0)
                   - hs_divergence_quadrature(pair, 1.0))
     checks.append(("single-run selection equals base", sel_gap < 1e-9,
@@ -503,7 +517,7 @@ def _oracle_checks():
                    f"worst excess {worst_excess:.3e} over "
                    f"{len(SELECTION_INSTANCES)} instances"))
 
-    rng_dist = PoissonDist(5.0)
+    rng_dist = Poisson(5.0)
 
     def sampler(rng, size):
         return rng.normal(0.0, 1.0, size)

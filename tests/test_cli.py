@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import mpmath
+import pytest
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -200,18 +201,82 @@ def test_config_section_not_an_object_is_config_error(tmp_path):
     assert "'family' must be a JSON object" in r.stderr
 
 
+def loaded_after(code):
+    """Names of the modules loaded in a fresh interpreter that ran code,
+    with whatever code printed before them."""
+    code += "\nprint(json.dumps(sorted(sys.modules)))"
+    r = subprocess.run([sys.executable, "-c", "import json, sys\n" + code],
+                       capture_output=True, text=True, env=child_env())
+    *printed, modules = r.stdout.splitlines()
+    return r, printed, set(json.loads(modules))
+
+
+# scipy.stats and scipy.signal alone cost about 1 s of start-up, and
+# scipy.integrate and scipy.optimize load only with the oracles
+HEAVY_SCIPY = {"scipy.stats", "scipy.signal", "scipy.integrate", "scipy.optimize"}
+
+
 def test_imports_leave_out_heavy_scipy_subpackages():
-    # every CLI call pays its imports; scipy.stats and scipy.signal alone
-    # cost about 1 s, and the accountant reads nothing of them
-    code = ("import json, sys, privsel, privsel.cli; "
-            "print(json.dumps(sorted(m for m in sys.modules "
-            "if m.startswith('scipy.'))))")
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                       text=True, env=child_env())
+    # every module a query computes with, imported at module level
+    r, _, loaded = loaded_after(
+        "import privsel, privsel.cli\n"
+        "from privsel import countdist, errors, pld, presets, profiles, rnm, "
+        "selection")
     assert r.returncode == 0, r.stderr
-    loaded = {m.split(".")[1] for m in json.loads(r.stdout)}
-    heavy = {"stats", "signal", "integrate", "optimize"}
-    assert not loaded & heavy, sorted(loaded & heavy)
+    assert not loaded & HEAVY_SCIPY, sorted(loaded & HEAVY_SCIPY)
+
+
+def test_package_and_cli_load_numpy_alone():
+    # every CLI call pays its imports: the package and the CLI load numpy
+    # alone, and each command imports what it computes with
+    r, _, loaded = loaded_after("import privsel, privsel.cli")
+    assert r.returncode == 0, r.stderr
+    assert "numpy" in loaded
+    scipy = sorted(m for m in loaded if m == "scipy" or m.startswith("scipy."))
+    assert not scipy, scipy
+
+
+@pytest.mark.parametrize("argv,config,message", [
+    (GUARANTEE_HS[:-2], None, "error: give a target: --delta or --eps"),
+    (["guarantee", "--base", "gaussian", "--sigma", "nan", "--family", "negbin",
+      "--m", "300", "--delta", "1e-6"], None, "error: sigma must be finite, got nan"),
+    (["guarantee", "--delta", "1e-6"], {"base": [1]},
+     "error: config 'base' must be a JSON object, got list"),
+], ids=["missing-target", "sigma-nan", "config-base-list"])
+def test_config_errors_exit_before_scipy_loads(argv, config, message, tmp_path):
+    if config is not None:
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(cfg)]
+    r, printed, loaded = loaded_after(
+        f"from privsel import cli\nprint(cli.main({argv!r}))")
+    assert printed == ["2"], r.stderr
+    assert r.stderr == message + "\n"
+    assert "scipy" not in loaded
+
+
+def test_gaussian_guarantee_leaves_the_loss_grid_unloaded():
+    # a Gaussian base needs no privacy-loss distribution, so neither pld
+    # nor scipy.fft
+    r, printed, loaded = loaded_after(
+        f"from privsel import cli\ncli.main({GUARANTEE_HS!r})")
+    assert r.returncode == 0, r.stderr
+    assert printed == ["eps=2.79379844666 delta=1e-06 "
+                       "method=hs eps1=0.646736173553"]
+    assert not loaded & {"privsel.pld", "scipy.fft"}
+    assert not loaded & HEAVY_SCIPY, sorted(loaded & HEAVY_SCIPY)
+
+
+def test_subsampled_profile_leaves_out_heavy_scipy_subpackages():
+    # a subsampled base builds its loss grid with scipy.special and scipy.fft
+    r, printed, loaded = loaded_after(
+        "from privsel import cli\n"
+        "cli.main(['profile', '--base', 'subsampled_gaussian', '--q', '0.2', "
+        "'--sigma', '2', '--eps-grid', '0:1:1'])")
+    assert r.returncode == 0, r.stderr
+    assert printed[0] == "eps,delta" and len(printed) == 3
+    assert {"privsel.pld", "scipy.fft"} <= loaded
+    assert not loaded & HEAVY_SCIPY, sorted(loaded & HEAVY_SCIPY)
 
 
 def test_subsampled_renyi_curve_leaves_scipy_integrate_unloaded():
