@@ -55,8 +55,11 @@ def _emit_csv(header, rows, out_path):
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     text = "\n".join(lines) + "\n"
     if out_path:
-        with open(out_path, "w", newline="") as f:
-            f.write(text)
+        try:
+            with open(out_path, "w", newline="") as f:
+                f.write(text)
+        except OSError as e:
+            raise ConfigError(f"cannot write {out_path}: {e.strerror or e}") from e
     else:
         sys.stdout.write(text)
 
@@ -193,9 +196,8 @@ def _sigma_sens(base):
 
 def _base_params(base):
     """(kind, params) of a merged base spec, every field checked once:
-    (sigma, sensitivity) for gaussian, SubsampledGaussianParams for
-    subsampled_gaussian (sigma divided by the sensitivity), eps for pure,
-    the (eps, delta) list for points."""
+    (sigma, sensitivity) for gaussian, (q, sigma / sensitivity, steps) for
+    subsampled_gaussian, eps for pure, the (eps, delta) list for points."""
     if "kind" not in base:
         raise ConfigError("no base mechanism given (config 'base' or --base)")
     kind = base["kind"]
@@ -206,9 +208,7 @@ def _base_params(base):
         return kind, _sigma_sens(base)
     if kind == "subsampled_gaussian":
         sigma, sens = _sigma_sens(base)
-        from . import pld
-        return kind, pld.SubsampledGaussianParams(
-            _real(base, "q"), sigma / sens, _count(base, "steps", 1))
+        return kind, (_real(base, "q"), sigma / sens, _count(base, "steps", 1))
     if kind == "pure":
         return kind, _real(base, "eps")
     try:
@@ -221,19 +221,20 @@ def _base_params(base):
 def _build_base(kind, params, method="hs", grid=None):
     """What `method` reads of a parsed base: its Renyi curve for rdp,
     otherwise its privacy profile."""
+    if kind == "subsampled_gaussian":
+        # pld, and with it scipy.fft, loads once the whole query is checked
+        from . import pld
+        params = pld.SubsampledGaussianParams(*params)
+        if method == "rdp":
+            return pld.subsampled_rdp_curve(params)
+        return pld.subsampled_gaussian_profile(params, grid)
     from . import profiles
     if method == "rdp":
         if kind == "gaussian":
             return profiles.gaussian_rdp_curve(*params)
-        if kind == "subsampled_gaussian":
-            from . import presets
-            return presets.subsampled_rdp_curve(params)
         raise ConfigError("method rdp needs a gaussian or subsampled_gaussian base")
     if kind == "gaussian":
         return profiles.gaussian_profile(*params)
-    if kind == "subsampled_gaussian":
-        from . import pld
-        return pld.subsampled_gaussian_profile(params, grid)
     if kind == "pure":
         return profiles.profile_from_points([(params, 0.0)])
     return profiles.profile_from_points(params)
@@ -346,6 +347,7 @@ def _resolve(base, fam, method, args):
     """(profile, eps1, direct) of a guarantee query, building only what
     the method reads; direct is a closed-form eps, reported as-is instead
     of being read back off the profile."""
+    kind, params = _base_params(base)
     family = None if fam is None else fam.get("kind")
     if fam is not None and not (isinstance(family, str) and family in _FAMILIES):
         raise ConfigError(f"unknown family kind {family!r}")
@@ -359,7 +361,6 @@ def _resolve(base, fam, method, args):
     if args.eps1 is not None and (family in (None, "rnm") or method != "hs"):
         raise ConfigError("--eps1 is read only by the hs bound of a negbin, "
                           "binomial or poisson family")
-    kind, params = _base_params(base)
     grid = _grid_spec(args, kind == "subsampled_gaussian" and method == "hs")
     from . import profiles, selection
     if family is None:
@@ -396,10 +397,10 @@ def cmd_guarantee(args):
         raise ConfigError("give a target: --delta or --eps")
     if args.delta is not None and args.eps is not None:
         raise ConfigError("give exactly one of --delta and --eps")
+    if args.eps is not None:
+        _finite(args.eps, "eps")
     method = args.method or cfg.get("method", "hs")
     base = _merge(cfg, args, "base", _BASES.values())
-    if "kind" not in base:
-        _base_params(base)  # raises: a missing base is named before the family
     fam = _merge(cfg, args, "family", (fields for fields, _ in _FAMILIES.values()))
     profile, eps1, direct = _resolve(base, fam or None, method, args)
     if args.delta is not None:
@@ -427,7 +428,7 @@ def cmd_adjust(args):
     out = _out_path(args, cfg)
     # only the keys given reach the table; it holds the defaults
     given = {}
-    raw = args.sigmas.split(",") if args.sigmas else cfg.get("sigmas")
+    raw = args.sigmas.split(",") if args.sigmas is not None else cfg.get("sigmas")
     if raw is not None:
         if not isinstance(raw, list):
             raise ConfigError(f"config 'sigmas' must be a list, got {raw!r}")
@@ -446,18 +447,6 @@ def cmd_adjust(args):
     return 0
 
 
-def _instance_bound(base_spec, dist):
-    """Analytic bound profile matching a SELECTION_INSTANCES entry."""
-    from . import profiles, selection
-    if base_spec[0] == "gaussian":
-        base = profiles.gaussian_profile(base_spec[1], 1.0)
-    else:
-        from . import pld
-        base = pld.subsampled_gaussian_profile(
-            pld.SubsampledGaussianParams(base_spec[1], base_spec[2], 1))
-    return selection.bound_for_count(base, dist).profile
-
-
 def _oracle_checks():
     from .countdist import Binomial, Poisson
     from .oracles import (
@@ -472,6 +461,7 @@ def _oracle_checks():
         selection_mean_quadrature,
     )
     from .profiles import gaussian_profile
+    from .selection import bound_for_count
 
     checks = []
     pair = gaussian_pair(0.0, 1.0, 4.0)
@@ -508,10 +498,10 @@ def _oracle_checks():
                    f"gap {sel_gap:.2e}"))
 
     worst_excess = -math.inf
-    for _, base_spec, dist in SELECTION_INSTANCES:
-        inst_pair = instance_pair(base_spec)
-        exact = selection_exact_divergence(inst_pair, dist, 2.0)
-        bound = _instance_bound(base_spec, dist)(2.0)
+    for _, spec, dist in SELECTION_INSTANCES:
+        # the bound `guarantee` builds for this base and count
+        bound = bound_for_count(_build_base(*_base_params(spec)), dist).profile(2.0)
+        exact = selection_exact_divergence(instance_pair(spec), dist, 2.0)
         worst_excess = max(worst_excess, exact - bound)
     checks.append(("selection bound dominates exact", worst_excess <= 1e-12,
                    f"worst excess {worst_excess:.3e} over "

@@ -247,29 +247,34 @@ def mc_selection_sample(base_sampler, dist, trials, seed=MC_SEED):
     return McSelectionSummary(best=best, trials=trials, seed=seed)
 
 
-# Shared validation scenarios: a base pair description plus a count
-# distribution.  Consumers build the matching analytic bound themselves,
-# so this module stays independent of the bound implementations.
+# Shared validation scenarios: a base in the CLI's base-spec form plus a
+# count distribution.  Consumers build the matching analytic bound
+# themselves, so this module stays independent of the bound implementations.
 SELECTION_INSTANCES = (
     ("gaussian sigma=4, geometric count",
-     ("gaussian", 4.0), TruncNegBinomial(1.0, 0.1)),
+     {"kind": "gaussian", "sigma": 4.0}, TruncNegBinomial(1.0, 0.1)),
     ("gaussian sigma=4, log-series count",
-     ("gaussian", 4.0), TruncNegBinomial(0.0, 0.05)),
+     {"kind": "gaussian", "sigma": 4.0}, TruncNegBinomial(0.0, 0.05)),
     ("gaussian sigma=2, shape-2 count",
-     ("gaussian", 2.0), TruncNegBinomial(2.0, 0.3)),
+     {"kind": "gaussian", "sigma": 2.0}, TruncNegBinomial(2.0, 0.3)),
     ("gaussian sigma=4, binomial count",
-     ("gaussian", 4.0), Binomial(50, 0.2)),
+     {"kind": "gaussian", "sigma": 4.0}, Binomial(50, 0.2)),
     ("gaussian sigma=4, poisson count",
-     ("gaussian", 4.0), Poisson(10.0)),
+     {"kind": "gaussian", "sigma": 4.0}, Poisson(10.0)),
     ("subsampled q=0.2 sigma=2, geometric count",
-     ("subsampled", 0.2, 2.0), TruncNegBinomial(1.0, 0.2)),
+     {"kind": "subsampled_gaussian", "q": 0.2, "sigma": 2.0},
+     TruncNegBinomial(1.0, 0.2)),
 )
 
 
-def instance_pair(base_spec):
-    """Density pair for a SELECTION_INSTANCES base description."""
-    if base_spec[0] == "gaussian":
-        return gaussian_pair(0.0, 1.0, base_spec[1])
-    if base_spec[0] == "subsampled":
-        return subsampled_gaussian_pair(base_spec[1], base_spec[2], "remove")
-    raise ValueError(f"unknown base spec {base_spec!r}")
+def instance_pair(spec):
+    """Dominating pair of a one-step gaussian or subsampled_gaussian base
+    spec; a subsampled pair moves by 1 at noise sigma / sensitivity."""
+    kind, sens = spec.get("kind"), spec.get("sensitivity", 1.0)
+    if spec.get("steps", 1) != 1:
+        raise ValueError(f"a composed base has no density pair here: {spec!r}")
+    if kind == "gaussian":
+        return gaussian_pair(0.0, sens, spec["sigma"])
+    if kind == "subsampled_gaussian":
+        return subsampled_gaussian_pair(spec["q"], spec["sigma"] / sens, "remove")
+    raise ValueError(f"no density pair for base {spec!r}")

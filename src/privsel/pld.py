@@ -34,7 +34,7 @@ from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import gammaln, ndtr, ndtri, xlog1py
 
 from .errors import GridTooCoarseError, MemoryBudgetError
-from .profiles import PrivacyProfile, clip_delta, default_orders
+from .profiles import PrivacyProfile, RdpCurve, clip_delta, default_orders
 
 MAX_CELLS = 2**28
 # cumulative mass a convolution may shed from either end of its support;
@@ -481,3 +481,10 @@ def renyi_subsampled_gaussian(params, alpha):
     if not 1 < alpha < math.inf:
         raise ValueError(f"alpha must be finite and exceed 1, got {alpha}")
     return params.steps * _renyi_one_step(params.q, params.sigma, float(alpha))
+
+
+def subsampled_rdp_curve(params):
+    """Renyi curve of the composed subsampled Gaussian on the shared
+    order grid; per-order one-step values are cached process-wide."""
+    orders = default_orders()
+    return RdpCurve(orders, [renyi_subsampled_gaussian(params, a) for a in orders])

@@ -15,13 +15,11 @@ from .errors import EmptyCurveError
 from .pld import (
     GridSpec,
     SubsampledGaussianParams,
-    renyi_subsampled_gaussian,
     subsampled_gaussian_profile,
+    subsampled_rdp_curve,
 )
 from .profiles import (
     PointDP,
-    RdpCurve,
-    default_orders,
     epsilon_for_delta,
     gaussian_profile,
     gaussian_rdp_curve,
@@ -59,13 +57,6 @@ FIG7_TARGET_EPS = 2.5
 
 # largest step count the fig8 step search probes
 FIG8_STEPS_CAP = 1 << 20
-
-
-def subsampled_rdp_curve(params):
-    """Renyi curve of the composed subsampled Gaussian on the shared
-    order grid; per-order one-step values are cached process-wide."""
-    orders = default_orders()
-    return RdpCurve(orders, [renyi_subsampled_gaussian(params, a) for a in orders])
 
 
 def rdp_curve_eps(curve, delta):

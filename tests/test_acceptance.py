@@ -145,13 +145,14 @@ def test_05_divergence_bound_beats_renyi_baseline():
 def test_06_selection_bounds_dominate_exact_oracle():
     t0 = time.monotonic()
     worst = -math.inf
-    for label, base_spec, dist in SELECTION_INSTANCES:
-        pair = instance_pair(base_spec)
-        if base_spec[0] == "gaussian":
-            base = gaussian_profile(base_spec[1], 1.0)
+    for label, spec, dist in SELECTION_INSTANCES:
+        pair = instance_pair(spec)
+        # built here, not through the CLI's parser, as an independent reference
+        if spec["kind"] == "gaussian":
+            base = gaussian_profile(spec["sigma"], 1.0)
         else:
             base = subsampled_gaussian_profile(
-                SubsampledGaussianParams(base_spec[1], base_spec[2], 1))
+                SubsampledGaussianParams(spec["q"], spec["sigma"], 1))
         bound = bound_for_count(base, dist).profile
         for eps in (1.0, 2.0, 3.0, 4.0):
             exact = selection_exact_divergence(pair, dist, eps)

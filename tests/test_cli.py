@@ -113,6 +113,17 @@ def test_empty_candidate_list_is_config_error(tmp_path):
     cfg.write_text(json.dumps({"sigmas": []}))
     r = run_cli("adjust", "--config", str(cfg))
     assert r.returncode == 2
+    # an empty flag is refused too, not replaced by the default candidates
+    r = run_cli("adjust", "--sigmas=", "--q", "0.01")
+    assert r.returncode == 2 and r.stdout == ""
+
+
+@pytest.mark.parametrize("eps", ["inf", "-inf", "nan"])
+def test_non_finite_eps_target_is_config_error(eps):
+    r = run_cli("guarantee", "--base", "gaussian", "--sigma", "4", f"--eps={eps}")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == f"error: eps must be finite, got {eps}\n"
 
 
 def test_unreachable_target_exit_code():
@@ -242,7 +253,11 @@ def test_package_and_cli_load_numpy_alone():
       "--m", "300", "--delta", "1e-6"], None, "error: sigma must be finite, got nan"),
     (["guarantee", "--delta", "1e-6"], {"base": [1]},
      "error: config 'base' must be a JSON object, got list"),
-], ids=["missing-target", "sigma-nan", "config-base-list"])
+    (["guarantee", "--base", "subsampled_gaussian", "--q", "0.1", "--sigma", "1",
+      "--family", "binomial", "--n", "5", "--p", "0.5", "--method", "rdp",
+      "--delta", "1e-6"], None,
+     "error: method 'rdp' is not available for binomial, choose from hs"),
+], ids=["missing-target", "sigma-nan", "config-base-list", "subsampled-method"])
 def test_config_errors_exit_before_scipy_loads(argv, config, message, tmp_path):
     if config is not None:
         cfg = tmp_path / "bad.json"
@@ -291,3 +306,15 @@ def test_subsampled_renyi_curve_leaves_scipy_integrate_unloaded():
                        text=True, env=child_env())
     assert r.returncode == 0, r.stderr
     assert r.stdout == "False\n"
+
+
+def test_subsampled_renyi_query_leaves_presets_unloaded():
+    # the Renyi curve of a subsampled base lives in pld; presets is read
+    # only by compare and adjust
+    r, printed, loaded = loaded_after(
+        "from privsel import cli\n"
+        "cli.main(['guarantee', '--base', 'subsampled_gaussian', '--q', '0.01', "
+        "'--sigma', '1', '--steps', '100', '--method', 'rdp', '--delta', '1e-6'])")
+    assert r.returncode == 0, r.stderr
+    assert printed[0].startswith("eps=") and printed[0].endswith("method=rdp eps1=nan")
+    assert "privsel.presets" not in loaded

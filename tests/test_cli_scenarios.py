@@ -197,6 +197,29 @@ def test_config_out_must_be_a_path(command, out, tmp_path, capsys):
     assert refused(argv, capsys)
 
 
+@pytest.mark.parametrize("argv", [
+    ["profile", "--base", "gaussian", "--sigma", "4", "--eps-grid", "0:1:1"],
+    ["compare", "fig1"],
+    ["adjust", "--sigmas", "0.5"],
+], ids=["profile", "compare", "adjust"])
+def test_out_that_cannot_be_opened_is_refused(argv, tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert got.err == f"error: cannot write {out}: No such file or directory\n"
+
+
+def test_fig4_count_table_that_cannot_be_opened_is_refused(tmp_path, capsys):
+    # the count CDF table goes beside --out; a directory stands in its way
+    (tmp_path / "x_kcdf.csv").mkdir()
+    assert cli.main(["compare", "fig4", "--out", str(tmp_path / "x.csv")]) == 2
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert got.err.startswith(f"error: cannot write {tmp_path / 'x_kcdf.csv'}: ")
+    assert got.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("key", ["q", "eps_q", "delta", "m", "eta"])
 def test_adjust_config_reals_are_checked(key, tmp_path, capsys):
     assert refused(["adjust", *config(tmp_path, {key: "abc"})], capsys)

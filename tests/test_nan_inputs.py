@@ -53,7 +53,7 @@ def test_nan_base_is_config_error(base, tmp_path, capsys):
 def test_nan_eps_query_is_config_error(capsys):
     argv = ["guarantee", "--base", "gaussian", "--sigma", "4", "--eps", "nan"]
     assert cli.main(argv) == 2
-    assert "NaN" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: eps must be finite, got nan\n"
 
 
 @pytest.mark.parametrize("build", [

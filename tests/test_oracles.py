@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from privsel import cli
 from privsel.countdist import Binomial, Poisson, TruncNegBinomial
 from privsel.oracles import (
     SELECTION_INSTANCES,
@@ -140,10 +141,29 @@ def test_mc_cdf_is_monotone():
 
 def test_instance_table_is_well_formed():
     assert len(SELECTION_INSTANCES) >= 5
-    for label, base_spec, dist in SELECTION_INSTANCES:
-        pair = instance_pair(base_spec)
+    for label, spec, dist in SELECTION_INSTANCES:
+        pair = instance_pair(spec)
         assert pair.cdf_p is not None and pair.cdf_q is not None
         assert dist.mean() > 0
         assert isinstance(label, str) and label
-    with pytest.raises(ValueError):
-        instance_pair(("laplace", 1.0))
+        # each base is a spec the CLI parses, so `privsel oracle` checks
+        # the bound `guarantee` builds
+        assert cli._base_params(spec)[0] == spec["kind"]
+    for spec in ({"kind": "laplace", "scale": 1.0},
+                 {"kind": "points", "points": [[1.0, 1e-6]]},
+                 {"kind": "subsampled_gaussian", "q": 0.2, "sigma": 2.0, "steps": 2}):
+        with pytest.raises(ValueError):
+            instance_pair(spec)
+
+
+@pytest.mark.parametrize("spec, unit", [
+    ({"kind": "gaussian", "sigma": 4.0, "sensitivity": 2.0},
+     gaussian_pair(0.0, 1.0, 2.0)),
+    ({"kind": "subsampled_gaussian", "q": 0.2, "sigma": 4.0, "sensitivity": 2.0},
+     subsampled_gaussian_pair(0.2, 2.0)),
+], ids=["gaussian", "subsampled"])
+def test_instance_pair_reads_the_sensitivity(spec, unit):
+    pair = instance_pair(spec)
+    for eps in (0.0, 1.0):
+        assert hs_divergence_quadrature(pair, eps) == pytest.approx(
+            hs_divergence_quadrature(unit, eps), abs=1e-12)
