@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -59,9 +60,28 @@ def _emit_csv(header, rows, out_path):
             with open(out_path, "w", newline="") as f:
                 f.write(text)
         except OSError as e:
-            raise ConfigError(f"cannot write {out_path}: {e.strerror or e}") from e
+            raise _cannot_write(out_path, e) from e
     else:
         sys.stdout.write(text)
+
+
+def _cannot_write(path, e):
+    return ConfigError(f"cannot write {path}: {e.strerror or e}")
+
+
+def _writable(path):
+    """path, once a file there opens for writing; ConfigError otherwise.
+    Called before any table is built.  The file is opened without
+    truncation and removed again if this call made it, so a call that
+    exits non-zero leaves every output path as it found it."""
+    existed = os.path.lexists(path)
+    try:
+        open(path, "a").close()
+    except OSError as e:
+        raise _cannot_write(path, e) from e
+    if not existed:
+        os.remove(path)
+    return path
 
 
 def _load_config(args):
@@ -147,7 +167,7 @@ def _out_path(args, cfg):
     out = args.out or cfg.get("out")
     if out is not None and not isinstance(out, str):
         raise ConfigError(f"config 'out' must be a path string, got {out!r}")
-    return out
+    return out and _writable(out)
 
 
 def _finite(value, name):
@@ -297,6 +317,8 @@ _PRESETS = {
 }
 # the presets that build a loss grid, so the only ones --grid-spacing reaches
 _GRID_PRESETS = ("fig6", "fig7", "fig8")
+# the preset that also returns a count CDF table, written beside --out
+_KCDF_PRESET = "fig4"
 
 
 def cmd_compare(args):
@@ -305,18 +327,19 @@ def cmd_compare(args):
         raise ConfigError(f"unknown preset {args.preset!r}, "
                           f"choose from {', '.join(_PRESETS)}")
     grid = _grid_spec(args, args.preset in _GRID_PRESETS)
+    out = _out_path(args, {})
+    # fig4's count CDF table: a second file beside --out, else after a blank line
+    kout = None
+    if out and args.preset == _KCDF_PRESET:
+        stem, dot, ext = out.rpartition(".")
+        kout = _writable(f"{stem}_kcdf.{ext}" if dot else f"{out}_kcdf")
     from . import presets
     (header, rows), *extra = build(presets, grid)
-    out = args.out
     _emit_csv(header, rows, out)
-    # fig4's count CDF table: a second file beside --out, else after a blank line
     for kheader, krows in extra:
-        if out:
-            stem, dot, ext = out.rpartition(".")
-            _emit_csv(kheader, krows, f"{stem}_kcdf.{ext}" if dot else f"{out}_kcdf")
-        else:
+        if not kout:
             sys.stdout.write("\n")
-            _emit_csv(kheader, krows, None)
+        _emit_csv(kheader, krows, kout)
     return 0
 
 

@@ -5,10 +5,8 @@ releases the best run.  Each distribution offers its pmf, cdf, mean, the
 derivative of its probability generating function and a tail support
 bound; the oracles and the fig4 table use those.
 
-Binomial and Poisson pmf, cdf and tail support come from `scipy.stats`,
-imported inside those methods: only the fig4 table and the oracles call
-them, and importing `scipy.stats` costs about 0.7 s of start-up that every
-other query would pay.  The bounds read only `mean()` and the parameters.
+All three evaluate through `scipy.special`; the bounds read only `mean()`
+and the parameters.
 
 The truncated negative binomial lives on {1, 2, ...}; binomial and Poisson
 put mass on K = 0, which the selection bounds treat separately.
@@ -20,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import betainc, gammaln, pdtr, pdtrc, pdtrik, xlog1py, xlogy
 
 from .errors import InfeasibleMeanError
 
@@ -36,6 +34,17 @@ def _near_zero_norm(g, eta):
     within ~1e-16 of zero.  Tends to the shape-0 value 1/log(1/g)."""
     t = eta * math.log(g)
     return (1.0 if t == 0 else t / math.expm1(t)) / math.log(1 / g)
+
+
+def _pmf_on(k, lo, hi, logpmf):
+    """exp(logpmf(k)) at the entries of k in [lo, hi] and 0 elsewhere: a
+    float for a scalar k, an array otherwise.  logpmf sees only the entries
+    inside, as floats."""
+    k = np.asarray(k)
+    inside = (k >= lo) & (k <= hi)
+    out = np.zeros(k.shape)
+    out[inside] = np.exp(logpmf(k[inside].astype(float)))
+    return float(out) if out.ndim == 0 else out
 
 
 def _check_shape(eta):
@@ -70,30 +79,24 @@ class TruncNegBinomial:
             raise ValueError(f"success must be in (0,1), got {self.success}")
 
     def pmf(self, k):
-        k = np.asarray(k)
-        kf = k.astype(float)
         g = self.success
         eta = self.shape
-        with np.errstate(divide="ignore"):
-            if eta == 0:
-                logp = kf * math.log1p(-g) - np.log(kf) - math.log(math.log(1 / g))
-            else:
-                t = eta * math.log(g)
-                if abs(t) < _NEAR_ZERO_SHAPE:
-                    # eta/(g^-eta - 1) = g^eta * eta/(1 - g^eta)
-                    pref = t + math.log(_near_zero_norm(g, eta))
-                else:
-                    # eta/(g^-eta - 1) > 0 for every eta > -1, so the log is safe
-                    pref = math.log(eta / (g ** (-eta) - 1))
-                logp = (
-                    pref
-                    + kf * math.log1p(-g)
-                    + gammaln(kf + eta)
-                    - gammaln(1 + eta)
-                    - gammaln(kf + 1)
-                )
-        out = np.where(k >= 1, np.exp(logp), 0.0)
-        return float(out) if out.ndim == 0 else out
+        if eta == 0:
+            return _pmf_on(k, 1, math.inf, lambda kf: (
+                kf * math.log1p(-g) - np.log(kf) - math.log(math.log(1 / g))))
+        t = eta * math.log(g)
+        if abs(t) < _NEAR_ZERO_SHAPE:
+            # eta/(g^-eta - 1) = g^eta * eta/(1 - g^eta)
+            pref = t + math.log(_near_zero_norm(g, eta))
+        else:
+            # eta/(g^-eta - 1) > 0 for every eta > -1, so the log is safe
+            pref = math.log(eta / (g ** (-eta) - 1))
+        return _pmf_on(k, 1, math.inf, lambda kf: (
+            pref
+            + kf * math.log1p(-g)
+            + gammaln(kf + eta)
+            - gammaln(1 + eta)
+            - gammaln(kf + 1)))
 
     def mean(self):
         return _negbin_mean(self.shape, self.success)
@@ -147,17 +150,21 @@ class Binomial:
             raise ValueError(f"prob must be in (0,1), got {self.prob}")
 
     def pmf(self, k):
-        from scipy import stats
-
-        return stats.binom.pmf(k, self.trials, self.prob)
+        n, p = self.trials, self.prob
+        return _pmf_on(k, 0, n, lambda kf: (
+            gammaln(n + 1) - (gammaln(kf + 1) + gammaln(n - kf + 1))
+            + xlogy(kf, p) + xlog1py(n - kf, -p)))
 
     def mean(self):
         return self.trials * self.prob
 
     def cdf(self, k):
-        from scipy import stats
-
-        return float(stats.binom.cdf(k, self.trials, self.prob))
+        k = math.floor(k)
+        if k < 0:
+            return 0.0
+        if k >= self.trials:
+            return 1.0
+        return float(betainc(self.trials - k, k + 1, 1 - self.prob))
 
     def pgf_deriv(self, z):
         _check_z(z)
@@ -179,27 +186,30 @@ class Poisson:
             raise ValueError(f"rate must be positive, got {self.rate}")
 
     def pmf(self, k):
-        from scipy import stats
-
-        return stats.poisson.pmf(k, self.rate)
+        rate = self.rate
+        return _pmf_on(k, 0, math.inf,
+                       lambda kf: xlogy(kf, rate) - gammaln(kf + 1) - rate)
 
     def mean(self):
         return self.rate
 
     def cdf(self, k):
-        from scipy import stats
-
-        return float(stats.poisson.cdf(k, self.rate))
+        k = math.floor(k)
+        return float(pdtr(k, self.rate)) if k >= 0 else 0.0
 
     def pgf_deriv(self, z):
         _check_z(z)
         return self.rate * math.exp(self.rate * (z - 1))
 
     def support_upper(self, tail=TAIL_MASS):
-        from scipy import stats
-
-        k = int(stats.poisson.isf(tail, self.rate)) + 2
-        while stats.poisson.sf(k, self.rate) > tail:
+        """Two past the least k at which the cdf reaches 1 - tail, then up
+        until the mass beyond k is at most `tail`."""
+        q = 1 - tail
+        k = math.ceil(pdtrik(q, self.rate))
+        if k >= 1 and pdtr(k - 1, self.rate) >= q:
+            k -= 1
+        k += 2
+        while pdtrc(k, self.rate) > tail:
             k += 1
         return k
 

@@ -92,16 +92,20 @@ class PrivacyProfile:
 
 def _bisect(node, delta, floor):
     """The least eps >= floor at which node(eps) <= delta, to within
-    BISECT_TOL above it: brackets by doubling the width from 1 until the
-    end passes EPS_CAP (inf there), then bisects.  hi is certified as it
-    goes."""
-    lo, hi = floor, floor + 1.0
+    BISECT_TOL above it: brackets by doubling the width from 1 (from one
+    ulp of floor where that is wider, as floor + 1 rounds back to floor
+    once |floor| >= 2**53) until the end passes EPS_CAP (inf there), then
+    bisects, stopping at adjacent floats where those lie more than
+    BISECT_TOL apart.  hi is certified as it goes."""
+    lo, hi = floor, floor + max(1.0, math.ulp(floor))
     while node(hi) > delta:
         if hi >= EPS_CAP:
             return math.inf
         lo, hi = hi, min(floor + 2 * (hi - floor), EPS_CAP)
     while hi - lo > BISECT_TOL:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if node(mid) <= delta:
             hi = mid
         else:

@@ -165,6 +165,23 @@ def test_memory_budget_exit_code():
     assert "budget" in r.stderr
 
 
+@pytest.mark.parametrize("family", [
+    ["poisson", "--m", "1e30"],
+    ["poisson", "--m", "1e300"],
+    ["binomial", "--n", "100000000000000000000", "--m", "1e19"],
+], ids=["poisson-1e30", "poisson-1e300", "binomial-1e19"])
+def test_huge_mean_is_unreachable_not_a_hang(family):
+    # the Gaussian base is searched from eps = -shift, about -1e29 here,
+    # where floor + 1 rounds back to floor
+    r = subprocess.run(
+        [sys.executable, "-m", "privsel.cli", "guarantee", "--base", "gaussian",
+         "--sigma", "4", "--family", *family, "--delta", "1e-6"],
+        capture_output=True, text=True, env=child_env(), timeout=60)
+    assert r.returncode == 3
+    assert r.stdout == ""
+    assert r.stderr == "error: profile still above delta=1e-06 at eps=10000\n"
+
+
 def test_compare_output_is_byte_identical(tmp_path):
     a = run_cli("compare", "fig1", "--out", "a.csv", cwd=tmp_path)
     b = run_cli("compare", "fig1", "--out", "b.csv", cwd=tmp_path)
@@ -222,19 +239,39 @@ def loaded_after(code):
     return r, printed, set(json.loads(modules))
 
 
-# scipy.stats and scipy.signal alone cost about 1 s of start-up, and
-# scipy.integrate and scipy.optimize load only with the oracles
+# no privsel module loads scipy.stats or scipy.signal (about 1 s of
+# start-up together); scipy.integrate and scipy.optimize load only with
+# privsel.oracles
 HEAVY_SCIPY = {"scipy.stats", "scipy.signal", "scipy.integrate", "scipy.optimize"}
 
 
 def test_imports_leave_out_heavy_scipy_subpackages():
-    # every module a query computes with, imported at module level
-    r, _, loaded = loaded_after(
+    # every module a query computes with, imported at module level, and
+    # every method of the binomial and Poisson counts called
+    r, printed, loaded = loaded_after(
         "import privsel, privsel.cli\n"
         "from privsel import countdist, errors, pld, presets, profiles, rnm, "
-        "selection")
+        "selection\n"
+        "for d in (countdist.Binomial(20, 0.3), countdist.Poisson(4.0)):\n"
+        "    print(d.pmf(3), d.pmf([0, 1]).sum(), d.mean(), d.cdf(3), "
+        "d.pgf_deriv(0.5), d.support_upper())")
     assert r.returncode == 0, r.stderr
+    assert len(printed) == 2
     assert not loaded & HEAVY_SCIPY, sorted(loaded & HEAVY_SCIPY)
+
+
+def test_oracle_and_fig4_leave_scipy_stats_unloaded():
+    # the oracles and the fig4 count CDF table read binomial and Poisson
+    # pmf, cdf and tail support, all computed with scipy.special
+    r, printed, loaded = loaded_after(
+        "from privsel import cli\n"
+        "print(cli.main(['oracle']))\n"
+        "print(cli.main(['compare', 'fig4']))")
+    assert r.returncode == 0, r.stderr
+    assert printed.count("0") == 2
+    assert "7/7 oracle checks passed" in printed
+    assert "k,cdf_n15,cdf_n20,cdf_n50,cdf_n1000,cdf_poisson" in printed
+    assert "scipy.stats" not in loaded
 
 
 def test_package_and_cli_load_numpy_alone():

@@ -197,12 +197,26 @@ def test_config_out_must_be_a_path(command, out, tmp_path, capsys):
     assert refused(argv, capsys)
 
 
+@pytest.fixture
+def no_tables(monkeypatch):
+    """Every table builder of compare and adjust, replaced by one that
+    fails the test if it is called."""
+    from privsel import presets
+
+    def build(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    for name in ("fig1_table", "fig4_tables", "fig8_adjust_table"):
+        monkeypatch.setattr(presets, name, build)
+
+
 @pytest.mark.parametrize("argv", [
     ["profile", "--base", "gaussian", "--sigma", "4", "--eps-grid", "0:1:1"],
     ["compare", "fig1"],
+    ["compare", "fig4"],
     ["adjust", "--sigmas", "0.5"],
-], ids=["profile", "compare", "adjust"])
-def test_out_that_cannot_be_opened_is_refused(argv, tmp_path, capsys):
+], ids=["profile", "compare", "fig4", "adjust"])
+def test_out_that_cannot_be_opened_is_refused(argv, no_tables, tmp_path, capsys):
     out = tmp_path / "missing" / "x.csv"
     assert cli.main([*argv, "--out", str(out)]) == 2
     got = capsys.readouterr()
@@ -210,7 +224,7 @@ def test_out_that_cannot_be_opened_is_refused(argv, tmp_path, capsys):
     assert got.err == f"error: cannot write {out}: No such file or directory\n"
 
 
-def test_fig4_count_table_that_cannot_be_opened_is_refused(tmp_path, capsys):
+def test_fig4_count_table_that_cannot_be_opened_is_refused(no_tables, tmp_path, capsys):
     # the count CDF table goes beside --out; a directory stands in its way
     (tmp_path / "x_kcdf.csv").mkdir()
     assert cli.main(["compare", "fig4", "--out", str(tmp_path / "x.csv")]) == 2
@@ -218,6 +232,37 @@ def test_fig4_count_table_that_cannot_be_opened_is_refused(tmp_path, capsys):
     assert got.out == ""
     assert got.err.startswith(f"error: cannot write {tmp_path / 'x_kcdf.csv'}: ")
     assert got.err.count("\n") == 1
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_fig4_leaves_an_existing_out_as_it_was(no_tables, tmp_path, capsys):
+    # neither file is written unless both open
+    out = tmp_path / "x.csv"
+    out.write_text("old content\n")
+    (tmp_path / "x_kcdf.csv").mkdir()
+    assert cli.main(["compare", "fig4", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot write {tmp_path / 'x_kcdf.csv'}: ")
+    assert out.read_text() == "old content\n"
+
+
+@pytest.mark.parametrize("argv", [["compare", "fig4"], ["adjust", "--sigmas", "0.5"]],
+                         ids=["fig4", "adjust"])
+def test_failed_table_leaves_out_as_it_was(argv, tmp_path, monkeypatch, capsys):
+    from privsel import presets
+    from privsel.errors import UnreachableTargetError
+
+    def build(*args, **kwargs):
+        raise UnreachableTargetError("no table")
+
+    monkeypatch.setattr(presets, "fig4_tables", build)
+    monkeypatch.setattr(presets, "fig8_adjust_table", build)
+    out = tmp_path / "x.csv"
+    out.write_text("old content\n")
+    assert cli.main([*argv, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "error: no table\n"
+    assert out.read_text() == "old content\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv"]
 
 
 @pytest.mark.parametrize("key", ["q", "eps_q", "delta", "m", "eta"])

@@ -1,9 +1,17 @@
-"""Count-distribution invariants and frozen parameter solves."""
+"""Count-distribution invariants, frozen parameter solves, and the binomial
+and Poisson counts against scipy.stats."""
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from privsel.countdist import Binomial, Poisson, TruncNegBinomial, from_expected
+from privsel.countdist import (
+    TAIL_MASS,
+    Binomial,
+    Poisson,
+    TruncNegBinomial,
+    from_expected,
+)
 from privsel.errors import InfeasibleMeanError
 
 # success parameter solved for the mean-10 logarithmic count, pinned
@@ -165,3 +173,44 @@ def test_near_zero_shape_approaches_log_series(shape):
     assert near.mean() == pytest.approx(log_series.mean(), rel=1e-9)
     k = np.arange(1, 60)
     assert np.allclose(near.pmf(k), log_series.pmf(k), rtol=1e-9, atol=0.0)
+
+
+# scipy.stats is a reference for these tests only; privsel computes the
+# binomial and Poisson counts with scipy.special
+@pytest.mark.parametrize("rate", [0.01, 0.5, 3.0, 17.3, 250.0, 5000.0])
+def test_poisson_matches_scipy_stats_bit_for_bit(rate):
+    dist = Poisson(rate)
+    ks = np.arange(-1, int(2 * rate) + 40)
+    assert np.array_equal(dist.pmf(ks), stats.poisson.pmf(ks, rate))
+    for k in ks:
+        assert dist.pmf(int(k)) == stats.poisson.pmf(k, rate)
+        assert dist.cdf(int(k)) == stats.poisson.cdf(k, rate)
+
+
+@pytest.mark.parametrize("rate", [0.01, 0.5, 3.0, 17.3, 250.0, 5000.0])
+@pytest.mark.parametrize("tail", [1e-15, 1e-12, 1e-9])
+def test_poisson_support_upper_holds_the_tail(rate, tail):
+    hi = Poisson(rate).support_upper(tail)
+    assert stats.poisson.sf(hi, rate) <= tail
+    # the bound as it was read off scipy.stats
+    k = int(stats.poisson.isf(tail, rate)) + 2
+    while stats.poisson.sf(k, rate) > tail:
+        k += 1
+    assert hi == k
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 15, 20, 50, 200, 1000])
+@pytest.mark.parametrize("p", [1e-6, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9])
+def test_binomial_matches_scipy_stats(n, p):
+    dist = Binomial(n, p)
+    ks = np.arange(-1, n + 2)
+    # relative, down to the least normal float, where relative error
+    # stops meaning anything
+    tiny = np.finfo(float).tiny
+    np.testing.assert_allclose(dist.pmf(ks), stats.binom.pmf(ks, n, p),
+                               rtol=1e-11, atol=tiny)
+    cdf = [dist.cdf(int(k)) for k in ks]
+    np.testing.assert_allclose(cdf, stats.binom.cdf(ks, n, p), rtol=1e-12, atol=tiny)
+    assert cdf[0] == 0.0 and cdf[-2:] == [1.0, 1.0]
+    assert dist.pmf(-1) == dist.pmf(n + 1) == 0.0
+    assert stats.binom.sf(dist.support_upper(), n, p) <= TAIL_MASS

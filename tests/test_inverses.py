@@ -271,6 +271,35 @@ def test_positive_eps_only_answers_above_zero():
     assert 0.0 < eps <= BISECT_TOL and node(eps) == 0.0
 
 
+@dataclass(frozen=True, eq=False)
+class Step(PrivacyProfile):
+    """1 below `at`, 0 from it on, with no inverse of its own; it refuses
+    to be evaluated more than 5000 times, so a search that stops moving
+    fails instead of spinning."""
+
+    at: float
+    calls: list
+
+    def _at(self, eps):
+        self.calls.append(eps)
+        assert len(self.calls) <= 5000, "bisection stopped moving"
+        return 1.0 if eps < self.at else 0.0
+
+
+def test_bisection_brackets_from_a_floor_past_two_to_the_53():
+    # floor + 1 rounds back to floor here, so the bracket must widen by ulps
+    node = Step(5.0, [])
+    eps = node.inverse(0.5, floor=-1e30)
+    assert 5.0 <= eps <= 5.0 + BISECT_TOL
+
+
+def test_bisection_stops_at_adjacent_floats_wider_than_its_tolerance():
+    # near -1e20 adjacent floats lie 16384 apart, far above BISECT_TOL
+    node = Step(-1e20, [])
+    eps = node.inverse(0.5, floor=-1e21)
+    assert node(eps) == 0.0 and node(math.nextafter(eps, -math.inf)) == 1.0
+
+
 def counts():
     return st.one_of(
         st.builds(TruncNegBinomial, st.floats(-0.5, 2.0), st.floats(1e-3, 0.5)),
