@@ -8,9 +8,10 @@ and quadrature oracles that certify the bounds on small instances.
 
 `import privsel` loads numpy only. Each public name below, and each
 submodule named in `_EXPORTS`, is imported on first access, so
-`scipy.special` loads with `profiles` or `countdist` and `scipy.fft`
-with `pld`. Names are not cached here: every access reads the
-submodule's current attribute.
+`scipy.special` loads with `profiles`, `countdist` or `pld`; no
+submodule loads `scipy.fft`, since `pld` transforms with `numpy.fft`.
+Names are not cached here: every access reads the submodule's current
+attribute.
 """
 
 import importlib

@@ -9,7 +9,8 @@ At import this module loads numpy and the stdlib only. Each command
 imports the privsel modules it reads where it reads them, after its
 input is checked, so an argument or config error exits before any scipy
 import, and a `profile` or `guarantee` call that builds no loss grid
-never loads `pld` or `scipy.fft`.
+never loads `pld`.  No command loads `scipy.fft`: `pld` transforms with
+`numpy.fft`.
 """
 
 from __future__ import annotations
@@ -242,7 +243,7 @@ def _build_base(kind, params, method="hs", grid=None):
     """What `method` reads of a parsed base: its Renyi curve for rdp,
     otherwise its privacy profile."""
     if kind == "subsampled_gaussian":
-        # pld, and with it scipy.fft, loads once the whole query is checked
+        # pld loads once the whole query is checked
         from . import pld
         params = pld.SubsampledGaussianParams(*params)
         if method == "rdp":

@@ -24,18 +24,21 @@ import hashlib
 import math
 import os
 import tempfile
+import threading
 import zipfile
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import ClassVar
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import gammaln, ndtr, ndtri, xlog1py
 
 from .errors import GridTooCoarseError, MemoryBudgetError
 from .profiles import PrivacyProfile, RdpCurve, clip_delta, default_orders
 
+# cells of one grid; subsampled_gaussian_profile composes both directions
+# at once, so two such working sets (and their FFT buffers) can coexist
 MAX_CELLS = 2**28
 # cumulative mass a convolution may shed from either end of its support;
 # right-end mass goes to the +infinity tail, left-end mass folds upward.
@@ -274,19 +277,35 @@ def _trim(mass, origin, tail):
     return out, origin + keep_lo, tail + float(beyond[keep_hi])
 
 
+def _next_fast_len(n):
+    """Least 2^a 3^b 5^c >= n, the padded length
+    `scipy.fft.next_fast_len(n, real=True)` picks."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the least power of two times p35 that reaches n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _fftconvolve(x, y):
     """Full linear convolution of two float arrays by real FFT, at the
-    padded length and with the transforms `scipy.signal.fftconvolve`
-    uses, so the result is the same to the bit; a square (y is x) reuses
-    the one transform."""
+    padded length `scipy.signal.fftconvolve` uses.  numpy >= 2 runs the
+    same pocketfft code as `scipy.fft`, so the result is the same to the
+    bit, and it keeps no plan cache for lengths that never recur.  A
+    square (y is x) reuses the one transform."""
     if len(x) == 1 or len(y) == 1:
         # fftconvolve skips the transform for a single-cell factor
         return x * y
     n_out = len(x) + len(y) - 1
-    n = next_fast_len(n_out, True)
-    fx = rfft(x, n)
-    fy = fx if y is x else rfft(y, n)
-    return irfft(fx * fy, n)[:n_out]
+    n = _next_fast_len(n_out)
+    fx = np.fft.rfft(x, n)
+    fy = fx if y is x else np.fft.rfft(y, n)
+    return np.fft.irfft(fx * fy, n)[:n_out]
 
 
 def _convolve(a, b):
@@ -324,15 +343,27 @@ def compose(pld, steps):
     return result
 
 
-# insertion-ordered, so the first key is the least recently used
+# insertion-ordered, so the first key is the least recently used; both
+# directions' threads read and write it, each access under the lock
 _COMPOSED = {}
+_COMPOSED_LOCK = threading.Lock()
+
+
+def _recall(key):
+    """The remembered PLD for key, now the most recently used, or None."""
+    with _COMPOSED_LOCK:
+        pld = _COMPOSED.pop(key, None)
+        if pld is not None:
+            _COMPOSED[key] = pld
+        return pld
 
 
 def _remember(key, pld):
-    _COMPOSED.pop(key, None)
-    _COMPOSED[key] = pld
-    while len(_COMPOSED) > _COMPOSED_MAX:
-        del _COMPOSED[next(iter(_COMPOSED))]
+    with _COMPOSED_LOCK:
+        _COMPOSED.pop(key, None)
+        _COMPOSED[key] = pld
+        while len(_COMPOSED) > _COMPOSED_MAX:
+            del _COMPOSED[next(iter(_COMPOSED))]
     return pld
 
 
@@ -387,8 +418,9 @@ def _save_cached(path, pld):
 
 def _composed_pld(q, sigma, steps, direction, grid):
     key = (q, sigma, steps, direction, grid.spacing, grid.tail_mass)
-    if key in _COMPOSED:
-        return _remember(key, _COMPOSED[key])
+    pld = _recall(key)
+    if pld is not None:
+        return pld
     path = _cache_path(key)
     pld = _load_cached(path) if path else None
     if pld is not None:
@@ -402,10 +434,18 @@ def _composed_pld(q, sigma, steps, direction, grid):
 
 def subsampled_gaussian_profile(params, grid=None):
     """Profile eps -> max over neighborhood directions of the composed
-    discretized delta; both composed distributions are cached."""
+    discretized delta; both composed distributions are cached.
+
+    The directions are independent, so add is composed in a worker
+    thread while this thread composes remove (numpy's FFTs release the
+    interpreter lock).  The worker is joined before this returns or
+    raises; when both directions fail, remove's error is the one raised."""
     grid = grid or GridSpec()
-    return Pld(_composed_pld(params.q, params.sigma, params.steps, "remove", grid),
-               _composed_pld(params.q, params.sigma, params.steps, "add", grid))
+    args = (params.q, params.sigma, params.steps)
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        add = worker.submit(_composed_pld, *args, "add", grid)
+        remove = _composed_pld(*args, "remove", grid)
+        return Pld(remove, add.result())
 
 
 @dataclass(frozen=True, eq=False)

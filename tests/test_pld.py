@@ -6,6 +6,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -206,6 +207,12 @@ def test_memory_budget_guard():
         subsampled_gaussian_pld(
             SubsampledGaussianParams(0.1, 1.0), "remove",
             GridSpec(spacing=1e-12))
+    # both directions fail, and the profile's worker is joined
+    before = threading.active_count()
+    with pytest.raises(MemoryBudgetError):
+        subsampled_gaussian_profile(SubsampledGaussianParams(0.1, 1.0, 4),
+                                    GridSpec(spacing=1e-12))
+    assert threading.active_count() == before
 
 
 def test_coarse_grid_guard(monkeypatch):
@@ -270,6 +277,87 @@ def test_composed_memo_is_a_bounded_lru(monkeypatch):
     assert len(pldmod._COMPOSED) == pldmod._COMPOSED_MAX
     keys = [k[2] for k in pldmod._COMPOSED]
     assert 2 in keys and 3 not in keys  # the least recently used went first
+
+
+def test_composed_memo_is_safe_across_threads(monkeypatch):
+    # six threads look up more keys than the memo holds, so hits race
+    # evictions; every lookup must return what a sequential run builds
+    monkeypatch.delenv(pldmod.CACHE_ENV, raising=False)
+    grid = GridSpec(0.01)
+    # one-step keys, cheap to rebuild, so evictions come often
+    keys = [(0.2, sigma, 1, direction) for sigma in np.linspace(2.0, 2.15, 12)
+            for direction in ("remove", "add")]
+    assert len(keys) > pldmod._COMPOSED_MAX
+    monkeypatch.setattr(pldmod, "_COMPOSED", {})
+    want = {k: pldmod._composed_pld(*k, grid) for k in keys}
+    monkeypatch.setattr(pldmod, "_COMPOSED", {})
+    errors, mismatches = [], []
+
+    def work(seed):
+        rng = np.random.default_rng(seed)
+        try:
+            for i in rng.integers(len(keys), size=2000).tolist():
+                got, ref = pldmod._composed_pld(*keys[i], grid), want[keys[i]]
+                if not (got.origin_index == ref.origin_index
+                        and got.tail_mass == ref.tail_mass
+                        and np.array_equal(got.mass, ref.mass)):
+                    mismatches.append(keys[i])
+        except Exception as e:  # reported by the assertion below
+            errors.append(e)
+
+    threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+    assert not mismatches
+    assert len(pldmod._COMPOSED) <= pldmod._COMPOSED_MAX
+
+
+@pytest.mark.parametrize("failing, raised", [
+    (("remove", "add"), GridTooCoarseError),
+    (("remove",), GridTooCoarseError),
+    (("add",), MemoryBudgetError),
+])
+def test_failing_profile_raises_in_order_and_joins_its_worker(monkeypatch, failing,
+                                                               raised):
+    # add fails first, and still remove's error is the one raised, as when
+    # the directions were composed one after the other
+    add_done = threading.Event()
+
+    def composed(q, sigma, steps, direction, grid):
+        if direction == "remove":
+            add_done.wait(timeout=30)
+            if "remove" in failing:
+                raise GridTooCoarseError("remove")
+        else:
+            add_done.set()
+            if "add" in failing:
+                raise MemoryBudgetError("add")
+        return direction
+
+    monkeypatch.setattr(pldmod, "_composed_pld", composed)
+    before = threading.active_count()
+    with pytest.raises(raised):
+        subsampled_gaussian_profile(SubsampledGaussianParams(0.2, 1.0, 4))
+    assert threading.active_count() == before
+
+
+def test_next_fast_len_matches_scipy():
+    from scipy.fft import next_fast_len
+
+    ns = list(range(1, 2**16 + 1))
+    ns += np.random.default_rng(7).integers(2**16, pldmod.MAX_CELLS,
+                                            size=2000, endpoint=True).tolist()
+    ns += [pldmod.MAX_CELLS - 1, pldmod.MAX_CELLS]
+    assert [pldmod._next_fast_len(n) for n in ns] == [next_fast_len(n, True) for n in ns]
 
 
 def test_renyi_memo_is_bounded_and_holds_two_order_grids():
