@@ -7,10 +7,12 @@ error, 3 unreachable target, 4 numerical guard tripped.
 
 At import this module loads numpy and the stdlib only. Each command
 imports the privsel modules it reads where it reads them, after its
-input is checked, so an argument or config error exits before any scipy
-import, and a `profile` or `guarantee` call that builds no loss grid
-never loads `pld`.  No command loads `scipy.fft`: `pld` transforms with
-`numpy.fft`.
+input is checked, so an argument, base or target error exits before any
+scipy import, and a `profile` or `guarantee` call that builds no loss
+grid never loads `pld`.  A family field is read after `scipy.special`
+loads, so its errors, such as `--n 2.5` or `--rounds 2.5` and their
+config forms, exit after that import.  No command loads `scipy.fft`:
+`pld` transforms with `numpy.fft`.
 """
 
 from __future__ import annotations
@@ -144,7 +146,7 @@ def _merge(cfg, args, section, field_lists):
         spec["kind"] = kind
     for key in dict.fromkeys(f for fields in field_lists for f in fields):
         v = getattr(args, "eps_base" if key == "eps" else key, None)
-        # not `if v`: --sigma 0, --steps 0 and --eta 0 are given values
+        # not `if v`: a flag's text, even "", is checked; unset is None or False
         if v is not None and v is not False:
             spec[key] = v
     return spec
@@ -172,13 +174,17 @@ def _out_path(args, cfg):
 
 
 def _finite(value, name):
-    """value as a finite float; ConfigError otherwise."""
+    """value, a config number or a flag's text, as a finite float;
+    ConfigError otherwise.  A JSON true or false is not a number here,
+    though float() reads it as 1 or 0."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         x = float(value)
     except (TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"{name} must be a number, got {value!r}") from e
     if not math.isfinite(x):
-        raise ConfigError(f"{name} must be finite, got {value!r}")
+        raise ConfigError(f"{name} must be finite, got {x}")
     return x
 
 
@@ -196,7 +202,7 @@ def _count(spec, key, default=None):
     """spec[key] as an integer; a fractional value is refused, not floored."""
     x = _real(spec, key, default)
     if x != int(x):
-        raise ConfigError(f"{key} must be an integer, got {spec[key]!r}")
+        raise ConfigError(f"{key} must be an integer, got {x}")
     return int(x)
 
 
@@ -392,11 +398,11 @@ def _resolve(base, fam, method, args):
         return (profiles.rdp_profile(built) if method == "rdp" else built), math.nan, None
     if family == "rnm":
         return _resolve_rnm(kind, params, fam, method, args.delta)
+    dist = _count_dist(family, fam)
     if method == "closed" and kind == "pure":
         # the pure-base form depends on the count only through its shape
-        eps = selection.select_negbin_pure(params, _real(fam, "eta", 1.0))
+        eps = selection.select_negbin_pure(params, dist.shape)
         return profiles.profile_from_points([(eps, 0.0)]), math.nan, eps
-    dist = _count_dist(family, fam)
     if method == "hs":
         strategy = "optimized" if args.eps1 is None else args.eps1
         res = selection.bound_for_count(_build_base(kind, params, grid=grid), dist, strategy)
@@ -566,11 +572,11 @@ def build_parser():
     def add_base_flags(p):
         p.add_argument("--config", help="JSON scenario file; flags override it")
         p.add_argument("--base", choices=list(_BASES))
-        p.add_argument("--sigma", type=float)
-        p.add_argument("--sensitivity", type=float)
-        p.add_argument("--q", type=float)
-        p.add_argument("--steps", type=int)
-        p.add_argument("--eps-base", dest="eps_base", type=float)
+        p.add_argument("--sigma")
+        p.add_argument("--sensitivity")
+        p.add_argument("--q")
+        p.add_argument("--steps")
+        p.add_argument("--eps-base", dest="eps_base")
         p.add_argument("--grid-spacing", dest="grid_spacing", type=float)
         p.add_argument("--out")
 
@@ -589,13 +595,13 @@ def build_parser():
     p = sub.add_parser("guarantee", help="single (eps, delta) query")
     add_base_flags(p)
     p.add_argument("--family", choices=[f for f in _FAMILIES if f])
-    p.add_argument("--eta", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--m", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--p", type=float)
+    p.add_argument("--eta")
+    p.add_argument("--gamma")
+    p.add_argument("--m")
+    p.add_argument("--n")
+    p.add_argument("--p")
     p.add_argument("--monotone", action="store_true")
-    p.add_argument("--rounds", type=int)
+    p.add_argument("--rounds")
     p.add_argument("--method", choices=list(dict.fromkeys(
         m for _, methods in _FAMILIES.values() for m in methods)))
     p.add_argument("--delta", type=float)
@@ -607,11 +613,11 @@ def build_parser():
 
     p = sub.add_parser("adjust", help="max step count per noise candidate")
     p.add_argument("--config")
-    p.add_argument("--q", type=float)
-    p.add_argument("--eps-q", dest="eps_q", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--m", type=float)
-    p.add_argument("--eta", type=float)
+    p.add_argument("--q")
+    p.add_argument("--eps-q", dest="eps_q")
+    p.add_argument("--delta")
+    p.add_argument("--m")
+    p.add_argument("--eta")
     p.add_argument("--sigmas", help="comma-separated noise candidates")
     p.add_argument("--grid-spacing", dest="grid_spacing", type=float)
     p.add_argument("--out")

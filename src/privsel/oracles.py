@@ -35,13 +35,9 @@ class DensityPair:
     hi: float
     cdf_p: Optional[Callable] = None
     cdf_q: Optional[Callable] = None
-    label: str = ""
 
     def swapped(self):
-        return DensityPair(
-            self.pdf_q, self.pdf_p, self.lo, self.hi, self.cdf_q, self.cdf_p,
-            label=self.label + "/swapped",
-        )
+        return DensityPair(self.pdf_q, self.pdf_p, self.lo, self.hi, self.cdf_q, self.cdf_p)
 
 
 def _norm_pdf(x, mu, sigma):
@@ -60,7 +56,6 @@ def gaussian_pair(mu_p, mu_q, sigma):
         hi,
         lambda x: ndtr((x - mu_p) / sigma),
         lambda x: ndtr((x - mu_q) / sigma),
-        label=f"N({mu_p:g},{sigma:g}^2)|N({mu_q:g},{sigma:g}^2)",
     )
 
 
@@ -83,13 +78,11 @@ def subsampled_gaussian_pair(q, sigma, direction="remove"):
     def ref_cdf(x):
         return ndtr(x / sigma)
 
-    lo, hi = -10 * sigma, 1 + 10 * sigma
+    remove = DensityPair(mix_pdf, ref_pdf, -10 * sigma, 1 + 10 * sigma, mix_cdf, ref_cdf)
     if direction == "remove":
-        return DensityPair(mix_pdf, ref_pdf, lo, hi, mix_cdf, ref_cdf,
-                           label=f"subsampled(q={q:g},sigma={sigma:g})/remove")
+        return remove
     if direction == "add":
-        return DensityPair(ref_pdf, mix_pdf, lo, hi, ref_cdf, mix_cdf,
-                           label=f"subsampled(q={q:g},sigma={sigma:g})/add")
+        return remove.swapped()
     raise ValueError(f"direction must be add or remove, got {direction!r}")
 
 
@@ -205,7 +198,6 @@ class McSelectionSummary:
 
     best: np.ndarray
     trials: int
-    seed: int
 
     def empty_fraction(self):
         return float(np.isnan(self.best).mean())
@@ -244,7 +236,7 @@ def mc_selection_sample(base_sampler, dist, trials, seed=MC_SEED):
     nonzero = counts > 0
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
     best[nonzero] = np.maximum.reduceat(scores, starts[nonzero])
-    return McSelectionSummary(best=best, trials=trials, seed=seed)
+    return McSelectionSummary(best=best, trials=trials)
 
 
 # Shared validation scenarios: a base in the CLI's base-spec form plus a

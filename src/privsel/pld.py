@@ -35,7 +35,7 @@ import numpy as np
 from scipy.special import gammaln, ndtr, ndtri, xlog1py
 
 from .errors import GridTooCoarseError, MemoryBudgetError
-from .profiles import PrivacyProfile, RdpCurve, clip_delta, default_orders
+from .profiles import PrivacyProfile, RdpCurve, _check_positive, clip_delta, default_orders
 
 # cells of one grid; subsampled_gaussian_profile composes both directions
 # at once, so two such working sets (and their FFT buffers) can coexist
@@ -65,8 +65,7 @@ class GridSpec:
     tail_mass: ClassVar[float] = 1e-15
 
     def __post_init__(self):
-        if not 0 < self.spacing < math.inf:
-            raise ValueError(f"spacing must be positive and finite, got {self.spacing}")
+        _check_positive(spacing=self.spacing)
 
 
 @dataclass(frozen=True)
@@ -80,8 +79,7 @@ class SubsampledGaussianParams:
     def __post_init__(self):
         if not 0 < self.q <= 1:
             raise ValueError(f"q must be in (0,1], got {self.q}")
-        if not 0 < self.sigma < math.inf:
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
+        _check_positive(sigma=self.sigma)
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
 

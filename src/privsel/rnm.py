@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .profiles import Scaled, gaussian_profile
+from .profiles import Scaled, _check_positive, gaussian_profile
 
 
 @dataclass(frozen=True)
@@ -28,8 +28,7 @@ class RnmSpec:
     def __post_init__(self):
         if self.candidates < 1:
             raise ValueError(f"candidates must be >= 1, got {self.candidates}")
-        if not 0 < self.sigma < math.inf:
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
+        _check_positive(sigma=self.sigma)
 
     def noise_profile(self, scale=1.0):
         """Profile of one noised score at the relevant sensitivity (1 when
@@ -45,9 +44,7 @@ def rnm_profile(base, candidates):
     base must be the profile of a single noised score at doubled
     sensitivity, or at unit sensitivity in the monotone case.
     """
-    if candidates < 1:
-        raise ValueError(f"candidates must be >= 1, got {candidates}")
-    return Scaled(base, candidates)
+    return rnm_composition_profile(base, candidates, 1)
 
 
 def rnm_composition_profile(base_comp, candidates, rounds):
@@ -74,8 +71,7 @@ def rnm_composition_profile(base_comp, candidates, rounds):
 def rnm_gaussian_eps(sigma, candidates, delta):
     """Closed-form eps(delta) for the non-monotone Gaussian mechanism:
     2/sigma^2 + (2/sigma) sqrt(2 log(candidates/delta))."""
-    if not 0 < sigma < math.inf:
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    _check_positive(sigma=sigma)
     if candidates < 1:
         raise ValueError(f"candidates must be >= 1, got {candidates}")
     if not 0 < delta < 1:

@@ -23,6 +23,7 @@ from .profiles import (
     PointDP,
     RdpCurve,
     Scaled,
+    _check_positive,
     epsilon_for_delta,
 )
 
@@ -309,8 +310,7 @@ def select_negbin_pointwise(point, eta, gamma):
 def select_gdp_eps(sigma, eta, gamma, delta):
     """Closed-form tuned eps for a Gaussian base:
     (eta+2) * (1/(2 sigma^2) + sqrt(2 log(1/(gamma delta))) / sigma) + delta."""
-    if not 0 < sigma < math.inf:
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    _check_positive(sigma=sigma)
     if not 0 < gamma < 1:
         raise ValueError(f"gamma must be in (0,1), got {gamma}")
     if not 0 < delta < 1:

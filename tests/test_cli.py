@@ -51,7 +51,7 @@ def test_guarantee_json():
 
 def test_guarantee_closed_pure():
     r = run_cli("guarantee", "--base", "pure", "--eps-base", "1",
-                "--family", "negbin", "--eta", "1",
+                "--family", "negbin", "--eta", "1", "--m", "300",
                 "--method", "closed", "--delta", "1e-6")
     assert r.returncode == 0, r.stderr
     assert r.stdout == "eps=3 delta=1e-06 method=closed eps1=nan\n"

@@ -496,3 +496,109 @@ def test_pure_base_past_the_exp_range_is_answered(recwarn):
     assert run(argv + ["--eps", "1000"]) == (
         0, "eps=1000 delta=0 method=hs eps1=nan\n")
     assert not recwarn.list
+
+
+# float() reads a JSON true or false as 1 or 0; every number field refuses them
+GAUSS_BASE = {"kind": "gaussian", "sigma": 4}
+SUBSAMPLED_BASE = {"kind": "subsampled_gaussian", "q": 0.01, "sigma": 1}
+
+
+def with_family(**family):
+    return {"base": GAUSS_BASE, "family": family}
+
+
+@pytest.mark.parametrize("cfg, field, value", [
+    ({"base": {"kind": "gaussian", "sigma": True}}, "sigma", True),
+    ({"base": {"kind": "gaussian", "sigma": False}}, "sigma", False),
+    ({"base": {**GAUSS_BASE, "sensitivity": True}}, "sensitivity", True),
+    ({"base": {**SUBSAMPLED_BASE, "q": True}}, "q", True),
+    ({"base": {**SUBSAMPLED_BASE, "steps": True}}, "steps", True),
+    ({"base": {"kind": "pure", "eps": True}}, "eps", True),
+    ({"base": {"kind": "points", "points": [[True, False]]}},
+     "bad points list: eps", True),
+    (with_family(kind="negbin", eta=True, m=300), "eta", True),
+    (with_family(kind="negbin", gamma=True), "gamma", True),
+    (with_family(kind="negbin", m=True), "m", True),
+    (with_family(kind="binomial", n=True, p=0.5), "n", True),
+    (with_family(kind="binomial", n=50, p=True), "p", True),
+    (with_family(kind="binomial", n=50, m=True), "m", True),
+    (with_family(kind="poisson", m=True), "m", True),
+    (with_family(kind="rnm", m=True), "m", True),
+    (with_family(kind="rnm", m=10, rounds=True), "rounds", True),
+], ids=["sigma", "sigma-false", "sensitivity", "q", "steps", "eps", "points",
+        "negbin-eta", "negbin-gamma", "negbin-m", "binomial-n", "binomial-p",
+        "binomial-m", "poisson-m", "rnm-m", "rnm-rounds"])
+def test_boolean_scenario_number_is_refused(cfg, field, value, tmp_path, capsys):
+    rc = cli.main(["guarantee", *config(tmp_path, cfg), "--delta", "1e-6"])
+    out = capsys.readouterr()
+    assert (rc, out.out, out.err) == (
+        2, "", f"error: {field} must be a number, got {value}\n")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("sigmas", [True]), ("q", True), ("eps_q", True), ("delta", True),
+    ("m", True), ("eta", True),
+], ids=["sigmas", "q", "eps_q", "delta", "m", "eta"])
+def test_boolean_adjust_number_is_refused(key, value, tmp_path, capsys):
+    rc = cli.main(["adjust", *config(tmp_path, {key: value})])
+    out = capsys.readouterr()
+    assert (rc, out.out, out.err) == (
+        2, "", f"error: {key} must be a number, got True\n")
+
+
+# each integer field of the scenario, given as a flag and as the config
+# value its text reads as: a whole number in exponent form is answered,
+# a fractional one refused by name
+@pytest.mark.parametrize("field, text, cfg, tail", [
+    ("steps", "1e1", {"base": SUBSAMPLED_BASE}, ["--method", "rdp"]),
+    ("steps", "2.5", {"base": SUBSAMPLED_BASE}, ["--method", "rdp"]),
+    ("n", "1e2", with_family(kind="binomial", p=0.1), []),
+    ("n", "2.5", with_family(kind="binomial", p=0.1), []),
+    ("m", "1e1", with_family(kind="rnm"), []),
+    ("m", "10.5", with_family(kind="rnm"), []),
+    ("rounds", "2e0", with_family(kind="rnm", m=10), []),
+    ("rounds", "2.5", with_family(kind="rnm", m=10), []),
+], ids=["steps-whole", "steps-fractional", "n-whole", "n-fractional",
+        "rnm-m-whole", "rnm-m-fractional", "rounds-whole", "rounds-fractional"])
+def test_integer_flag_reads_like_its_config_value(field, text, cfg, tail,
+                                                  tmp_path, capsys):
+    def call(cfg, flags):
+        rc = cli.main(["guarantee", *config(tmp_path, cfg), *flags, *tail,
+                       "--delta", "1e-6"])
+        out = capsys.readouterr()
+        return rc, out.out, out.err
+
+    section = "family" if "family" in cfg else "base"
+    by_config = call({**cfg, section: {**cfg[section], field: json.loads(text)}}, [])
+    assert call(cfg, [f"--{field}", text]) == by_config
+    if float(text).is_integer():
+        assert by_config[0] == 0 and by_config[1]
+    else:
+        assert by_config == (2, "", f"error: {field} must be an integer, got {text}\n")
+
+
+def test_unparsable_flag_is_refused_like_its_config_value(tmp_path, capsys):
+    cfg = {"base": {"kind": "gaussian", "sigma": "abc"}}
+    for argv in (["--base", "gaussian", "--sigma", "abc"], config(tmp_path, cfg)):
+        rc = cli.main(["guarantee", *argv, "--delta", "1e-6"])
+        out = capsys.readouterr()
+        assert (rc, out.out, out.err) == (
+            2, "", "error: sigma must be a number, got 'abc'\n")
+
+
+# the pure-base closed form reads the count as the hs bound does, so a
+# count the hs bound refuses, or none, is refused here too
+@pytest.mark.parametrize("count", [
+    ["--m", "0.5"], ["--m", "-3"], ["--m", "300", "--gamma", "0.01"], [],
+], ids=["mean-below-one", "negative-mean", "m-and-gamma", "no-count"])
+def test_pure_closed_refuses_the_count_hs_refuses(count, capsys):
+    def call(base, method):
+        rc = cli.main(["guarantee", *base, "--family", "negbin", "--eta", "1",
+                       *count, "--method", method, "--delta", "1e-6"])
+        out = capsys.readouterr()
+        return rc, out.out, out.err
+
+    pure = call(["--base", "pure", "--eps-base", "1"], "closed")
+    assert pure == call(["--base", "gaussian", "--sigma", "4"], "hs")
+    assert pure[:2] == (2, "")
+    assert pure[2].startswith("error: ") and pure[2].count("\n") == 1
