@@ -158,6 +158,7 @@ def _grid_spec(args, builds_grid):
     spacing = getattr(args, "grid_spacing", None)
     if spacing is None:
         return None
+    spacing = _finite(spacing, "grid_spacing")
     if not builds_grid:
         raise ConfigError("--grid-spacing is read only where a loss grid is "
                           "built: a subsampled_gaussian base under hs, "
@@ -427,8 +428,10 @@ def cmd_guarantee(args):
         raise ConfigError("give a target: --delta or --eps")
     if args.delta is not None and args.eps is not None:
         raise ConfigError("give exactly one of --delta and --eps")
-    if args.eps is not None:
-        _finite(args.eps, "eps")
+    # the target flags' text is read as a config number is
+    for key in ("delta", "eps", "eps1"):
+        if getattr(args, key) is not None:
+            setattr(args, key, _finite(getattr(args, key), key))
     method = args.method or cfg.get("method", "hs")
     base = _merge(cfg, args, "base", _BASES.values())
     fam = _merge(cfg, args, "family", (fields for fields, _ in _FAMILIES.values()))
@@ -577,7 +580,7 @@ def build_parser():
         p.add_argument("--q")
         p.add_argument("--steps")
         p.add_argument("--eps-base", dest="eps_base")
-        p.add_argument("--grid-spacing", dest="grid_spacing", type=float)
+        p.add_argument("--grid-spacing", dest="grid_spacing")
         p.add_argument("--out")
 
     p = sub.add_parser("profile", help="base mechanism delta(eps) table")
@@ -588,7 +591,7 @@ def build_parser():
 
     p = sub.add_parser("compare", help="preset comparison tables")
     p.add_argument("preset", help=", ".join(_PRESETS))
-    p.add_argument("--grid-spacing", dest="grid_spacing", type=float)
+    p.add_argument("--grid-spacing", dest="grid_spacing")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_compare)
 
@@ -604,10 +607,9 @@ def build_parser():
     p.add_argument("--rounds")
     p.add_argument("--method", choices=list(dict.fromkeys(
         m for _, methods in _FAMILIES.values() for m in methods)))
-    p.add_argument("--delta", type=float)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--eps1", type=float,
-                   help="fix eps1 instead of optimizing it")
+    p.add_argument("--delta")
+    p.add_argument("--eps")
+    p.add_argument("--eps1", help="fix eps1 instead of optimizing it")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(fn=cmd_guarantee)
 
@@ -619,7 +621,7 @@ def build_parser():
     p.add_argument("--m")
     p.add_argument("--eta")
     p.add_argument("--sigmas", help="comma-separated noise candidates")
-    p.add_argument("--grid-spacing", dest="grid_spacing", type=float)
+    p.add_argument("--grid-spacing", dest="grid_spacing")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_adjust)
 

@@ -12,7 +12,10 @@ count.  Cells where the split is numerically unsafe fall back to pure
 upper-edge placement, which only adds pessimism.
 
 Composition convolves mass arrays (FFT, exponent-by-squaring),
-accumulating the probability already rounded to +infinity.  Grid points
+accumulating the probability already rounded to +infinity.  Each
+convolution multiplies the spectra in place and trims its support from
+running sums over the edge stretches alone; neither changes a value
+against the full-length passes they replace.  Grid points
 are stored as an integer origin index times the spacing, which keeps
 grids of factors exactly aligned under convolution.
 """
@@ -35,7 +38,8 @@ import numpy as np
 from scipy.special import gammaln, ndtr, ndtri, xlog1py
 
 from .errors import GridTooCoarseError, MemoryBudgetError
-from .profiles import PrivacyProfile, RdpCurve, _check_positive, clip_delta, default_orders
+from .profiles import (PrivacyProfile, RdpCurve, _check_positive, clip_delta,
+                       clip_delta_array, default_orders)
 
 # cells of one grid; subsampled_gaussian_profile composes both directions
 # at once, so two such working sets (and their FFT buffers) can coexist
@@ -45,6 +49,8 @@ MAX_CELLS = 2**28
 # Must sit above the FFT rounding noise a support edge accumulates, or
 # the noise keeps the edges alive and the support doubles every squaring
 TRIM_MASS = 1e-15
+# first stretch of each support edge whose running sums _trim takes
+_TRIM_WINDOW = 1024
 CACHE_ENV = "PRIVSEL_PLD_CACHE"
 _CACHE_VERSION = 2
 # composed distributions kept in memory, least recently used evicted first
@@ -121,11 +127,21 @@ class DiscretePLD:
         return self._delta_in(int(np.searchsorted(self._grid[0], eps, side="right")), eps)
 
     def deltas(self, eps):
-        """delta at each eps of a float64 array, with one search for the cells."""
+        """delta at each eps of a float64 array, with one search for the
+        cells; the factored form in one array pass, as _delta_in takes it."""
         if np.isnan(eps).any():
             raise ValueError("eps is NaN")
-        cells = np.searchsorted(self._grid[0], eps, side="right").tolist()
-        return np.array([self._delta_in(i, e) for i, e in zip(cells, eps.tolist())])
+        ell, s1, s2 = self._grid
+        cells = np.searchsorted(ell, eps, side="right")
+        factored = (cells < len(ell)) & (eps <= 500)
+        c = cells[factored]
+        # math.exp per entry as in _delta_in: np.exp rounds some values differently
+        e = np.array([math.exp(x) for x in eps[factored].tolist()])
+        out = np.empty(len(eps))
+        out[factored] = clip_delta_array(s1[c] - e * s2[c] + self.tail_mass)
+        for j in np.flatnonzero(~factored).tolist():
+            out[j] = self._delta_in(int(cells[j]), float(eps[j]))
+        return out
 
     def epsilon(self, delta, floor):
         """Least eps >= floor with delta(eps) <= delta (< 1), in closed form:
@@ -258,21 +274,39 @@ def subsampled_gaussian_pld(params, direction, grid=None):
     return pld
 
 
+def _edge_sums(mass, cells):
+    """Running sums of mass from its first cell over the shortest stretch,
+    of _TRIM_WINDOW cells times a power of 4, that reaches TRIM_MASS or
+    spans `cells` cells; with the index of the first sum at or above
+    TRIM_MASS, or the stretch's length where none is.  np.cumsum adds in
+    sequence, so each sum is the one a full-length cumsum gives."""
+    width = _TRIM_WINDOW
+    while True:
+        run = np.cumsum(mass[:width])
+        first = int(np.searchsorted(run, TRIM_MASS))
+        if first < len(run) or width >= cells:
+            return run, first
+        width *= 4
+
+
 def _trim(mass, origin, tail):
+    """Drop the edge stretches of the support whose mass stays under
+    TRIM_MASS: the right one into the tail, the left one folded into the
+    lowest kept cell."""
+    n = len(mass)
     # suffix sums accumulated from the right stay accurate at the right
     # edge, where the cells are tiny and a left-to-right cumsum's rounding
     # error would swamp them
-    prefix = np.cumsum(mass)
-    suffix = np.cumsum(mass[::-1])[::-1]
-    beyond = np.empty_like(suffix)
-    beyond[:-1] = suffix[1:]
-    beyond[-1] = 0.0
-    keep_hi = int(np.argmax(beyond < TRIM_MASS))
-    keep_lo = min(int(np.searchsorted(prefix, TRIM_MASS)), keep_hi)
+    suffix, shed = _edge_sums(mass[::-1], n)
+    # at least one cell stays, even when all the mass is under TRIM_MASS
+    keep_hi = max(n - 1 - shed, 0)
+    beyond = float(suffix[n - 2 - keep_hi]) if keep_hi < n - 1 else 0.0
+    prefix, first = _edge_sums(mass, keep_hi)
+    keep_lo = min(first, keep_hi)
     out = mass[keep_lo : keep_hi + 1].copy()
     if keep_lo > 0:
         out[0] += float(prefix[keep_lo - 1])
-    return out, origin + keep_lo, tail + float(beyond[keep_hi])
+    return out, origin + keep_lo, tail + beyond
 
 
 def _next_fast_len(n):
@@ -302,19 +336,21 @@ def _fftconvolve(x, y):
     n_out = len(x) + len(y) - 1
     n = _next_fast_len(n_out)
     fx = np.fft.rfft(x, n)
-    fy = fx if y is x else np.fft.rfft(y, n)
-    return np.fft.irfft(fx * fy, n)[:n_out]
+    fx *= fx if y is x else np.fft.rfft(y, n)
+    return np.fft.irfft(fx, n)[:n_out]
 
 
 def _convolve(a, b):
     n_out = len(a.mass) + len(b.mass) - 1
     if n_out > MAX_CELLS:
         raise MemoryBudgetError(f"convolution needs {n_out} cells, budget is {MAX_CELLS}")
-    mass = np.maximum(_fftconvolve(a.mass, b.mass), 0.0)
+    mass = _fftconvolve(a.mass, b.mass)
+    np.maximum(mass, 0.0, out=mass)
     # FFT rounding loses mass at relative scale ~1e-15 per convolution,
     # which compounds through the squaring ladder; scaling the deficit
     # back up keeps the result an upper bound
-    target = float(a.mass.sum()) * float(b.mass.sum())
+    total_a = float(a.mass.sum())
+    target = total_a * (total_a if b is a else float(b.mass.sum()))
     s = float(mass.sum())
     if 0 < s < target:
         mass *= target / s

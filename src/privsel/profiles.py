@@ -203,7 +203,8 @@ class RdpCurve:
             raise ValueError(f"order {alpha:g} is not on the curve's grid") from None
 
 
-@lru_cache(maxsize=8)
+# the Poisson Renyi scan cycles about 40 admissible order prefixes a row
+@lru_cache(maxsize=64)
 def _order_terms(orders):
     """Order-only parts of the Renyi-to-DP conversion, shared read-only by
     every curve on the grid: alpha - 1, (alpha-1) log(1 - 1/alpha) and

@@ -330,8 +330,8 @@ def _rdp_selection_curve(base_rdp, orders, add, mean, keep=None):
     log_m = math.log(mean)
     if keep is None:
         return RdpCurve(base_rdp.orders, base_rdp.values + add + log_m / (orders - 1.0))
-    return RdpCurve(tuple(a for a, k in zip(base_rdp.orders, keep) if k),
-                    base_rdp.values[keep] + add + log_m / (orders[keep] - 1.0))
+    kept = orders[keep]
+    return RdpCurve(tuple(kept.tolist()), base_rdp.values[keep] + add + log_m / (kept - 1.0))
 
 
 def rdp_select_negbin(base_rdp, eta, gamma):

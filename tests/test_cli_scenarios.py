@@ -602,3 +602,29 @@ def test_pure_closed_refuses_the_count_hs_refuses(count, capsys):
     assert pure == call(["--base", "gaussian", "--sigma", "4"], "hs")
     assert pure[:2] == (2, "")
     assert pure[2].startswith("error: ") and pure[2].count("\n") == 1
+
+
+# the target flags and --grid-spacing read their text as a config number
+# is read, so bad text is one error: line, not an argparse usage block
+@pytest.mark.parametrize("argv, err", [
+    (GAUSS + ["--family", "negbin", "--m", "30", "--delta", "abc"],
+     "delta must be a number, got 'abc'"),
+    (GAUSS + ["--delta", "nan"], "delta must be finite, got nan"),
+    (GAUSS + ["--eps", "1e999"], "eps must be finite, got inf"),
+    (GAUSS + ["--eps", "x"], "eps must be a number, got 'x'"),
+    (GAUSS + NEGBIN + ["--eps1", "abc", "--delta", "1e-6"],
+     "eps1 must be a number, got 'abc'"),
+    (GAUSS + NEGBIN + ["--eps1", "nan", "--delta", "1e-6"],
+     "eps1 must be finite, got nan"),
+    (SUBSAMPLED + ["--sigma", "1", "--grid-spacing", "abc", "--delta", "1e-6"],
+     "grid_spacing must be a number, got 'abc'"),
+    (["profile", "--base", "subsampled_gaussian", "--q", "0.01", "--sigma", "1",
+      "--grid-spacing="], "grid_spacing must be a number, got ''"),
+    (["compare", "fig6", "--grid-spacing", "nan"], "grid_spacing must be finite, got nan"),
+    (["adjust", "--grid-spacing", "inf"], "grid_spacing must be finite, got inf"),
+], ids=["delta-text", "delta-nan", "eps-overflow", "eps-text", "eps1-text",
+        "eps1-nan", "guarantee-grid", "profile-grid", "compare-grid", "adjust-grid"])
+def test_target_and_grid_flags_are_refused_in_one_line(argv, err, capsys):
+    rc = cli.main(argv)
+    out = capsys.readouterr()
+    assert (rc, out.out, out.err) == (2, "", f"error: {err}\n")

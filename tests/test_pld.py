@@ -1,6 +1,7 @@
 """Tests for the discretized privacy-loss machinery."""
 
 import gc
+import hashlib
 import math
 import os
 import signal
@@ -457,3 +458,83 @@ def test_fft_convolution_matches_scipy_signal_bit_for_bit(smooth):
         # a square reuses one transform and must still agree
         x = rng.random((n_out + 1) // 2)
         np.testing.assert_array_equal(pldmod._fftconvolve(x, x), fftconvolve(x, x))
+
+
+# sha256 of the mass bytes, origin index and float.hex tail of the fig7
+# preset's composed PLD, per direction, on the default grid
+FIG7_COMPOSED_BITS = {
+    "remove": ("8a69e9cda60ee64feae2df9c2fb42ae14d502e9e0fe74b9cce8f7dc02bb9a032",
+               -19068, "0x1.4a96a6cd3a255p-42"),
+    "add": ("5cb5b36547f19f646504f439b193488f2f20d3f6cbb906067f4fd38e3ea26031",
+            -19361, "0x1.59809c0023c6dp-42"),
+}
+
+
+@pytest.mark.parametrize("direction", ["remove", "add"])
+def test_composed_fig7_pld_bits_are_pinned(direction):
+    from privsel.presets import FIG7_PARAMS
+
+    one = subsampled_gaussian_pld(
+        SubsampledGaussianParams(FIG7_PARAMS.q, FIG7_PARAMS.sigma), direction)
+    pld = compose(one, FIG7_PARAMS.steps)
+    bits = (hashlib.sha256(pld.mass.tobytes()).hexdigest(), pld.origin_index,
+            pld.tail_mass.hex())
+    assert bits == FIG7_COMPOSED_BITS[direction]
+
+
+def _full_cumsum_trim(mass, origin, tail):
+    """_trim with full-length prefix and suffix sums, the reference the
+    edge scan must match to the bit."""
+    prefix = np.cumsum(mass)
+    suffix = np.cumsum(mass[::-1])[::-1]
+    beyond = np.empty_like(suffix)
+    beyond[:-1] = suffix[1:]
+    beyond[-1] = 0.0
+    keep_hi = int(np.argmax(beyond < pldmod.TRIM_MASS))
+    keep_lo = min(int(np.searchsorted(prefix, pldmod.TRIM_MASS)), keep_hi)
+    out = mass[keep_lo : keep_hi + 1].copy()
+    if keep_lo > 0:
+        out[0] += float(prefix[keep_lo - 1])
+    return out, origin + keep_lo, tail + float(beyond[keep_hi])
+
+
+def _bump(rng, n):
+    # a Gaussian bump whose edge cells fall far below TRIM_MASS, so the
+    # cut can sit anywhere from the first cell to past several windows
+    x = np.linspace(-1.0, 1.0, n) - rng.uniform(-0.2, 0.2)
+    mass = np.exp(-rng.uniform(10.0, 150.0) * x**2) * rng.random(n)
+    return mass / mass.sum()
+
+
+def _trim_cases():
+    rng = np.random.default_rng(20261019)
+    window = pldmod._TRIM_WINDOW
+    cases = {
+        "below-trim-mass": rng.random(3000) * 1e-20,
+        "single-cell": np.array([1.0]),
+        "single-tiny-cell": np.array([1e-16]),
+        "two-cells": np.array([0.5, 0.5]),
+        "zero-stretches-past-the-window": np.concatenate(
+            [np.zeros(5 * window), rng.random(7), np.zeros(17 * window)]),
+        "all-mass-first": np.concatenate([[1.0], np.zeros(3 * window)]),
+        "all-mass-last": np.concatenate([np.zeros(3 * window), [1.0]]),
+        "mass-at-both-ends": np.concatenate([[0.5], np.zeros(2 * window), [0.5]]),
+        "window-length": rng.random(window),
+    }
+    for n in (3, 700, 1024, 1025, 4097, 30_000, 200_000):
+        cases[f"bump-{n}"] = _bump(rng, n)
+        # heavy-tailed cells over thirty decades
+        cases[f"decades-{n}"] = rng.random(n) * 10.0 ** rng.uniform(-30, 0, n)
+    return cases
+
+
+TRIM_CASES = _trim_cases()
+
+
+@pytest.mark.parametrize("mass", TRIM_CASES.values(), ids=TRIM_CASES)
+def test_edge_trim_matches_full_cumsum_trim(mass):
+    for tail in (0.0, 3e-13):
+        got, origin, got_tail = pldmod._trim(mass, -17, tail)
+        want, want_origin, want_tail = _full_cumsum_trim(mass, -17, tail)
+        assert got.tobytes() == want.tobytes()
+        assert (origin, got_tail.hex()) == (want_origin, want_tail.hex())
