@@ -2,17 +2,20 @@
 single guarantee queries, the horizon-adjustment procedure, and the
 oracle validation suite.
 
+The module reads arguments, checks the scenario and prints, driven by
+tables: `_FLAGS` holds every option and the top-level config keys each
+command reads (the scenario field flags are derived from `_BASES` and
+`_FAMILIES`), `_PRESETS` the `compare` tables, `_EXIT_CODES` the exit
+code of each error.  `oracles.oracle_checks` builds the oracle rows.
+
 Exit codes: 0 success, 1 oracle validation failure, 2 configuration
 error, 3 unreachable target, 4 numerical guard tripped.
 
 At import this module loads numpy and the stdlib only. Each command
-imports the privsel modules it reads where it reads them, after its
-input is checked, so an argument, base or target error exits before any
-scipy import, and a `profile` or `guarantee` call that builds no loss
-grid never loads `pld`.  A family field is read after `scipy.special`
-loads, so its errors, such as `--n 2.5` or `--rounds 2.5` and their
-config forms, exit after that import.  No command loads `scipy.fft`:
-`pld` transforms with `numpy.fft`.
+imports what it computes with after its input is checked, so an
+argument, base or target error exits before any scipy import; a family
+field error (`--n 2.5`) exits after `scipy.special` loads.  A `profile` or
+`guarantee` call that builds no loss grid never loads `pld`.
 """
 
 from __future__ import annotations
@@ -25,15 +28,8 @@ import sys
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    EmptyCurveError,
-    GridTooCoarseError,
-    InfeasibleMeanError,
-    MemoryBudgetError,
-    NoAdmissibleEps1Error,
-    UnreachableTargetError,
-)
+from .errors import (ConfigError, EmptyCurveError, GridTooCoarseError, InfeasibleMeanError,
+                     MemoryBudgetError, NoAdmissibleEps1Error, UnreachableTargetError)
 
 
 def __getattr__(name):
@@ -55,8 +51,7 @@ def _fmt(v):
 
 
 def _emit_csv(header, rows, out_path):
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines = [",".join(header), *(",".join(_fmt(v) for v in row) for row in rows)]
     text = "\n".join(lines) + "\n"
     if out_path:
         try:
@@ -88,26 +83,22 @@ def _writable(path):
 
 
 def _load_config(args):
-    cfg = {}
-    if getattr(args, "config", None):
-        try:
-            with open(args.config) as f:
-                cfg = json.load(f)
-        except OSError as e:
-            raise ConfigError(f"cannot read config: {e}") from e
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config is not valid JSON: {e}") from e
-        if not isinstance(cfg, dict):
-            raise ConfigError("config root must be a JSON object")
+    """The --config object, {} without the flag; a top-level key the
+    command does not read is refused, so no input is silently dropped."""
+    if not args.config:
+        return {}
+    try:
+        with open(args.config) as f:
+            cfg = json.load(f)
+    except OSError as e:
+        raise ConfigError(f"cannot read config: {e}") from e
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"config is not valid JSON: {e}") from e
+    if not isinstance(cfg, dict):
+        raise ConfigError("config root must be a JSON object")
+    keys = [_dest(flag) for flag, _, config, _ in _FLAGS if args.command in config.split()]
+    _refuse_unread(cfg, keys, f"{args.command} config", "keys")
     return cfg
-
-
-def _config_section(cfg, name):
-    section = cfg.get(name, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"config '{name}' must be a JSON object, "
-                          f"got {type(section).__name__}")
-    return dict(section)
 
 
 # the fields each kind reads; any other field is refused, so no input is
@@ -128,41 +119,54 @@ _FAMILIES = {
 }
 
 
-def _check_fields(spec, what, fields):
-    kind = spec["kind"]
-    unread = sorted(set(spec) - {"kind", *fields})
-    if unread:
-        raise ConfigError(f"{kind} {what} does not read {', '.join(unread)}; "
-                          f"its fields are {', '.join(fields)}")
+def _field_flags(section):
+    """(field, flag, argparse extras) of each field of the "base" or
+    "family" kinds, in table order, none for any other name.  A field's
+    flag is --<field>, but pure's eps is --eps-base; points has no flag."""
+    kinds = {"base": _BASES.values(),
+             "family": [fields for fields, _ in _FAMILIES.values()]}.get(section, ())
+    for field in dict.fromkeys(f for fields in kinds for f in fields if f != "points"):
+        yield (field, "--eps-base" if field == "eps" else f"--{field}",
+               {"action": "store_true"} if field == "monotone" else {})
 
 
-def _merge(cfg, args, section, field_lists):
+def _dest(flag):
+    """The args attribute, and the config key, of a flag."""
+    return flag.lstrip("-").replace("-", "_")
+
+
+def _refuse_unread(given, read, what, noun="fields"):
+    if unread := sorted(set(given) - set(read)):
+        raise ConfigError(f"{what} does not read {', '.join(unread)}; "
+                          f"its {noun} are {', '.join(read)}")
+
+
+def _merge(cfg, args, section):
     """The config section ("base" or "family") with the kind flag and every
-    given field flag laid over it; a field's flag is named after its key,
-    but for eps, which is --eps-base."""
-    spec = _config_section(cfg, section)
-    kind = getattr(args, section, None)
-    if kind:
-        spec["kind"] = kind
-    for key in dict.fromkeys(f for fields in field_lists for f in fields):
-        v = getattr(args, "eps_base" if key == "eps" else key, None)
+    given field flag laid over it."""
+    spec = cfg.get(section, {})
+    if not isinstance(spec, dict):
+        raise ConfigError(f"config '{section}' must be a JSON object, got {type(spec).__name__}")
+    spec = dict(spec)
+    if getattr(args, section):
+        spec["kind"] = getattr(args, section)
+    for field, flag, _ in _field_flags(section):
+        v = getattr(args, _dest(flag))
         # not `if v`: a flag's text, even "", is checked; unset is None or False
         if v is not None and v is not False:
-            spec[key] = v
+            spec[field] = v
     return spec
 
 
 def _grid_spec(args, builds_grid):
     """The --grid-spacing loss grid, None without the flag.  A query that
     builds no loss grid refuses the flag rather than dropping it."""
-    spacing = getattr(args, "grid_spacing", None)
-    if spacing is None:
+    if args.grid_spacing is None:
         return None
-    spacing = _finite(spacing, "grid_spacing")
+    spacing = _finite(args.grid_spacing, "grid_spacing")
     if not builds_grid:
-        raise ConfigError("--grid-spacing is read only where a loss grid is "
-                          "built: a subsampled_gaussian base under hs, "
-                          "compare fig6-fig8 and adjust")
+        raise ConfigError("--grid-spacing is read only where a loss grid is built: a "
+                          "subsampled_gaussian base under hs, compare fig6-fig8 and adjust")
     from . import pld
     return pld.GridSpec(spacing=spacing)
 
@@ -215,13 +219,6 @@ def _either(fam, a, b):
     return a if a in fam else b
 
 
-def _sigma_sens(base):
-    sigma, sens = _real(base, "sigma"), _real(base, "sensitivity", 1.0)
-    if not (sigma > 0 and sens > 0):
-        raise ConfigError(f"{base['kind']} base needs sigma > 0 and sensitivity > 0")
-    return sigma, sens
-
-
 def _base_params(base):
     """(kind, params) of a merged base spec, every field checked once:
     (sigma, sensitivity) for gaussian, (q, sigma / sensitivity, steps) for
@@ -231,17 +228,18 @@ def _base_params(base):
     kind = base["kind"]
     if not (isinstance(kind, str) and kind in _BASES):
         raise ConfigError(f"unknown base kind {kind!r}")
-    _check_fields(base, "base", _BASES[kind])
-    if kind == "gaussian":
-        return kind, _sigma_sens(base)
-    if kind == "subsampled_gaussian":
-        sigma, sens = _sigma_sens(base)
+    _refuse_unread(base.keys() - {"kind"}, _BASES[kind], f"{kind} base")
+    if kind in ("gaussian", "subsampled_gaussian"):
+        sigma, sens = _real(base, "sigma"), _real(base, "sensitivity", 1.0)
+        if not (sigma > 0 and sens > 0):
+            raise ConfigError(f"{kind} base needs sigma > 0 and sensitivity > 0")
+        if kind == "gaussian":
+            return kind, (sigma, sens)
         return kind, (_real(base, "q"), sigma / sens, _count(base, "steps", 1))
     if kind == "pure":
         return kind, _real(base, "eps")
     try:
-        return kind, [(_finite(e, "eps"), _finite(d, "delta"))
-                      for e, d in base["points"]]
+        return kind, [(_finite(e, "eps"), _finite(d, "delta")) for e, d in base["points"]]
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"bad points list: {e}") from e
 
@@ -285,7 +283,7 @@ def _count_dist(family, fam):
 
 
 def _eps_grid(args):
-    spec = getattr(args, "eps_grid", None) or "0:5:0.1"
+    spec = args.eps_grid or "0:5:0.1"
     try:
         lo, hi, step = (float(x) for x in spec.split(":"))
     except ValueError as e:
@@ -302,52 +300,51 @@ def _eps_grid(args):
 
 
 def cmd_profile(args):
+    """base mechanism delta(eps) table"""
     cfg = _load_config(args)
     out = _out_path(args, cfg)
-    kind, params = _base_params(_merge(cfg, args, "base", _BASES.values()))
-    profile = _build_base(kind, params,
-                          grid=_grid_spec(args, kind == "subsampled_gaussian"))
+    kind, params = _base_params(_merge(cfg, args, "base"))
+    profile = _build_base(kind, params, grid=_grid_spec(args, kind == "subsampled_gaussian"))
     rows = [(e, profile(e)) for e in _eps_grid(args)]
     _emit_csv(("eps", "delta"), rows, out)
     return 0
 
 
-# each preset's tables, read off the presets module at call time, so
-# wrappers installed on presets are seen
+# each preset: its presets function, looked up at call time so wrappers
+# installed on presets are seen; whether it builds a loss grid, so reads
+# --grid-spacing; and the file suffix of its second table, a count CDF
 _PRESETS = {
-    "fig1": lambda presets, grid: [presets.fig1_table()],
-    "fig2": lambda presets, grid: [presets.fig2_table()],
-    "fig3": lambda presets, grid: [presets.fig3_table()],
-    "fig4": lambda presets, grid: presets.fig4_tables(),
-    "fig6": lambda presets, grid: [presets.fig6_table(grid=grid)],
-    "fig7": lambda presets, grid: [presets.fig7_table(grid=grid)],
-    "fig8": lambda presets, grid: [presets.fig8_adjust_table(grid=grid)],
+    "fig1": ("fig1_table", False, None),
+    "fig2": ("fig2_table", False, None),
+    "fig3": ("fig3_table", False, None),
+    "fig4": ("fig4_tables", False, "_kcdf"),
+    "fig6": ("fig6_table", True, None),
+    "fig7": ("fig7_table", True, None),
+    "fig8": ("fig8_adjust_table", True, None),
 }
-# the presets that build a loss grid, so the only ones --grid-spacing reaches
-_GRID_PRESETS = ("fig6", "fig7", "fig8")
-# the preset that also returns a count CDF table, written beside --out
-_KCDF_PRESET = "fig4"
 
 
 def cmd_compare(args):
-    build = _PRESETS.get(args.preset)
-    if build is None:
+    """preset comparison tables"""
+    if args.preset not in _PRESETS:
         raise ConfigError(f"unknown preset {args.preset!r}, "
                           f"choose from {', '.join(_PRESETS)}")
-    grid = _grid_spec(args, args.preset in _GRID_PRESETS)
+    name, builds_grid, suffix = _PRESETS[args.preset]
+    grid = _grid_spec(args, builds_grid)
     out = _out_path(args, {})
-    # fig4's count CDF table: a second file beside --out, else after a blank line
+    # the count CDF table: a second file beside --out, else after a blank line
     kout = None
-    if out and args.preset == _KCDF_PRESET:
+    if out and suffix:
         stem, dot, ext = out.rpartition(".")
-        kout = _writable(f"{stem}_kcdf.{ext}" if dot else f"{out}_kcdf")
+        kout = _writable(f"{stem}{suffix}.{ext}" if dot else f"{out}{suffix}")
     from . import presets
-    (header, rows), *extra = build(presets, grid)
-    _emit_csv(header, rows, out)
-    for kheader, krows in extra:
-        if not kout:
-            sys.stdout.write("\n")
-        _emit_csv(kheader, krows, kout)
+    build = getattr(presets, name)
+    tables = build(grid=grid) if builds_grid else build()
+    table, *extra = tables if suffix else [tables]
+    _emit_csv(*table, out)
+    for table in extra:
+        sys.stdout.write("" if kout else "\n")
+        _emit_csv(*table, kout)
     return 0
 
 
@@ -379,16 +376,14 @@ def _resolve(base, fam, method, args):
     the method reads; direct is a closed-form eps, reported as-is instead
     of being read back off the profile."""
     kind, params = _base_params(base)
-    family = None if fam is None else fam.get("kind")
-    if fam is not None and not (isinstance(family, str) and family in _FAMILIES):
+    family = fam.get("kind")
+    if fam and not (isinstance(family, str) and family in _FAMILIES):
         raise ConfigError(f"unknown family kind {family!r}")
     fields, methods = _FAMILIES[family]
     if not (isinstance(method, str) and method in methods):
-        raise ConfigError(f"method {method!r} is not available for "
-                          f"{family or 'a bare base'}, choose from "
-                          f"{', '.join(methods)}")
-    if fam is not None:
-        _check_fields(fam, "family", fields)
+        raise ConfigError(f"method {method!r} is not available for {family or 'a bare base'}"
+                          f", choose from {', '.join(methods)}")
+    _refuse_unread(fam.keys() - {"kind"}, fields, f"{family} family")
     if args.eps1 is not None and (family in (None, "rnm") or method != "hs"):
         raise ConfigError("--eps1 is read only by the hs bound of a negbin, "
                           "binomial or poisson family")
@@ -417,12 +412,12 @@ def _resolve(base, fam, method, args):
     if args.delta is None:
         raise ConfigError("closed-form negbin guarantee needs --delta")
     sigma, sens = params
-    eps = selection.select_gdp_eps(sigma / sens, dist.shape, dist.success,
-                                   args.delta)
+    eps = selection.select_gdp_eps(sigma / sens, dist.shape, dist.success, args.delta)
     return profiles.profile_from_points([(eps, args.delta)]), math.nan, eps
 
 
 def cmd_guarantee(args):
+    """single (eps, delta) query"""
     cfg = _load_config(args)
     if args.delta is None and args.eps is None:
         raise ConfigError("give a target: --delta or --eps")
@@ -433,30 +428,27 @@ def cmd_guarantee(args):
         if getattr(args, key) is not None:
             setattr(args, key, _finite(getattr(args, key), key))
     method = args.method or cfg.get("method", "hs")
-    base = _merge(cfg, args, "base", _BASES.values())
-    fam = _merge(cfg, args, "family", (fields for fields, _ in _FAMILIES.values()))
-    profile, eps1, direct = _resolve(base, fam or None, method, args)
+    base = _merge(cfg, args, "base")
+    profile, eps1, direct = _resolve(base, _merge(cfg, args, "family"), method, args)
     if args.delta is not None:
         from . import profiles
-        eps = direct if direct is not None else profiles.epsilon_for_delta(
-            profile, args.delta)
+        eps = direct if direct is not None else profiles.epsilon_for_delta(profile, args.delta)
         delta = args.delta
     else:
         eps = args.eps
         delta = profile(args.eps)
+    eps1 = None if math.isnan(eps1) else eps1
     if args.format == "json":
-        sys.stdout.write(json.dumps(
-            {"eps": eps, "delta": delta, "method": method,
-             "eps1": None if math.isnan(eps1) else eps1}) + "\n")
+        line = json.dumps({"eps": eps, "delta": delta, "method": method, "eps1": eps1})
     else:
-        e1 = "nan" if math.isnan(eps1) else _fmt(eps1)
-        sys.stdout.write(
-            f"eps={_fmt(eps)} delta={_fmt(delta)} "
-            f"method={method} eps1={e1}\n")
+        line = (f"eps={_fmt(eps)} delta={_fmt(delta)} method={method} "
+                f"eps1={'nan' if eps1 is None else _fmt(eps1)}")
+    sys.stdout.write(line + "\n")
     return 0
 
 
 def cmd_adjust(args):
+    """max step count per noise candidate"""
     cfg = _load_config(args)
     out = _out_path(args, cfg)
     # only the keys given reach the table; it holds the defaults
@@ -469,8 +461,7 @@ def cmd_adjust(args):
         if not given["sigmas"]:
             raise ConfigError("candidate list is empty")
     for key in ("q", "eps_q", "delta", "m", "eta"):
-        v = getattr(args, key)
-        v = cfg.get(key) if v is None else v
+        v = cfg.get(key) if getattr(args, key) is None else getattr(args, key)
         if v is not None:
             given[key] = _finite(v, key)
     grid = _grid_spec(args, True)
@@ -480,173 +471,78 @@ def cmd_adjust(args):
     return 0
 
 
-def _oracle_checks():
-    from .countdist import Binomial, Poisson
-    from .oracles import (
-        SELECTION_INSTANCES,
-        argmax_probabilities,
-        gaussian_pair,
-        hs_divergence_quadrature,
-        instance_pair,
-        mc_selection_sample,
-        rnm_exact_divergence,
-        selection_exact_divergence,
-        selection_mean_quadrature,
-    )
-    from .profiles import gaussian_profile
-    from .selection import bound_for_count
-
-    checks = []
-    pair = gaussian_pair(0.0, 1.0, 4.0)
-    prof = gaussian_profile(4.0, 1.0)
-    worst = max(abs(hs_divergence_quadrature(pair, e) - prof(e))
-                for e in (0.0, 0.5, 1.0, 2.0))
-    checks.append(("gaussian profile vs quadrature", worst < 1e-10,
-                   f"max abs diff {worst:.2e}"))
-
-    tv_gap = abs(hs_divergence_quadrature(pair, 0.0)
-                 - hs_divergence_quadrature(pair.swapped(), 0.0))
-    checks.append(("total variation direction symmetry", tv_gap < 1e-10,
-                   f"gap {tv_gap:.2e}"))
-
-    probs = argmax_probabilities(np.array([0.0, 0.5, 1.0]), 1.0)
-    gap = abs(float(np.sum(probs)) - 1.0)
-    checks.append(("argmax probabilities sum to 1", gap < 1e-10,
-                   f"gap {gap:.2e}"))
-
-    mu = np.array([0.0, 0.0, 0.0])
-    mu_p = np.array([-1.0, 1.0, -1.0])
-    viol = 0.0
-    for eps in (0.0, 0.5, 1.0):
-        exact = rnm_exact_divergence(mu, mu_p, 1.0, eps)
-        bound = 3 * gaussian_profile(1.0, 2.0)(eps)
-        viol = max(viol, exact - bound)
-    checks.append(("noisy-argmax bound dominates exact", viol <= 1e-12,
-                   f"worst excess {viol:.2e}"))
-
-    one = Binomial(1, 1 - 1e-12)
-    sel_gap = abs(selection_exact_divergence(pair, one, 1.0)
-                  - hs_divergence_quadrature(pair, 1.0))
-    checks.append(("single-run selection equals base", sel_gap < 1e-9,
-                   f"gap {sel_gap:.2e}"))
-
-    worst_excess = -math.inf
-    for _, spec, dist in SELECTION_INSTANCES:
-        # the bound `guarantee` builds for this base and count
-        bound = bound_for_count(_build_base(*_base_params(spec)), dist).profile(2.0)
-        exact = selection_exact_divergence(instance_pair(spec), dist, 2.0)
-        worst_excess = max(worst_excess, exact - bound)
-    checks.append(("selection bound dominates exact", worst_excess <= 1e-12,
-                   f"worst excess {worst_excess:.3e} over "
-                   f"{len(SELECTION_INSTANCES)} instances"))
-
-    rng_dist = Poisson(5.0)
-
-    def sampler(rng, size):
-        return rng.normal(0.0, 1.0, size)
-
-    summary = mc_selection_sample(sampler, rng_dist, 100_000)
-    analytic = selection_mean_quadrature(gaussian_pair(0.0, 0.0, 1.0), rng_dist)
-    ci = 4.0 * 3.0 / math.sqrt(summary.trials)
-    mean_gap = abs(summary.mean_best() - analytic)
-    checks.append(("sampled best-value mean vs quadrature", mean_gap < ci,
-                   f"gap {mean_gap:.3e} ci {ci:.3e}"))
-    return checks
-
-
 def cmd_oracle(args):
-    checks = _oracle_checks()
-    failed = 0
+    """run the oracle validation table"""
+    from . import oracles, selection
+    # each selection bound is the one `guarantee` builds for that base and count
+    checks = oracles.oracle_checks(lambda spec, dist: selection.bound_for_count(
+        _build_base(*_base_params(spec)), dist).profile)
+    failed = sum(not ok for _, ok, _ in checks)
     for name, ok, detail in checks:
-        mark = "ok  " if ok else "FAIL"
-        sys.stdout.write(f"{mark}  {name:<42} {detail}\n")
-        failed += 0 if ok else 1
+        sys.stdout.write(f"{'ok  ' if ok else 'FAIL'}  {name:<42} {detail}\n")
     sys.stdout.write(f"{len(checks) - failed}/{len(checks)} oracle checks passed\n")
     return 1 if failed else 0
 
 
+# Every option: (flag, the commands that take it, those of them that also
+# read it as a top-level config key, argparse extras).  --base and
+# --family are each followed by the flags of their section's fields.
+_FLAGS = (
+    ("preset", "compare", "", {"help": ", ".join(_PRESETS)}),
+    ("--config", "profile guarantee adjust", "",
+     {"help": "JSON scenario file; flags override it"}),
+    ("--base", "profile guarantee", "profile guarantee", {"choices": list(_BASES)}),
+    ("--family", "guarantee", "guarantee", {"choices": [f for f in _FAMILIES if f]}),
+    ("--method", "guarantee", "guarantee",
+     {"choices": list(dict.fromkeys(m for _, ms in _FAMILIES.values() for m in ms))}),
+    ("--eps-grid", "profile", "", {"help": "lo:hi:step, default 0:5:0.1"}),
+    ("--q", "adjust", "adjust", {}),
+    ("--eps-q", "adjust", "adjust", {}),
+    ("--delta", "guarantee adjust", "adjust", {}),
+    ("--m", "adjust", "adjust", {}),
+    ("--eta", "adjust", "adjust", {}),
+    ("--sigmas", "adjust", "adjust", {"help": "comma-separated noise candidates"}),
+    ("--eps", "guarantee", "", {}),
+    ("--eps1", "guarantee", "", {"help": "fix eps1 instead of optimizing it"}),
+    ("--format", "guarantee", "", {"choices": ["text", "json"], "default": "text"}),
+    ("--grid-spacing", "profile compare guarantee adjust", "", {}),
+    ("--out", "profile compare adjust", "profile adjust", {}),
+)
+# the subcommands; the --help line of each is its docstring
+_COMMANDS = (cmd_profile, cmd_compare, cmd_guarantee, cmd_adjust, cmd_oracle)
+# the exit code of each error a command raises, from the first row that
+# matches: EmptyCurveError is a ValueError, so ValueError comes last
+_EXIT_CODES = (
+    ((ConfigError, InfeasibleMeanError), 2),
+    ((UnreachableTargetError, NoAdmissibleEps1Error, EmptyCurveError), 3),
+    ((GridTooCoarseError, MemoryBudgetError), 4),
+    ((ValueError,), 2),
+)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="privsel",
-        description="Privacy accounting for noisy-argmax and best-of-many "
-                    "selection mechanisms.")
+    parser = argparse.ArgumentParser(prog="privsel", description="Privacy accounting for "
+                                     "noisy-argmax and best-of-many selection mechanisms.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_base_flags(p):
-        p.add_argument("--config", help="JSON scenario file; flags override it")
-        p.add_argument("--base", choices=list(_BASES))
-        p.add_argument("--sigma")
-        p.add_argument("--sensitivity")
-        p.add_argument("--q")
-        p.add_argument("--steps")
-        p.add_argument("--eps-base", dest="eps_base")
-        p.add_argument("--grid-spacing", dest="grid_spacing")
-        p.add_argument("--out")
-
-    p = sub.add_parser("profile", help="base mechanism delta(eps) table")
-    add_base_flags(p)
-    p.add_argument("--eps-grid", dest="eps_grid",
-                   help="lo:hi:step, default 0:5:0.1")
-    p.set_defaults(fn=cmd_profile)
-
-    p = sub.add_parser("compare", help="preset comparison tables")
-    p.add_argument("preset", help=", ".join(_PRESETS))
-    p.add_argument("--grid-spacing", dest="grid_spacing")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_compare)
-
-    p = sub.add_parser("guarantee", help="single (eps, delta) query")
-    add_base_flags(p)
-    p.add_argument("--family", choices=[f for f in _FAMILIES if f])
-    p.add_argument("--eta")
-    p.add_argument("--gamma")
-    p.add_argument("--m")
-    p.add_argument("--n")
-    p.add_argument("--p")
-    p.add_argument("--monotone", action="store_true")
-    p.add_argument("--rounds")
-    p.add_argument("--method", choices=list(dict.fromkeys(
-        m for _, methods in _FAMILIES.values() for m in methods)))
-    p.add_argument("--delta")
-    p.add_argument("--eps")
-    p.add_argument("--eps1", help="fix eps1 instead of optimizing it")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(fn=cmd_guarantee)
-
-    p = sub.add_parser("adjust", help="max step count per noise candidate")
-    p.add_argument("--config")
-    p.add_argument("--q")
-    p.add_argument("--eps-q", dest="eps_q")
-    p.add_argument("--delta")
-    p.add_argument("--m")
-    p.add_argument("--eta")
-    p.add_argument("--sigmas", help="comma-separated noise candidates")
-    p.add_argument("--grid-spacing", dest="grid_spacing")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_adjust)
-
-    p = sub.add_parser("oracle", help="run the oracle validation table")
-    p.set_defaults(fn=cmd_oracle)
+    for fn in _COMMANDS:
+        command = fn.__name__.removeprefix("cmd_")
+        p = sub.add_parser(command, help=fn.__doc__)
+        p.set_defaults(fn=fn)
+        for flag, takes, _, extras in _FLAGS:
+            if command in takes.split():
+                p.add_argument(flag, **extras)
+                for _, field_flag, field_extras in _field_flags(_dest(flag)):
+                    p.add_argument(field_flag, **field_extras)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, InfeasibleMeanError) as e:
+    except tuple(c for errors, _ in _EXIT_CODES for c in errors) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (UnreachableTargetError, NoAdmissibleEps1Error, EmptyCurveError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except (GridTooCoarseError, MemoryBudgetError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return next(code for errors, code in _EXIT_CODES if isinstance(e, errors))
 
 
 if __name__ == "__main__":

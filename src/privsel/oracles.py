@@ -5,6 +5,10 @@ never through the analytic bounds, so agreement between the two paths is
 meaningful evidence.  Shapes are restricted to Gaussians and two-component
 Gaussian mixtures, which have accurate closed-form CDFs and cover every
 scenario the bounds are tested on.
+
+`oracle_checks` is the validation table `privsel oracle` prints: each
+row sets a bound against these oracles.  Only that function reads the
+bounds, and it imports them where it reads them.
 """
 
 from __future__ import annotations
@@ -240,8 +244,8 @@ def mc_selection_sample(base_sampler, dist, trials, seed=MC_SEED):
 
 
 # Shared validation scenarios: a base in the CLI's base-spec form plus a
-# count distribution.  Consumers build the matching analytic bound
-# themselves, so this module stays independent of the bound implementations.
+# count distribution.  `oracle_checks` reads each one's analytic bound
+# through the function its caller passes, the bound `guarantee` builds.
 SELECTION_INSTANCES = (
     ("gaussian sigma=4, geometric count",
      {"kind": "gaussian", "sigma": 4.0}, TruncNegBinomial(1.0, 0.1)),
@@ -270,3 +274,69 @@ def instance_pair(spec):
     if kind == "subsampled_gaussian":
         return subsampled_gaussian_pair(spec["q"], spec["sigma"] / sens, "remove")
     raise ValueError(f"no density pair for base {spec!r}")
+
+
+def oracle_checks(selection_bound):
+    """The rows of `privsel oracle`: (name, passed, detail) of each check.
+
+    selection_bound(spec, dist) is the selection profile `guarantee`
+    builds for a base spec of SELECTION_INSTANCES and a count; the caller
+    passes it in, so this module never imports the CLI.
+    """
+    from .profiles import gaussian_profile
+
+    checks = []
+    pair = gaussian_pair(0.0, 1.0, 4.0)
+    prof = gaussian_profile(4.0, 1.0)
+    worst = max(abs(hs_divergence_quadrature(pair, e) - prof(e))
+                for e in (0.0, 0.5, 1.0, 2.0))
+    checks.append(("gaussian profile vs quadrature", worst < 1e-10,
+                   f"max abs diff {worst:.2e}"))
+
+    tv_gap = abs(hs_divergence_quadrature(pair, 0.0)
+                 - hs_divergence_quadrature(pair.swapped(), 0.0))
+    checks.append(("total variation direction symmetry", tv_gap < 1e-10,
+                   f"gap {tv_gap:.2e}"))
+
+    probs = argmax_probabilities(np.array([0.0, 0.5, 1.0]), 1.0)
+    gap = abs(float(np.sum(probs)) - 1.0)
+    checks.append(("argmax probabilities sum to 1", gap < 1e-10,
+                   f"gap {gap:.2e}"))
+
+    mu = np.array([0.0, 0.0, 0.0])
+    mu_p = np.array([-1.0, 1.0, -1.0])
+    viol = 0.0
+    for eps in (0.0, 0.5, 1.0):
+        exact = rnm_exact_divergence(mu, mu_p, 1.0, eps)
+        bound = 3 * gaussian_profile(1.0, 2.0)(eps)
+        viol = max(viol, exact - bound)
+    checks.append(("noisy-argmax bound dominates exact", viol <= 1e-12,
+                   f"worst excess {viol:.2e}"))
+
+    one = Binomial(1, 1 - 1e-12)
+    sel_gap = abs(selection_exact_divergence(pair, one, 1.0)
+                  - hs_divergence_quadrature(pair, 1.0))
+    checks.append(("single-run selection equals base", sel_gap < 1e-9,
+                   f"gap {sel_gap:.2e}"))
+
+    worst_excess = -math.inf
+    for _, spec, dist in SELECTION_INSTANCES:
+        bound = selection_bound(spec, dist)(2.0)
+        exact = selection_exact_divergence(instance_pair(spec), dist, 2.0)
+        worst_excess = max(worst_excess, exact - bound)
+    checks.append(("selection bound dominates exact", worst_excess <= 1e-12,
+                   f"worst excess {worst_excess:.3e} over "
+                   f"{len(SELECTION_INSTANCES)} instances"))
+
+    rng_dist = Poisson(5.0)
+
+    def sampler(rng, size):
+        return rng.normal(0.0, 1.0, size)
+
+    summary = mc_selection_sample(sampler, rng_dist, 100_000)
+    analytic = selection_mean_quadrature(gaussian_pair(0.0, 0.0, 1.0), rng_dist)
+    ci = 4.0 * 3.0 / math.sqrt(summary.trials)
+    mean_gap = abs(summary.mean_best() - analytic)
+    checks.append(("sampled best-value mean vs quadrature", mean_gap < ci,
+                   f"gap {mean_gap:.3e} ci {ci:.3e}"))
+    return checks

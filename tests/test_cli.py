@@ -307,6 +307,29 @@ def test_config_errors_exit_before_scipy_loads(argv, config, message, tmp_path):
     assert "scipy" not in loaded
 
 
+def test_unread_config_key_exits_before_scipy_loads(tmp_path):
+    cfg = tmp_path / "metod.json"
+    cfg.write_text(json.dumps({"base": {"kind": "gaussian", "sigma": 4},
+                               "family": {"kind": "negbin", "m": 300},
+                               "metod": "rdp"}))
+    argv = ["guarantee", "--config", str(cfg), "--delta", "1e-6"]
+    r, printed, loaded = loaded_after(
+        f"from privsel import cli\nprint(cli.main({argv!r}))")
+    assert printed == ["2"], r.stderr
+    assert r.stderr == ("error: guarantee config does not read metod; "
+                        "its keys are base, family, method\n")
+    assert "scipy" not in loaded
+
+
+def test_oracles_load_neither_the_bounds_nor_the_cli():
+    # the density code is independent of the bounds it checks; the
+    # validation rows import profiles only when they are built
+    r, _, loaded = loaded_after("import privsel.oracles")
+    assert r.returncode == 0, r.stderr
+    assert not loaded & {"privsel.profiles", "privsel.selection", "privsel.pld",
+                         "privsel.cli"}
+
+
 def test_gaussian_guarantee_leaves_the_loss_grid_unloaded():
     # a Gaussian base needs no privacy-loss distribution, so neither pld
     # nor scipy.fft

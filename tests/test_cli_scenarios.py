@@ -193,8 +193,12 @@ def test_bad_config_is_refused(cfg, tmp_path, capsys):
 @pytest.mark.parametrize("command", ["profile", "adjust"])
 def test_config_out_must_be_a_path(command, out, tmp_path, capsys):
     base = ["--base", "gaussian", "--sigma", "4"] if command == "profile" else []
-    argv = [command, *config(tmp_path, {"out": out, "sigmas": [2]}), *base]
-    assert refused(argv, capsys)
+    sigmas = {"sigmas": [2]} if command == "adjust" else {}
+    argv = [command, *config(tmp_path, {"out": out, **sigmas}), *base]
+    rc = cli.main(argv)
+    got = capsys.readouterr()
+    assert (rc, got.out) == (2, "")
+    assert got.err == f"error: config 'out' must be a path string, got {out!r}\n"
 
 
 @pytest.fixture
@@ -344,8 +348,7 @@ def test_unset_monotone_flag_is_not_a_given_field(tmp_path):
            "family": {"kind": "poisson", "m": 10}}
     args = cli.build_parser().parse_args(["guarantee", *config(tmp_path, cfg)])
     assert args.monotone is False
-    fields = (fields for fields, _ in cli._FAMILIES.values())
-    assert cli._merge(cfg, args, "family", fields) == {"kind": "poisson", "m": 10}
+    assert cli._merge(cfg, args, "family") == {"kind": "poisson", "m": 10}
     assert run(["guarantee", *config(tmp_path, cfg), "--delta", "1e-6"]) == (
         0, "eps=2.17651081085 delta=1e-06 method=hs eps1=0\n")
 
@@ -628,3 +631,29 @@ def test_target_and_grid_flags_are_refused_in_one_line(argv, err, capsys):
     rc = cli.main(argv)
     out = capsys.readouterr()
     assert (rc, out.out, out.err) == (2, "", f"error: {err}\n")
+
+
+METOD = {"base": {"kind": "gaussian", "sigma": 4},
+         "family": {"kind": "negbin", "m": 300}, "metod": "rdp"}
+
+
+@pytest.mark.parametrize("command, cfg, unread, keys", [
+    ("guarantee", METOD, "metod", "base, family, method"),
+    ("guarantee", {"base": {"kind": "gaussian", "sigma": 4}, "out": "x.csv"},
+     "out", "base, family, method"),
+    ("guarantee", {**METOD, "delta": 1e-6}, "delta, metod", "base, family, method"),
+    ("profile", {"base": {"kind": "gaussian", "sigma": 4},
+                 "family": {"kind": "negbin", "m": 300}},
+     "family", "base, out"),
+    ("adjust", {"sigma": [2]}, "sigma", "q, eps_q, delta, m, eta, sigmas, out"),
+], ids=["guarantee-metod", "guarantee-out", "guarantee-two", "profile-family",
+        "adjust-sigma"])
+def test_config_key_the_command_does_not_read_is_refused(command, cfg, unread, keys,
+                                                         tmp_path, capsys):
+    # dropping the key would answer another query: hs for the rdp asked
+    # for, the default noise candidates for the ones given
+    target = ["--delta", "1e-6"] if command == "guarantee" else []
+    rc = cli.main([command, *config(tmp_path, cfg), *target])
+    out = capsys.readouterr()
+    assert (rc, out.out) == (2, "")
+    assert out.err == f"error: {command} config does not read {unread}; its keys are {keys}\n"

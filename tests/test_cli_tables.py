@@ -1,7 +1,9 @@
 """The CLI's tables against README: the scenario kinds with their fields,
-the families with their methods, and the exit code of every library
-exception, each checked through `cli.main` where it can be."""
+the families with their methods, each command's flags and config keys,
+and the exit code of every library exception, each checked through
+`cli.main` or the parser where it can be."""
 
+import argparse
 import re
 from pathlib import Path
 
@@ -104,3 +106,68 @@ def test_inadmissible_fixed_eps1_exits_3(capsys):
     assert (rc, out.out) == (3, "")
     assert out.err == ("error: eps1=0.0001 is below the admissibility "
                        "threshold 0.264954\n")
+
+
+def subcommands():
+    """Each subcommand's parser, by name."""
+    parser = cli.build_parser()
+    action = next(a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def options(parser):
+    """The first option string of each option, or a positional's name, in
+    the order the parser declares them, help left out."""
+    return tuple(a.option_strings[0] if a.option_strings else a.dest
+                 for a in parser._actions if a.dest != "help")
+
+
+def config_keys(command, tmp_path):
+    """The top-level config keys the command reads, as its error for an
+    unread key names them; None for a command without --config."""
+    if "--config" not in options(subcommands()[command]):
+        return None
+    path = tmp_path / "unread.json"
+    path.write_text('{"unread_key": 1}')
+    with pytest.raises(errors.ConfigError) as info:
+        cli._load_config(cli.build_parser().parse_args([command, "--config", str(path)]))
+    return tuple(str(info.value).rpartition("its keys are ")[2].split(", "))
+
+
+def test_readme_command_table_lists_each_commands_flags_and_config_keys(tmp_path):
+    documented = [(command.strip("`"), tuple(n for n in names(flags) if n),
+                   None if keys == "(no config)" else names(keys))
+                  for command, flags, keys in readme_table("command")]
+    assert documented == [(command, options(parser), config_keys(command, tmp_path))
+                          for command, parser in subcommands().items()]
+
+
+# each subcommand's option strings, written out by hand so that a change
+# to the flag table cannot add or drop one unnoticed; guarantee's --out,
+# which nothing read, is gone
+OPTION_STRINGS = {
+    "profile": ["--base", "--config", "--eps-base", "--eps-grid", "--grid-spacing",
+                "--help", "--out", "--q", "--sensitivity", "--sigma", "--steps", "-h"],
+    "compare": ["--grid-spacing", "--help", "--out", "-h"],
+    "guarantee": ["--base", "--config", "--delta", "--eps", "--eps-base", "--eps1",
+                  "--eta", "--family", "--format", "--gamma", "--grid-spacing",
+                  "--help", "--m", "--method", "--monotone", "--n", "--p", "--q",
+                  "--rounds", "--sensitivity", "--sigma", "--steps", "-h"],
+    "adjust": ["--config", "--delta", "--eps-q", "--eta", "--grid-spacing", "--help",
+               "--m", "--out", "--q", "--sigmas", "-h"],
+    "oracle": ["--help", "-h"],
+}
+
+
+def test_each_subcommand_accepts_exactly_its_option_strings():
+    got = {command: sorted(s for a in parser._actions for s in a.option_strings)
+           for command, parser in subcommands().items()}
+    assert got == OPTION_STRINGS
+
+
+def test_readme_exit_table_is_the_cli_exit_table():
+    documented = {(name, int(code)) for code, cell in readme_table("exit")
+                  for name in re.findall(r"`(\w+)`", cell)}
+    assert documented == {(cls.__name__, code)
+                          for classes, code in cli._EXIT_CODES for cls in classes}

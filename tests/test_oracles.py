@@ -12,6 +12,7 @@ from privsel.oracles import (
     hs_divergence_quadrature,
     instance_pair,
     mc_selection_sample,
+    oracle_checks,
     pair_normalization,
     rnm_exact_divergence,
     selection_exact_divergence,
@@ -167,3 +168,10 @@ def test_instance_pair_reads_the_sensitivity(spec, unit):
     for eps in (0.0, 1.0):
         assert hs_divergence_quadrature(pair, eps) == pytest.approx(
             hs_divergence_quadrature(unit, eps), abs=1e-12)
+
+
+def test_oracle_checks_read_the_selection_bound_they_are_passed():
+    # a bound of 0 certifies nothing; only the row that reads it fails
+    rows = oracle_checks(lambda spec, dist: lambda eps: 0.0)
+    assert len(rows) == 7
+    assert [name for name, ok, _ in rows if not ok] == ["selection bound dominates exact"]
