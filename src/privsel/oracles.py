@@ -8,7 +8,8 @@ scenario the bounds are tested on.
 
 `oracle_checks` is the validation table `privsel oracle` prints: each
 row sets a bound against these oracles.  Only that function reads the
-bounds, and it imports them where it reads them.
+bounds, importing them where it reads them, and it builds each selection
+bound as `guarantee` does, from a base spec `scenario` reads.
 """
 
 from __future__ import annotations
@@ -243,9 +244,9 @@ def mc_selection_sample(base_sampler, dist, trials, seed=MC_SEED):
     return McSelectionSummary(best=best, trials=trials)
 
 
-# Shared validation scenarios: a base in the CLI's base-spec form plus a
-# count distribution.  `oracle_checks` reads each one's analytic bound
-# through the function its caller passes, the bound `guarantee` builds.
+# Shared validation scenarios: a base in `scenario`'s base-spec form plus
+# a count distribution.  `oracle_checks` checks each one's analytic bound,
+# the one `guarantee` builds.
 SELECTION_INSTANCES = (
     ("gaussian sigma=4, geometric count",
      {"kind": "gaussian", "sigma": 4.0}, TruncNegBinomial(1.0, 0.1)),
@@ -276,13 +277,9 @@ def instance_pair(spec):
     raise ValueError(f"no density pair for base {spec!r}")
 
 
-def oracle_checks(selection_bound):
-    """The rows of `privsel oracle`: (name, passed, detail) of each check.
-
-    selection_bound(spec, dist) is the selection profile `guarantee`
-    builds for a base spec of SELECTION_INSTANCES and a count; the caller
-    passes it in, so this module never imports the CLI.
-    """
+def oracle_checks():
+    """The rows of `privsel oracle`: (name, passed, detail) of each check."""
+    from . import scenario, selection
     from .profiles import gaussian_profile
 
     checks = []
@@ -321,7 +318,8 @@ def oracle_checks(selection_bound):
 
     worst_excess = -math.inf
     for _, spec, dist in SELECTION_INSTANCES:
-        bound = selection_bound(spec, dist)(2.0)
+        base = scenario.build_base(*scenario.base_params(spec))
+        bound = selection.bound_for_count(base, dist).profile(2.0)
         exact = selection_exact_divergence(instance_pair(spec), dist, 2.0)
         worst_excess = max(worst_excess, exact - bound)
     checks.append(("selection bound dominates exact", worst_excess <= 1e-12,

@@ -294,7 +294,27 @@ def test_package_and_cli_load_numpy_alone():
       "--family", "binomial", "--n", "5", "--p", "0.5", "--method", "rdp",
       "--delta", "1e-6"], None,
      "error: method 'rdp' is not available for binomial, choose from hs"),
-], ids=["missing-target", "sigma-nan", "config-base-list", "subsampled-method"])
+    (["guarantee", "--base", "gaussian", "--sigma", "4", "--family", "binomial",
+      "--n", "2.5", "--p", "0.1", "--delta", "1e-6"], None,
+     "error: n must be an integer, got 2.5"),
+    (["guarantee", "--base", "gaussian", "--sigma", "4", "--family", "rnm",
+      "--m", "10", "--rounds", "0", "--delta", "1e-6"], None,
+     "error: rounds must be >= 1, got 0"),
+    (["guarantee", "--delta", "1e-6"],
+     {"base": {"kind": "gaussian", "sigma": 4},
+      "family": {"kind": "rnm", "m": 10, "monotone": "yes"}},
+     "error: monotone must be true or false, got 'yes'"),
+    (["guarantee", "--base", "gaussian", "--sigma", "4", "--family", "poisson",
+      "--m", "abc", "--delta", "1e-6"], None, "error: m must be a number, got 'abc'"),
+    # the loss grid is built only once the family fields are read
+    (["guarantee", "--base", "subsampled_gaussian", "--q", "0.1", "--sigma", "1",
+      "--family", "poisson", "--m", "abc", "--grid-spacing", "1e-3", "--delta", "1e-6"],
+     None, "error: m must be a number, got 'abc'"),
+    (["profile", "--base", "gaussian", "--sigma", "4", "--eps-grid", "abc"], None,
+     "error: bad eps grid 'abc', want lo:hi:step"),
+], ids=["missing-target", "sigma-nan", "config-base-list", "subsampled-method",
+        "binomial-n-fraction", "rnm-rounds-zero", "config-monotone-yes", "poisson-m-abc",
+        "poisson-m-abc-grid", "profile-eps-grid"])
 def test_config_errors_exit_before_scipy_loads(argv, config, message, tmp_path):
     if config is not None:
         cfg = tmp_path / "bad.json"

@@ -189,7 +189,7 @@ def test_bad_config_is_refused(cfg, tmp_path, capsys):
 
 
 # an integer that names no open descriptor: open() would take it as one
-@pytest.mark.parametrize("out", [987654, ["x.csv"]], ids=["int", "list"])
+@pytest.mark.parametrize("out", [987654, ["x.csv"], None], ids=["int", "list", "null"])
 @pytest.mark.parametrize("command", ["profile", "adjust"])
 def test_config_out_must_be_a_path(command, out, tmp_path, capsys):
     base = ["--base", "gaussian", "--sigma", "4"] if command == "profile" else []
@@ -239,6 +239,19 @@ def test_fig4_count_table_that_cannot_be_opened_is_refused(no_tables, tmp_path, 
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_fig4_count_table_goes_beside_out_in_a_dotted_directory(tmp_path, monkeypatch, capsys):
+    # the suffix goes on the file name, not after the last dot of the path
+    from privsel import presets
+    monkeypatch.setattr(presets, "fig4_tables",
+                        lambda: [(("a",), [(1,)]), (("k",), [(2,)])])
+    out = tmp_path / "runs.v2" / "fig4"
+    out.parent.mkdir()
+    assert cli.main(["compare", "fig4", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert sorted(p.name for p in out.parent.iterdir()) == ["fig4", "fig4_kcdf"]
+    assert (out.parent / "fig4_kcdf").read_text() == "k\n2\n"
+
+
 def test_fig4_leaves_an_existing_out_as_it_was(no_tables, tmp_path, capsys):
     # neither file is written unless both open
     out = tmp_path / "x.csv"
@@ -269,9 +282,15 @@ def test_failed_table_leaves_out_as_it_was(argv, tmp_path, monkeypatch, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv"]
 
 
-@pytest.mark.parametrize("key", ["q", "eps_q", "delta", "m", "eta"])
+@pytest.mark.parametrize("key", ["q", "eps_q", "delta", "m", "eta", "sigmas"])
 def test_adjust_config_reals_are_checked(key, tmp_path, capsys):
     assert refused(["adjust", *config(tmp_path, {key: "abc"})], capsys)
+    # a null is given, not absent, and refused by the same message
+    assert cli.main(["adjust", *config(tmp_path, {key: None})]) == 2
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert got.err == ("error: config 'sigmas' must be a list, got None\n" if key == "sigmas"
+                       else f"error: {key} must be a number, got None\n")
 
 
 def test_adjust_mean_count_of_zero_is_refused(capsys):

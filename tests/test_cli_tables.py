@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from privsel import cli, errors
+from privsel import cli, errors, scenario
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -36,14 +36,14 @@ def names(cell):
 def test_readme_kind_table_lists_each_kinds_fields():
     documented = [(kind.strip("`"), names(fields))
                   for kind, fields in readme_table("kind")]
-    assert documented == [*cli._BASES.items(),
-                          *((f, fields) for f, (fields, _) in cli._FAMILIES.items() if f)]
+    assert documented == [*scenario.BASES.items(),
+                          *((f, fields) for f, (fields, _) in scenario.FAMILIES.items() if f)]
 
 
 def test_readme_family_table_lists_each_familys_methods():
     documented = [(None if family.startswith("none") else family, names(methods))
                   for family, methods in readme_table("family")]
-    assert documented == [(f, methods) for f, (_, methods) in cli._FAMILIES.items()]
+    assert documented == [(f, methods) for f, (_, methods) in scenario.FAMILIES.items()]
 
 
 @pytest.mark.parametrize("flag, choices", [
@@ -76,10 +76,10 @@ def test_readme_exit_table_lists_every_library_error_once():
 @pytest.mark.parametrize("exc", LIBRARY_ERRORS + [ValueError],
                          ids=lambda cls: cls.__name__)
 def test_each_error_exits_with_its_documented_code(exc, monkeypatch, capsys):
-    def fail(*args):
+    def fail(*args, **kwargs):
         raise exc("the reason")
 
-    monkeypatch.setattr(cli, "_resolve", fail)
+    monkeypatch.setattr(scenario, "resolve", fail)
     rc = cli.main(["guarantee", "--base", "gaussian", "--sigma", "4",
                    "--delta", "1e-6"])
     out = capsys.readouterr()
@@ -89,10 +89,10 @@ def test_each_error_exits_with_its_documented_code(exc, monkeypatch, capsys):
 
 
 def test_other_errors_propagate(monkeypatch):
-    def fail(*args):
+    def fail(*args, **kwargs):
         raise RuntimeError("a bug")
 
-    monkeypatch.setattr(cli, "_resolve", fail)
+    monkeypatch.setattr(scenario, "resolve", fail)
     with pytest.raises(RuntimeError, match="a bug"):
         cli.main(["guarantee", "--base", "gaussian", "--sigma", "4",
                   "--delta", "1e-6"])

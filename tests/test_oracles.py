@@ -1,9 +1,11 @@
 """Internal consistency of the quadrature and sampling oracles."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from privsel import cli
+from privsel import scenario, selection
 from privsel.countdist import Binomial, Poisson, TruncNegBinomial
 from privsel.oracles import (
     SELECTION_INSTANCES,
@@ -149,7 +151,7 @@ def test_instance_table_is_well_formed():
         assert isinstance(label, str) and label
         # each base is a spec the CLI parses, so `privsel oracle` checks
         # the bound `guarantee` builds
-        assert cli._base_params(spec)[0] == spec["kind"]
+        assert scenario.base_params(spec)[0] == spec["kind"]
     for spec in ({"kind": "laplace", "scale": 1.0},
                  {"kind": "points", "points": [[1.0, 1e-6]]},
                  {"kind": "subsampled_gaussian", "q": 0.2, "sigma": 2.0, "steps": 2}):
@@ -170,8 +172,10 @@ def test_instance_pair_reads_the_sensitivity(spec, unit):
             hs_divergence_quadrature(unit, eps), abs=1e-12)
 
 
-def test_oracle_checks_read_the_selection_bound_they_are_passed():
+def test_oracle_checks_read_the_selection_bound_guarantee_builds(monkeypatch):
     # a bound of 0 certifies nothing; only the row that reads it fails
-    rows = oracle_checks(lambda spec, dist: lambda eps: 0.0)
+    monkeypatch.setattr(selection, "bound_for_count",
+                        lambda base, dist: SimpleNamespace(profile=lambda eps: 0.0))
+    rows = oracle_checks()
     assert len(rows) == 7
     assert [name for name, ok, _ in rows if not ok] == ["selection bound dominates exact"]
