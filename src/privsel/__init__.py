@@ -7,11 +7,14 @@ a discretized loss-distribution accountant for the subsampled Gaussian,
 and quadrature oracles that certify the bounds on small instances.
 
 `import privsel` loads numpy only. Each public name below, and each
-submodule named in `_EXPORTS`, is imported on first access, so
-`scipy.special` loads with `profiles`, `countdist` or `pld`; no
-submodule loads `scipy.fft`, since `pld` transforms with `numpy.fft`.
-Names are not cached here: every access reads the submodule's current
-attribute.
+submodule named in `_EXPORTS`, is imported on first access.
+`profiles`, `countdist`, `selection` and `scenario` load numpy alone, so
+a query on a pure or points base, or a Renyi query on a Gaussian base,
+never loads scipy.  `scipy.special` loads with the Gaussian leaf
+`gaussian` (and so with `rnm` and `presets`, which import it), `pld` or
+`oracles`.  No submodule loads `scipy.fft`, since `pld` transforms with
+`numpy.fft`.  Names are not cached here: every access reads the
+submodule's current attribute.
 """
 
 import importlib
@@ -25,12 +28,12 @@ _EXPORTS = {
     "errors": ("ConfigError", "EmptyCurveError", "GridTooCoarseError",
                "InfeasibleMeanError", "MemoryBudgetError",
                "NoAdmissibleEps1Error", "UnreachableTargetError"),
+    "gaussian": ("gaussian_profile", "gaussian_sigma_for_eps_delta"),
     "pld": ("DiscretePLD", "GridSpec", "SubsampledGaussianParams", "compose",
             "renyi_subsampled_gaussian", "subsampled_gaussian_pld",
             "subsampled_gaussian_profile"),
     "profiles": ("PointDP", "PrivacyProfile", "RdpCurve", "default_orders",
-                 "epsilon_for_delta", "gaussian_profile", "gaussian_rdp_curve",
-                 "gaussian_sigma_for_eps_delta", "profile_from_points",
+                 "epsilon_for_delta", "gaussian_rdp_curve", "profile_from_points",
                  "rdp_profile", "rdp_to_dp"),
     "rnm": ("RnmSpec", "rnm_composition_profile", "rnm_gaussian_eps",
             "rnm_profile"),

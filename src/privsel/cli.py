@@ -15,7 +15,9 @@ error, 3 unreachable target, 4 numerical guard tripped.
 At import this module loads numpy and the stdlib only. Each command
 imports what it computes with after its input is read, so a missing,
 unread or malformed flag, field or target exits before any scipy import.
-A `profile` or `guarantee` call that builds no loss grid never loads `pld`.
+A `profile` or `guarantee` call that builds no loss grid never loads `pld`,
+and one on a pure or points base, or under rdp on a Gaussian base, loads
+numpy alone, range checks included.
 """
 
 from __future__ import annotations
@@ -85,8 +87,9 @@ def _writable(path):
 
 def _load_config(args):
     """The --config object, {} without the flag; a top-level key the
-    command does not read is refused, so no input is silently dropped."""
-    if not args.config:
+    command does not read is refused, so no input is silently dropped.
+    An empty path is a path, and is refused as unreadable."""
+    if args.config is None:
         return {}
     try:
         with open(args.config) as f:

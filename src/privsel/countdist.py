@@ -5,8 +5,9 @@ releases the best run.  Each distribution offers its pmf, cdf, mean, the
 derivative of its probability generating function and a tail support
 bound; the oracles and the fig4 table use those.
 
-All three evaluate through `scipy.special`; the bounds read only `mean()`
-and the parameters.
+The bounds read only `mean()` and the parameters, so the module loads
+numpy alone: `pmf`, `cdf` and `support_upper`, which evaluate through
+`scipy.special`, import it when called.
 
 The truncated negative binomial lives on {1, 2, ...}; binomial and Poisson
 put mass on K = 0, which the selection bounds treat separately.
@@ -18,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, gammaln, pdtr, pdtrc, pdtrik, xlog1py, xlogy
 
 from .errors import InfeasibleMeanError
 
@@ -79,6 +79,7 @@ class TruncNegBinomial:
             raise ValueError(f"success must be in (0,1), got {self.success}")
 
     def pmf(self, k):
+        from scipy.special import gammaln
         g = self.success
         eta = self.shape
         if eta == 0:
@@ -150,6 +151,7 @@ class Binomial:
             raise ValueError(f"prob must be in (0,1), got {self.prob}")
 
     def pmf(self, k):
+        from scipy.special import gammaln, xlog1py, xlogy
         n, p = self.trials, self.prob
         return _pmf_on(k, 0, n, lambda kf: (
             gammaln(n + 1) - (gammaln(kf + 1) + gammaln(n - kf + 1))
@@ -159,6 +161,7 @@ class Binomial:
         return self.trials * self.prob
 
     def cdf(self, k):
+        from scipy.special import betainc
         k = math.floor(k)
         if k < 0:
             return 0.0
@@ -186,6 +189,7 @@ class Poisson:
             raise ValueError(f"rate must be positive, got {self.rate}")
 
     def pmf(self, k):
+        from scipy.special import gammaln, xlogy
         rate = self.rate
         return _pmf_on(k, 0, math.inf,
                        lambda kf: xlogy(kf, rate) - gammaln(kf + 1) - rate)
@@ -194,6 +198,7 @@ class Poisson:
         return self.rate
 
     def cdf(self, k):
+        from scipy.special import pdtr
         k = math.floor(k)
         return float(pdtr(k, self.rate)) if k >= 0 else 0.0
 
@@ -204,6 +209,7 @@ class Poisson:
     def support_upper(self, tail=TAIL_MASS):
         """Two past the least k at which the cdf reaches 1 - tail, then up
         until the mass beyond k is at most `tail`."""
+        from scipy.special import pdtr, pdtrc, pdtrik
         q = 1 - tail
         k = math.ceil(pdtrik(q, self.rate))
         if k >= 1 and pdtr(k - 1, self.rate) >= q:

@@ -280,7 +280,7 @@ def instance_pair(spec):
 def oracle_checks():
     """The rows of `privsel oracle`: (name, passed, detail) of each check."""
     from . import scenario, selection
-    from .profiles import gaussian_profile
+    from .gaussian import gaussian_profile
 
     checks = []
     pair = gaussian_pair(0.0, 1.0, 4.0)

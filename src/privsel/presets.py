@@ -12,6 +12,7 @@ import numpy as np
 
 from .countdist import Binomial, Poisson, from_expected
 from .errors import EmptyCurveError
+from .gaussian import gaussian_profile, gaussian_sigma_for_eps_delta
 from .pld import (
     GridSpec,
     SubsampledGaussianParams,
@@ -21,9 +22,7 @@ from .pld import (
 from .profiles import (
     PointDP,
     epsilon_for_delta,
-    gaussian_profile,
     gaussian_rdp_curve,
-    gaussian_sigma_for_eps_delta,
     rdp_profile,
     rdp_to_dp,
 )

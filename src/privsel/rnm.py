@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .profiles import Scaled, _check_positive, gaussian_profile
+from .gaussian import gaussian_profile
+from .profiles import Scaled, _check_positive
 
 
 @dataclass(frozen=True)

@@ -130,7 +130,9 @@ def build_base(kind, params, method="hs", grid=None):
             return profiles.gaussian_rdp_curve(*params)
         raise ConfigError("method rdp needs a gaussian or subsampled_gaussian base")
     if kind == "gaussian":
-        return profiles.gaussian_profile(*params)
+        # the one leaf that loads scipy.special
+        from . import gaussian
+        return gaussian.gaussian_profile(*params)
     if kind == "pure":
         return profiles.profile_from_points([(params, 0.0)])
     return profiles.profile_from_points(params)

@@ -76,6 +76,16 @@ def test_guarantee_config_file(tmp_path):
     assert r.stdout.startswith("eps=2.79379844666 ")
 
 
+def test_empty_config_path_is_unreadable():
+    # an empty path is given, not absent, so it is refused as any other
+    # unreadable path is rather than read as no config
+    r = run_cli("guarantee", "--config", "", "--base", "gaussian", "--sigma", "4",
+                "--delta", "1e-6")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: cannot read config: ")
+
+
 def test_profile_total_variation_row():
     r = run_cli("profile", "--base", "gaussian", "--sigma", "4",
                 "--eps-grid", "0:0:1")
@@ -312,9 +322,17 @@ def test_package_and_cli_load_numpy_alone():
      None, "error: m must be a number, got 'abc'"),
     (["profile", "--base", "gaussian", "--sigma", "4", "--eps-grid", "abc"], None,
      "error: bad eps grid 'abc', want lo:hi:step"),
+    # values out of the library's range, refused before a Gaussian is built
+    (["guarantee", "--base", "gaussian", "--sigma", "4", "--family", "poisson", "--m", "0",
+      "--delta", "1e-6"], None, "error: mean must be positive, got 0.0"),
+    (["guarantee", "--base", "pure", "--eps-base", "-1", "--delta", "1e-6"], None,
+     "error: points need finite eps >= 0 and delta in [0,1], got [(-1.0, 0.0)]"),
+    (["guarantee", "--base", "pure", "--eps-base", "1", "--method", "rdp", "--delta", "1e-6"],
+     None, "error: method rdp needs a gaussian or subsampled_gaussian base"),
 ], ids=["missing-target", "sigma-nan", "config-base-list", "subsampled-method",
         "binomial-n-fraction", "rnm-rounds-zero", "config-monotone-yes", "poisson-m-abc",
-        "poisson-m-abc-grid", "profile-eps-grid"])
+        "poisson-m-abc-grid", "profile-eps-grid", "poisson-m-zero", "pure-eps-negative",
+        "pure-rdp"])
 def test_config_errors_exit_before_scipy_loads(argv, config, message, tmp_path):
     if config is not None:
         cfg = tmp_path / "bad.json"
@@ -339,6 +357,49 @@ def test_unread_config_key_exits_before_scipy_loads(tmp_path):
     assert r.stderr == ("error: guarantee config does not read metod; "
                         "its keys are base, family, method\n")
     assert "scipy" not in loaded
+
+
+NEGBIN_30 = ["--family", "negbin", "--eta", "1", "--m", "30"]
+
+
+# a pure or points base, or rdp on a Gaussian base, needs no special
+# function: these calls load numpy alone
+@pytest.mark.parametrize("argv,config,rc,line", [
+    (["guarantee", "--base", "gaussian", "--sigma", "4", *NEGBIN_30, "--method", "rdp",
+      "--delta", "1e-6"], None, 0, "method=rdp eps1=nan"),
+    (["guarantee", "--base", "pure", "--eps-base", "1", *NEGBIN_30, "--method", "closed",
+      "--delta", "1e-6"], None, 0, "method=closed eps1=nan"),
+    (["guarantee", *NEGBIN_30, "--delta", "1e-6"],
+     {"base": {"kind": "points", "points": [[0.5, 1e-7], [1.0, 1e-9]]}}, 0, "method=hs"),
+    # every point's delta sits far above the target
+    (["guarantee", *NEGBIN_30, "--delta", "1e-6"],
+     {"base": {"kind": "points", "points": [[1.0, 0.01], [3.0, 0.005]]}}, 3,
+     "error: profile still above delta=1e-06"),
+], ids=["gaussian-negbin-rdp", "pure-closed", "points-hs", "points-unreachable"])
+def test_calls_off_the_gaussian_leaf_load_numpy_alone(argv, config, rc, line, tmp_path):
+    if config is not None:
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(cfg)]
+    r, printed, loaded = loaded_after(
+        f"from privsel import cli\nprint(cli.main({argv!r}))")
+    assert printed[-1] == str(rc), r.stderr
+    if rc == 0:
+        assert printed[0].startswith("eps=") and line in printed[0]
+        assert r.stderr == ""
+    else:
+        assert printed == [str(rc)]
+        assert r.stderr.startswith(line)
+    assert "numpy" in loaded
+    scipy = sorted(m for m in loaded if m == "scipy" or m.startswith("scipy."))
+    assert not scipy, scipy
+
+
+@pytest.mark.parametrize("module", ["privsel.gaussian", "privsel.rnm", "privsel.presets"])
+def test_the_gaussian_leaf_and_its_importers_load_scipy_special(module):
+    r, _, loaded = loaded_after(f"import {module}")
+    assert r.returncode == 0, r.stderr
+    assert "scipy.special" in loaded
 
 
 def test_oracles_load_neither_the_bounds_nor_the_cli():

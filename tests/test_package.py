@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import privsel
-from privsel import cli, pld, profiles
+from privsel import cli, gaussian, pld, profiles
 
 
 def test_public_names_are_their_defining_modules_objects():
@@ -43,12 +43,22 @@ def test_unknown_name_is_an_attribute_error():
 def test_names_are_read_at_access_not_cached(monkeypatch):
     # a wrapper installed on the defining module is seen through the
     # package, and is gone from it once the module is restored
-    original = profiles.gaussian_profile
-    monkeypatch.setattr(profiles, "gaussian_profile", len)
+    original = gaussian.gaussian_profile
+    monkeypatch.setattr(gaussian, "gaussian_profile", len)
     assert privsel.gaussian_profile is len
     monkeypatch.undo()
     assert privsel.gaussian_profile is original
     assert "gaussian_profile" not in vars(privsel)
+
+
+def test_profiles_forwards_the_gaussian_leaf_once():
+    # the leaf moved to privsel.gaussian; profiles still reads its names,
+    # and holds each after the first read as a plain global
+    assert profiles.gaussian_profile is gaussian.gaussian_profile is privsel.gaussian_profile
+    assert profiles.Gaussian is gaussian.Gaussian
+    assert vars(profiles)["gaussian_profile"] is gaussian.gaussian_profile
+    with pytest.raises(AttributeError, match="no_such_name"):
+        profiles.no_such_name
 
 
 def test_cli_reads_the_package_names():
