@@ -236,20 +236,26 @@ def fig8_adjust_table(q=0.01, eps_q=1.5, delta=DELTA_DEFAULT, m=10.0, eta=1.0,
 
     rows = []
     for sigma in sigmas:
-        def profile_at(steps):
-            return subsampled_gaussian_profile(
-                SubsampledGaussianParams(q, sigma, steps), grid
-            )
+        # each probe that _max_passing sees pass lies above every earlier
+        # one, and the count it returns is its last passing probe, so the
+        # direct row reads that probe's profile instead of composing again
+        passed = None
 
         def ok(steps):
-            prof = profile_at(steps)
-            return prof(eps1) <= delta1 and prof(eps_hat) <= delta / m
+            nonlocal passed
+            prof = subsampled_gaussian_profile(
+                SubsampledGaussianParams(q, sigma, steps), grid
+            )
+            if prof(eps1) <= delta1 and prof(eps_hat) <= delta / m:
+                passed = prof
+                return True
+            return False
 
         max_steps = _max_passing(ok, 1, FIG8_STEPS_CAP)
         if max_steps == 0:
             rows.append((sigma, 0, math.nan, delta, math.nan, math.nan))
             continue
-        direct = select_negbin_profile(profile_at(max_steps), eta, gamma)
+        direct = select_negbin_profile(passed, eta, gamma)
         eps_direct = epsilon_for_delta(direct.profile, delta)
         gap = final.eps / eps_direct - 1.0
         rows.append((sigma, max_steps, final.eps, final.delta, eps_direct, gap))

@@ -210,8 +210,7 @@ def resolve(base, fam, method, *, eps1=None, delta=None, grid_spacing=None):
         eps = selection.select_negbin_pure(params, dist.shape)
         return profiles.profile_from_points([(eps, 0.0)]), None, eps
     if method == "hs":
-        strategy = "optimized" if eps1 is None else eps1
-        res = selection.bound_for_count(build_base(kind, params, grid=grid), dist, strategy)
+        res = selection.bound_for_count(build_base(kind, params, grid=grid), dist, eps1)
         return res.profile, res.eps1, None
     if method == "rdp":
         curve = selection.rdp_select_negbin(build_base(kind, params, "rdp"),

@@ -80,17 +80,18 @@ def _grid(eps_hi):
     return out
 
 
-def optimize_eps1(base, penalty, extra=()):
+def optimize_eps1(base, penalty):
     """Minimize penalty(eps1, base(eps1)) over eps1 >= 0.
 
     Candidates are 0, a 200-point log-spaced grid up to where the base
     delta bottoms out (capped at 50), any kink locations the profile
-    declares, and any caller-supplied extras.  The base and the penalty
-    node are evaluated over all of them in one array pass each; the
-    candidates whose array value lies within a small window of the least
-    are scored again by the penalty's scalar form, and the best of those,
-    the smallest eps1 on a tie, is sharpened by golden-section search to
-    1e-6.  A penalty may return +inf to mark an eps1 inadmissible.
+    declares, and the penalty's admissibility threshold `eps1_min`.  The
+    base and the penalty node are evaluated over all of them in one array
+    pass each; the candidates whose array value lies within a small window
+    of the least are scored again by the penalty's scalar form, and the
+    best of those, the smallest eps1 on a tie, is sharpened by
+    golden-section search to 1e-6.  A penalty may return +inf to mark an
+    eps1 inadmissible.
     """
     try:
         eps_hi = min(epsilon_for_delta(base, 1e-15), EPS1_CAP)
@@ -98,7 +99,7 @@ def optimize_eps1(base, penalty, extra=()):
         eps_hi = EPS1_CAP
     eps_hi = max(eps_hi, 1e-3)
 
-    cand = np.concatenate(([0.0], _grid(eps_hi), base.knots, extra))
+    cand = np.concatenate(([0.0], _grid(eps_hi), base.knots, [penalty.eps1_min]))
     # + 0.0 turns a -0.0 knot that np.unique kept into 0.0
     cand = np.unique(cand[(0.0 <= cand) & (cand <= eps_hi)]) + 0.0
     deltas = base.on_array(cand)
@@ -238,20 +239,20 @@ def _count_penalty(base, dist):
     raise TypeError(f"no selection bound for {type(dist).__name__}")
 
 
-def bound_for_count(base, dist, eps1_strategy="optimized"):
+def bound_for_count(base, dist, eps1=None):
     """Best-of-K bound for K drawn from dist: min(1, E[K] * base(eps - shift)).
 
     The shift is the count's penalty at (eps1, base(eps1)), with eps1
-    optimized over the admissible range or fixed by the caller.  Binomial
-    and Poisson counts can be zero, so their bounds certify nothing at
-    eps <= 0.
+    optimized over the admissible range when None, else fixed by the
+    caller.  Binomial and Poisson counts can be zero, so their bounds
+    certify nothing at eps <= 0.
     """
     penalty = _count_penalty(base, dist)
     eps1_min = penalty.eps1_min
-    if eps1_strategy == "optimized":
-        eps1 = optimize_eps1(base, penalty, extra=(eps1_min,))
+    if eps1 is None:
+        eps1 = optimize_eps1(base, penalty)
     else:
-        eps1 = float(eps1_strategy)
+        eps1 = float(eps1)
         if not 0 <= eps1 < math.inf:
             raise ValueError(f"fixed eps1 must be >= 0 and finite, got {eps1}")
     if eps1 < eps1_min:

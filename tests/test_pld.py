@@ -9,12 +9,14 @@ import subprocess
 import sys
 import threading
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import privsel.pld as pldmod
+from privsel import presets
 from privsel.errors import GridTooCoarseError, MemoryBudgetError
 from privsel.oracles import hs_divergence_quadrature, subsampled_gaussian_pair
 from privsel.pld import (
@@ -26,7 +28,7 @@ from privsel.pld import (
     subsampled_gaussian_pld,
     subsampled_gaussian_profile,
 )
-from privsel.profiles import default_orders, gaussian_profile
+from privsel.profiles import gaussian_profile
 
 FIG_Q = 256 / 60000
 FIG_SIGMA = 1.1
@@ -239,20 +241,63 @@ def test_default_grid_passes_self_check():
 
 def test_disk_cache_roundtrip(tmp_path, monkeypatch):
     monkeypatch.setenv(pldmod.CACHE_ENV, str(tmp_path))
-    monkeypatch.setattr(pldmod, "_COMPOSED", {})
     params = SubsampledGaussianParams(0.2, 1.0, 4)
     first = subsampled_gaussian_profile(params)(0.5)
     files = list(tmp_path.glob("pld_*.npz"))
     assert len(files) == 2  # one per direction
 
-    # a fresh in-process memo forces the read path through the saved file
-    monkeypatch.setattr(pldmod, "_COMPOSED", {})
+    # the second call reads both directions from the saved files
+    def no_compose(pld, steps):
+        raise AssertionError("composed although the disk cache holds the PLD")
+
+    monkeypatch.setattr(pldmod, "compose", no_compose)
     assert subsampled_gaussian_profile(params)(0.5) == first
+
+
+def test_a_profile_holds_the_only_references_to_its_plds(monkeypatch):
+    # nothing in the process keeps a composed distribution past its profile
+    monkeypatch.delenv(pldmod.CACHE_ENV, raising=False)
+    prof = subsampled_gaussian_profile(SubsampledGaussianParams(0.2, 1.0, 4))
+    assert prof(0.5) > 0.0
+    refs = [weakref.ref(prof.remove), weakref.ref(prof.add)]
+    del prof
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+
+
+def test_fig8_composes_each_probe_once(monkeypatch):
+    # the direct row reads the profile of the last passing probe, so the
+    # only compositions are those of the probes, one per direction
+    monkeypatch.delenv(pldmod.CACHE_ENV, raising=False)
+    compose_steps, probes, built = [], [], []
+    real_compose, real_search = pldmod.compose, presets._max_passing
+    real_profile = presets.subsampled_gaussian_profile
+
+    def counting_compose(pld, steps):
+        compose_steps.append(steps)
+        return real_compose(pld, steps)
+
+    def counting_profile(params, grid=None):
+        built.append(params.steps)
+        return real_profile(params, grid)
+
+    def counting_search(ok, lo, cap):
+        def probe(steps):
+            probes.append(steps)
+            return ok(steps)
+        return real_search(probe, lo, cap)
+
+    monkeypatch.setattr(pldmod, "compose", counting_compose)
+    monkeypatch.setattr(presets, "_max_passing", counting_search)
+    monkeypatch.setattr(presets, "subsampled_gaussian_profile", counting_profile)
+    _, [row] = presets.fig8_adjust_table(sigmas=(3.0,))
+    assert row[1] in probes
+    assert built == probes
+    assert sorted(compose_steps) == sorted(2 * probes)
 
 
 def test_stale_cache_version_is_rebuilt(tmp_path, monkeypatch):
     monkeypatch.setenv(pldmod.CACHE_ENV, str(tmp_path))
-    monkeypatch.setattr(pldmod, "_COMPOSED", {})
     params = SubsampledGaussianParams(0.2, 1.0, 4)
     want = subsampled_gaussian_profile(params)(0.5)
     path = next(tmp_path.glob("pld_*.npz"))
@@ -262,64 +307,7 @@ def test_stale_cache_version_is_rebuilt(tmp_path, monkeypatch):
     stale["mass"] = stale["mass"] * 0.5  # corrupt so a naive load would differ
     np.savez(path, **stale)
 
-    monkeypatch.setattr(pldmod, "_COMPOSED", {})
     assert subsampled_gaussian_profile(params)(0.5) == want
-
-
-def test_composed_memo_is_a_bounded_lru(monkeypatch):
-    monkeypatch.delenv(pldmod.CACHE_ENV, raising=False)
-    monkeypatch.setattr(pldmod, "_COMPOSED", {})
-    grid = GridSpec()
-    first = pldmod._composed_pld(0.2, 1.0, 2, "remove", grid)
-    for steps in range(3, 3 + pldmod._COMPOSED_MAX):
-        # a hit makes the first entry the most recently used again
-        assert pldmod._composed_pld(0.2, 1.0, 2, "remove", grid) is first
-        pldmod._composed_pld(0.2, 1.0, steps, "remove", grid)
-    assert len(pldmod._COMPOSED) == pldmod._COMPOSED_MAX
-    keys = [k[2] for k in pldmod._COMPOSED]
-    assert 2 in keys and 3 not in keys  # the least recently used went first
-
-
-def test_composed_memo_is_safe_across_threads(monkeypatch):
-    # six threads look up more keys than the memo holds, so hits race
-    # evictions; every lookup must return what a sequential run builds
-    monkeypatch.delenv(pldmod.CACHE_ENV, raising=False)
-    grid = GridSpec(0.01)
-    # one-step keys, cheap to rebuild, so evictions come often
-    keys = [(0.2, sigma, 1, direction) for sigma in np.linspace(2.0, 2.15, 12)
-            for direction in ("remove", "add")]
-    assert len(keys) > pldmod._COMPOSED_MAX
-    monkeypatch.setattr(pldmod, "_COMPOSED", {})
-    want = {k: pldmod._composed_pld(*k, grid) for k in keys}
-    monkeypatch.setattr(pldmod, "_COMPOSED", {})
-    errors, mismatches = [], []
-
-    def work(seed):
-        rng = np.random.default_rng(seed)
-        try:
-            for i in rng.integers(len(keys), size=2000).tolist():
-                got, ref = pldmod._composed_pld(*keys[i], grid), want[keys[i]]
-                if not (got.origin_index == ref.origin_index
-                        and got.tail_mass == ref.tail_mass
-                        and np.array_equal(got.mass, ref.mass)):
-                    mismatches.append(keys[i])
-        except Exception as e:  # reported by the assertion below
-            errors.append(e)
-
-    threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert not errors, errors
-    assert not mismatches
-    assert len(pldmod._COMPOSED) <= pldmod._COMPOSED_MAX
 
 
 @pytest.mark.parametrize("failing, raised", [
@@ -361,12 +349,6 @@ def test_next_fast_len_matches_scipy():
     assert [pldmod._next_fast_len(n) for n in ns] == [next_fast_len(n, True) for n in ns]
 
 
-def test_renyi_memo_is_bounded_and_holds_two_order_grids():
-    size = pldmod._renyi_one_step.cache_info().maxsize
-    assert size is not None
-    assert size >= 2 * len(default_orders())
-
-
 KILL_BETWEEN_WRITE_AND_RENAME = """
 import os, signal
 import privsel.pld as pld
@@ -388,7 +370,6 @@ def test_kill_between_write_and_rename_leaves_no_partial_file(tmp_path, monkeypa
     assert not list(tmp_path.glob("pld_*.npz"))
 
     monkeypatch.setenv(pldmod.CACHE_ENV, str(tmp_path))
-    monkeypatch.setattr(pldmod, "_COMPOSED", {})
     got = pldmod._composed_pld(0.2, 1.0, 4, "remove", GridSpec())
     want = compose(subsampled_gaussian_pld(SubsampledGaussianParams(0.2, 1.0),
                                            "remove"), 4)
@@ -399,7 +380,6 @@ def test_kill_between_write_and_rename_leaves_no_partial_file(tmp_path, monkeypa
 
 def test_unreadable_cache_file_is_rebuilt(tmp_path, monkeypatch):
     monkeypatch.setenv(pldmod.CACHE_ENV, str(tmp_path))
-    monkeypatch.setattr(pldmod, "_COMPOSED", {})
     key = (0.2, 1.0, 4, "add", GridSpec().spacing, GridSpec().tail_mass)
     path = pldmod._cache_path(key)
     with open(path, "wb") as f:
@@ -413,7 +393,6 @@ def test_unreadable_cache_file_is_rebuilt(tmp_path, monkeypatch):
 
 def test_cache_file_holding_a_plain_array_is_rebuilt(tmp_path, monkeypatch):
     monkeypatch.setenv(pldmod.CACHE_ENV, str(tmp_path))
-    monkeypatch.setattr(pldmod, "_COMPOSED", {})
     key = (0.2, 1.0, 4, "add", GridSpec().spacing, GridSpec().tail_mass)
     path = pldmod._cache_path(key)
     with open(path, "wb") as f:

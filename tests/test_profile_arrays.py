@@ -227,7 +227,7 @@ def test_clip_delta_array():
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def scalar_scan_optimize(base, penalty, extra=()):
+def scalar_scan_optimize(base, penalty):
     """optimize_eps1 as it was before array evaluation: one scalar base
     call per candidate, then the same golden-section refinement."""
     try:
@@ -238,7 +238,8 @@ def scalar_scan_optimize(base, penalty, extra=()):
     cand = [0.0]
     cand.extend(np.geomspace(GRID_LO, eps_hi, GRID_POINTS))
     cand.extend(k for k in base.knots if 0.0 <= k <= eps_hi)
-    cand.extend(e for e in extra if 0.0 <= e <= eps_hi)
+    if penalty.eps1_min <= eps_hi:
+        cand.append(penalty.eps1_min)
     cand = sorted(set(float(c) for c in cand))
 
     def f(e1):
@@ -274,17 +275,16 @@ def scalar_scan_optimize(base, penalty, extra=()):
 
 @st.composite
 def penalties(draw):
-    """(penalty, extra candidates): negbin, Poisson, or a binomial-shaped
-    penalty that is +inf below a drawn threshold, passed as an extra."""
+    """A negbin, Poisson, or binomial-shaped penalty, the last +inf below
+    a drawn threshold, its eps1_min."""
     kind = draw(st.sampled_from(("negbin", "poisson", "binomial")))
     if kind == "negbin":
         return negbin_penalty(draw(st.floats(-0.9, 3.0)),
-                              draw(st.floats(1e-4, 0.9))), ()
+                              draw(st.floats(1e-4, 0.9)))
     if kind == "poisson":
-        return PoissonPenalty(draw(st.floats(0.1, 1000.0))), ()
+        return PoissonPenalty(draw(st.floats(0.1, 1000.0)))
     n, p = draw(st.integers(2, 200)), draw(st.floats(0.01, 0.99))
-    t = draw(st.floats(0.0, 3.0))
-    return BinomialPenalty(n, p, t), (t,)
+    return BinomialPenalty(n, p, draw(st.floats(0.0, 3.0)))
 
 
 @pytest.mark.parametrize("penalty", [
@@ -309,10 +309,9 @@ def test_penalty_array_form_tracks_the_scalar_form(penalty):
 
 @SCANS
 @given(bases, penalties())
-def test_optimize_eps1_matches_a_scalar_scan(base, pen):
-    penalty, extra = pen
-    got = optimize_eps1(base, penalty, extra=extra)
-    assert got.hex() == scalar_scan_optimize(base, penalty, extra=extra).hex()
+def test_optimize_eps1_matches_a_scalar_scan(base, penalty):
+    got = optimize_eps1(base, penalty)
+    assert got.hex() == scalar_scan_optimize(base, penalty).hex()
 
 
 
@@ -327,16 +326,15 @@ def test_grid_is_geomspace_bit_for_bit():
 
 def test_a_negative_zero_knot_yields_a_positive_zero_eps1():
     # delta is 0 from eps = 0 on, so eps1 = 0 wins; with this many knots
-    # and unsorted extras np.unique may keep the knot -0.0 over 0.0
+    # np.unique may keep the knot -0.0 over 0.0
     rng = np.random.default_rng(0)
     for _ in range(4):
         base = profile_from_points([(-0.0, 0.0)] + [
             (e, 0.0) for e in rng.uniform(0.0, 1e-3, 500).tolist()])
         assert math.copysign(1.0, base.knots[0]) == -1.0
-        extra = tuple(rng.uniform(0.0, 1e-3, 50).tolist())
         for penalty in (negbin_penalty(1.0, 0.1), PoissonPenalty(3.0)):
-            assert optimize_eps1(base, penalty, extra).hex() == "0x0.0p+0"
-            assert scalar_scan_optimize(base, penalty, extra).hex() == "0x0.0p+0"
+            assert optimize_eps1(base, penalty).hex() == "0x0.0p+0"
+            assert scalar_scan_optimize(base, penalty).hex() == "0x0.0p+0"
 
 
 def test_exact_ties_go_to_the_smallest_eps1():
