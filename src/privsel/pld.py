@@ -23,7 +23,8 @@ Nothing is memoized in the process: each profile composes its own
 distributions and frees them with itself.  The one cache is on disk and
 opt-in: set PRIVSEL_PLD_CACHE to a directory, and each composed
 distribution is stored there, one file per (q, sigma, steps, direction,
-grid), and read back on the next call for the same key.
+grid), and read back on the next call for the same key.  Each write
+evicts the oldest files past CACHE_MAX_BYTES.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import ClassVar
 import numpy as np
 from scipy.special import gammaln, ndtr, ndtri, xlog1py
 
-from .errors import GridTooCoarseError, MemoryBudgetError
+from .errors import ConfigError, GridTooCoarseError, MemoryBudgetError
 from .profiles import (PrivacyProfile, RdpCurve, _check_positive, clip_delta,
                        clip_delta_array, default_orders)
 
@@ -57,6 +58,9 @@ TRIM_MASS = 1e-15
 # first stretch of each support edge whose running sums _trim takes
 _TRIM_WINDOW = 1024
 CACHE_ENV = "PRIVSEL_PLD_CACHE"
+# bytes of pld_*.npz files the cache directory keeps; one `privsel adjust
+# --sigmas 2,3,4` writes 44 MB
+CACHE_MAX_BYTES = 256 * 2**20
 _CACHE_VERSION = 2
 # terms of an integer-order Renyi moment, or points of a trapezoid pass
 _RENYI_MAX_POINTS = 2**22
@@ -413,11 +417,14 @@ def _load_cached(path):
 
 def _save_cached(path, pld):
     """Write to a temporary file in the same directory, then rename it
-    into place, so a crash mid-write never leaves a partial file at path."""
+    into place, so a crash mid-write never leaves a partial file at path;
+    then evict past the budget.  A directory that cannot be written is a
+    ConfigError, as an --out that cannot be opened is."""
     root = os.path.dirname(path) or "."
-    os.makedirs(root, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=root, prefix=".tmp_pld_", suffix=".npz")
+    tmp = None
     try:
+        os.makedirs(root, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=root, prefix=".tmp_pld_", suffix=".npz")
         with os.fdopen(fd, "wb") as f:
             np.savez(
                 f,
@@ -428,10 +435,38 @@ def _save_cached(path, pld):
                 tail_mass=pld.tail_mass,
             )
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+        _evict(root, os.path.basename(path))
+    except OSError as e:
+        raise ConfigError(f"cannot write PLD cache {root}: {e.strerror or e}") from e
+    finally:
+        # renamed into place, tmp is gone; otherwise the partial file goes
+        if tmp and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
+
+
+def _evict(root, keep):
+    """Remove the oldest pld_*.npz files of root, by mtime, until the rest
+    fit CACHE_MAX_BYTES; the file named keep, just written, always stays.
+    A file another process removed first counts as removed."""
+    files = []
+    with os.scandir(root) as entries:
+        for entry in entries:
+            if entry.name.startswith("pld_") and entry.name.endswith(".npz"):
+                try:
+                    st = entry.stat()
+                except FileNotFoundError:
+                    continue
+                files.append((st.st_mtime_ns, entry.name, st.st_size))
+    total = sum(size for _, _, size in files)
+    for _, name, size in sorted(files):
+        if total <= CACHE_MAX_BYTES:
+            break
+        if name != keep:
+            try:
+                os.remove(os.path.join(root, name))
+            except FileNotFoundError:
+                pass
+            total -= size
 
 
 def _composed_pld(q, sigma, steps, direction, grid):

@@ -2,54 +2,57 @@
 
 Each builder returns (header, rows) ready for CSV formatting.  The
 presets pin every parameter so repeated runs emit identical bytes.
+
+A cell is a `guarantee` query read off `scenario.resolve` at
+DELTA_DEFAULT, and each table builds its base once per method, through
+its own cache of `scenario.build_base`.  Four columns have no `guarantee`
+method and call the library: fig2's eps_pointwise, fig4's count CDFs,
+fig6's eps_rdp_poisson and fig8 (`adjust`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
+from . import scenario
 from .countdist import Binomial, Poisson, from_expected
 from .errors import EmptyCurveError
+# pld and gaussian load here, not on the first table, so `import
+# privsel.presets` pays for scipy.special before any table is timed
 from .gaussian import gaussian_profile, gaussian_sigma_for_eps_delta
 from .pld import (
     GridSpec,
     SubsampledGaussianParams,
     subsampled_gaussian_profile,
-    subsampled_rdp_curve,
+    # not called here; perfbench's tracer patches it through this binding
+    subsampled_rdp_curve,  # noqa: F401
 )
-from .profiles import (
-    PointDP,
-    epsilon_for_delta,
-    gaussian_rdp_curve,
-    rdp_profile,
-    rdp_to_dp,
-)
-from .rnm import rnm_gaussian_eps, rnm_profile
+from .profiles import PointDP, epsilon_for_delta, rdp_profile, rdp_to_dp
 from .selection import (
     adjust_guarantee,
     negbin_penalty,
     optimize_eps1,
-    rdp_select_negbin,
     rdp_select_poisson,
-    select_binomial_profile,
-    select_gdp_eps,
     select_negbin_pointwise,
     select_negbin_profile,
-    select_poisson_profile,
 )
 
 DELTA_DEFAULT = 1e-6
 # noise scale of the Gaussian base in fig1-fig4, and fig4's expected run count
 GAUSSIAN_SIGMA = 4.0
 FIG4_MEAN = 10.0
+GAUSSIAN_BASE = {"kind": "gaussian", "sigma": GAUSSIAN_SIGMA}
 
 FIG6_PARAMS = SubsampledGaussianParams(q=256 / 60000, sigma=1.1, steps=14063)
+FIG6_BASE = {"kind": "subsampled_gaussian", **vars(FIG6_PARAMS)}
 # the long composition amplifies residual discretization error, so this
 # preset refines the default loss grid
 FIG6_GRID = GridSpec(spacing=2.5e-5)
 FIG7_PARAMS = SubsampledGaussianParams(q=16384 / 50000, sigma=21.1, steps=250)
+FIG7_BASE = {"kind": "subsampled_gaussian", **vars(FIG7_PARAMS)}
 # target eps for the max-candidate-count comparison; chosen inside the
 # region where both the hockey-stick and Renyi curves are defined
 FIG7_TARGET_EPS = 2.5
@@ -85,35 +88,35 @@ def _int_ladder(lo, hi, count):
     return [int(v) for v in np.unique(np.round(np.geomspace(lo, hi, count)))]
 
 
-def _geometric_eps(base, base_rdp, m):
-    """(hockey-stick eps, Renyi eps) at DELTA_DEFAULT for a geometric run
-    count with mean m."""
-    gamma = 1.0 / m
-    eps_hs = epsilon_for_delta(select_negbin_profile(base, 1.0, gamma).profile,
-                               DELTA_DEFAULT)
-    eps_rdp = rdp_curve_eps(rdp_select_negbin(base_rdp, 1.0, gamma), DELTA_DEFAULT)
-    return eps_hs, eps_rdp
+def _geometric(m):
+    return {"kind": "negbin", "gamma": 1.0 / m}
+
+
+def _eps(base, family, method, build=scenario.build_base, grid_spacing=None):
+    """The eps `guarantee` prints at DELTA_DEFAULT: resolve's closed-form
+    eps where it returns one, else its profile inverted."""
+    profile, _, direct = scenario.resolve(base, family, method, delta=DELTA_DEFAULT,
+                                          grid_spacing=grid_spacing, build=build)
+    return direct if direct is not None else epsilon_for_delta(profile, DELTA_DEFAULT)
 
 
 def fig1_table():
     """Noisy-argmax eps at fixed delta: profile inversion vs closed form."""
-    base = gaussian_profile(GAUSSIAN_SIGMA, 2.0)
-    rows = []
-    for m in _int_ladder(1, 10_000, 25):
-        eps_hs = epsilon_for_delta(rnm_profile(base, m), DELTA_DEFAULT)
-        eps_cf = rnm_gaussian_eps(GAUSSIAN_SIGMA, m, DELTA_DEFAULT)
-        rows.append((m, eps_hs, eps_cf))
+    rows = [(m, *(_eps(GAUSSIAN_BASE, {"kind": "rnm", "m": m}, method)
+                  for method in ("hs", "closed")))
+            for m in _int_ladder(1, 10_000, 25)]
     return ("m", "eps_hs", "eps_closed"), rows
 
 
 def fig2_table():
     """Geometric-count tuning of a Gaussian base: hockey-stick bound vs
     the Renyi baseline vs the single-point closed form."""
-    base = gaussian_profile(GAUSSIAN_SIGMA, 1.0)
-    base_rdp = gaussian_rdp_curve(GAUSSIAN_SIGMA, 1.0)
+    build = functools.cache(scenario.build_base)
+    base = scenario.resolve(GAUSSIAN_BASE, {}, "hs", build=build)[0]
     rows = []
     for m in (30, 300, 3000):
-        eps_hs, eps_rdp = _geometric_eps(base, base_rdp, m)
+        eps_hs, eps_rdp = (_eps(GAUSSIAN_BASE, _geometric(m), method, build)
+                           for method in ("hs", "rdp"))
         delta_hat = DELTA_DEFAULT / m
         eps_hat = epsilon_for_delta(base, delta_hat)
         point = select_negbin_pointwise(PointDP(eps_hat, delta_hat), 1.0, 1.0 / m)
@@ -123,13 +126,10 @@ def fig2_table():
 
 def fig3_table():
     """Growth of the tuned eps with the expected run count."""
-    base = gaussian_profile(GAUSSIAN_SIGMA, 1.0)
-    base_rdp = gaussian_rdp_curve(GAUSSIAN_SIGMA, 1.0)
-    rows = []
-    for m in _int_ladder(10, 3000, 15):
-        eps_hs, eps_rdp = _geometric_eps(base, base_rdp, m)
-        eps_gdp = select_gdp_eps(GAUSSIAN_SIGMA, 1.0, 1.0 / m, DELTA_DEFAULT)
-        rows.append((m, eps_hs, eps_rdp, eps_gdp))
+    build = functools.cache(scenario.build_base)
+    rows = [(m, *(_eps(GAUSSIAN_BASE, _geometric(m), method, build)
+                  for method in ("hs", "rdp", "closed")))
+            for m in _int_ladder(10, 3000, 15)]
     return ("m", "eps_hs", "eps_rdp", "eps_gdp"), rows
 
 
@@ -140,11 +140,11 @@ def fig4_tables():
     """Binomial-count profiles stepping toward the Poisson-count profile,
     plus the count CDF table that explains the ordering."""
     m = FIG4_MEAN
-    base = gaussian_profile(GAUSSIAN_SIGMA, 1.0)
-    profiles = [
-        select_binomial_profile(base, n, m / n).profile for n in FIG4_TRIALS
-    ]
-    profiles.append(select_poisson_profile(base, m).profile)
+    build = functools.cache(scenario.build_base)
+    families = [{"kind": "binomial", "n": n, "p": m / n} for n in FIG4_TRIALS]
+    families.append({"kind": "poisson", "m": m})
+    profiles = [scenario.resolve(GAUSSIAN_BASE, fam, "hs", build=build)[0]
+                for fam in families]
 
     eps_grid = np.linspace(0.25, 5.0, 20)
     rows = [(float(e), *(p(float(e)) for p in profiles)) for e in eps_grid]
@@ -160,14 +160,17 @@ def fig4_tables():
 def fig6_table(grid=None):
     """Tuned DP-SGD eps vs expected run count: hockey-stick bounds for
     geometric and Poisson counts against both Renyi baselines."""
-    base = subsampled_gaussian_profile(FIG6_PARAMS, grid or FIG6_GRID)
-    base_rdp = subsampled_rdp_curve(FIG6_PARAMS)
+    spacing = (grid or FIG6_GRID).spacing
+    build = functools.cache(scenario.build_base)
+    # the PLD, then the Renyi curve, before any cell reads either: built in
+    # another order, they peak about 5 MB higher
+    scenario.resolve(FIG6_BASE, {}, "hs", grid_spacing=spacing, build=build)
+    base_rdp = scenario.resolve(FIG6_BASE, {}, "rdp", build=build)[0].curve
     rows = []
     for m in _int_ladder(2, 1000, 15):
-        eps_hs_nb, eps_rdp_nb = _geometric_eps(base, base_rdp, m)
-        eps_hs_po = epsilon_for_delta(
-            select_poisson_profile(base, float(m)).profile, DELTA_DEFAULT
-        )
+        eps_hs_nb = _eps(FIG6_BASE, _geometric(m), "hs", build, spacing)
+        eps_hs_po = _eps(FIG6_BASE, {"kind": "poisson", "m": m}, "hs", build, spacing)
+        eps_rdp_nb = _eps(FIG6_BASE, _geometric(m), "rdp", build)
         eps_rdp_po = rdp_poisson_eps(base_rdp, float(m), DELTA_DEFAULT)
         rows.append((m, eps_hs_nb, eps_hs_po, eps_rdp_nb, eps_rdp_po))
     return ("m", "eps_hs_negbin", "eps_hs_poisson", "eps_rdp_negbin",
@@ -176,11 +179,10 @@ def fig6_table(grid=None):
 
 def fig7_table(grid=None):
     """Tuned eps vs expected run count for the large-batch DP-SGD setting."""
-    base = subsampled_gaussian_profile(FIG7_PARAMS, grid)
-    base_rdp = subsampled_rdp_curve(FIG7_PARAMS)
-    rows = []
-    for m in _int_ladder(2, 100_000, 21):
-        rows.append((m, *_geometric_eps(base, base_rdp, m)))
+    build = functools.cache(scenario.build_base)
+    rows = [(m, _eps(FIG7_BASE, _geometric(m), "hs", build, grid and grid.spacing),
+             _eps(FIG7_BASE, _geometric(m), "rdp", build))
+            for m in _int_ladder(2, 100_000, 21)]
     return ("m", "eps_hs_negbin", "eps_rdp_negbin"), rows
 
 
@@ -206,19 +208,14 @@ def _max_passing(ok, lo, cap):
 
 def fig7_max_counts():
     """(hockey-stick max count, Renyi max count) at FIG7_TARGET_EPS."""
-    base = subsampled_gaussian_profile(FIG7_PARAMS)
-    base_rdp = subsampled_rdp_curve(FIG7_PARAMS)
+    build = functools.cache(scenario.build_base)
 
-    def hs_ok(m):
-        return epsilon_for_delta(
-            select_negbin_profile(base, 1.0, 1.0 / m).profile, DELTA_DEFAULT
-        ) <= FIG7_TARGET_EPS
+    def max_count(method):
+        def ok(m):
+            return _eps(FIG7_BASE, _geometric(m), method, build) <= FIG7_TARGET_EPS
+        return _max_passing(ok, 2, 10**12)
 
-    def rdp_ok(m):
-        return rdp_curve_eps(rdp_select_negbin(base_rdp, 1.0, 1.0 / m),
-                             DELTA_DEFAULT) <= FIG7_TARGET_EPS
-
-    return _max_passing(hs_ok, 2, 10**12), _max_passing(rdp_ok, 2, 10**12)
+    return max_count("hs"), max_count("rdp")
 
 
 def fig8_adjust_table(q=0.01, eps_q=1.5, delta=DELTA_DEFAULT, m=10.0, eta=1.0,

@@ -179,11 +179,13 @@ def _resolve_rnm(kind, params, fam, method, delta, grid_spacing):
     return rnm.rnm_composition_profile(comp, spec.candidates, rounds), None, None
 
 
-def resolve(base, fam, method, *, eps1=None, delta=None, grid_spacing=None):
+def resolve(base, fam, method, *, eps1=None, delta=None, grid_spacing=None,
+            build=build_base):
     """(profile, eps1, direct) of a guarantee query, building only what
-    the method reads.  eps1 is the hs bound's inner eps1 (given, it is
-    fixed rather than optimized), None on other routes; direct is a
-    closed-form eps, reported as-is instead of read back off the profile."""
+    the method reads, by build(kind, params, method, grid).  eps1 is the
+    hs bound's inner eps1 (given, it is fixed rather than optimized), None
+    on other routes; direct is a closed-form eps, reported as-is instead
+    of read back off the profile."""
     kind, params = base_params(base)
     family = fam.get("kind")
     if fam and not (isinstance(family, str) and family in FAMILIES):
@@ -202,7 +204,7 @@ def resolve(base, fam, method, *, eps1=None, delta=None, grid_spacing=None):
     grid = grid_spec(grid_spacing, kind == "subsampled_gaussian" and method == "hs")
     from . import countdist, profiles, selection
     if family is None:
-        built = build_base(kind, params, method, grid)
+        built = build(kind, params, method, grid)
         return (profiles.rdp_profile(built) if method == "rdp" else built), None, None
     dist = getattr(countdist, name)(**kwargs)
     if method == "closed" and kind == "pure":
@@ -210,10 +212,10 @@ def resolve(base, fam, method, *, eps1=None, delta=None, grid_spacing=None):
         eps = selection.select_negbin_pure(params, dist.shape)
         return profiles.profile_from_points([(eps, 0.0)]), None, eps
     if method == "hs":
-        res = selection.bound_for_count(build_base(kind, params, grid=grid), dist, eps1)
+        res = selection.bound_for_count(build(kind, params, method, grid), dist, eps1)
         return res.profile, res.eps1, None
     if method == "rdp":
-        curve = selection.rdp_select_negbin(build_base(kind, params, "rdp"),
+        curve = selection.rdp_select_negbin(build(kind, params, method, grid),
                                             dist.shape, dist.success)
         return profiles.rdp_profile(curve), None, None
     if kind != "gaussian":

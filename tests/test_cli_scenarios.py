@@ -228,6 +228,17 @@ def test_out_that_cannot_be_opened_is_refused(argv, no_tables, tmp_path, capsys)
     assert got.err == f"error: cannot write {out}: No such file or directory\n"
 
 
+def test_pld_cache_that_cannot_be_written_is_refused(tmp_path, monkeypatch, capsys):
+    (tmp_path / "file").write_text("")
+    cache = tmp_path / "file" / "sub"
+    monkeypatch.setenv("PRIVSEL_PLD_CACHE", str(cache))
+    rc = cli.main(["guarantee", "--base", "subsampled_gaussian", "--q", "0.2",
+                   "--sigma", "1", "--steps", "4", "--delta", "1e-6"])
+    got = capsys.readouterr()
+    assert (rc, got.out) == (2, "")
+    assert got.err == f"error: cannot write PLD cache {cache}: Not a directory\n"
+
+
 def test_fig4_count_table_that_cannot_be_opened_is_refused(no_tables, tmp_path, capsys):
     # the count CDF table goes beside --out; a directory stands in its way
     (tmp_path / "x_kcdf.csv").mkdir()

@@ -3,10 +3,12 @@
 `compare fig1`..`fig8` and two `adjust` runs go in-process and write
 their tables under a temporary directory; each file must equal its copy
 in tests/data, so a refactor of the bounds behind them cannot move a
-printed digit.
+printed digit.  A cell backed by `scenario.resolve` is also one
+`privsel guarantee` call away, and that call prints the committed cell.
 """
 
 import contextlib
+import csv
 import io
 from pathlib import Path
 
@@ -55,3 +57,37 @@ def test_adjust_matches_golden_csv(args, tmp_path):
     out = tmp_path / "adjust.csv"
     assert _run_quietly(["adjust", *args, "--out", str(out)]) == (0, "")
     assert out.read_bytes() == (DATA / ADJUST_GOLDEN[args]).read_bytes()
+
+
+GAUSS = ["--base", "gaussian", "--sigma", "4"]
+FIG7 = ["--base", "subsampled_gaussian", "--q", "0.32768", "--sigma", "21.1",
+        "--steps", "250"]
+# cell -> (guarantee flags, the CSV, its row's first value, its column)
+CELLS = {
+    "fig1-hs": (GAUSS + ["--family", "rnm", "--m", "10", "--delta", "1e-6"],
+                "fig1", "10", "eps_hs"),
+    "fig1-closed": (GAUSS + ["--family", "rnm", "--m", "10", "--method", "closed",
+                             "--delta", "1e-6"], "fig1", "10", "eps_closed"),
+    **{f"fig3-{method}": (GAUSS + ["--family", "negbin", "--m", "10", "--method", method,
+                                   "--delta", "1e-6"], "fig3", "10", column)
+       for method, column in (("hs", "eps_hs"), ("rdp", "eps_rdp"), ("closed", "eps_gdp"))},
+    "fig4-binomial": (GAUSS + ["--family", "binomial", "--n", "50", "--m", "10",
+                               "--eps", "2"], "fig4", "2", "delta_n50"),
+    "fig4-poisson": (GAUSS + ["--family", "poisson", "--m", "10", "--eps", "2"],
+                     "fig4", "2", "delta_poisson"),
+    **{f"fig7-{method}": (FIG7 + ["--family", "negbin", "--gamma", "0.1", "--method", method,
+                                  "--delta", "1e-6"], "fig7", "10", f"eps_{method}_negbin")
+       for method in ("hs", "rdp")},
+}
+
+
+@pytest.mark.parametrize("cell", list(CELLS))
+def test_preset_cell_is_one_guarantee_call(cell, monkeypatch):
+    monkeypatch.delenv("PRIVSEL_PLD_CACHE", raising=False)
+    flags, table, first, column = CELLS[cell]
+    with open(DATA / f"{table}.csv", newline="") as f:
+        row = next(r for r in csv.DictReader(f) if next(iter(r.values())) == first)
+    rc, out = _run_quietly(["guarantee", *flags])
+    printed = dict(field.split("=") for field in out.split())
+    assert rc == 0
+    assert printed["delta" if "--eps" in flags else "eps"] == row[column]

@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 import warnings
 import weakref
 from pathlib import Path
@@ -294,6 +295,73 @@ def test_fig8_composes_each_probe_once(monkeypatch):
     assert row[1] in probes
     assert built == probes
     assert sorted(compose_steps) == sorted(2 * probes)
+
+
+def test_fig6_builds_its_base_once(monkeypatch):
+    # every cell is a resolve query, and the table's own cache of
+    # build_base keeps them on one composed PLD per direction and one
+    # Renyi curve
+    monkeypatch.delenv(pldmod.CACHE_ENV, raising=False)
+    composed, curves = [], []
+    real_compose, real_curve = pldmod.compose, pldmod.subsampled_rdp_curve
+
+    def counting_compose(pld, steps):
+        composed.append(steps)
+        return real_compose(pld, steps)
+
+    def counting_curve(params):
+        curves.append(params)
+        return real_curve(params)
+
+    monkeypatch.setattr(pldmod, "compose", counting_compose)
+    for holder in (pldmod, presets):
+        monkeypatch.setattr(holder, "subsampled_rdp_curve", counting_curve)
+    presets.fig6_table()
+    assert composed == [presets.FIG6_PARAMS.steps] * 2
+    assert curves == [presets.FIG6_PARAMS]
+
+
+def test_disk_cache_evicts_the_oldest_files_past_its_budget(tmp_path, monkeypatch):
+    monkeypatch.setenv(pldmod.CACHE_ENV, str(tmp_path))
+    grid = GridSpec()
+
+    def path(steps):
+        key = (0.2, 1.0, steps, "remove", grid.spacing, grid.tail_mass)
+        return Path(pldmod._cache_path(key))
+
+    built = {s: pldmod._composed_pld(0.2, 1.0, s, "remove", grid) for s in (2, 3, 4)}
+    # the default budget keeps all three; steps 2 is made the oldest
+    now = time.time_ns()
+    for age, s in enumerate((4, 3, 2)):
+        os.utime(path(s), ns=(now - age * 10**10,) * 2)
+    monkeypatch.setattr(pldmod, "CACHE_MAX_BYTES",
+                        path(3).stat().st_size + path(4).stat().st_size)
+    pldmod._evict(str(tmp_path), path(4).name)
+    assert sorted(tmp_path.glob("pld_*.npz")) == sorted([path(3), path(4)])
+
+    # a budget the newest file alone exceeds, while another process
+    # removes each file just before this one does
+    monkeypatch.setattr(pldmod, "CACHE_MAX_BYTES", 0)
+    real_remove, real_compose = os.remove, pldmod.compose
+
+    def racing_remove(p):
+        real_remove(p)
+        real_remove(p)
+
+    composed = []
+
+    def counting_compose(pld, steps):
+        composed.append(steps)
+        return real_compose(pld, steps)
+
+    monkeypatch.setattr(pldmod.os, "remove", racing_remove)
+    monkeypatch.setattr(pldmod, "compose", counting_compose)
+    again = pldmod._composed_pld(0.2, 1.0, 2, "remove", grid)
+    assert composed == [2]  # evicted, so composed again, to the same bits
+    assert np.array_equal(again.mass, built[2].mass)
+    assert (again.origin_index, again.tail_mass) == (built[2].origin_index,
+                                                     built[2].tail_mass)
+    assert list(tmp_path.glob("pld_*.npz")) == [path(2)]
 
 
 def test_stale_cache_version_is_rebuilt(tmp_path, monkeypatch):
