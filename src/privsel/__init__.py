@@ -38,8 +38,8 @@ _EXPORTS = {
     "rnm": ("RnmSpec", "rnm_composition_profile", "rnm_gaussian_eps",
             "rnm_profile"),
     "selection": ("SelectionBoundResult", "adjust_guarantee", "gptr_combine",
-                  "optimize_eps1", "rdp_select_negbin", "rdp_select_poisson",
-                  "select_binomial_profile", "select_gdp_eps",
+                  "optimize_eps1", "rdp_poisson_curve", "rdp_select_negbin",
+                  "rdp_select_poisson", "select_binomial_profile", "select_gdp_eps",
                   "select_negbin_pointwise", "select_negbin_profile",
                   "select_negbin_pure", "select_poisson_profile"),
 }

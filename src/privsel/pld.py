@@ -30,6 +30,7 @@ evicts the oldest files past CACHE_MAX_BYTES.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import hashlib
 import math
 import os
@@ -58,8 +59,8 @@ TRIM_MASS = 1e-15
 # first stretch of each support edge whose running sums _trim takes
 _TRIM_WINDOW = 1024
 CACHE_ENV = "PRIVSEL_PLD_CACHE"
-# bytes of pld_*.npz files the cache directory keeps; one `privsel adjust
-# --sigmas 2,3,4` writes 44 MB
+# bytes of pld_*.npz and .tmp_pld_*.npz files the cache directory keeps;
+# one `privsel adjust --sigmas 2,3,4` writes 44 MB
 CACHE_MAX_BYTES = 256 * 2**20
 _CACHE_VERSION = 2
 # terms of an integer-order Renyi moment, or points of a trapezoid pass
@@ -434,24 +435,31 @@ def _save_cached(path, pld):
                 mass=pld.mass,
                 tail_mass=pld.tail_mass,
             )
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except FileNotFoundError:
+            # another writer's eviction took the temporary file: not cached
+            return
         _evict(root, os.path.basename(path))
     except OSError as e:
         raise ConfigError(f"cannot write PLD cache {root}: {e.strerror or e}") from e
     finally:
         # renamed into place, tmp is gone; otherwise the partial file goes
-        if tmp and os.path.exists(tmp):
-            os.unlink(tmp)
+        if tmp:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
 
 
 def _evict(root, keep):
-    """Remove the oldest pld_*.npz files of root, by mtime, until the rest
-    fit CACHE_MAX_BYTES; the file named keep, just written, always stays.
-    A file another process removed first counts as removed."""
+    """Remove the oldest files of root, by mtime, until the rest fit
+    CACHE_MAX_BYTES: pld_*.npz files and the .tmp_pld_*.npz files of
+    writers, which a killed writer leaves behind.  The file named keep,
+    just written, always stays.  A file another process removed first
+    counts as removed."""
     files = []
     with os.scandir(root) as entries:
         for entry in entries:
-            if entry.name.startswith("pld_") and entry.name.endswith(".npz"):
+            if entry.name.startswith(("pld_", ".tmp_pld_")) and entry.name.endswith(".npz"):
                 try:
                     st = entry.stat()
                 except FileNotFoundError:

@@ -5,9 +5,9 @@ presets pin every parameter so repeated runs emit identical bytes.
 
 A cell is a `guarantee` query read off `scenario.resolve` at
 DELTA_DEFAULT, and each table builds its base once per method, through
-its own cache of `scenario.build_base`.  Four columns have no `guarantee`
-method and call the library: fig2's eps_pointwise, fig4's count CDFs,
-fig6's eps_rdp_poisson and fig8 (`adjust`).
+its own cache of `scenario.build_base`.  Three columns have no
+`guarantee` method and call the library: fig2's eps_pointwise, fig4's
+count CDFs and fig8 (`adjust`).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import numpy as np
 
 from . import scenario
 from .countdist import Binomial, Poisson, from_expected
-from .errors import EmptyCurveError
 # pld and gaussian load here, not on the first table, so `import
 # privsel.presets` pays for scipy.special before any table is timed
 from .gaussian import gaussian_profile, gaussian_sigma_for_eps_delta
@@ -30,12 +29,12 @@ from .pld import (
     # not called here; perfbench's tracer patches it through this binding
     subsampled_rdp_curve,  # noqa: F401
 )
-from .profiles import PointDP, epsilon_for_delta, rdp_profile, rdp_to_dp
+from .profiles import PointDP, epsilon_for_delta, rdp_profile
 from .selection import (
     adjust_guarantee,
     negbin_penalty,
     optimize_eps1,
-    rdp_select_poisson,
+    rdp_poisson_curve,
     select_negbin_pointwise,
     select_negbin_profile,
 )
@@ -61,27 +60,16 @@ FIG7_TARGET_EPS = 2.5
 FIG8_STEPS_CAP = 1 << 20
 
 
+# rdp_curve_eps and rdp_poisson_eps are called by no table; perfbench's
+# tracer patches them through these bindings
 def rdp_curve_eps(curve, delta):
     """eps at delta for a Renyi curve, through the order-optimized conversion."""
     return epsilon_for_delta(rdp_profile(curve), delta)
 
 
 def rdp_poisson_eps(base_rdp, m, delta):
-    """Best final eps over the base-point grid for the Poisson Renyi bound.
-
-    The bound needs the base stated as a single (eps, delta) point; each
-    of 40 candidate points is read off the base curve and the cheapest
-    final guarantee wins.
-    """
-    best = math.inf
-    for eps_hat in np.geomspace(1e-3, 2.0, 40):
-        point = PointDP(float(eps_hat), rdp_to_dp(base_rdp, float(eps_hat)))
-        try:
-            curve = rdp_select_poisson(base_rdp, point, m)
-        except EmptyCurveError:
-            continue
-        best = min(best, rdp_curve_eps(curve, delta))
-    return best
+    """eps at delta of the Poisson Renyi baseline, `rdp_poisson_curve`."""
+    return rdp_curve_eps(rdp_poisson_curve(base_rdp, m), delta)
 
 
 def _int_ladder(lo, hi, count):
@@ -165,14 +153,12 @@ def fig6_table(grid=None):
     # the PLD, then the Renyi curve, before any cell reads either: built in
     # another order, they peak about 5 MB higher
     scenario.resolve(FIG6_BASE, {}, "hs", grid_spacing=spacing, build=build)
-    base_rdp = scenario.resolve(FIG6_BASE, {}, "rdp", build=build)[0].curve
+    scenario.resolve(FIG6_BASE, {}, "rdp", build=build)
     rows = []
     for m in _int_ladder(2, 1000, 15):
-        eps_hs_nb = _eps(FIG6_BASE, _geometric(m), "hs", build, spacing)
-        eps_hs_po = _eps(FIG6_BASE, {"kind": "poisson", "m": m}, "hs", build, spacing)
-        eps_rdp_nb = _eps(FIG6_BASE, _geometric(m), "rdp", build)
-        eps_rdp_po = rdp_poisson_eps(base_rdp, float(m), DELTA_DEFAULT)
-        rows.append((m, eps_hs_nb, eps_hs_po, eps_rdp_nb, eps_rdp_po))
+        families = (_geometric(m), {"kind": "poisson", "m": m})
+        rows.append((m, *(_eps(FIG6_BASE, fam, "hs", build, spacing) for fam in families),
+                     *(_eps(FIG6_BASE, fam, "rdp", build) for fam in families)))
     return ("m", "eps_hs_negbin", "eps_hs_poisson", "eps_rdp_negbin",
             "eps_rdp_poisson"), rows
 

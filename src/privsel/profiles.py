@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -204,8 +204,15 @@ class RdpCurve:
         except ValueError:
             raise ValueError(f"order {alpha:g} is not on the curve's grid") from None
 
+    @cached_property
+    def _terms(self):
+        # looked up once a curve: hashing the orders costs more than a
+        # conversion's arithmetic
+        return _order_terms(self.orders)
 
-# the Poisson Renyi scan cycles about 40 admissible order prefixes a row
+
+# one entry per order grid: default_orders, and the prefixes of it that
+# one-point Poisson curves keep
 @lru_cache(maxsize=64)
 def _order_terms(orders):
     """Order-only parts of the Renyi-to-DP conversion, shared read-only by
@@ -366,8 +373,10 @@ def rdp_to_dp(curve, eps_target):
     """
     if eps_target != eps_target:
         raise ValueError("eps is NaN")
-    am1, log_frac, log_a = _order_terms(curve.orders)
-    log_d = am1 * (curve.values - eps_target) + log_frac - log_a
+    am1, log_frac, log_a = curve._terms
+    # past the largest float a term is +-inf, which is delta 1 or 0 as it should be
+    with np.errstate(over="ignore"):
+        log_d = am1 * (curve.values - eps_target) + log_frac - log_a
     return float(np.exp(min(0.0, np.min(log_d))))
 
 
@@ -385,15 +394,17 @@ class Renyi(PrivacyProfile):
         # rdp_to_dp broadcast over a column of eps; min(0, x) is 0 at a NaN x
         if np.isnan(eps).any():
             raise ValueError("eps is NaN")
-        am1, log_frac, log_a = _order_terms(self.curve.orders)
-        log_d = np.min(am1 * (self.curve.values - eps[:, None]) + log_frac - log_a, axis=1)
+        am1, log_frac, log_a = self.curve._terms
+        with np.errstate(over="ignore"):
+            log_d = np.min(am1 * (self.curve.values - eps[:, None]) + log_frac - log_a,
+                           axis=1)
         return np.exp(np.where(log_d < 0.0, log_d, 0.0))
 
     def _inverse(self, delta, floor):
         # order alpha certifies delta from eps(alpha) + (log(1/delta) +
         # (alpha-1) log(1-1/alpha) - log(alpha))/(alpha-1) on; the least
         # such eps wins
-        am1, log_frac, log_a = _order_terms(self.curve.orders)
+        am1, log_frac, log_a = self.curve._terms
         cand = self.curve.values + (-math.log(delta) + log_frac - log_a) / am1
         return max(float(np.min(cand)), floor)
 

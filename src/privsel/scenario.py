@@ -24,7 +24,7 @@ FAMILIES = {
     None: ((), ("hs", "rdp")),
     "negbin": (("eta", "gamma", "m"), ("hs", "rdp", "closed")),
     "binomial": (("n", "p", "m"), ("hs",)),
-    "poisson": (("m",), ("hs",)),
+    "poisson": (("m",), ("hs", "rdp")),
     "rnm": (("m", "rounds", "monotone"), ("hs", "closed")),
 }
 
@@ -215,8 +215,9 @@ def resolve(base, fam, method, *, eps1=None, delta=None, grid_spacing=None,
         res = selection.bound_for_count(build(kind, params, method, grid), dist, eps1)
         return res.profile, res.eps1, None
     if method == "rdp":
-        curve = selection.rdp_select_negbin(build(kind, params, method, grid),
-                                            dist.shape, dist.success)
+        base_rdp = build(kind, params, method, grid)
+        curve = (selection.rdp_poisson_curve(base_rdp, dist.rate) if family == "poisson"
+                 else selection.rdp_select_negbin(base_rdp, dist.shape, dist.success))
         return profiles.rdp_profile(curve), None, None
     if kind != "gaussian":
         raise ConfigError("closed-form negbin needs a pure or gaussian base")

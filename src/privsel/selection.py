@@ -22,6 +22,7 @@ from .errors import EmptyCurveError, NoAdmissibleEps1Error, UnreachableTargetErr
 from .profiles import (
     PointDP,
     RdpCurve,
+    Renyi,
     Scaled,
     _check_positive,
     epsilon_for_delta,
@@ -324,47 +325,55 @@ def select_gdp_eps(sigma, eta, gamma, delta):
     ) + delta
 
 
-def _rdp_selection_curve(base_rdp, orders, add, mean, keep=None):
-    """Renyi baseline base(alpha) + add + log(mean)/(alpha-1) on the base
-    curve's orders (`orders`: them as a float array), or on those where
-    the boolean mask `keep` holds."""
-    log_m = math.log(mean)
-    if keep is None:
-        return RdpCurve(base_rdp.orders, base_rdp.values + add + log_m / (orders - 1.0))
-    kept = orders[keep]
-    return RdpCurve(tuple(kept.tolist()), base_rdp.values[keep] + add + log_m / (kept - 1.0))
-
-
 def rdp_select_negbin(base_rdp, eta, gamma):
     """Renyi baseline for truncated-negative-binomial K.
 
     Adds to the base curve an order-independent term minimized over the
     curve's own grid, plus log(E[K])/(alpha-1).
     """
-    dist = TruncNegBinomial(eta, gamma)
     orders = np.asarray(base_rdp.orders, dtype=float)
     vals = base_rdp.values
     extra = (eta + 1.0) * float(
         np.min((1.0 - 1.0 / orders) * vals + math.log(1.0 / gamma) / orders)
     )
-    return _rdp_selection_curve(base_rdp, orders, extra, dist.mean())
+    log_m = math.log(TruncNegBinomial(eta, gamma).mean())
+    return RdpCurve(base_rdp.orders, vals + extra + log_m / (orders - 1.0))
+
+
+def _rdp_poisson_min(base_rdp, eps_hat, delta_hat, m):
+    """Renyi baseline for Poisson K from base points (eps_hat, delta_hat):
+    at each order alpha, the least of base(alpha) + m delta_hat +
+    log(m)/(alpha-1) over the points with e^eps_hat <= 1 + 1/(alpha-1).
+    Orders no point admits are dropped."""
+    if m <= 0:
+        raise ValueError(f"m must be positive, got {m}")
+    orders = np.asarray(base_rdp.orders, dtype=float)
+    # each cap through math.expm1, as the one-point bound has always taken it
+    caps = [math.inf if e == 0 else 1.0 + 1.0 / math.expm1(e) for e in eps_hat.tolist()]
+    admits = orders <= np.array(caps)[:, None]
+    kept = admits.any(axis=0)
+    if not kept.any():
+        raise EmptyCurveError(f"no order admissible for base eps {eps_hat.min():g}; "
+                              f"need alpha <= 1 + 1/(e^eps - 1)")
+    with np.errstate(over="ignore"):  # an inf product is a value that bounds nothing
+        vals = base_rdp.values + (m * delta_hat)[:, None] + math.log(m) / (orders - 1.0)
+    least = np.where(admits, vals, math.inf).min(axis=0)
+    return RdpCurve(tuple(orders[kept].tolist()), least[kept])
 
 
 def rdp_select_poisson(base_rdp, base_point, m):
     """Renyi baseline for Poisson K, valid only at orders alpha with
     e^(base eps) <= 1 + 1/(alpha-1); inadmissible orders are dropped."""
-    if m <= 0:
-        raise ValueError(f"m must be positive, got {m}")
-    eps_hat, delta_hat = base_point.eps, base_point.delta
-    cap = math.inf if eps_hat == 0 else 1.0 + 1.0 / math.expm1(eps_hat)
-    orders = np.asarray(base_rdp.orders, dtype=float)
-    keep = orders <= cap
-    if not keep.any():
-        raise EmptyCurveError(
-            f"no order admissible for base eps {eps_hat:g}; "
-            f"need alpha <= 1 + 1/(e^eps - 1)"
-        )
-    return _rdp_selection_curve(base_rdp, orders, m * delta_hat, m, keep)
+    return _rdp_poisson_min(base_rdp, np.array([base_point.eps]),
+                            np.array([base_point.delta]), m)
+
+
+def rdp_poisson_curve(base_rdp, m):
+    """Renyi baseline for Poisson K from the base curve alone: at each
+    order, the least rdp_select_poisson curve over 40 base points, eps in
+    geomspace(1e-3, 2) and delta read off the base curve there."""
+    eps_hat = np.geomspace(1e-3, 2.0, 40)
+    return _rdp_poisson_min(base_rdp, eps_hat, Renyi(base_rdp).on_array(eps_hat), m)
 
 
 def adjust_guarantee(eps1, delta1, eps_hat, eta, gamma, delta):

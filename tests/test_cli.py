@@ -192,6 +192,27 @@ def test_huge_mean_is_unreachable_not_a_hang(family):
     assert r.stderr == "error: profile still above delta=1e-06 at eps=10000\n"
 
 
+@pytest.mark.parametrize("argv, rc, stdout", [
+    (["--base", "gaussian", "--sigma", "4", "--method", "rdp", "--eps=-1e308"],
+     0, "eps=-1e+308 delta=1 method=rdp eps1=nan\n"),
+    (["--base", "subsampled_gaussian", "--q", "0.2", "--sigma", "2", "--method", "rdp",
+      "--eps", "1e308"], 0, "eps=1e+308 delta=0 method=rdp eps1=nan\n"),
+    (["--base", "gaussian", "--sigma", "4", "--family", "poisson", "--m", "1.7e308",
+      "--method", "rdp", "--delta", "1e-6"], 3, ""),
+], ids=["eps-minus-1e308", "subsampled-eps-1e308", "poisson-m-1.7e308"])
+def test_renyi_conversion_past_the_largest_float_warns_nothing(argv, rc, stdout):
+    # a product past the largest float is +-inf, which is delta 1 or 0 (or
+    # an unreachable target) as it should be; under -W error a warning
+    # would exit 1
+    r = subprocess.run([sys.executable, "-W", "error", "-m", "privsel.cli", "guarantee",
+                        *argv], capture_output=True, text=True, env=child_env())
+    assert (r.returncode, r.stdout) == (rc, stdout), r.stderr
+    if rc:
+        assert r.stderr == "error: profile still above delta=1e-06 at eps=10000\n"
+    else:
+        assert r.stderr == ""
+
+
 def test_compare_output_is_byte_identical(tmp_path):
     a = run_cli("compare", "fig1", "--out", "a.csv", cwd=tmp_path)
     b = run_cli("compare", "fig1", "--out", "b.csv", cwd=tmp_path)

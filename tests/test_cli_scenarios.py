@@ -143,8 +143,8 @@ RNM = ["--family", "rnm", "--m", "10"]
              "--method", "rdp", "--delta", "1e-6"],
     GAUSS + ["--family", "binomial", "--n", "50", "--p", "0.2",
              "--method", "closed", "--delta", "1e-6"],
-    GAUSS + ["--family", "poisson", "--m", "10", "--method", "rdp",
-             "--delta", "1e-6"],
+    ["guarantee", "--base", "pure", "--eps-base", "1", "--family", "poisson", "--m", "10",
+     "--method", "rdp", "--delta", "1e-6"],
     GAUSS + ["--family", "poisson", "--m", "10", "--method", "closed",
              "--delta", "1e-6"],
     GAUSS + RNM + ["--method", "rdp", "--delta", "1e-6"],

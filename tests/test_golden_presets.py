@@ -60,6 +60,8 @@ def test_adjust_matches_golden_csv(args, tmp_path):
 
 
 GAUSS = ["--base", "gaussian", "--sigma", "4"]
+FIG6 = ["--base", "subsampled_gaussian", "--q", "0.004266666666666667", "--sigma", "1.1",
+        "--steps", "14063"]
 FIG7 = ["--base", "subsampled_gaussian", "--q", "0.32768", "--sigma", "21.1",
         "--steps", "250"]
 # cell -> (guarantee flags, the CSV, its row's first value, its column)
@@ -75,6 +77,8 @@ CELLS = {
                                "--eps", "2"], "fig4", "2", "delta_n50"),
     "fig4-poisson": (GAUSS + ["--family", "poisson", "--m", "10", "--eps", "2"],
                      "fig4", "2", "delta_poisson"),
+    "fig6-rdp-poisson": (FIG6 + ["--family", "poisson", "--m", "1000", "--method", "rdp",
+                                 "--delta", "1e-6"], "fig6", "1000", "eps_rdp_poisson"),
     **{f"fig7-{method}": (FIG7 + ["--family", "negbin", "--gamma", "0.1", "--method", method,
                                   "--delta", "1e-6"], "fig7", "10", f"eps_{method}_negbin")
        for method in ("hs", "rdp")},

@@ -364,6 +364,48 @@ def test_disk_cache_evicts_the_oldest_files_past_its_budget(tmp_path, monkeypatc
     assert list(tmp_path.glob("pld_*.npz")) == [path(2)]
 
 
+def test_disk_cache_evicts_an_orphaned_temporary_oldest_first(tmp_path, monkeypatch):
+    monkeypatch.setenv(pldmod.CACHE_ENV, str(tmp_path))
+    grid = GridSpec()
+
+    def path(steps):
+        key = (0.2, 1.0, steps, "remove", grid.spacing, grid.tail_mass)
+        return Path(pldmod._cache_path(key))
+
+    pldmod._composed_pld(0.2, 1.0, 4, "remove", grid)
+    size = path(4).stat().st_size
+    path(4).unlink()
+    pldmod._composed_pld(0.2, 1.0, 3, "remove", grid)
+    # a killed writer's temporary, older than the cache file beside it
+    orphan = tmp_path / ".tmp_pld_orphan.npz"
+    orphan.write_bytes(bytes(4096))
+    now = time.time_ns()
+    os.utime(orphan, ns=(now - 2 * 10**10,) * 2)
+    os.utime(path(3), ns=(now - 10**10,) * 2)
+    # the two cache files fit the budget; the orphan on top of them does not
+    monkeypatch.setattr(pldmod, "CACHE_MAX_BYTES", path(3).stat().st_size + size)
+    pldmod._composed_pld(0.2, 1.0, 4, "remove", grid)
+    assert sorted(tmp_path.iterdir()) == sorted([path(3), path(4)])
+
+
+def test_a_temporary_evicted_before_its_rename_is_not_cached(tmp_path, monkeypatch):
+    # another writer's eviction removes this writer's temporary file
+    monkeypatch.setenv(pldmod.CACHE_ENV, str(tmp_path))
+    real_replace = os.replace
+
+    def evicted_first(src, dst):
+        os.remove(src)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(pldmod.os, "replace", evicted_first)
+    got = pldmod._composed_pld(0.2, 1.0, 4, "remove", GridSpec())
+    want = compose(subsampled_gaussian_pld(SubsampledGaussianParams(0.2, 1.0),
+                                           "remove"), 4)
+    assert np.array_equal(got.mass, want.mass)
+    assert (got.origin_index, got.tail_mass) == (want.origin_index, want.tail_mass)
+    assert not list(tmp_path.iterdir())
+
+
 def test_stale_cache_version_is_rebuilt(tmp_path, monkeypatch):
     monkeypatch.setenv(pldmod.CACHE_ENV, str(tmp_path))
     params = SubsampledGaussianParams(0.2, 1.0, 4)

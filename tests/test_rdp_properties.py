@@ -5,9 +5,11 @@ parameters, Poisson base points and delta targets: a curve's array
 matches per-order formulas bit for bit, the vectorised conversion
 matches a per-order loop, and the closed-form eps(delta) is certified by
 the conversion and sits within the bisection tolerance below the
-bisection answer.  The paper's claim is checked the same way: the tuned
-hockey-stick eps of a Gaussian base under a negative-binomial count is
-below the Renyi baseline's.
+bisection answer.  The Poisson curve `guarantee --method rdp` inverts
+gives, bit for bit, the least eps over the one-point curves of 40 base
+points, for random Gaussian bases and at fig6's rows.  The paper's claim
+is checked the same way: the tuned hockey-stick eps of a Gaussian base
+under a negative-binomial count is below the Renyi baseline's.
 """
 
 import math
@@ -17,8 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from privsel import scenario
 from privsel.countdist import TruncNegBinomial
 from privsel.errors import EmptyCurveError, UnreachableTargetError
+from privsel.pld import subsampled_rdp_curve
+from privsel.presets import DELTA_DEFAULT, FIG6_BASE, FIG6_PARAMS
 from privsel.profiles import (
     BISECT_TOL,
     PointDP,
@@ -117,6 +122,54 @@ def test_values_match_per_order_formulas_bit_for_bit(sigma, eta, gamma, eps_hat,
 def test_rdp_to_dp_matches_per_order_loop(curve, eps):
     assert rdp_to_dp(curve, eps) == pytest.approx(
         reference_rdp_to_dp(curve, eps), rel=1e-12, abs=0.0)
+
+
+def scanned_poisson_eps(base, m, delta):
+    """The Poisson Renyi eps as a loop: the least eps over the one-point
+    curves of 40 base points read off the base curve, skipping each point
+    that admits no order."""
+    best = math.inf
+    for eps_hat in np.geomspace(1e-3, 2.0, 40).tolist():
+        point = PointDP(eps_hat, rdp_to_dp(base, eps_hat))
+        try:
+            curve = rdp_select_poisson(base, point, m)
+        except EmptyCurveError:
+            continue
+        best = min(best, epsilon_for_delta(rdp_profile(curve), delta))
+    return best
+
+
+def outcome(f, *args):
+    """f(*args) in hex, or the name of the exception it raises."""
+    try:
+        return f(*args).hex()
+    except (UnreachableTargetError, EmptyCurveError) as e:
+        return type(e).__name__
+
+
+def route_eps(base, fam, delta, build):
+    profile = scenario.resolve(base, fam, "rdp", delta=delta, build=build)[0]
+    return epsilon_for_delta(profile, delta)
+
+
+@PROPS
+@given(st.floats(0.5, 20.0), st.floats(1.0, 3000.0),
+       st.floats(-12.0, -3.0).map(lambda x: 10.0**x))
+def test_poisson_route_is_the_scan_over_one_point_curves_bit_for_bit(sigma, m, delta):
+    curve = gaussian_rdp_curve(sigma)
+    assert (outcome(route_eps, {"kind": "gaussian", "sigma": sigma},
+                    {"kind": "poisson", "m": m}, delta, lambda *_: curve)
+            == outcome(scanned_poisson_eps, curve, m, delta))
+
+
+def test_fig6_poisson_column_is_the_scan_over_one_point_curves_bit_for_bit():
+    curve = subsampled_rdp_curve(FIG6_PARAMS)
+    ms = [int(v) for v in np.unique(np.round(np.geomspace(2, 1000, 15)))]
+    assert len(ms) == 15
+    for m in ms:
+        got = route_eps(FIG6_BASE, {"kind": "poisson", "m": m}, DELTA_DEFAULT,
+                        lambda *_: curve)
+        assert got.hex() == scanned_poisson_eps(curve, float(m), DELTA_DEFAULT).hex(), m
 
 
 @PROPS

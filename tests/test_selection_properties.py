@@ -3,15 +3,16 @@
 Over random Gaussian noise scales and random negative-binomial, binomial
 and Poisson counts, the best-of-K bound is at least the exact divergence
 computed by quadrature from the selection output densities; the eps of
-the Renyi route for Poisson counts is sound against that divergence in
-both directions; and every best-of-K and noisy-argmax profile stays in
-[0, 1] and is non-increasing in eps.
+the Renyi route for Poisson counts, and its delta at random eps, are
+sound against that divergence in both directions; and every best-of-K
+and noisy-argmax profile stays in [0, 1] and is non-increasing in eps.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from privsel import scenario
 from privsel.countdist import Binomial, Poisson, TruncNegBinomial
 from privsel.errors import NoAdmissibleEps1Error
 from privsel.oracles import gaussian_pair, selection_exact_divergence
@@ -68,6 +69,18 @@ def test_renyi_poisson_eps_is_sound_against_the_exact_divergence(sigma, m, delta
     # one neighbouring instance of the best-of-K selection over a
     # Poisson(m) run count, in both directions
     eps = rdp_poisson_eps(gaussian_rdp_curve(sigma), m, delta)
+    for mu_p, mu_q in ((0.0, 1.0), (1.0, 0.0)):
+        pair = gaussian_pair(mu_p, mu_q, sigma)
+        assert selection_exact_divergence(pair, Poisson(m), eps) <= delta
+
+
+@settings(max_examples=20, deadline=None, database=None, derandomize=True)
+@given(st.floats(1.0, 30.0), st.floats(2.0, 2000.0), st.floats(0.05, 6.0))
+def test_renyi_poisson_delta_is_sound_against_the_exact_divergence(sigma, m, eps):
+    # the delta `guarantee --family poisson --method rdp --eps` prints
+    profile = scenario.resolve({"kind": "gaussian", "sigma": sigma},
+                               {"kind": "poisson", "m": m}, "rdp")[0]
+    delta = profile(eps)
     for mu_p, mu_q in ((0.0, 1.0), (1.0, 0.0)):
         pair = gaussian_pair(mu_p, mu_q, sigma)
         assert selection_exact_divergence(pair, Poisson(m), eps) <= delta
