@@ -11,9 +11,11 @@ submodule named in `_EXPORTS`, is imported on first access.
 `profiles`, `countdist`, `selection` and `scenario` load numpy alone, so
 a query on a pure or points base, or a Renyi query on a Gaussian base,
 never loads scipy.  `scipy.special` loads with the Gaussian leaf
-`gaussian` (and so with `rnm` and `presets`, which import it), `pld` or
-`oracles`.  No submodule loads `scipy.fft`, since `pld` transforms with
-`numpy.fft`.  Names are not cached here: every access reads the
+`gaussian` (and so with `rnm` and `presets`, which import it) or
+`oracles`.  `pld` imports it only to build a grid or to sum a Renyi
+moment, so a warm PLD cache hit and a grid refused for its cell budget
+run on numpy alone.  No submodule loads `scipy.fft`, since `pld`
+transforms with `numpy.fft`.  Names are not cached here: every access reads the
 submodule's current attribute.
 """
 

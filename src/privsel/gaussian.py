@@ -1,8 +1,8 @@
 """The Gaussian leaf: the exact privacy profile of the Gaussian mechanism.
 
 It is the only profile node that evaluates a special function, so it is
-the one place, beside `pld` and `oracles`, that imports `scipy.special`
-at module level.  `profiles`, `selection`, `countdist` and `scenario`
+the one place, beside `oracles`, that imports `scipy.special` at module
+level.  `profiles`, `selection`, `countdist` and `scenario`
 load numpy alone, so a query on a pure or points base, or under rdp on
 a Gaussian base, never loads scipy.  `profiles` still reads the three
 names defined here.

@@ -25,6 +25,11 @@ opt-in: set PRIVSEL_PLD_CACHE to a directory, and each composed
 distribution is stored there, one file per (q, sigma, steps, direction,
 grid), and read back on the next call for the same key.  Each write
 evicts the oldest files past CACHE_MAX_BYTES.
+
+The module loads numpy alone at import.  `scipy.special` loads only to
+build a grid (`ndtr`, once the grid fits its cell budget) or to sum an
+integer-order Renyi moment (`gammaln`, `xlog1py`), so a warm cache hit
+and a refused grid never load scipy.
 """
 
 from __future__ import annotations
@@ -42,7 +47,6 @@ from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
-from scipy.special import gammaln, ndtr, ndtri, xlog1py
 
 from .errors import ConfigError, GridTooCoarseError, MemoryBudgetError
 from .profiles import (PrivacyProfile, RdpCurve, _check_positive, clip_delta,
@@ -78,6 +82,11 @@ class GridSpec:
 
     def __post_init__(self):
         _check_positive(spacing=self.spacing)
+
+
+# -ndtri(GridSpec.tail_mass / 4): each end of the grid window lies this
+# many noise scales past a Gaussian mean, leaving tail_mass / 4 beyond it
+_WINDOW_Z = float.fromhex("0x1.0391619fe7e7bp+3")
 
 
 @dataclass(frozen=True)
@@ -193,6 +202,8 @@ def _loss_survival(ell, q, sigma, direction):
     q N(1,s^2) against N(0,s^2); add measures {x < t} under N(0,s^2)
     against the mixture.
     """
+    from scipy.special import ndtr
+
     ell = np.asarray(ell, dtype=float)
     remove = direction == "remove"
     inner = np.expm1(ell if remove else -ell) / q
@@ -219,14 +230,13 @@ def _loss_remove(t, q, sigma):
                     big + math.log(q) + np.log1p((1 - q) / q * np.exp(-big)))
 
 
-def _build(q, sigma, direction, spacing, tail_mass):
-    z = float(-ndtri(tail_mass / 4))
+def _build(q, sigma, direction, spacing):
     if direction == "remove":
-        t_lo, t_hi = -z * sigma, 1 + z * sigma
+        t_lo, t_hi = -_WINDOW_Z * sigma, 1 + _WINDOW_Z * sigma
         l_lo = float(_loss_remove(t_lo, q, sigma))
         l_hi = float(_loss_remove(t_hi, q, sigma))
     elif direction == "add":
-        t_lo, t_hi = -z * sigma, z * sigma
+        t_lo, t_hi = -_WINDOW_Z * sigma, _WINDOW_Z * sigma
         l_lo = float(-_loss_remove(t_hi, q, sigma))
         l_hi = float(-_loss_remove(t_lo, q, sigma))
     else:
@@ -270,8 +280,8 @@ def subsampled_gaussian_pld(params, direction, grid=None):
     if params.steps != 1:
         raise ValueError(f"a one-step distribution needs steps = 1, got {params.steps}")
     grid = grid or GridSpec()
-    pld = _build(params.q, params.sigma, direction, grid.spacing, grid.tail_mass)
-    finer = _build(params.q, params.sigma, direction, grid.spacing / 2, grid.tail_mass)
+    pld = _build(params.q, params.sigma, direction, grid.spacing)
+    finer = _build(params.q, params.sigma, direction, grid.spacing / 2)
     if abs(pld.delta(0.0) - finer.delta(0.0)) > 1e-3:
         raise GridTooCoarseError(
             f"spacing {grid.spacing:g} shifts delta(0) by more than 1e-3 "
@@ -416,17 +426,31 @@ def _load_cached(path):
         return None
 
 
-def _save_cached(path, pld):
-    """Write to a temporary file in the same directory, then rename it
-    into place, so a crash mid-write never leaves a partial file at path;
-    then evict past the budget.  A directory that cannot be written is a
-    ConfigError, as an --out that cannot be opened is."""
+def _cache_temp(path):
+    """A new empty temporary file in path's directory, made before the PLD
+    is built, so that a directory that cannot be written is refused before
+    any work: a ConfigError, as an --out that cannot be opened is."""
     root = os.path.dirname(path) or "."
-    tmp = None
     try:
         os.makedirs(root, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=root, prefix=".tmp_pld_", suffix=".npz")
-        with os.fdopen(fd, "wb") as f:
+    except OSError as e:
+        raise _unwritable(root, e) from e
+    os.close(fd)
+    return tmp
+
+
+def _unwritable(root, e):
+    return ConfigError(f"cannot write PLD cache {root}: {e.strerror or e}")
+
+
+def _save_cached(tmp, path, pld):
+    """Write to the temporary file tmp, then rename it into place, so a
+    crash mid-write never leaves a partial file at path; then evict past
+    the budget."""
+    root = os.path.dirname(path) or "."
+    try:
+        with open(tmp, "wb") as f:
             np.savez(
                 f,
                 version=_CACHE_VERSION,
@@ -442,12 +466,7 @@ def _save_cached(path, pld):
             return
         _evict(root, os.path.basename(path))
     except OSError as e:
-        raise ConfigError(f"cannot write PLD cache {root}: {e.strerror or e}") from e
-    finally:
-        # renamed into place, tmp is gone; otherwise the partial file goes
-        if tmp:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(tmp)
+        raise _unwritable(root, e) from e
 
 
 def _evict(root, keep):
@@ -484,10 +503,18 @@ def _composed_pld(q, sigma, steps, direction, grid):
     pld = _load_cached(path) if path else None
     if pld is not None:
         return pld
-    base = subsampled_gaussian_pld(SubsampledGaussianParams(q, sigma), direction, grid)
-    pld = compose(base, steps)
-    if path:
-        _save_cached(path, pld)
+    tmp = _cache_temp(path) if path else None
+    try:
+        base = subsampled_gaussian_pld(SubsampledGaussianParams(q, sigma), direction, grid)
+        pld = compose(base, steps)
+        if tmp:
+            _save_cached(tmp, path, pld)
+    finally:
+        # renamed into place, tmp is gone; after a failed build or write,
+        # the empty or partial file goes
+        if tmp:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
     return pld
 
 
@@ -540,6 +567,8 @@ def _log_moment_binomial(q, sigma, alpha):
     integer order: sum_k C(alpha,k) (1-q)^(alpha-k) q^k exp(k(k-1)/(2s^2)).
     The weights of k sum to 1, so the excess over 1 is the k >= 2 terms
     with expm1 of their exponents, all positive; log1p keeps its digits."""
+    from scipy.special import gammaln, xlog1py
+
     k = np.arange(2.0, alpha + 1)
     c = k * (k - 1) / (2 * sigma**2)
     log_terms = (gammaln(alpha + 1) - gammaln(k + 1) - gammaln(alpha - k + 1)

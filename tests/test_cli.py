@@ -416,6 +416,37 @@ def test_calls_off_the_gaussian_leaf_load_numpy_alone(argv, config, rc, line, tm
     assert not scipy, scipy
 
 
+SUBSAMPLED_NEGBIN = ["guarantee", "--base", "subsampled_gaussian", "--q", "0.2",
+                     "--sigma", "1", "--steps", "4", *NEGBIN_30, "--delta", "1e-6"]
+
+
+def test_warm_pld_cache_call_loads_no_scipy(tmp_path):
+    # scipy.special builds the grids of the cold call; the warm call reads
+    # both composed distributions from the cache and computes on numpy alone
+    code = (f"import os\nos.environ['PRIVSEL_PLD_CACHE'] = {str(tmp_path)!r}\n"
+            f"from privsel import cli\nprint(cli.main({SUBSAMPLED_NEGBIN!r}))")
+    r, cold, loaded = loaded_after(code)
+    assert cold[-1] == "0", r.stderr
+    assert cold[0].startswith("eps=") and "method=hs" in cold[0]
+    assert "scipy.special" in loaded
+    assert not loaded & HEAVY_SCIPY, sorted(loaded & HEAVY_SCIPY)
+    assert len(list(tmp_path.glob("pld_*.npz"))) == 2
+
+    r, warm, loaded = loaded_after(code)
+    assert warm == cold, r.stderr
+    assert "scipy" not in loaded
+
+
+def test_grid_past_its_cell_budget_is_refused_before_scipy_loads():
+    argv = ["guarantee", "--base", "subsampled_gaussian", "--q", "0.01", "--sigma", "1",
+            "--grid-spacing", "1e-10", "--delta", "1e-6"]
+    r, printed, loaded = loaded_after(
+        f"from privsel import cli\nprint(cli.main({argv!r}))")
+    assert printed == ["4"], r.stderr
+    assert r.stderr == "error: loss grid needs 40342327838 cells, budget is 268435456\n"
+    assert "scipy" not in loaded
+
+
 @pytest.mark.parametrize("module", ["privsel.gaussian", "privsel.rnm", "privsel.presets"])
 def test_the_gaussian_leaf_and_its_importers_load_scipy_special(module):
     r, _, loaded = loaded_after(f"import {module}")

@@ -229,6 +229,14 @@ def test_out_that_cannot_be_opened_is_refused(argv, no_tables, tmp_path, capsys)
 
 
 def test_pld_cache_that_cannot_be_written_is_refused(tmp_path, monkeypatch, capsys):
+    # refused before any grid is built: fig6's base would compose 14,063
+    # steps first and then throw the work away
+    from privsel import pld
+
+    def no_build(*args):
+        raise AssertionError("built a grid for a cache that cannot be written")
+
+    monkeypatch.setattr(pld, "_build", no_build)
     (tmp_path / "file").write_text("")
     cache = tmp_path / "file" / "sub"
     monkeypatch.setenv("PRIVSEL_PLD_CACHE", str(cache))

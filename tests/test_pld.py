@@ -206,23 +206,26 @@ def test_renyi_scales_with_steps():
     assert renyi_subsampled_gaussian(p5, 16.0) == pytest.approx(5 * one, rel=1e-12)
 
 
-def test_memory_budget_guard():
+def test_memory_budget_guard(tmp_path, monkeypatch):
     with pytest.raises(MemoryBudgetError):
         subsampled_gaussian_pld(
             SubsampledGaussianParams(0.1, 1.0), "remove",
             GridSpec(spacing=1e-12))
-    # both directions fail, and the profile's worker is joined
+    # both directions fail, the profile's worker is joined, and the cache
+    # keeps none of the temporary files made before the builds
+    monkeypatch.setenv(pldmod.CACHE_ENV, str(tmp_path))
     before = threading.active_count()
     with pytest.raises(MemoryBudgetError):
         subsampled_gaussian_profile(SubsampledGaussianParams(0.1, 1.0, 4),
                                     GridSpec(spacing=1e-12))
     assert threading.active_count() == before
+    assert not list(tmp_path.iterdir())
 
 
 def test_coarse_grid_guard(monkeypatch):
     # a discretization whose delta(0) keeps moving under refinement must be
     # refused; fake the builder so the half-spacing check sees a big shift
-    def fake_build(q, sigma, direction, spacing, tail_mass):
+    def fake_build(q, sigma, direction, spacing):
         return DiscretePLD(spacing=spacing, origin_index=1,
                            mass=np.array([1.0]), tail_mass=0.0)
 
@@ -235,9 +238,16 @@ def test_coarse_grid_guard(monkeypatch):
 
 def test_default_grid_passes_self_check():
     pld = subsampled_gaussian_pld(SubsampledGaussianParams(0.3, 0.8), "remove")
-    finer = pldmod._build(0.3, 0.8, "remove", pld.spacing / 2,
-                          GridSpec().tail_mass)
+    finer = pldmod._build(0.3, 0.8, "remove", pld.spacing / 2)
     assert abs(pld.delta(0.0) - finer.delta(0.0)) < 1e-6
+
+
+def test_grid_window_matches_the_normal_quantile_bit_for_bit():
+    # the window's width is a literal, so building a grid imports no
+    # quantile function; scipy stays the reference
+    from scipy.special import ndtri
+
+    assert pldmod._WINDOW_Z.hex() == float(-ndtri(GridSpec.tail_mass / 4)).hex()
 
 
 def test_disk_cache_roundtrip(tmp_path, monkeypatch):
@@ -550,12 +560,16 @@ def test_fft_convolution_matches_scipy_signal_bit_for_bit(smooth):
 
 
 # sha256 of the mass bytes, origin index and float.hex tail of the fig7
-# preset's composed PLD, per direction, on the default grid
+# preset's composed PLD, per direction, on the default grid, keyed by the
+# disk cache version: a change that moves these bits must bump
+# _CACHE_VERSION, so no warm call reads a file an older engine wrote
 FIG7_COMPOSED_BITS = {
-    "remove": ("8a69e9cda60ee64feae2df9c2fb42ae14d502e9e0fe74b9cce8f7dc02bb9a032",
-               -19068, "0x1.4a96a6cd3a255p-42"),
-    "add": ("5cb5b36547f19f646504f439b193488f2f20d3f6cbb906067f4fd38e3ea26031",
-            -19361, "0x1.59809c0023c6dp-42"),
+    2: {
+        "remove": ("8a69e9cda60ee64feae2df9c2fb42ae14d502e9e0fe74b9cce8f7dc02bb9a032",
+                   -19068, "0x1.4a96a6cd3a255p-42"),
+        "add": ("5cb5b36547f19f646504f439b193488f2f20d3f6cbb906067f4fd38e3ea26031",
+                -19361, "0x1.59809c0023c6dp-42"),
+    },
 }
 
 
@@ -568,7 +582,7 @@ def test_composed_fig7_pld_bits_are_pinned(direction):
     pld = compose(one, FIG7_PARAMS.steps)
     bits = (hashlib.sha256(pld.mass.tobytes()).hexdigest(), pld.origin_index,
             pld.tail_mass.hex())
-    assert bits == FIG7_COMPOSED_BITS[direction]
+    assert bits == FIG7_COMPOSED_BITS[pldmod._CACHE_VERSION][direction]
 
 
 def _full_cumsum_trim(mass, origin, tail):
