@@ -10,11 +10,13 @@ and quadrature oracles that certify the bounds on small instances.
 submodule named in `_EXPORTS`, is imported on first access.
 `profiles`, `countdist`, `selection` and `scenario` load numpy alone, so
 a query on a pure or points base, or a Renyi query on a Gaussian base,
-never loads scipy.  `scipy.special` loads with the Gaussian leaf
-`gaussian` (and so with `rnm` and `presets`, which import it) or
-`oracles`.  `pld` imports it only to build a grid or to sum a Renyi
-moment, so a warm PLD cache hit and a grid refused for its cell budget
-run on numpy alone.  No submodule loads `scipy.fft`, since `pld`
+never loads scipy.  The Gaussian leaf `gaussian` (and so `rnm` and
+`presets`, which import it) reads its special functions from `_special`,
+which loads scipy's compiled ufunc extension without the `scipy.special`
+package; `pld` reads them only to build a grid or to sum a Renyi moment,
+so a warm PLD cache hit and a grid refused for its cell budget run on
+numpy alone.  The package loads with `oracles` and with the count
+distributions' pmf and cdf.  No submodule loads `scipy.fft`, since `pld`
 transforms with `numpy.fft`.  Names are not cached here: every access reads the
 submodule's current attribute.
 """

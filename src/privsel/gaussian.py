@@ -1,11 +1,11 @@
 """The Gaussian leaf: the exact privacy profile of the Gaussian mechanism.
 
-It is the only profile node that evaluates a special function, so it is
-the one place, beside `oracles`, that imports `scipy.special` at module
-level.  `profiles`, `selection`, `countdist` and `scenario`
-load numpy alone, so a query on a pure or points base, or under rdp on
-a Gaussian base, never loads scipy.  `profiles` still reads the three
-names defined here.
+It is the only profile node that evaluates a special function: scipy's
+compiled `ndtr` and `log_ndtr`, read through `_special`, so the module
+loads without the `scipy.special` package's set-up.  `profiles`,
+`selection`, `countdist` and `scenario` load numpy alone, so a query on
+a pure or points base, or under rdp on a Gaussian base, never loads
+scipy.  `profiles` still reads the three names defined here.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr
 
+from ._special import log_ndtr, ndtr
 from .profiles import PrivacyProfile, _check_positive, clip_delta, clip_delta_array
 
 

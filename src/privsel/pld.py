@@ -26,10 +26,12 @@ distribution is stored there, one file per (q, sigma, steps, direction,
 grid), and read back on the next call for the same key.  Each write
 evicts the oldest files past CACHE_MAX_BYTES.
 
-The module loads numpy alone at import.  `scipy.special` loads only to
-build a grid (`ndtr`, once the grid fits its cell budget) or to sum an
-integer-order Renyi moment (`gammaln`, `xlog1py`), so a warm cache hit
-and a refused grid never load scipy.
+The module loads numpy alone at import.  scipy's compiled special
+functions load, through `_special` and without the `scipy.special`
+package, only to build a grid (`ndtr`, once both directions fit their
+cell budget) or to sum an integer-order Renyi moment (`gammaln`,
+`xlog1py`), so a warm cache hit and a refused grid never load scipy,
+and a refused grid leaves the cache directory untouched.
 """
 
 from __future__ import annotations
@@ -202,7 +204,7 @@ def _loss_survival(ell, q, sigma, direction):
     q N(1,s^2) against N(0,s^2); add measures {x < t} under N(0,s^2)
     against the mixture.
     """
-    from scipy.special import ndtr
+    from ._special import ndtr
 
     ell = np.asarray(ell, dtype=float)
     remove = direction == "remove"
@@ -230,7 +232,9 @@ def _loss_remove(t, q, sigma):
                     big + math.log(q) + np.log1p((1 - q) / q * np.exp(-big)))
 
 
-def _build(q, sigma, direction, spacing):
+def _grid_cells(q, sigma, direction, spacing):
+    """(first index, cell count) of the one-step grid at spacing; a grid
+    past MAX_CELLS is refused before any special function is read."""
     if direction == "remove":
         t_lo, t_hi = -_WINDOW_Z * sigma, 1 + _WINDOW_Z * sigma
         l_lo = float(_loss_remove(t_lo, q, sigma))
@@ -247,6 +251,19 @@ def _build(q, sigma, direction, spacing):
     n = j_hi - j_lo + 1
     if n > MAX_CELLS:
         raise MemoryBudgetError(f"loss grid needs {n} cells, budget is {MAX_CELLS}")
+    return j_lo, n
+
+
+def _check_cells(q, sigma, grid):
+    """Refuse a grid past its cell budget in either direction, at the
+    spacing or at the half spacing subsampled_gaussian_pld also builds."""
+    for direction in ("remove", "add"):
+        for spacing in (grid.spacing, grid.spacing / 2):
+            _grid_cells(q, sigma, direction, spacing)
+
+
+def _build(q, sigma, direction, spacing):
+    j_lo, n = _grid_cells(q, sigma, direction, spacing)
     ell = (j_lo + np.arange(n)) * spacing
     sf_num, sf_den = _loss_survival(ell, q, sigma, direction)
     p_cell = np.maximum(sf_num[:-1] - sf_num[1:], 0.0)
@@ -528,6 +545,8 @@ def subsampled_gaussian_profile(params, grid=None):
     interpreter lock).  The worker is joined before this returns or
     raises; when both directions fail, remove's error is the one raised."""
     grid = grid or GridSpec()
+    # before either direction touches the cache directory
+    _check_cells(params.q, params.sigma, grid)
     args = (params.q, params.sigma, params.steps)
     with ThreadPoolExecutor(max_workers=1) as worker:
         add = worker.submit(_composed_pld, *args, "add", grid)
@@ -567,7 +586,7 @@ def _log_moment_binomial(q, sigma, alpha):
     integer order: sum_k C(alpha,k) (1-q)^(alpha-k) q^k exp(k(k-1)/(2s^2)).
     The weights of k sum to 1, so the excess over 1 is the k >= 2 terms
     with expm1 of their exponents, all positive; log1p keeps its digits."""
-    from scipy.special import gammaln, xlog1py
+    from ._special import gammaln, xlog1py
 
     k = np.arange(2.0, alpha + 1)
     c = k * (k - 1) / (2 * sigma**2)

@@ -20,7 +20,8 @@ import numpy as np
 from . import scenario
 from .countdist import Binomial, Poisson, from_expected
 # pld and gaussian load here, not on the first table, so `import
-# privsel.presets` pays for scipy.special before any table is timed
+# privsel.presets` pays for them, and for scipy's compiled special
+# functions (not the scipy.special package), before any table is timed
 from .gaussian import gaussian_profile, gaussian_sigma_for_eps_delta
 from .pld import (
     GridSpec,

@@ -22,8 +22,8 @@ A Renyi curve is data too: its eps(alpha) bounds on a finite order grid,
 held as an array, so converting it to (eps, delta) in either direction
 is one numpy expression.
 
-The module loads numpy alone.  The Gaussian leaf, which needs
-`scipy.special`, lives in `privsel.gaussian`.
+The module loads numpy alone.  The Gaussian leaf, which needs scipy's
+special functions, lives in `privsel.gaussian`.
 """
 
 from __future__ import annotations

@@ -130,7 +130,7 @@ def build_base(kind, params, method="hs", grid=None):
             return profiles.gaussian_rdp_curve(*params)
         raise ConfigError("method rdp needs a gaussian or subsampled_gaussian base")
     if kind == "gaussian":
-        # the one leaf that loads scipy.special
+        # the one leaf that evaluates a special function
         from . import gaussian
         return gaussian.gaussian_profile(*params)
     if kind == "pure":

@@ -274,6 +274,9 @@ def loaded_after(code):
 # start-up together); scipy.integrate and scipy.optimize load only with
 # privsel.oracles
 HEAVY_SCIPY = {"scipy.stats", "scipy.signal", "scipy.integrate", "scipy.optimize"}
+# the extension privsel._special loads from its file, without running
+# scipy's or scipy.special's package set-up
+UFUNCS = "scipy.special._special_ufuncs"
 
 
 def test_imports_leave_out_heavy_scipy_subpackages():
@@ -421,14 +424,16 @@ SUBSAMPLED_NEGBIN = ["guarantee", "--base", "subsampled_gaussian", "--q", "0.2",
 
 
 def test_warm_pld_cache_call_loads_no_scipy(tmp_path):
-    # scipy.special builds the grids of the cold call; the warm call reads
-    # both composed distributions from the cache and computes on numpy alone
+    # scipy.special's compiled ndtr builds the grids of the cold call,
+    # without the package; the warm call reads both composed distributions
+    # from the cache and computes on numpy alone
     code = (f"import os\nos.environ['PRIVSEL_PLD_CACHE'] = {str(tmp_path)!r}\n"
             f"from privsel import cli\nprint(cli.main({SUBSAMPLED_NEGBIN!r}))")
     r, cold, loaded = loaded_after(code)
     assert cold[-1] == "0", r.stderr
     assert cold[0].startswith("eps=") and "method=hs" in cold[0]
-    assert "scipy.special" in loaded
+    assert UFUNCS in loaded
+    assert "scipy.special" not in loaded
     assert not loaded & HEAVY_SCIPY, sorted(loaded & HEAVY_SCIPY)
     assert len(list(tmp_path.glob("pld_*.npz"))) == 2
 
@@ -449,9 +454,50 @@ def test_grid_past_its_cell_budget_is_refused_before_scipy_loads():
 
 @pytest.mark.parametrize("module", ["privsel.gaussian", "privsel.rnm", "privsel.presets"])
 def test_the_gaussian_leaf_and_its_importers_load_scipy_special(module):
+    # scipy.special's compiled ufuncs, without the package's set-up
     r, _, loaded = loaded_after(f"import {module}")
     assert r.returncode == 0, r.stderr
+    assert UFUNCS in loaded
+    assert "scipy.special" not in loaded
+
+
+def test_gaussian_guarantee_leaves_the_scipy_special_package_unloaded():
+    # a later import of the package re-exports the very ufuncs privsel read
+    r, printed, loaded = loaded_after(
+        f"from privsel import cli\nprint(cli.main({GUARANTEE_HS!r}))\n"
+        "print('scipy.special' in sys.modules)\n"
+        "import scipy.special, scipy.stats\nfrom privsel import _special\n"
+        "print([getattr(scipy.special, n) is getattr(_special, n) "
+        "for n in _special.NAMES])")
+    assert r.returncode == 0, r.stderr
+    assert printed == ["eps=2.79379844666 delta=1e-06 method=hs eps1=0.646736173553",
+                       "0", "False", "[True, True, True, True]"]
+    assert UFUNCS in loaded
+
+
+def test_special_functions_fall_back_to_the_scipy_special_package():
+    # where the extension cannot be found, as on older scipy releases
+    r, printed, loaded = loaded_after(
+        "import importlib.util\n"
+        "find_spec = importlib.util.find_spec\n"
+        "importlib.util.find_spec = lambda name, *a: "
+        "None if name == 'scipy' else find_spec(name, *a)\n"
+        "from privsel import _special\nimport scipy.special\n"
+        "print([getattr(scipy.special, n) is getattr(_special, n) "
+        "for n in _special.NAMES])")
+    assert r.returncode == 0, r.stderr
+    assert printed == ["[True, True, True, True]"]
     assert "scipy.special" in loaded
+
+
+@pytest.mark.parametrize("table", ["fig6", "fig7"])
+def test_dpsgd_tables_leave_the_scipy_special_package_unloaded(table):
+    # their grids and Renyi moments read the compiled ufuncs alone
+    r, printed, loaded = loaded_after(
+        f"from privsel import cli\nprint(cli.main(['compare', {table!r}]))")
+    assert r.returncode == 0, r.stderr
+    assert printed[-1] == "0"
+    assert "scipy.special" not in loaded
 
 
 def test_oracles_load_neither_the_bounds_nor_the_cli():
@@ -476,7 +522,7 @@ def test_gaussian_guarantee_leaves_the_loss_grid_unloaded():
 
 
 def test_subsampled_profile_leaves_out_heavy_scipy_subpackages():
-    # a subsampled base builds its loss grid with scipy.special and
+    # a subsampled base builds its loss grid with scipy.special's ndtr and
     # convolves it with numpy.fft
     r, printed, loaded = loaded_after(
         "from privsel import cli\n"

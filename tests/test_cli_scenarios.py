@@ -247,6 +247,19 @@ def test_pld_cache_that_cannot_be_written_is_refused(tmp_path, monkeypatch, caps
     assert got.err == f"error: cannot write PLD cache {cache}: Not a directory\n"
 
 
+def test_grid_past_its_cell_budget_leaves_no_pld_cache_directory(tmp_path, monkeypatch,
+                                                                 capsys):
+    # both grids of both directions are sized before the cache is touched
+    cache = tmp_path / "new"
+    monkeypatch.setenv("PRIVSEL_PLD_CACHE", str(cache))
+    rc = cli.main(["guarantee", "--base", "subsampled_gaussian", "--q", "0.01",
+                   "--sigma", "1", "--grid-spacing", "1e-10", "--delta", "1e-6"])
+    got = capsys.readouterr()
+    assert (rc, got.out) == (4, "")
+    assert got.err == "error: loss grid needs 40342327838 cells, budget is 268435456\n"
+    assert not cache.exists()
+
+
 def test_fig4_count_table_that_cannot_be_opened_is_refused(no_tables, tmp_path, capsys):
     # the count CDF table goes beside --out; a directory stands in its way
     (tmp_path / "x_kcdf.csv").mkdir()
