@@ -1,15 +1,21 @@
-"""The four scipy special functions privsel computes with, without the
-`scipy.special` package.
+"""scipy's compiled extensions privsel computes with, loaded without the
+scipy subpackages that hold them.
 
-`import scipy.special` spends about 0.2 s setting up its array-API
-dispatch layer, which clones numpy and so loads `numpy.f2py`,
-`numpy.testing`, `numpy.ma` and `numpy.random`; its compiled ufuncs
-take about 1 ms of that.  This module loads the extension
-`scipy.special._special_ufuncs` straight from its file, under its own
-dotted name, so a later `import scipy.special` finds it in `sys.modules`
-and re-exports these very ufunc objects.  Where the extension or one of
-the names is missing, as in older scipy releases, they come from
-`scipy.special`.
+`load_extension` loads one extension module of a scipy subpackage
+straight from its file, under its own dotted name, so a later import of
+the subpackage finds it in `sys.modules` and uses these very objects.
+It serves three extensions:
+- `scipy.special._special_ufuncs`, whose `gammaln`, `log_ndtr`, `ndtr`
+  and `xlog1py` this module reads.  `import scipy.special` spends about
+  0.2 s setting up its array-API dispatch layer, which clones numpy and
+  so loads `numpy.f2py`, `numpy.testing`, `numpy.ma` and
+  `numpy.random`; the compiled ufuncs take about 1 ms of that.
+- `scipy.integrate._quadpack` and `scipy.optimize._zeros`, whose
+  quadpack and Brent routines `oracles` calls without the ~0.15 s of
+  `scipy.integrate` and `scipy.optimize` set-up (linalg, sparse, ...).
+
+Where an extension or one of its names is missing, as in older scipy
+releases, callers fall back to the public subpackage.
 """
 
 import importlib.machinery
@@ -18,30 +24,31 @@ import os
 import sys
 
 NAMES = ("gammaln", "log_ndtr", "ndtr", "xlog1py")
-_EXTENSION = "scipy.special._special_ufuncs"
 
 
-def _load_extension():
-    """The extension module, or None where it cannot be found."""
-    if _EXTENSION in sys.modules:
-        return sys.modules[_EXTENSION]
+def load_extension(subpackage, name):
+    """The extension module scipy.<subpackage>.<name>, or None where it
+    cannot be found."""
+    dotted = f"scipy.{subpackage}.{name}"
+    if dotted in sys.modules:
+        return sys.modules[dotted]
     scipy = importlib.util.find_spec("scipy")
     if scipy is None:
         return None
     finder = importlib.machinery.FileFinder(
-        os.path.join(scipy.submodule_search_locations[0], "special"),
+        os.path.join(scipy.submodule_search_locations[0], subpackage),
         (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES))
-    spec = finder.find_spec(_EXTENSION)
+    spec = finder.find_spec(dotted)
     if spec is None:
         return None
     module = importlib.util.module_from_spec(spec)
-    sys.modules[_EXTENSION] = module
+    sys.modules[dotted] = module
     spec.loader.exec_module(module)
     return module
 
 
 def _ufuncs():
-    module = _load_extension()
+    module = load_extension("special", "_special_ufuncs")
     if module is None or not all(hasattr(module, name) for name in NAMES):
         import scipy.special as module
     return [getattr(module, name) for name in NAMES]

@@ -2,8 +2,8 @@
 
 Randomized selection draws a count K, runs the base mechanism K times and
 releases the best run.  Each distribution offers its pmf, cdf, mean, the
-derivative of its probability generating function and a tail support
-bound; the oracles and the fig4 table use those.
+derivative of its probability generating function (at a float or an
+array) and a tail support bound; the oracles and the fig4 table use those.
 
 The bounds read only `mean()` and the parameters, so the module loads
 numpy alone: `pmf`, `cdf` and `support_upper`, which evaluate through
@@ -204,7 +204,9 @@ class Poisson:
 
     def pgf_deriv(self, z):
         _check_z(z)
-        return self.rate * math.exp(self.rate * (z - 1))
+        # math.exp on a float: np.exp can round it otherwise
+        exp = np.exp if isinstance(z, np.ndarray) else math.exp
+        return self.rate * exp(self.rate * (z - 1))
 
     def support_upper(self, tail=TAIL_MASS):
         """Two past the least k at which the cdf reaches 1 - tail, then up
@@ -221,7 +223,12 @@ class Poisson:
 
 
 def _check_z(z):
-    if not 0 <= z <= 1:
+    """Refuse a pgf argument, float or array, with a value outside [0, 1]."""
+    if isinstance(z, np.ndarray):
+        outside = z[~((z >= 0) & (z <= 1))]
+        if outside.size:
+            raise ValueError(f"pgf argument must lie in [0,1], got {outside.flat[0]}")
+    elif not 0 <= z <= 1:
         raise ValueError(f"pgf argument must lie in [0,1], got {z}")
 
 

@@ -10,29 +10,73 @@ scenario the bounds are tested on.
 row sets a bound against these oracles.  Only that function reads the
 bounds, importing them where it reads them, and it builds each selection
 bound as `guarantee` does, from a base spec `scenario` reads.
+
+`quad` and `brentq` behave as scipy's public functions of those names,
+on the compiled quadpack and Brent routines that `_special` loads without
+the `scipy.integrate` and `scipy.optimize` packages (about 0.15 s of
+start-up); where those extensions are missing they are the public
+functions.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
-from scipy.special import ndtr
 
+from ._special import load_extension, ndtr
 from .countdist import Binomial, Poisson, TruncNegBinomial
 
 QUAD_REL_TOL = 1e-12
 MC_SEED = 947151  # fixed so every summary is bitwise reproducible
 _SCAN_POINTS = 4097
 
+_qagse = getattr(load_extension("integrate", "_quadpack"), "_qagse", None)
+_brentq = getattr(load_extension("optimize", "_zeros"), "_brentq", None)
+
+
+class IntegrationWarning(UserWarning):
+    """quadpack stopped short of the requested tolerance."""
+
+
+if _qagse is None:
+    from scipy.integrate import quad
+else:
+    def quad(func, a, b, *, epsabs, epsrel, limit):
+        """`scipy.integrate.quad` on a finite interval: (value, error
+        estimate), warning where quadpack stops short of the tolerance and
+        raising on invalid input."""
+        value, error, ier = _qagse(func, a, b, (), 0, epsabs, epsrel, limit)
+        if ier in (1, 2, 3, 4, 5, 7):
+            warnings.warn(f"quadpack stopped with ier={ier} on [{a}, {b}]",
+                          IntegrationWarning, stacklevel=2)
+        elif ier != 0:
+            raise ValueError(f"quadpack refused its input (ier={ier}, limit={limit})")
+        return value, error
+
+if _brentq is None:
+    from scipy.optimize import brentq
+else:
+    def brentq(f, a, b, *, xtol, rtol):
+        """`scipy.optimize.brentq`: a root of f in [a, b], whose ends f must
+        give opposite signs; a NaN value of f raises ValueError."""
+
+        def checked(x):
+            fx = f(x)
+            if math.isnan(fx):
+                raise ValueError(f"the function value at x={x} is NaN")
+            return fx
+
+        return _brentq(checked, a, b, xtol, rtol, 100, (), False, True)
+
 
 @dataclass(frozen=True)
 class DensityPair:
-    """Two 1-d densities on a shared window, with optional CDFs."""
+    """Two 1-d densities on a shared window, with optional CDFs; each
+    takes a float or an array of points."""
 
     pdf_p: Callable
     pdf_q: Callable
@@ -103,19 +147,23 @@ def _positive_part_integral(f, lo, hi):
 
     The integrand of a hockey-stick divergence has kinks where f changes
     sign, so sign changes are located first (grid scan plus root find) and
-    each positive piece is integrated as a smooth function.
+    each positive piece is integrated as a smooth function.  f takes a
+    float or an array: the scan evaluates it once on the whole grid, and
+    only decides the brackets, so roots and pieces come from scalar calls.
+    A NaN anywhere on the grid raises ValueError rather than reading as 0.
     """
     xs = np.linspace(lo, hi, _SCAN_POINTS)
-    vals = np.array([float(f(x)) for x in xs])
+    vals = f(xs)
+    if np.isnan(vals).any():
+        raise ValueError(f"integrand is NaN on the scan of [{lo}, {hi}]")
     pos = vals > 0
     edges = [lo]
-    for i in range(len(xs) - 1):
-        if pos[i] != pos[i + 1]:
-            try:
-                root = brentq(f, xs[i], xs[i + 1], xtol=1e-14, rtol=8.9e-16)
-            except ValueError:
-                root = 0.5 * (xs[i] + xs[i + 1])
-            edges.append(root)
+    for i in np.flatnonzero(pos[:-1] != pos[1:]):
+        try:
+            root = brentq(f, xs[i], xs[i + 1], xtol=1e-14, rtol=8.9e-16)
+        except ValueError:
+            root = 0.5 * (xs[i] + xs[i + 1])
+        edges.append(root)
     edges.append(hi)
 
     total = 0.0
@@ -160,11 +208,22 @@ def rnm_exact_divergence(mu, mu_prime, sigma, eps):
     mu_prime = np.asarray(mu_prime, dtype=float)
     if mu.shape != mu_prime.shape or not 2 <= len(mu) <= 8:
         raise ValueError("need matching mean vectors with 2..8 entries")
+    if not (np.isfinite(mu).all() and np.isfinite(mu_prime).all()
+            and math.isfinite(eps) and math.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"need finite means and eps and a finite positive sigma, "
+                         f"got sigma={sigma}, eps={eps}")
     if np.max(np.abs(mu - mu_prime)) > 1 + 1e-12:
         raise ValueError("per-query sensitivity exceeds 1")
     p = argmax_probabilities(mu, sigma)
     p_prime = argmax_probabilities(mu_prime, sigma)
     return float(np.sum(np.maximum(p - math.exp(eps) * p_prime, 0.0)))
+
+
+def _pgf_deriv_at(dist, cdf, y):
+    """dist.pgf_deriv at cdf(y): on the array for an array y, and on a
+    Python float for a scalar y, as the scalar integrand always had it."""
+    c = cdf(y)
+    return dist.pgf_deriv(c if isinstance(y, np.ndarray) else float(c))
 
 
 def selection_exact_divergence(pair, dist, eps):
@@ -181,8 +240,8 @@ def selection_exact_divergence(pair, dist, eps):
     ee = math.exp(eps)
 
     def f(y):
-        a = pair.pdf_p(y) * dist.pgf_deriv(float(pair.cdf_p(y)))
-        b = pair.pdf_q(y) * dist.pgf_deriv(float(pair.cdf_q(y)))
+        a = pair.pdf_p(y) * _pgf_deriv_at(dist, pair.cdf_p, y)
+        b = pair.pdf_q(y) * _pgf_deriv_at(dist, pair.cdf_q, y)
         return a - ee * b
 
     return _positive_part_integral(f, pair.lo, pair.hi)

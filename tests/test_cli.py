@@ -271,8 +271,9 @@ def loaded_after(code):
 
 
 # no privsel module loads scipy.stats or scipy.signal (about 1 s of
-# start-up together); scipy.integrate and scipy.optimize load only with
-# privsel.oracles
+# start-up together), nor scipy.integrate or scipy.optimize:
+# privsel.oracles loads quadpack and Brent's method from their compiled
+# extensions alone
 HEAVY_SCIPY = {"scipy.stats", "scipy.signal", "scipy.integrate", "scipy.optimize"}
 # the extension privsel._special loads from its file, without running
 # scipy's or scipy.special's package set-up
@@ -305,7 +306,41 @@ def test_oracle_and_fig4_leave_scipy_stats_unloaded():
     assert printed.count("0") == 2
     assert "7/7 oracle checks passed" in printed
     assert "k,cdf_n15,cdf_n20,cdf_n50,cdf_n1000,cdf_poisson" in printed
-    assert "scipy.stats" not in loaded
+    assert not loaded & HEAVY_SCIPY, sorted(loaded & HEAVY_SCIPY)
+
+
+def test_oracle_loads_quadpack_and_brent_without_their_packages():
+    # a later import of either package uses the very extensions privsel read
+    r, printed, _ = loaded_after(
+        "from privsel import cli, oracles\nprint(cli.main(['oracle']))\n"
+        "print(sorted({'scipy.integrate', 'scipy.optimize'} & set(sys.modules)))\n"
+        "quadpack = sys.modules['scipy.integrate._quadpack']\n"
+        "zeros = sys.modules['scipy.optimize._zeros']\n"
+        "import scipy.integrate, scipy.optimize\n"
+        "from scipy.integrate import _quadpack\nfrom scipy.optimize import _zeros\n"
+        "print(_quadpack is quadpack, _zeros is zeros, "
+        "oracles._qagse is quadpack._qagse, oracles._brentq is zeros._brentq)\n"
+        "print(scipy.integrate.quad(lambda x: x, 0, 1)[0], "
+        "scipy.optimize.brentq(lambda x: x - 0.5, 0, 1))")
+    assert r.returncode == 0, r.stderr
+    assert printed[-4:] == ["0", "[]", "True True True True", "0.5 0.5"]
+    assert printed[-5] == "7/7 oracle checks passed"
+
+
+def test_oracle_falls_back_to_the_scipy_integrate_and_optimize_packages():
+    # where the extensions cannot be found, as on older scipy releases
+    r, printed, _ = loaded_after(
+        "import importlib.util\n"
+        "find_spec = importlib.util.find_spec\n"
+        "importlib.util.find_spec = lambda name, *a: "
+        "None if name == 'scipy' else find_spec(name, *a)\n"
+        "from privsel import cli, oracles\nimport scipy.integrate, scipy.optimize\n"
+        "print(oracles.quad is scipy.integrate.quad, "
+        "oracles.brentq is scipy.optimize.brentq)\n"
+        "print(cli.main(['oracle']))")
+    assert r.returncode == 0, r.stderr
+    assert printed[0] == "True True"
+    assert printed[-2:] == ["7/7 oracle checks passed", "0"]
 
 
 def test_package_and_cli_load_numpy_alone():

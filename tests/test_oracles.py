@@ -82,6 +82,25 @@ def test_rnm_exact_validation():
         rnm_exact_divergence(np.zeros(9), np.zeros(9), 1.0, 0.0)
 
 
+@pytest.mark.parametrize("divergence", [
+    lambda: hs_divergence_quadrature(gaussian_pair(0.0, 1.0, 4.0), np.nan),
+    lambda: hs_divergence_quadrature(gaussian_pair(0.0, 1.0, np.nan), 1.0),
+    lambda: hs_divergence_quadrature(gaussian_pair(0.0, np.nan, 4.0), 1.0),
+    lambda: selection_exact_divergence(gaussian_pair(0.0, 1.0, 4.0),
+                                       TruncNegBinomial(1.0, 0.1), np.nan),
+    lambda: rnm_exact_divergence([0.0, 0.0], [0.0, 1.0], 1.0, np.nan),
+    lambda: rnm_exact_divergence([0.0, np.nan], [0.0, 1.0], 1.0, 1.0),
+    lambda: rnm_exact_divergence([0.0, np.inf], [0.0, np.inf], 1.0, 1.0),
+    lambda: rnm_exact_divergence([0.0, 0.0], [0.0, 1.0], np.nan, 1.0),
+    lambda: rnm_exact_divergence([0.0, 0.0], [0.0, 1.0], 1.0, np.inf),
+], ids=["hs-eps", "hs-sigma", "hs-mean", "selection-eps", "rnm-eps", "rnm-mean",
+        "rnm-mean-inf", "rnm-sigma", "rnm-eps-inf"])
+def test_non_finite_input_is_refused_not_read_as_zero(divergence):
+    # a divergence of 0 passes every exact <= bound check vacuously
+    with pytest.raises(ValueError):
+        divergence()
+
+
 def test_single_run_selection_equals_base():
     # K pinned (almost surely) at 1 reduces selection to the base release
     pair = gaussian_pair(0.0, 1.0, 4.0)
