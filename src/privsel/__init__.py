@@ -15,8 +15,9 @@ never loads scipy.  The Gaussian leaf `gaussian` (and so `rnm` and
 which loads scipy's compiled ufunc extension without the `scipy.special`
 package; `pld` reads them only to build a grid or to sum a Renyi moment,
 so a warm PLD cache hit and a grid refused for its cell budget run on
-numpy alone.  The package loads with `oracles` and with the count
-distributions' pmf and cdf.  No submodule loads `scipy.fft`, since `pld`
+numpy alone.  `countdist` and `oracles` read the same ufuncs; the
+package loads only with the binomial cdf (`betainc`), which the fig4
+table reads.  No submodule loads `scipy.fft`, since `pld`
 transforms with `numpy.fft`.  Names are not cached here: every access reads the
 submodule's current attribute.
 """

@@ -5,11 +5,15 @@ scipy subpackages that hold them.
 straight from its file, under its own dotted name, so a later import of
 the subpackage finds it in `sys.modules` and uses these very objects.
 It serves three extensions:
-- `scipy.special._special_ufuncs`, whose `gammaln`, `log_ndtr`, `ndtr`
-  and `xlog1py` this module reads.  `import scipy.special` spends about
-  0.2 s setting up its array-API dispatch layer, which clones numpy and
-  so loads `numpy.f2py`, `numpy.testing`, `numpy.ma` and
-  `numpy.random`; the compiled ufuncs take about 1 ms of that.
+- `scipy.special._special_ufuncs`, whose `gammainc`, `gammaincc`,
+  `gammaln`, `log_ndtr`, `ndtr`, `xlog1py` and `xlogy` this module
+  reads.  `import scipy.special` spends about 0.2 s setting up its
+  array-API dispatch layer, which clones numpy and so loads
+  `numpy.f2py`, `numpy.testing`, `numpy.ma` and `numpy.random`; the
+  compiled ufuncs take about 1 ms of that.  The Poisson count's cdf and
+  tail bound read the regularized incomplete gammas in place of
+  `pdtr`, `pdtrc` and `pdtrik`, which live in `scipy.special._ufuncs`,
+  an extension that imports `scipy.special` on init.
 - `scipy.integrate._quadpack` and `scipy.optimize._zeros`, whose
   quadpack and Brent routines `oracles` calls without the ~0.15 s of
   `scipy.integrate` and `scipy.optimize` set-up (linalg, sparse, ...).
@@ -23,7 +27,7 @@ import importlib.util
 import os
 import sys
 
-NAMES = ("gammaln", "log_ndtr", "ndtr", "xlog1py")
+NAMES = ("gammainc", "gammaincc", "gammaln", "log_ndtr", "ndtr", "xlog1py", "xlogy")
 
 
 def load_extension(subpackage, name):
@@ -54,4 +58,4 @@ def _ufuncs():
     return [getattr(module, name) for name in NAMES]
 
 
-gammaln, log_ndtr, ndtr, xlog1py = _ufuncs()
+gammainc, gammaincc, gammaln, log_ndtr, ndtr, xlog1py, xlogy = _ufuncs()

@@ -6,8 +6,10 @@ derivative of its probability generating function (at a float or an
 array) and a tail support bound; the oracles and the fig4 table use those.
 
 The bounds read only `mean()` and the parameters, so the module loads
-numpy alone: `pmf`, `cdf` and `support_upper`, which evaluate through
-`scipy.special`, import it when called.
+numpy alone.  `pmf`, the Poisson `cdf` and `support_upper` import their
+special functions from `_special` when called, which loads scipy's
+compiled ufuncs without the `scipy.special` package; only the binomial
+`cdf` (`betainc`, read by the fig4 table) imports the package.
 
 The truncated negative binomial lives on {1, 2, ...}; binomial and Poisson
 put mass on K = 0, which the selection bounds treat separately.
@@ -79,7 +81,7 @@ class TruncNegBinomial:
             raise ValueError(f"success must be in (0,1), got {self.success}")
 
     def pmf(self, k):
-        from scipy.special import gammaln
+        from ._special import gammaln
         g = self.success
         eta = self.shape
         if eta == 0:
@@ -151,7 +153,7 @@ class Binomial:
             raise ValueError(f"prob must be in (0,1), got {self.prob}")
 
     def pmf(self, k):
-        from scipy.special import gammaln, xlog1py, xlogy
+        from ._special import gammaln, xlog1py, xlogy
         n, p = self.trials, self.prob
         return _pmf_on(k, 0, n, lambda kf: (
             gammaln(n + 1) - (gammaln(kf + 1) + gammaln(n - kf + 1))
@@ -189,7 +191,7 @@ class Poisson:
             raise ValueError(f"rate must be positive, got {self.rate}")
 
     def pmf(self, k):
-        from scipy.special import gammaln, xlogy
+        from ._special import gammaln, xlogy
         rate = self.rate
         return _pmf_on(k, 0, math.inf,
                        lambda kf: xlogy(kf, rate) - gammaln(kf + 1) - rate)
@@ -198,9 +200,10 @@ class Poisson:
         return self.rate
 
     def cdf(self, k):
-        from scipy.special import pdtr
+        # pdtr(k, rate), the regularized upper incomplete gamma at k + 1
+        from ._special import gammaincc
         k = math.floor(k)
-        return float(pdtr(k, self.rate)) if k >= 0 else 0.0
+        return float(gammaincc(k + 1, self.rate)) if k >= 0 else 0.0
 
     def pgf_deriv(self, z):
         _check_z(z)
@@ -210,14 +213,33 @@ class Poisson:
 
     def support_upper(self, tail=TAIL_MASS):
         """Two past the least k at which the cdf reaches 1 - tail, then up
-        until the mass beyond k is at most `tail`."""
-        from scipy.special import pdtr, pdtrc, pdtrik
-        q = 1 - tail
-        k = math.ceil(pdtrik(q, self.rate))
-        if k >= 1 and pdtr(k - 1, self.rate) >= q:
+        until the mass beyond k is at most `tail`.
+
+        gammaincc(k + 1, rate) is the cdf at k and gammainc(k + 1, rate)
+        the mass beyond it.  As pdtrik does for a level past 1/2, the
+        least k is searched on the mass beyond, against 1 - (1 - tail).
+        The cdf rounds in steps of 1.1e-16 near 1: searched against
+        1 - tail, it stops a few k early for tails below about 5e-16."""
+        from ._special import gammainc, gammaincc
+        if not 0 < tail <= 1:
+            raise ValueError(f"tail must be in (0,1], got {tail}")
+        rate, q = self.rate, 1 - tail
+        beyond = 1 - q
+        # gallop, then bisect, to the least k with gammainc(k + 1) <= beyond
+        lo, hi = -1, max(1, math.ceil(rate))
+        while gammainc(hi + 1, rate) > beyond:
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if gammainc(mid + 1, rate) <= beyond:
+                hi = mid
+            else:
+                lo = mid
+        k = hi
+        if k >= 1 and gammaincc(k, rate) >= q:
             k -= 1
         k += 2
-        while pdtrc(k, self.rate) > tail:
+        while gammainc(k + 1, rate) > tail:
             k += 1
         return k
 
@@ -254,6 +276,8 @@ def from_expected(kind, m, *, shape=None, trials=None):
     if kind == "binomial":
         if trials is None:
             raise ValueError("binomial needs a trials parameter")
+        if not trials >= 1:
+            raise ValueError(f"trials must be a positive integer, got {trials}")
         p = m / trials
         if not 0 < p < 1:
             raise InfeasibleMeanError(

@@ -44,7 +44,12 @@ class Gaussian(PrivacyProfile):
 def gaussian_profile(sigma, sensitivity=1.0):
     """The Gaussian node of noise scale sigma at the given sensitivity."""
     _check_positive(sigma=sigma, sensitivity=sensitivity)
-    return Gaussian(sensitivity / sigma)
+    r = sensitivity / sigma
+    if r == 0:
+        # a zero r would divide by zero at every eps; a subnormal one is kept
+        raise ValueError(f"sensitivity / sigma underflows to 0, "
+                         f"got sensitivity={sensitivity}, sigma={sigma}")
+    return Gaussian(r)
 
 
 def gaussian_sigma_for_eps_delta(eps, delta):

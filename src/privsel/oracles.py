@@ -204,19 +204,25 @@ def argmax_probabilities(means, sigma):
 def rnm_exact_divergence(mu, mu_prime, sigma, eps):
     """Exact hockey-stick divergence of the noisy-argmax output distribution
     on a fixed pair of query-mean vectors (at most 8 candidates)."""
+    return rnm_exact_divergences(mu, mu_prime, sigma, [eps])[0]
+
+
+def rnm_exact_divergences(mu, mu_prime, sigma, epses):
+    """`rnm_exact_divergence` at each eps of epses, from one pair of
+    argmax-probability vectors."""
     mu = np.asarray(mu, dtype=float)
     mu_prime = np.asarray(mu_prime, dtype=float)
     if mu.shape != mu_prime.shape or not 2 <= len(mu) <= 8:
         raise ValueError("need matching mean vectors with 2..8 entries")
     if not (np.isfinite(mu).all() and np.isfinite(mu_prime).all()
-            and math.isfinite(eps) and math.isfinite(sigma) and sigma > 0):
+            and all(map(math.isfinite, epses)) and math.isfinite(sigma) and sigma > 0):
         raise ValueError(f"need finite means and eps and a finite positive sigma, "
-                         f"got sigma={sigma}, eps={eps}")
+                         f"got sigma={sigma}, eps={', '.join(map(str, epses))}")
     if np.max(np.abs(mu - mu_prime)) > 1 + 1e-12:
         raise ValueError("per-query sensitivity exceeds 1")
     p = argmax_probabilities(mu, sigma)
     p_prime = argmax_probabilities(mu_prime, sigma)
-    return float(np.sum(np.maximum(p - math.exp(eps) * p_prime, 0.0)))
+    return [float(np.sum(np.maximum(p - math.exp(eps) * p_prime, 0.0))) for eps in epses]
 
 
 def _pgf_deriv_at(dist, cdf, y):
@@ -362,8 +368,8 @@ def oracle_checks():
     mu = np.array([0.0, 0.0, 0.0])
     mu_p = np.array([-1.0, 1.0, -1.0])
     viol = 0.0
-    for eps in (0.0, 0.5, 1.0):
-        exact = rnm_exact_divergence(mu, mu_p, 1.0, eps)
+    epses = (0.0, 0.5, 1.0)
+    for eps, exact in zip(epses, rnm_exact_divergences(mu, mu_p, 1.0, epses)):
         bound = 3 * gaussian_profile(1.0, 2.0)(eps)
         viol = max(viol, exact - bound)
     checks.append(("noisy-argmax bound dominates exact", viol <= 1e-12,

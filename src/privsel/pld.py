@@ -31,19 +31,21 @@ functions load, through `_special` and without the `scipy.special`
 package, only to build a grid (`ndtr`, once both directions fit their
 cell budget) or to sum an integer-order Renyi moment (`gammaln`,
 `xlog1py`), so a warm cache hit and a refused grid never load scipy,
-and a refused grid leaves the cache directory untouched.
+and a refused grid leaves the cache directory untouched.  Of the
+standard library it loads no `concurrent.futures` (nor the `logging`
+that imports): the add direction runs in one `threading.Thread`.
+`hashlib` loads only to name a cache file.
 """
 
 from __future__ import annotations
 
 import bisect
 import contextlib
-import hashlib
 import math
 import os
 import tempfile
+import threading
 import zipfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from typing import ClassVar
@@ -421,6 +423,7 @@ def _cache_path(key):
     root = os.environ.get(CACHE_ENV)
     if not root:
         return None
+    import hashlib
     digest = hashlib.sha256(repr(key).encode()).hexdigest()[:24]
     return os.path.join(root, f"pld_{digest}.npz")
 
@@ -548,10 +551,23 @@ def subsampled_gaussian_profile(params, grid=None):
     # before either direction touches the cache directory
     _check_cells(params.q, params.sigma, grid)
     args = (params.q, params.sigma, params.steps)
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        add = worker.submit(_composed_pld, *args, "add", grid)
+    add = {}
+
+    def compose_add():
+        try:
+            add["pld"] = _composed_pld(*args, "add", grid)
+        except BaseException as e:
+            add["error"] = e
+
+    worker = threading.Thread(target=compose_add)
+    worker.start()
+    try:
         remove = _composed_pld(*args, "remove", grid)
-        return Pld(remove, add.result())
+    finally:
+        worker.join()
+    if "error" in add:
+        raise add["error"]
+    return Pld(remove, add["pld"])
 
 
 @dataclass(frozen=True, eq=False)

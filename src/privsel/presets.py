@@ -74,7 +74,8 @@ def rdp_poisson_eps(base_rdp, m, delta):
 
 
 def _int_ladder(lo, hi, count):
-    return [int(v) for v in np.unique(np.round(np.geomspace(lo, hi, count)))]
+    # sorted(set(...)), not np.unique, which loads numpy.ma
+    return sorted({int(v) for v in np.round(np.geomspace(lo, hi, count))})
 
 
 def _geometric(m):

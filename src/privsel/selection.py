@@ -81,6 +81,18 @@ def _grid(eps_hi):
     return out
 
 
+def _sorted_unique(x):
+    """np.unique(x) + 0.0 for a float array without NaN, by the steps
+    np.unique takes (whose check for a masked array loads numpy.ma): sort,
+    then keep each entry that differs from the one before.  + 0.0 turns a
+    -0.0 entry into 0.0."""
+    x = np.sort(x)
+    keep = np.empty(x.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep] + 0.0
+
+
 def optimize_eps1(base, penalty):
     """Minimize penalty(eps1, base(eps1)) over eps1 >= 0.
 
@@ -101,8 +113,7 @@ def optimize_eps1(base, penalty):
     eps_hi = max(eps_hi, 1e-3)
 
     cand = np.concatenate(([0.0], _grid(eps_hi), base.knots, [penalty.eps1_min]))
-    # + 0.0 turns a -0.0 knot that np.unique kept into 0.0
-    cand = np.unique(cand[(0.0 <= cand) & (cand <= eps_hi)]) + 0.0
+    cand = _sorted_unique(cand[(0.0 <= cand) & (cand <= eps_hi)])
     deltas = base.on_array(cand)
     vals = penalty.on_array(cand, deltas)
 

@@ -188,6 +188,29 @@ def test_bad_config_is_refused(cfg, tmp_path, capsys):
     assert refused(argv, capsys)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (GAUSS + ["--family", "binomial", "--n", "0", "--m", "1", "--delta", "1e-6"],
+     "error: trials must be a positive integer, got 0"),
+    (GAUSS + ["--family", "binomial", "--n", "0", "--p", "0.5", "--delta", "1e-6"],
+     "error: trials must be a positive integer, got 0"),
+    (["guarantee", "--base", "gaussian", "--sigma", "1000", "--sensitivity", "5e-324",
+      "--delta", "2.5e-5"],
+     "error: sensitivity / sigma underflows to 0, got sensitivity=5e-324, sigma=1000.0"),
+], ids=["binomial-zero-trials-m", "binomial-zero-trials-p", "gaussian-ratio-underflow"])
+def test_arithmetic_failure_is_refused_by_name(argv, message, capsys):
+    # the m form divided by the trial count, and the Gaussian leaf by an
+    # underflowed ratio: each ended in a ZeroDivisionError traceback
+    assert cli.main(argv) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", message + "\n")
+
+
+def test_subnormal_gaussian_ratio_still_answers():
+    argv = ["guarantee", "--base", "gaussian", "--sigma", "1", "--sensitivity", "1e-310",
+            "--delta", "2.5e-5"]
+    assert run(argv) == (0, "eps=0 delta=2.5e-05 method=hs eps1=nan\n")
+
+
 # an integer that names no open descriptor: open() would take it as one
 @pytest.mark.parametrize("out", [987654, ["x.csv"], None], ids=["int", "list", "null"])
 @pytest.mark.parametrize("command", ["profile", "adjust"])

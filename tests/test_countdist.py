@@ -1,10 +1,19 @@
 """Count-distribution invariants, frozen parameter solves, and the binomial
 and Poisson counts against scipy.stats."""
 
+import contextlib
+import importlib.util
+import math
+import sys
+
 import numpy as np
 import pytest
+import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from privsel import _special
 from privsel.countdist import (
     TAIL_MASS,
     Binomial,
@@ -214,3 +223,85 @@ def test_binomial_matches_scipy_stats(n, p):
     assert cdf[0] == 0.0 and cdf[-2:] == [1.0, 1.0]
     assert dist.pmf(-1) == dist.pmf(n + 1) == 0.0
     assert stats.binom.sf(dist.support_upper(), n, p) <= TAIL_MASS
+
+
+def test_binomial_mean_form_refuses_zero_trials():
+    # it divided m by the trial count first
+    with pytest.raises(ValueError, match="^trials must be a positive integer, got 0$"):
+        from_expected("binomial", 1.0, trials=0)
+
+
+# Poisson.cdf and Poisson.support_upper as they read scipy.special's pdtr,
+# pdtrc and pdtrik, which load the scipy.special package
+def pdtr_cdf(rate, k):
+    k = math.floor(k)
+    return float(scipy.special.pdtr(k, rate)) if k >= 0 else 0.0
+
+
+def pdtrik_support_upper(rate, tail):
+    q = 1 - tail
+    k = math.ceil(scipy.special.pdtrik(q, rate))
+    if k >= 1 and scipy.special.pdtr(k - 1, rate) >= q:
+        k -= 1
+    k += 2
+    while scipy.special.pdtrc(k, rate) > tail:
+        k += 1
+    return k
+
+
+@contextlib.contextmanager
+def special_functions(path):
+    """_special's functions as loaded, or as its fallback to the
+    scipy.special package reads them where the extension is missing."""
+    with pytest.MonkeyPatch.context() as mp:
+        if path == "fallback":
+            find_spec = importlib.util.find_spec
+            mp.setattr(importlib.util, "find_spec",
+                       lambda name, *a: None if name == "scipy" else find_spec(name, *a))
+            mp.delitem(sys.modules, "scipy.special._special_ufuncs")
+            assert _special.load_extension("special", "_special_ufuncs") is None
+            fallback = _special._ufuncs()
+            assert fallback == [getattr(scipy.special, n) for n in _special.NAMES]
+            for name, f in zip(_special.NAMES, fallback):
+                mp.setattr(_special, name, f)
+        yield
+
+
+RATES = st.floats(-3.0, 4.0).map(lambda e: 10.0**e)
+POISSON = settings(max_examples=300, deadline=None, database=None, derandomize=True)
+
+
+@POISSON
+@given(RATES.flatmap(lambda rate: st.tuples(
+    st.just(rate), st.integers(-1, math.floor(3 * rate)))))
+def _poisson_cdf_is_pdtr(case):
+    rate, k = case
+    assert Poisson(rate).cdf(k).hex() == pdtr_cdf(rate, k).hex()
+
+
+@POISSON
+@given(RATES, st.floats(-16.0, -6.0).map(lambda e: 10.0**e))
+def _poisson_support_upper_is_pdtrik_form(rate, tail):
+    assert Poisson(rate).support_upper(tail) == pdtrik_support_upper(rate, tail)
+
+
+@pytest.mark.parametrize("path", ["loaded", "fallback"])
+def test_poisson_cdf_and_support_equal_the_pdtr_forms(path):
+    with special_functions(path):
+        _poisson_cdf_is_pdtr()
+        _poisson_support_upper_is_pdtrik_form()
+        # tails where 1 - tail rounds to a neighbour of 1, and
+        # 1 - (1 - tail) is above the tail itself
+        for rate in (1033.260225738819, 2041.7012904727712, 5009.7259635231):
+            for tail in (1e-16, 1.1404895084999947e-16, 2.0225526247785463e-16):
+                assert Poisson(rate).support_upper(tail) == pdtrik_support_upper(rate, tail)
+        # the largest tail: pdtrik's root at level 0 is 0
+        assert Poisson(3.0).support_upper(1.0) == pdtrik_support_upper(3.0, 1.0)
+
+
+@pytest.mark.parametrize("tail", [0.0, -1e-9, 1.5, math.nan])
+def test_poisson_support_upper_refuses_a_tail_outside_zero_one(tail):
+    # pdtrik's nan root raised while turned into an integer; the search
+    # would read a nan level as met at once
+    with pytest.raises(ValueError, match="^tail must be in"):
+        Poisson(3.0).support_upper(tail)

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from privsel import scenario, selection
+from privsel import oracles, scenario, selection
 from privsel.countdist import Binomial, Poisson, TruncNegBinomial
 from privsel.oracles import (
     SELECTION_INSTANCES,
@@ -17,6 +17,7 @@ from privsel.oracles import (
     oracle_checks,
     pair_normalization,
     rnm_exact_divergence,
+    rnm_exact_divergences,
     selection_exact_divergence,
     selection_mean_quadrature,
     subsampled_gaussian_pair,
@@ -71,6 +72,19 @@ def test_rnm_exact_within_union_bound():
     for eps in (0.0, 0.5, 1.0, 2.0):
         exact = rnm_exact_divergence(mu, mu_p, 1.0, eps)
         assert exact <= 3 * doubled(eps) + 1e-12
+
+
+def test_rnm_divergences_share_one_pair_of_argmax_vectors(monkeypatch):
+    mu, mu_p, epses = np.zeros(3), np.array([-1.0, 1.0, -1.0]), (0.0, 0.5, 1.0, 2.0)
+    want = [rnm_exact_divergence(mu, mu_p, 1.0, eps).hex() for eps in epses]
+    calls = []
+    argmax = oracles.argmax_probabilities
+    monkeypatch.setattr(oracles, "argmax_probabilities",
+                        lambda *args: calls.append(args) or argmax(*args))
+    assert [d.hex() for d in rnm_exact_divergences(mu, mu_p, 1.0, epses)] == want
+    assert len(calls) == 2
+    with pytest.raises(ValueError, match="eps=0.5, nan$"):
+        rnm_exact_divergences(mu, mu_p, 1.0, (0.5, np.nan))
 
 
 def test_rnm_exact_validation():

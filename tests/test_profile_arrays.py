@@ -43,6 +43,7 @@ from privsel.selection import (
     NegBinPenalty,
     PoissonPenalty,
     _grid,
+    _sorted_unique,
     negbin_penalty,
     optimize_eps1,
     rdp_select_negbin,
@@ -324,9 +325,30 @@ def test_grid_is_geomspace_bit_for_bit():
         assert _grid(eps_hi).tobytes() == want.tobytes(), eps_hi
 
 
+# few distinct values, so that most arrays repeat some, and both zeros
+dedupe_arrays = st.lists(
+    st.sampled_from([0.0, -0.0, 1e-300, 1e-6, 0.5, 0.5000000000000001, 2.0, EPS1_CAP])
+    | st.floats(0.0, EPS1_CAP),
+    min_size=1, max_size=300).map(np.array)
+
+
+@PROPS
+@given(dedupe_arrays)
+def test_sorted_unique_is_np_unique_plus_zero(x):
+    want = [v.hex() for v in (np.unique(x) + 0.0).tolist()]
+    assert [v.hex() for v in _sorted_unique(x).tolist()] == want
+
+
+@pytest.mark.parametrize("x", [[-0.0], [0.0], [0.5], [-0.0, 0.0], [0.0, -0.0, -0.0],
+                               [1.0, -0.0, 1.0, 0.0, 1.0]])
+def test_sorted_unique_on_zeros_and_single_entries(x):
+    want = [v.hex() for v in (np.unique(x) + 0.0).tolist()]
+    assert [v.hex() for v in _sorted_unique(np.array(x)).tolist()] == want
+
+
 def test_a_negative_zero_knot_yields_a_positive_zero_eps1():
     # delta is 0 from eps = 0 on, so eps1 = 0 wins; with this many knots
-    # np.unique may keep the knot -0.0 over 0.0
+    # the candidates' sort may keep the knot -0.0 over 0.0
     rng = np.random.default_rng(0)
     for _ in range(4):
         base = profile_from_points([(-0.0, 0.0)] + [
