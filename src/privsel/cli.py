@@ -168,9 +168,8 @@ def cmd_profile(args):
     cfg = _load_config(args)
     out = _out_path(args, cfg)
     eps_grid = _eps_grid(args)
-    kind, params = scenario.base_params(_merge(cfg, args, "base"))
-    grid = scenario.grid_spec(args.grid_spacing, kind == "subsampled_gaussian")
-    profile = scenario.build_base(kind, params, grid=grid)
+    profile = scenario.resolve(_merge(cfg, args, "base"), {}, "hs",
+                               grid_spacing=args.grid_spacing)[0]
     _emit_csv(("eps", "delta"), [(e, profile(e)) for e in eps_grid], out)
     return 0
 
@@ -225,16 +224,9 @@ def cmd_guarantee(args):
         if getattr(args, key) is not None:
             setattr(args, key, scenario.finite(getattr(args, key), key))
     method = args.method or cfg.get("method", "hs")
-    profile, eps1, direct = scenario.resolve(
-        _merge(cfg, args, "base"), _merge(cfg, args, "family"), method,
-        eps1=args.eps1, delta=args.delta, grid_spacing=args.grid_spacing)
-    if args.delta is not None:
-        from . import profiles
-        eps = direct if direct is not None else profiles.epsilon_for_delta(profile, args.delta)
-        delta = args.delta
-    else:
-        eps = args.eps
-        delta = profile(args.eps)
+    eps, delta, eps1 = scenario.guarantee(
+        _merge(cfg, args, "base"), _merge(cfg, args, "family"), method, delta=args.delta,
+        eps=args.eps, eps1=args.eps1, grid_spacing=args.grid_spacing)
     if args.format == "json":
         line = json.dumps({"eps": eps, "delta": delta, "method": method, "eps1": eps1})
     else:

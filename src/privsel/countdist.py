@@ -54,6 +54,13 @@ def _check_shape(eta):
         raise ValueError(f"shape must exceed -1, got {eta}")
 
 
+def _check_gamma(gamma):
+    """Refuse a success probability gamma whose 1/gamma overflows a float:
+    the negbin bounds read (1-gamma)/gamma and log(1/gamma)."""
+    if 1 / gamma == math.inf:
+        raise ValueError(f"1 / gamma overflows a float, got gamma={gamma}")
+
+
 def _negbin_mean(eta, g):
     """Mean of the truncated negative binomial of shape eta and success g."""
     if eta == 0:
@@ -67,9 +74,10 @@ def _negbin_mean(eta, g):
 class TruncNegBinomial:
     """Truncated negative binomial on {1, 2, ...}.
 
-    `shape` may be any real > -1; `success` is the success probability in
-    (0, 1) of the embedded geometric.  shape=1 is the geometric distribution
-    with mean 1/success, shape=0 the logarithmic distribution.
+    `shape` may be any real > -1; `success`, the bounds' gamma, is the
+    success probability in (0, 1) of the embedded geometric, with 1/gamma
+    finite.  shape=1 is the geometric distribution with mean 1/success,
+    shape=0 the logarithmic distribution.
     """
 
     shape: float
@@ -79,6 +87,7 @@ class TruncNegBinomial:
         _check_shape(self.shape)
         if not 0 < self.success < 1:
             raise ValueError(f"success must be in (0,1), got {self.success}")
+        _check_gamma(self.success)
 
     def pmf(self, k):
         from ._special import gammaln
@@ -263,6 +272,8 @@ def from_expected(kind, m, *, shape=None, trials=None):
     """
     if m <= 0:
         raise InfeasibleMeanError(f"mean must be positive, got {m}")
+    if not m < math.inf:
+        raise InfeasibleMeanError(f"mean m must be finite, got {m}")
     if kind == "negbin":
         if shape is None:
             raise ValueError("negbin needs a shape parameter")

@@ -105,6 +105,10 @@ class SubsampledGaussianParams:
         if not 0 < self.q <= 1:
             raise ValueError(f"q must be in (0,1], got {self.q}")
         _check_positive(sigma=self.sigma)
+        # every loss and moment formula divides by 2 sigma**2
+        twice_var = 2 * self.sigma * self.sigma
+        if not 0 < twice_var < math.inf or 1 / twice_var == math.inf:
+            raise ValueError(f"2 sigma**2 is out of float range, got sigma={self.sigma}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
 
@@ -210,7 +214,9 @@ def _loss_survival(ell, q, sigma, direction):
 
     ell = np.asarray(ell, dtype=float)
     remove = direction == "remove"
-    inner = np.expm1(ell if remove else -ell) / q
+    # a tiny q sends inner to inf, which ok keeps out of t
+    with np.errstate(over="ignore"):
+        inner = np.expm1(ell if remove else -ell) / q
     ok = inner > -1
     with np.errstate(divide="ignore", invalid="ignore"):
         t = sigma**2 * np.log1p(np.where(ok, inner, 0.0)) + 0.5
@@ -248,8 +254,11 @@ def _grid_cells(q, sigma, direction, spacing):
     else:
         raise ValueError(f"direction must be add or remove, got {direction!r}")
 
-    j_lo = math.floor(l_lo / spacing)
-    j_hi = math.ceil(l_hi / spacing)
+    lo, hi = l_lo / spacing, l_hi / spacing
+    if not hi - lo < math.inf:
+        raise MemoryBudgetError(f"loss grid cell count overflows a float, budget is {MAX_CELLS}")
+    j_lo = math.floor(lo)
+    j_hi = math.ceil(hi)
     n = j_hi - j_lo + 1
     if n > MAX_CELLS:
         raise MemoryBudgetError(f"loss grid needs {n} cells, budget is {MAX_CELLS}")

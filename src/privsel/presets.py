@@ -3,10 +3,10 @@
 Each builder returns (header, rows) ready for CSV formatting.  The
 presets pin every parameter so repeated runs emit identical bytes.
 
-A cell is a `guarantee` query read off `scenario.resolve` at
-DELTA_DEFAULT, and each table builds its base once per method, through
-its own cache of `scenario.build_base`.  Three columns have no
-`guarantee` method and call the library: fig2's eps_pointwise, fig4's
+A cell is one `scenario.guarantee` call at DELTA_DEFAULT, and each table
+builds its base once per method, through its own cache of
+`scenario.build_base`.  Three columns have no `guarantee` method and
+read their counts through `scenario.count`: fig2's eps_pointwise, fig4's
 count CDFs and fig8 (`adjust`).
 """
 
@@ -18,7 +18,6 @@ import math
 import numpy as np
 
 from . import scenario
-from .countdist import Binomial, Poisson, from_expected
 # pld and gaussian load here, not on the first table, so `import
 # privsel.presets` pays for them, and for scipy's compiled special
 # functions (not the scipy.special package), before any table is timed
@@ -33,11 +32,9 @@ from .pld import (
 from .profiles import PointDP, epsilon_for_delta, rdp_profile
 from .selection import (
     adjust_guarantee,
-    negbin_penalty,
-    optimize_eps1,
+    bound_for_count,
     rdp_poisson_curve,
     select_negbin_pointwise,
-    select_negbin_profile,
 )
 
 DELTA_DEFAULT = 1e-6
@@ -78,16 +75,10 @@ def _int_ladder(lo, hi, count):
     return sorted({int(v) for v in np.round(np.geomspace(lo, hi, count))})
 
 
-def _geometric(m):
-    return {"kind": "negbin", "gamma": 1.0 / m}
-
-
 def _eps(base, family, method, build=scenario.build_base, grid_spacing=None):
-    """The eps `guarantee` prints at DELTA_DEFAULT: resolve's closed-form
-    eps where it returns one, else its profile inverted."""
-    profile, _, direct = scenario.resolve(base, family, method, delta=DELTA_DEFAULT,
-                                          grid_spacing=grid_spacing, build=build)
-    return direct if direct is not None else epsilon_for_delta(profile, DELTA_DEFAULT)
+    """The eps `guarantee` prints at DELTA_DEFAULT."""
+    return scenario.guarantee(base, family, method, delta=DELTA_DEFAULT,
+                              grid_spacing=grid_spacing, build=build)[0]
 
 
 def fig1_table():
@@ -102,14 +93,14 @@ def fig2_table():
     """Geometric-count tuning of a Gaussian base: hockey-stick bound vs
     the Renyi baseline vs the single-point closed form."""
     build = functools.cache(scenario.build_base)
-    base = scenario.resolve(GAUSSIAN_BASE, {}, "hs", build=build)[0]
     rows = []
     for m in (30, 300, 3000):
-        eps_hs, eps_rdp = (_eps(GAUSSIAN_BASE, _geometric(m), method, build)
-                           for method in ("hs", "rdp"))
+        family = {"kind": "negbin", "m": m}
+        eps_hs, eps_rdp = (_eps(GAUSSIAN_BASE, family, method, build) for method in ("hs", "rdp"))
         delta_hat = DELTA_DEFAULT / m
-        eps_hat = epsilon_for_delta(base, delta_hat)
-        point = select_negbin_pointwise(PointDP(eps_hat, delta_hat), 1.0, 1.0 / m)
+        eps_hat = scenario.guarantee(GAUSSIAN_BASE, {}, "hs", delta=delta_hat, build=build)[0]
+        count = scenario.count(family)
+        point = select_negbin_pointwise(PointDP(eps_hat, delta_hat), count.shape, count.success)
         rows.append((m, eps_hs, eps_rdp, point.eps))
     return ("m", "eps_hs", "eps_rdp", "eps_pointwise"), rows
 
@@ -117,7 +108,7 @@ def fig2_table():
 def fig3_table():
     """Growth of the tuned eps with the expected run count."""
     build = functools.cache(scenario.build_base)
-    rows = [(m, *(_eps(GAUSSIAN_BASE, _geometric(m), method, build)
+    rows = [(m, *(_eps(GAUSSIAN_BASE, {"kind": "negbin", "m": m}, method, build)
                   for method in ("hs", "rdp", "closed")))
             for m in _int_ladder(10, 3000, 15)]
     return ("m", "eps_hs", "eps_rdp", "eps_gdp"), rows
@@ -140,8 +131,7 @@ def fig4_tables():
     rows = [(float(e), *(p(float(e)) for p in profiles)) for e in eps_grid]
     header = ("eps", *(f"delta_n{n}" for n in FIG4_TRIALS), "delta_poisson")
 
-    dists = [Binomial(n, m / n) for n in FIG4_TRIALS]
-    dists.append(Poisson(m))
+    dists = [scenario.count(fam) for fam in families]
     krows = [(k, *(d.cdf(k) for d in dists)) for k in range(31)]
     kheader = ("k", *(f"cdf_n{n}" for n in FIG4_TRIALS), "cdf_poisson")
     return (header, rows), (kheader, krows)
@@ -158,7 +148,7 @@ def fig6_table(grid=None):
     scenario.resolve(FIG6_BASE, {}, "rdp", build=build)
     rows = []
     for m in _int_ladder(2, 1000, 15):
-        families = (_geometric(m), {"kind": "poisson", "m": m})
+        families = ({"kind": "negbin", "m": m}, {"kind": "poisson", "m": m})
         rows.append((m, *(_eps(FIG6_BASE, fam, "hs", build, spacing) for fam in families),
                      *(_eps(FIG6_BASE, fam, "rdp", build) for fam in families)))
     return ("m", "eps_hs_negbin", "eps_hs_poisson", "eps_rdp_negbin",
@@ -168,8 +158,8 @@ def fig6_table(grid=None):
 def fig7_table(grid=None):
     """Tuned eps vs expected run count for the large-batch DP-SGD setting."""
     build = functools.cache(scenario.build_base)
-    rows = [(m, _eps(FIG7_BASE, _geometric(m), "hs", build, grid and grid.spacing),
-             _eps(FIG7_BASE, _geometric(m), "rdp", build))
+    rows = [(m, _eps(FIG7_BASE, {"kind": "negbin", "m": m}, "hs", build, grid and grid.spacing),
+             _eps(FIG7_BASE, {"kind": "negbin", "m": m}, "rdp", build))
             for m in _int_ladder(2, 100_000, 21)]
     return ("m", "eps_hs_negbin", "eps_rdp_negbin"), rows
 
@@ -200,7 +190,7 @@ def fig7_max_counts():
 
     def max_count(method):
         def ok(m):
-            return _eps(FIG7_BASE, _geometric(m), method, build) <= FIG7_TARGET_EPS
+            return _eps(FIG7_BASE, {"kind": "negbin", "m": m}, method, build) <= FIG7_TARGET_EPS
         return _max_passing(ok, 2, 10**12)
 
     return max_count("hs"), max_count("rdp")
@@ -212,12 +202,12 @@ def fig8_adjust_table(q=0.01, eps_q=1.5, delta=DELTA_DEFAULT, m=10.0, eta=1.0,
     stays inside both thresholds read off the target guarantee, the final
     adjusted guarantee, and the directly optimized bound for gap reporting.
     """
-    gamma = from_expected("negbin", m, shape=eta).success
+    count = scenario.count({"kind": "negbin", "eta": eta, "m": m})
     target = gaussian_profile(gaussian_sigma_for_eps_delta(eps_q, delta), 1.0)
-    eps1 = optimize_eps1(target, negbin_penalty(eta, gamma))
+    eps1 = bound_for_count(target, count).eps1
     delta1 = target(eps1)
     eps_hat = epsilon_for_delta(target, delta / m)
-    final = adjust_guarantee(eps1, delta1, eps_hat, eta, gamma, delta)
+    final = adjust_guarantee(eps1, delta1, eps_hat, eta, count.success, delta)
 
     rows = []
     for sigma in sigmas:
@@ -240,9 +230,9 @@ def fig8_adjust_table(q=0.01, eps_q=1.5, delta=DELTA_DEFAULT, m=10.0, eta=1.0,
         if max_steps == 0:
             rows.append((sigma, 0, math.nan, delta, math.nan, math.nan))
             continue
-        direct = select_negbin_profile(passed, eta, gamma)
-        eps_direct = epsilon_for_delta(direct.profile, delta)
-        gap = final.eps / eps_direct - 1.0
+        eps_direct = epsilon_for_delta(bound_for_count(passed, count).profile, delta)
+        # a tiny q can leave the direct bound at eps = 0
+        gap = final.eps / eps_direct - 1.0 if eps_direct else math.inf
         rows.append((sigma, max_steps, final.eps, final.delta, eps_direct, gap))
     return ("sigma", "max_steps", "eps_final", "delta_final", "eps_direct",
             "gap_rel"), rows

@@ -161,7 +161,7 @@ class PointDP:
     delta: float
 
     def __post_init__(self):
-        if self.eps < 0:
+        if not self.eps >= 0:
             raise ValueError(f"eps must be non-negative, got {self.eps}")
         if not 0 <= self.delta <= 1:
             raise ValueError(f"delta must be in [0,1], got {self.delta}")
@@ -230,8 +230,15 @@ def _order_terms(orders):
 def gaussian_rdp_curve(sigma, sensitivity=1.0):
     """Renyi curve alpha -> alpha * sensitivity^2 / (2 sigma^2) of the Gaussian mechanism."""
     _check_positive(sigma=sigma, sensitivity=sensitivity)
-    c = sensitivity**2 / (2 * sigma**2)
     orders = default_orders()
+    try:
+        c = sensitivity**2 / (2 * sigma**2)
+    except (OverflowError, ZeroDivisionError):
+        c = math.inf
+    # the curve's largest value, at the last order, must be a float too
+    if c * orders[-1] == math.inf:
+        raise ValueError(f"sensitivity**2 / (2 sigma**2) is out of float range, "
+                         f"got sensitivity={sensitivity}, sigma={sigma}")
     return RdpCurve(orders, np.asarray(orders, dtype=float) * c)
 
 

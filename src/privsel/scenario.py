@@ -1,6 +1,7 @@
 """The scenario vocabulary `guarantee`, `profile` and `oracle` read: base
 and family specs (`{"kind": "gaussian", "sigma": 4}`), the methods each
-family accepts, and the resolver from a scenario to its profile.
+family accepts, the count of a family, the resolver from a scenario to
+its profile, and the answer `guarantee` prints.
 
 It loads the stdlib at import and checks every field before the first
 computing import, calling computing modules as module attributes."""
@@ -105,7 +106,13 @@ def base_params(base):
             raise ConfigError(f"{kind} base needs sigma > 0 and sensitivity > 0")
         if kind == "gaussian":
             return kind, (sigma, sens)
-        return kind, (_real(base, "q"), sigma / sens, _count(base, "steps", 1))
+        q, ratio, steps = _real(base, "q"), sigma / sens, _count(base, "steps", 1)
+        # pld divides by 2 (sigma / sensitivity)**2, and refuses it as this does
+        twice_var = 2 * ratio * ratio
+        if not 0 < twice_var < math.inf or 1 / twice_var == math.inf:
+            raise ConfigError(f"2 (sigma / sensitivity)**2 is out of float range, "
+                              f"got sigma={sigma}, sensitivity={sens}")
+        return kind, (q, ratio, steps)
     if kind == "pure":
         return kind, _real(base, "eps")
     try:
@@ -138,19 +145,21 @@ def build_base(kind, params, method="hs", grid=None):
     return profiles.profile_from_points(params)
 
 
-def _count_args(family, fam):
-    """(countdist constructor, its keyword arguments) of a count family."""
+def count(fam):
+    """The count distribution of a negbin, binomial or poisson family spec."""
+    from . import countdist
+    family = fam["kind"]
     if family == "negbin":
         eta = _real(fam, "eta", 1.0)
         if _either(fam, "gamma", "m") == "gamma":
-            return "TruncNegBinomial", {"shape": eta, "success": _real(fam, "gamma")}
-        return "from_expected", {"kind": "negbin", "m": _real(fam, "m"), "shape": eta}
+            return countdist.TruncNegBinomial(eta, _real(fam, "gamma"))
+        return countdist.from_expected("negbin", _real(fam, "m"), shape=eta)
     if family == "binomial":
         n = _count(fam, "n")
         if _either(fam, "p", "m") == "p":
-            return "Binomial", {"trials": n, "prob": _real(fam, "p")}
-        return "from_expected", {"kind": "binomial", "m": _real(fam, "m"), "trials": n}
-    return "from_expected", {"kind": "poisson", "m": _real(fam, "m")}
+            return countdist.Binomial(n, _real(fam, "p"))
+        return countdist.from_expected("binomial", _real(fam, "m"), trials=n)
+    return countdist.from_expected("poisson", _real(fam, "m"))
 
 
 def _resolve_rnm(kind, params, fam, method, delta, grid_spacing):
@@ -200,13 +209,12 @@ def resolve(base, fam, method, *, eps1=None, delta=None, grid_spacing=None,
                           "binomial or poisson family")
     if family == "rnm":
         return _resolve_rnm(kind, params, fam, method, delta, grid_spacing)
-    name, kwargs = _count_args(family, fam) if family else (None, None)
+    dist = count(fam) if family else None
     grid = grid_spec(grid_spacing, kind == "subsampled_gaussian" and method == "hs")
-    from . import countdist, profiles, selection
+    from . import profiles, selection
     if family is None:
         built = build(kind, params, method, grid)
         return (profiles.rdp_profile(built) if method == "rdp" else built), None, None
-    dist = getattr(countdist, name)(**kwargs)
     if method == "closed" and kind == "pure":
         # the pure-base form depends on the count only through its shape
         eps = selection.select_negbin_pure(params, dist.shape)
@@ -226,3 +234,18 @@ def resolve(base, fam, method, *, eps1=None, delta=None, grid_spacing=None,
     sigma, sens = params
     eps = selection.select_gdp_eps(sigma / sens, dist.shape, dist.success, delta)
     return profiles.profile_from_points([(eps, delta)]), None, eps
+
+
+def guarantee(base, fam, method, *, delta=None, eps=None, eps1=None, grid_spacing=None,
+              build=build_base):
+    """(eps, delta, eps1) of a guarantee query at its one target, delta or
+    eps: at delta, resolve's closed-form eps where it returns one, else
+    its profile inverted there; at eps, the profile's delta."""
+    profile, eps1, direct = resolve(base, fam, method, eps1=eps1, delta=delta,
+                                    grid_spacing=grid_spacing, build=build)
+    if delta is None:
+        return eps, profile(eps), eps1
+    if direct is None:
+        from . import profiles
+        direct = profiles.epsilon_for_delta(profile, delta)
+    return direct, delta, eps1

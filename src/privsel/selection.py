@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .countdist import Binomial, Poisson, TruncNegBinomial
+from .countdist import Binomial, Poisson, TruncNegBinomial, _check_gamma
 from .errors import EmptyCurveError, NoAdmissibleEps1Error, UnreachableTargetError
 from .profiles import (
     PointDP,
@@ -170,6 +170,7 @@ class NegBinPenalty:
 def negbin_penalty(eta, gamma):
     """The eps shift of a truncated-negative-binomial count as a function
     of (eps1, delta1): (eta+1) * log(e^eps1 + ((1-gamma)/gamma) * delta1)."""
+    _check_gamma(gamma)
     return NegBinPenalty(eta + 1.0, (1.0 - gamma) / gamma)
 
 
@@ -326,6 +327,7 @@ def select_gdp_eps(sigma, eta, gamma, delta):
     _check_positive(sigma=sigma)
     if not 0 < gamma < 1:
         raise ValueError(f"gamma must be in (0,1), got {gamma}")
+    _check_gamma(gamma)
     if not 0 < delta < 1:
         raise ValueError(f"delta must be in (0,1), got {delta}")
     if gamma * delta >= 1:

@@ -17,6 +17,9 @@ from privsel import cli
 GAUSS = ["guarantee", "--base", "gaussian", "--sigma", "4"]
 NEGBIN = ["--family", "negbin", "--eta", "1", "--m", "300"]
 POINTS = [[0.5, 1e-3], [1.5, 1e-5], [3.0, 1e-9]]
+GEOMETRIC_RDP = ["--family", "negbin", "--m", "10", "--method", "rdp"]
+RDP_RANGE = ("sensitivity**2 / (2 sigma**2) is out of float range, "
+             "got sensitivity={sens}, sigma={sigma}")
 
 
 def run(argv):
@@ -196,10 +199,45 @@ def test_bad_config_is_refused(cfg, tmp_path, capsys):
     (["guarantee", "--base", "gaussian", "--sigma", "1000", "--sensitivity", "5e-324",
       "--delta", "2.5e-5"],
      "error: sensitivity / sigma underflows to 0, got sensitivity=5e-324, sigma=1000.0"),
-], ids=["binomial-zero-trials-m", "binomial-zero-trials-p", "gaussian-ratio-underflow"])
+    (["guarantee", "--base", "gaussian", "--sigma", "1e-200", *GEOMETRIC_RDP, "--delta", "1e-6"],
+     "error: " + RDP_RANGE.format(sens="1.0", sigma="1e-200")),
+    (["guarantee", "--base", "gaussian", "--sigma", "5e-324", "--family", "poisson", "--m", "1",
+      "--method", "rdp", "--eps", "2"],
+     "error: " + RDP_RANGE.format(sens="1.0", sigma="5e-324")),
+    (["guarantee", "--base", "gaussian", "--sigma", "1", "--sensitivity", "1e200",
+      *GEOMETRIC_RDP, "--delta", "1e-6"],
+     "error: " + RDP_RANGE.format(sens="1e+200", sigma="1.0")),
+    (["guarantee", "--base", "subsampled_gaussian", "--q", "0.01", "--sigma", "1e200",
+      "--delta", "1e-6"],
+     "error: 2 (sigma / sensitivity)**2 is out of float range, got sigma=1e+200, "
+     "sensitivity=1.0"),
+    (["guarantee", "--base", "subsampled_gaussian", "--q", "0.01", "--sigma", "1",
+      "--sensitivity", "1e200", "--delta", "1e-6"],
+     "error: 2 (sigma / sensitivity)**2 is out of float range, got sigma=1.0, "
+     "sensitivity=1e+200"),
+    (["adjust", "--sigmas", "1e200"],
+     "error: 2 sigma**2 is out of float range, got sigma=1e+200"),
+    (["adjust", "--sigmas", "1e-200"],
+     "error: 2 sigma**2 is out of float range, got sigma=1e-200"),
+    *((GAUSS + ["--family", "negbin", "--eta", "1", "--gamma", "1e-309", "--method", method,
+                "--delta", "1e-6"],
+       "error: 1 / gamma overflows a float, got gamma=1e-309")
+      for method in ("hs", "rdp", "closed")),
+    (["guarantee", "--base", "gaussian", "--sigma", "1", "--sensitivity", "1e-300",
+      "--family", "negbin", "--eta", "1e18", "--gamma", "5e-324", "--delta", "0.1"],
+     "error: 1 / gamma overflows a float, got gamma=5e-324"),
+], ids=["binomial-zero-trials-m", "binomial-zero-trials-p", "gaussian-ratio-underflow",
+        "gaussian-rdp-square-underflow", "gaussian-rdp-subnormal-sigma",
+        "gaussian-rdp-square-overflow", "subsampled-square-overflow",
+        "subsampled-ratio-square-underflow", "adjust-square-overflow",
+        "adjust-square-underflow", "negbin-gamma-reciprocal-hs",
+        "negbin-gamma-reciprocal-rdp", "negbin-gamma-reciprocal-closed",
+        "negbin-gamma-reciprocal-inf-times-zero"])
 def test_arithmetic_failure_is_refused_by_name(argv, message, capsys):
-    # the m form divided by the trial count, and the Gaussian leaf by an
-    # underflowed ratio: each ended in a ZeroDivisionError traceback
+    # the m form divided by the trial count, the Gaussian leaf by an
+    # underflowed ratio, the Renyi curve and the loss grid by a square
+    # that under- or overflowed: each ended in a traceback.  A gamma whose
+    # 1/gamma overflows was blamed on eps1, on a points list or on the target
     assert cli.main(argv) == 2
     out = capsys.readouterr()
     assert (out.out, out.err) == ("", message + "\n")
@@ -209,6 +247,39 @@ def test_subnormal_gaussian_ratio_still_answers():
     argv = ["guarantee", "--base", "gaussian", "--sigma", "1", "--sensitivity", "1e-310",
             "--delta", "2.5e-5"]
     assert run(argv) == (0, "eps=0 delta=2.5e-05 method=hs eps1=nan\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["guarantee", "--base", "subsampled_gaussian", "--q", "0.01", "--sigma", "1e-154",
+     "--delta", "1e-6"],
+    ["guarantee", "--base", "subsampled_gaussian", "--q", "0.01", "--sigma", "1",
+     "--grid-spacing", "5e-324", "--delta", "1e-6"],
+], ids=["tiny-sigma", "subnormal-spacing"])
+def test_a_loss_grid_past_every_float_is_refused_by_its_budget(argv, capsys):
+    # its cell count overflowed to inf, and int(inf) raised OverflowError
+    assert cli.main(argv) == 4
+    out = capsys.readouterr()
+    assert (out.out, out.err) == (
+        "", "error: loss grid cell count overflows a float, budget is 268435456\n")
+
+
+def test_tiny_q_answers_without_a_warning(capsys):
+    # expm1(loss) / q overflowed to inf with a RuntimeWarning, which the
+    # suite turns into an error; the answer itself was already right
+    argv = ["guarantee", "--base", "subsampled_gaussian", "--q", "5e-324", "--sigma", "1",
+            "--delta", "1e-6"]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("eps=0 delta=1e-06 method=hs eps1=nan\n", "")
+
+
+def test_adjust_gap_is_inf_where_the_direct_bound_is_zero(capsys):
+    # a q this small leaves eps_direct at 0, and the gap divided by it
+    assert cli.main(["adjust", "--q", "1e-100", "--sigmas", "0.1"]) == 0
+    out = capsys.readouterr()
+    assert (out.out, out.err) == (
+        "sigma,max_steps,eps_final,delta_final,eps_direct,gap_rel\n"
+        "0.1,1048576,2.742351028,1e-06,0,inf\n", "")
 
 
 # an integer that names no open descriptor: open() would take it as one

@@ -13,14 +13,17 @@ import numpy as np
 import pytest
 
 from privsel import cli
+from privsel.countdist import TruncNegBinomial, from_expected
 from privsel.pld import DiscretePLD, GridSpec, SubsampledGaussianParams
 from privsel.profiles import (
+    PointDP,
     clip_delta,
     gaussian_profile,
     gaussian_rdp_curve,
     profile_from_points,
 )
 from privsel.rnm import RnmSpec
+from privsel.selection import adjust_guarantee, negbin_penalty, select_gdp_eps
 
 NEGBIN = ["--family", "negbin", "--eta", "1", "--m", "300", "--delta", "1e-6"]
 
@@ -70,6 +73,21 @@ def test_nan_eps_query_is_config_error(capsys):
     lambda: RnmSpec(3, False, math.nan),
     lambda: DiscretePLD(1e-3, 0, np.array([0.5, math.nan]), 0.0),
     lambda: clip_delta(math.nan),
+    # a NaN mean built a small count, and an infinite one Poisson(inf)
+    lambda: from_expected("negbin", math.nan, shape=0.5),
+    lambda: from_expected("negbin", math.inf, shape=0),
+    lambda: from_expected("poisson", math.inf),
+    lambda: PointDP(math.nan, 1e-6),
+    lambda: adjust_guarantee(0.5, 1e-6, math.nan, 1.0, 0.1, 1e-6),
+    # a square or reciprocal past the float range raised ZeroDivisionError
+    # or OverflowError, or went on to an infinite shift or eps
+    lambda: gaussian_rdp_curve(1e-200),
+    lambda: gaussian_rdp_curve(1.0, 1e200),
+    lambda: SubsampledGaussianParams(0.01, 1e200),
+    lambda: SubsampledGaussianParams(0.01, 1e-160),
+    lambda: TruncNegBinomial(1.0, 1e-309),
+    lambda: negbin_penalty(1.0, 1e-309),
+    lambda: select_gdp_eps(4.0, 1.0, 1e-309, 1e-6),
 ])
 def test_constructors_reject_non_finite(build):
     with pytest.raises(ValueError):
