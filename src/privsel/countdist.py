@@ -54,6 +54,11 @@ def _check_shape(eta):
         raise ValueError(f"shape must exceed -1, got {eta}")
 
 
+def _check_trials(trials):
+    if not (isinstance(trials, (int, np.integer)) and trials >= 1):
+        raise ValueError(f"trials must be a positive integer, got {trials}")
+
+
 def _check_gamma(gamma):
     """Refuse a success probability gamma whose 1/gamma overflows a float:
     the negbin bounds read (1-gamma)/gamma and log(1/gamma)."""
@@ -156,8 +161,7 @@ class Binomial:
     prob: float
 
     def __post_init__(self):
-        if not (isinstance(self.trials, (int, np.integer)) and self.trials >= 1):
-            raise ValueError(f"trials must be a positive integer, got {self.trials}")
+        _check_trials(self.trials)
         if not 0 < self.prob < 1:
             raise ValueError(f"prob must be in (0,1), got {self.prob}")
 
@@ -191,13 +195,13 @@ class Binomial:
 
 @dataclass(frozen=True)
 class Poisson:
-    """Poisson count with the given mean."""
+    """Poisson count with the given finite positive mean."""
 
     rate: float
 
     def __post_init__(self):
-        if not self.rate > 0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
+        if not 0 < self.rate < math.inf:
+            raise ValueError(f"rate must be positive and finite, got {self.rate}")
 
     def pmf(self, k):
         from ._special import gammaln, xlogy
@@ -287,14 +291,13 @@ def from_expected(kind, m, *, shape=None, trials=None):
     if kind == "binomial":
         if trials is None:
             raise ValueError("binomial needs a trials parameter")
-        if not trials >= 1:
-            raise ValueError(f"trials must be a positive integer, got {trials}")
+        _check_trials(trials)
         p = m / trials
         if not 0 < p < 1:
             raise InfeasibleMeanError(
                 f"binomial with {trials} trials cannot have mean {m} (p={p:g})"
             )
-        return Binomial(int(trials), p)
+        return Binomial(trials, p)
     if kind == "poisson":
         return Poisson(m)
     raise ValueError(f"unknown count distribution kind {kind!r}")

@@ -38,7 +38,10 @@ class Gaussian(PrivacyProfile):
         return clip_delta(float(self._unclipped(eps)))
 
     def on_array(self, eps):
-        return clip_delta_array(self._unclipped(eps))
+        # at a subnormal r, eps / r overflows to inf, where delta is 0 as it
+        # should be; the float division in _at does not warn
+        with np.errstate(over="ignore"):
+            return clip_delta_array(self._unclipped(eps))
 
 
 def gaussian_profile(sigma, sensitivity=1.0):

@@ -53,8 +53,8 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import ConfigError, GridTooCoarseError, MemoryBudgetError
-from .profiles import (PrivacyProfile, RdpCurve, _check_positive, clip_delta,
-                       clip_delta_array, default_orders)
+from .profiles import (PrivacyProfile, RdpCurve, _check_positive, _check_twice_square,
+                       clip_delta, clip_delta_array, default_orders)
 
 # cells of one grid; subsampled_gaussian_profile composes both directions
 # at once, so two such working sets (and their FFT buffers) can coexist
@@ -105,10 +105,7 @@ class SubsampledGaussianParams:
         if not 0 < self.q <= 1:
             raise ValueError(f"q must be in (0,1], got {self.q}")
         _check_positive(sigma=self.sigma)
-        # every loss and moment formula divides by 2 sigma**2
-        twice_var = 2 * self.sigma * self.sigma
-        if not 0 < twice_var < math.inf or 1 / twice_var == math.inf:
-            raise ValueError(f"2 sigma**2 is out of float range, got sigma={self.sigma}")
+        _check_twice_square(self.sigma)
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
 
@@ -388,7 +385,11 @@ def _convolve(a, b):
     n_out = len(a.mass) + len(b.mass) - 1
     if n_out > MAX_CELLS:
         raise MemoryBudgetError(f"convolution needs {n_out} cells, budget is {MAX_CELLS}")
-    mass = _fftconvolve(a.mass, b.mass)
+    try:
+        mass = _fftconvolve(a.mass, b.mass)
+    except MemoryError:
+        raise MemoryBudgetError(f"convolution needs {n_out} cells, more memory "
+                                f"than is free") from None
     np.maximum(mass, 0.0, out=mass)
     # FFT rounding loses mass at relative scale ~1e-15 per convolution,
     # which compounds through the squaring ladder; scaling the deficit

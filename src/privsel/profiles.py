@@ -153,6 +153,14 @@ def _check_positive(**kwargs):
             raise ValueError(f"{name} must be positive and finite, got {v}")
 
 
+def _check_twice_square(sigma):
+    """Refuse a sigma whose 2 sigma**2 or its reciprocal leaves the float
+    range: the Gaussian loss, moment and closed-form formulas divide by it."""
+    twice_var = 2 * sigma * sigma
+    if not 0 < twice_var < math.inf or 1 / twice_var == math.inf:
+        raise ValueError(f"2 sigma**2 is out of float range, got sigma={sigma}")
+
+
 @dataclass(frozen=True)
 class PointDP:
     """A single (eps, delta) guarantee."""
@@ -372,19 +380,22 @@ class Scaled(PrivacyProfile):
         return max(eps, _TINY) if self.positive_eps_only else eps
 
 
-def rdp_to_dp(curve, eps_target):
-    """Delta at eps_target implied by a Renyi curve.
+def rdp_to_dp(curve, eps):
+    """Delta implied by a Renyi curve at eps, a float or a 1-d array.
 
     Uses delta = exp((alpha-1)(eps' - eps)) / alpha * (1 - 1/alpha)^(alpha-1)
     minimized over the curve's order grid, clipped to [0,1].
     """
-    if eps_target != eps_target:
+    e = np.asarray(eps, dtype=float)
+    # a NaN eps would read as delta 1: fmin(x, 0) is 0 at a NaN x
+    if np.isnan(e).any():
         raise ValueError("eps is NaN")
     am1, log_frac, log_a = curve._terms
     # past the largest float a term is +-inf, which is delta 1 or 0 as it should be
     with np.errstate(over="ignore"):
-        log_d = am1 * (curve.values - eps_target) + log_frac - log_a
-    return float(np.exp(min(0.0, np.min(log_d))))
+        log_d = np.min(am1 * (curve.values - e[..., None]) + log_frac - log_a, axis=-1)
+    d = np.exp(np.fmin(log_d, 0.0))
+    return float(d) if e.ndim == 0 else d
 
 
 @dataclass(frozen=True, eq=False)
@@ -398,14 +409,7 @@ class Renyi(PrivacyProfile):
         return rdp_to_dp(self.curve, eps)
 
     def on_array(self, eps):
-        # rdp_to_dp broadcast over a column of eps; min(0, x) is 0 at a NaN x
-        if np.isnan(eps).any():
-            raise ValueError("eps is NaN")
-        am1, log_frac, log_a = self.curve._terms
-        with np.errstate(over="ignore"):
-            log_d = np.min(am1 * (self.curve.values - eps[:, None]) + log_frac - log_a,
-                           axis=1)
-        return np.exp(np.where(log_d < 0.0, log_d, 0.0))
+        return rdp_to_dp(self.curve, eps)
 
     def _inverse(self, delta, floor):
         # order alpha certifies delta from eps(alpha) + (log(1/delta) +

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .gaussian import gaussian_profile
-from .profiles import Scaled, _check_positive
+from .profiles import Scaled, _check_positive, _check_twice_square
 
 
 @dataclass(frozen=True)
@@ -73,6 +73,7 @@ def rnm_gaussian_eps(sigma, candidates, delta):
     """Closed-form eps(delta) for the non-monotone Gaussian mechanism:
     2/sigma^2 + (2/sigma) sqrt(2 log(candidates/delta))."""
     _check_positive(sigma=sigma)
+    _check_twice_square(sigma)
     if candidates < 1:
         raise ValueError(f"candidates must be >= 1, got {candidates}")
     if not 0 < delta < 1:

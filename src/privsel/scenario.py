@@ -90,6 +90,18 @@ def grid_spec(spacing, builds_grid):
     return pld.GridSpec(spacing=spacing)
 
 
+def _noise_ratio(sigma, sens):
+    """sigma / sensitivity, refused where 2 (sigma / sensitivity)**2 or its
+    reciprocal leaves the float range: pld and the closed forms divide by
+    it, and refuse it as this does."""
+    ratio = sigma / sens
+    twice_var = 2 * ratio * ratio
+    if not 0 < twice_var < math.inf or 1 / twice_var == math.inf:
+        raise ConfigError(f"2 (sigma / sensitivity)**2 is out of float range, "
+                          f"got sigma={sigma}, sensitivity={sens}")
+    return ratio
+
+
 def base_params(base):
     """(kind, params) of a merged base spec, every field checked once:
     (sigma, sensitivity) for gaussian, (q, sigma / sensitivity, steps) for
@@ -106,13 +118,8 @@ def base_params(base):
             raise ConfigError(f"{kind} base needs sigma > 0 and sensitivity > 0")
         if kind == "gaussian":
             return kind, (sigma, sens)
-        q, ratio, steps = _real(base, "q"), sigma / sens, _count(base, "steps", 1)
-        # pld divides by 2 (sigma / sensitivity)**2, and refuses it as this does
-        twice_var = 2 * ratio * ratio
-        if not 0 < twice_var < math.inf or 1 / twice_var == math.inf:
-            raise ConfigError(f"2 (sigma / sensitivity)**2 is out of float range, "
-                              f"got sigma={sigma}, sensitivity={sens}")
-        return kind, (q, ratio, steps)
+        q, steps = _real(base, "q"), _count(base, "steps", 1)
+        return kind, (q, _noise_ratio(sigma, sens), steps)
     if kind == "pure":
         return kind, _real(base, "eps")
     try:
@@ -182,7 +189,7 @@ def _resolve_rnm(kind, params, fam, method, delta, grid_spacing):
     from . import profiles, rnm
     spec = rnm.RnmSpec(candidates, monotone, sigma)
     if method == "closed":
-        eps = rnm.rnm_gaussian_eps(sigma / sens, spec.candidates, delta)
+        eps = rnm.rnm_gaussian_eps(_noise_ratio(sigma, sens), spec.candidates, delta)
         return profiles.profile_from_points([(eps, delta)]), None, eps
     comp = spec.noise_profile(sens * math.sqrt(rounds))
     return rnm.rnm_composition_profile(comp, spec.candidates, rounds), None, None
@@ -231,8 +238,7 @@ def resolve(base, fam, method, *, eps1=None, delta=None, grid_spacing=None,
         raise ConfigError("closed-form negbin needs a pure or gaussian base")
     if delta is None:
         raise ConfigError("closed-form negbin guarantee needs --delta")
-    sigma, sens = params
-    eps = selection.select_gdp_eps(sigma / sens, dist.shape, dist.success, delta)
+    eps = selection.select_gdp_eps(_noise_ratio(*params), dist.shape, dist.success, delta)
     return profiles.profile_from_points([(eps, delta)]), None, eps
 
 

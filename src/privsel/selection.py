@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .countdist import Binomial, Poisson, TruncNegBinomial, _check_gamma
+from .countdist import Binomial, Poisson, TruncNegBinomial, _check_shape
 from .errors import EmptyCurveError, NoAdmissibleEps1Error, UnreachableTargetError
 from .profiles import (
     PointDP,
@@ -25,6 +25,7 @@ from .profiles import (
     Renyi,
     Scaled,
     _check_positive,
+    _check_twice_square,
     epsilon_for_delta,
 )
 
@@ -170,7 +171,7 @@ class NegBinPenalty:
 def negbin_penalty(eta, gamma):
     """The eps shift of a truncated-negative-binomial count as a function
     of (eps1, delta1): (eta+1) * log(e^eps1 + ((1-gamma)/gamma) * delta1)."""
-    _check_gamma(gamma)
+    TruncNegBinomial(eta, gamma)  # the count's own checks of eta and gamma
     return NegBinPenalty(eta + 1.0, (1.0 - gamma) / gamma)
 
 
@@ -306,8 +307,7 @@ def select_negbin_pure(eps_base, eta):
     """Pure-DP special case: a base eps becomes (eta+2) * eps."""
     if not 0 <= eps_base < math.inf:
         raise ValueError(f"eps must be >= 0 and finite, got {eps_base}")
-    if eta <= -1:
-        raise ValueError(f"eta must exceed -1, got {eta}")
+    _check_shape(eta)
     return (eta + 2.0) * eps_base
 
 
@@ -325,16 +325,14 @@ def select_gdp_eps(sigma, eta, gamma, delta):
     """Closed-form tuned eps for a Gaussian base:
     (eta+2) * (1/(2 sigma^2) + sqrt(2 log(1/(gamma delta))) / sigma) + delta."""
     _check_positive(sigma=sigma)
-    if not 0 < gamma < 1:
-        raise ValueError(f"gamma must be in (0,1), got {gamma}")
-    _check_gamma(gamma)
+    _check_twice_square(sigma)
+    TruncNegBinomial(eta, gamma)  # the count's own checks of eta and gamma
     if not 0 < delta < 1:
         raise ValueError(f"delta must be in (0,1), got {delta}")
-    if gamma * delta >= 1:
-        raise ValueError("requires gamma * delta < 1")
+    # log(1/(gamma delta)) as a sum: gamma * delta may underflow to 0
     return (eta + 2.0) * (
         1.0 / (2.0 * sigma**2)
-        + math.sqrt(2.0 * math.log(1.0 / (gamma * delta))) / sigma
+        + math.sqrt(-2.0 * (math.log(gamma) + math.log(delta))) / sigma
     ) + delta
 
 
@@ -344,12 +342,13 @@ def rdp_select_negbin(base_rdp, eta, gamma):
     Adds to the base curve an order-independent term minimized over the
     curve's own grid, plus log(E[K])/(alpha-1).
     """
+    dist = TruncNegBinomial(eta, gamma)
     orders = np.asarray(base_rdp.orders, dtype=float)
     vals = base_rdp.values
     extra = (eta + 1.0) * float(
         np.min((1.0 - 1.0 / orders) * vals + math.log(1.0 / gamma) / orders)
     )
-    log_m = math.log(TruncNegBinomial(eta, gamma).mean())
+    log_m = math.log(dist.mean())
     return RdpCurve(base_rdp.orders, vals + extra + log_m / (orders - 1.0))
 
 
@@ -358,8 +357,7 @@ def _rdp_poisson_min(base_rdp, eps_hat, delta_hat, m):
     at each order alpha, the least of base(alpha) + m delta_hat +
     log(m)/(alpha-1) over the points with e^eps_hat <= 1 + 1/(alpha-1).
     Orders no point admits are dropped."""
-    if m <= 0:
-        raise ValueError(f"m must be positive, got {m}")
+    Poisson(m)  # the count's own check of m
     orders = np.asarray(base_rdp.orders, dtype=float)
     # each cap through math.expm1, as the one-point bound has always taken it
     caps = [math.inf if e == 0 else 1.0 + 1.0 / math.expm1(e) for e in eps_hat.tolist()]
@@ -400,8 +398,6 @@ def adjust_guarantee(eps1, delta1, eps_hat, eta, gamma, delta):
     """
     if min(eps1, delta1, eps_hat, delta) < 0:
         raise ValueError("inputs must be non-negative")
-    if not 0 < gamma < 1:
-        raise ValueError(f"gamma must be in (0,1), got {gamma}")
     return PointDP(eps_hat + negbin_penalty(eta, gamma)(eps1, delta1), delta)
 
 

@@ -1,13 +1,24 @@
-"""End-to-end tests of the command-line interface via subprocess."""
+"""End-to-end tests of the command-line interface.
 
+A test whose assertion is an exit code and output calls `cli.main` in
+this process, through `run_cli`.  A fresh interpreter runs what needs
+one: the probes of which modules a call loads, a call under `-W error`,
+a call with a timeout, and the Renyi-curve import probe.
+"""
+
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import mpmath
 import pytest
+
+from privsel import cli
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -28,10 +39,31 @@ def child_env():
     return env
 
 
+class CliRun(NamedTuple):
+    returncode: int
+    stdout: str
+    stderr: str
+
+
 def run_cli(*argv, cwd=None):
-    return subprocess.run([sys.executable, "-m", "privsel.cli", *argv],
-                          capture_output=True, text=True, cwd=cwd,
-                          env=child_env())
+    """`privsel argv` through `cli.main` in this process, in cwd when
+    given, and with no PRIVSEL_PLD_CACHE, as a CLI child runs: its exit
+    code (an argparse SystemExit's included) and what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    here, cache = os.getcwd(), os.environ.pop("PRIVSEL_PLD_CACHE", None)
+    try:
+        if cwd is not None:
+            os.chdir(cwd)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                rc = cli.main(list(argv))
+            except SystemExit as e:
+                rc = 0 if e.code is None else e.code
+    finally:
+        os.chdir(here)
+        if cache is not None:
+            os.environ["PRIVSEL_PLD_CACHE"] = cache
+    return CliRun(rc, out.getvalue(), err.getvalue())
 
 
 def test_guarantee_hs_line():

@@ -226,18 +226,29 @@ def test_bad_config_is_refused(cfg, tmp_path, capsys):
     (["guarantee", "--base", "gaussian", "--sigma", "1", "--sensitivity", "1e-300",
       "--family", "negbin", "--eta", "1e18", "--gamma", "5e-324", "--delta", "0.1"],
      "error: 1 / gamma overflows a float, got gamma=5e-324"),
+    *((["guarantee", "--base", "gaussian", *base, "--family", family, "--m", "10",
+        "--method", "closed", "--delta", "1e-6"],
+       "error: 2 (sigma / sensitivity)**2 is out of float range, got " + got)
+      for family in ("negbin", "rnm")
+      for base, got in ((["--sigma", "1e-200"], "sigma=1e-200, sensitivity=1.0"),
+                        (["--sigma", "1", "--sensitivity", "1e200"],
+                         "sigma=1.0, sensitivity=1e+200"),
+                        (["--sigma", "1e200"], "sigma=1e+200, sensitivity=1.0"))),
 ], ids=["binomial-zero-trials-m", "binomial-zero-trials-p", "gaussian-ratio-underflow",
         "gaussian-rdp-square-underflow", "gaussian-rdp-subnormal-sigma",
         "gaussian-rdp-square-overflow", "subsampled-square-overflow",
         "subsampled-ratio-square-underflow", "adjust-square-overflow",
         "adjust-square-underflow", "negbin-gamma-reciprocal-hs",
         "negbin-gamma-reciprocal-rdp", "negbin-gamma-reciprocal-closed",
-        "negbin-gamma-reciprocal-inf-times-zero"])
+        "negbin-gamma-reciprocal-inf-times-zero",
+        *(f"{family}-closed-square-{way}" for family in ("negbin", "rnm")
+          for way in ("underflow", "ratio-underflow", "overflow"))])
 def test_arithmetic_failure_is_refused_by_name(argv, message, capsys):
     # the m form divided by the trial count, the Gaussian leaf by an
     # underflowed ratio, the Renyi curve and the loss grid by a square
     # that under- or overflowed: each ended in a traceback.  A gamma whose
-    # 1/gamma overflows was blamed on eps1, on a points list or on the target
+    # 1/gamma overflows was blamed on eps1, on a points list or on the target.
+    # The closed forms divided by a square that under- or overflowed
     assert cli.main(argv) == 2
     out = capsys.readouterr()
     assert (out.out, out.err) == ("", message + "\n")
@@ -247,6 +258,33 @@ def test_subnormal_gaussian_ratio_still_answers():
     argv = ["guarantee", "--base", "gaussian", "--sigma", "1", "--sensitivity", "1e-310",
             "--delta", "2.5e-5"]
     assert run(argv) == (0, "eps=0 delta=2.5e-05 method=hs eps1=nan\n")
+
+
+@pytest.mark.parametrize("family, eps", [
+    (["negbin", "--m", "10"], "0"),
+    (["poisson", "--m", "10"], "9.53674316406e-07"),
+    (["binomial", "--n", "20", "--m", "5"], "9.53674316406e-07"),
+], ids=["negbin", "poisson", "binomial"])
+def test_subnormal_gaussian_ratio_answers_a_count_without_a_warning(family, eps, capsys):
+    # eps / r overflowed to inf in the eps1 search's array pass, with a
+    # RuntimeWarning, which the suite turns into an error
+    argv = ["guarantee", "--base", "gaussian", "--sigma", "0.5", "--sensitivity", "5e-324",
+            "--family", *family, "--delta", "1e-6"]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr()
+    assert (out.out, out.err) == (f"eps={eps} delta=1e-06 method=hs eps1=0\n", "")
+
+
+@pytest.mark.parametrize("delta, eps", [("1e-10", "28.4314731123"),
+                                        ("1e-30", "29.3313065972")])
+def test_closed_negbin_answers_where_gamma_times_delta_underflows(delta, eps, capsys):
+    # log(1 / (gamma * delta)) was inf at 1e-10, an eps the points list refused
+    # without naming an input, and a division by zero at 1e-30
+    argv = GAUSS + ["--family", "negbin", "--gamma", "1e-300", "--method", "closed",
+                    "--delta", delta]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr()
+    assert (out.out, out.err) == (f"eps={eps} delta={delta} method=closed eps1=nan\n", "")
 
 
 @pytest.mark.parametrize("argv", [
@@ -339,6 +377,23 @@ def test_pld_cache_that_cannot_be_written_is_refused(tmp_path, monkeypatch, caps
     got = capsys.readouterr()
     assert (rc, got.out) == (2, "")
     assert got.err == f"error: cannot write PLD cache {cache}: Not a directory\n"
+
+
+def test_convolution_out_of_memory_is_a_budget_error(tmp_path, monkeypatch, capsys):
+    # numpy's MemoryError ended in a traceback with exit 1
+    from privsel import pld
+
+    def no_memory(x, y):
+        raise MemoryError
+
+    monkeypatch.setattr(pld, "_fftconvolve", no_memory)
+    monkeypatch.setenv("PRIVSEL_PLD_CACHE", str(tmp_path))
+    rc = cli.main(["guarantee", "--base", "subsampled_gaussian", "--q", "0.2",
+                   "--sigma", "1", "--steps", "4", "--delta", "1e-6"])
+    got = capsys.readouterr()
+    assert (rc, got.out) == (4, "")
+    assert got.err == "error: convolution needs 144519 cells, more memory than is free\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_grid_past_its_cell_budget_leaves_no_pld_cache_directory(tmp_path, monkeypatch,

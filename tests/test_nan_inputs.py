@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from privsel import cli
-from privsel.countdist import TruncNegBinomial, from_expected
+from privsel.countdist import Poisson, TruncNegBinomial, from_expected
 from privsel.pld import DiscretePLD, GridSpec, SubsampledGaussianParams
 from privsel.profiles import (
     PointDP,
@@ -22,8 +22,15 @@ from privsel.profiles import (
     gaussian_rdp_curve,
     profile_from_points,
 )
-from privsel.rnm import RnmSpec
-from privsel.selection import adjust_guarantee, negbin_penalty, select_gdp_eps
+from privsel.rnm import RnmSpec, rnm_gaussian_eps
+from privsel.selection import (
+    adjust_guarantee,
+    negbin_penalty,
+    rdp_select_negbin,
+    select_gdp_eps,
+    select_negbin_pure,
+    select_poisson_profile,
+)
 
 NEGBIN = ["--family", "negbin", "--eta", "1", "--m", "300", "--delta", "1e-6"]
 
@@ -88,6 +95,24 @@ def test_nan_eps_query_is_config_error(capsys):
     lambda: TruncNegBinomial(1.0, 1e-309),
     lambda: negbin_penalty(1.0, 1e-309),
     lambda: select_gdp_eps(4.0, 1.0, 1e-309, 1e-6),
+    # a partial copy of a count's rule let a parameter the count refuses
+    # through, to a negative, NaN or smaller eps, a count of mean 0.8, a
+    # division by gamma = 0 or an empty min() after a RuntimeWarning
+    lambda: select_gdp_eps(4.0, -3.0, 0.1, 1e-6),
+    lambda: select_gdp_eps(4.0, math.nan, 0.1, 1e-6),
+    lambda: adjust_guarantee(0.5, 1e-6, 1.0, -2.0, 0.1, 1e-6),
+    lambda: negbin_penalty(1.0, 2.0),
+    lambda: negbin_penalty(-2.0, 0.1),
+    lambda: select_negbin_pure(1.0, math.nan),
+    lambda: rdp_select_negbin(gaussian_rdp_curve(4.0), 1.0, 0.0),
+    lambda: from_expected("binomial", 1.0, trials=2.5),
+    lambda: Poisson(math.inf),
+    lambda: select_poisson_profile(gaussian_profile(4.0), math.inf),
+    # 2 sigma**2 past the float range raised ZeroDivisionError or OverflowError
+    lambda: select_gdp_eps(1e-200, 1.0, 0.1, 1e-6),
+    lambda: select_gdp_eps(1e200, 1.0, 0.1, 1e-6),
+    lambda: rnm_gaussian_eps(1e-200, 10, 1e-6),
+    lambda: rnm_gaussian_eps(1e200, 10, 1e-6),
 ])
 def test_constructors_reject_non_finite(build):
     with pytest.raises(ValueError):
