@@ -28,6 +28,7 @@ class Gaussian(PrivacyProfile):
     """
 
     r: float
+    lipschitz_in_exp = True
 
     def _unclipped(self, eps):
         # one expression for a float and for an array of eps alike

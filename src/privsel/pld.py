@@ -583,10 +583,13 @@ def subsampled_gaussian_profile(params, grid=None):
 @dataclass(frozen=True, eq=False)
 class Pld(PrivacyProfile):
     """The larger delta of two composed loss distributions, one per
-    neighborhood direction; its inverse is the larger of theirs."""
+    neighborhood direction; its inverse is the larger of theirs.  Each
+    direction, s1 - e^eps s2 + tail, falls in e^eps at slope -s2, minus
+    the mass above eps weighted by e^-loss, in [-1, 0]."""
 
     remove: DiscretePLD
     add: DiscretePLD
+    lipschitz_in_exp = True
 
     def _at(self, eps):
         return max(self.remove.delta(eps), self.add.delta(eps))

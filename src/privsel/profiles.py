@@ -57,12 +57,17 @@ class PrivacyProfile:
     form of its own for the least eps >= floor at which it is at most
     delta proposes it in `_inverse`, reached only through `inverse`,
     which certifies the proposal; any other node is bisected.  `knots`
-    lists eps values where the curve has kinks; optimizers add them to
-    their candidate sets so piecewise-linear-in-exp(eps) curves are
-    minimized exactly.
+    lists eps values where the curve has kinks: the eps1 search adds them
+    to its candidates, and on a Points node, linear in exp(eps) between
+    them, a negbin shift is least at 0, at one of them, or at the top of
+    its range.  `lipschitz_in_exp` is true on a node whose slope in
+    x = e^eps lies in [-1, 0], as that of every true privacy profile
+    does; on such a node the Poisson and binomial shifts never fall as
+    eps1 rises.
     """
 
     knots = ()
+    lipschitz_in_exp = False
 
     def __call__(self, eps):
         return self._at(eps)
@@ -261,6 +266,7 @@ class Points(PrivacyProfile):
 
     eps: np.ndarray
     delta: np.ndarray
+    lipschitz_in_exp = True
 
     def __post_init__(self):
         with np.errstate(over="ignore"):

@@ -80,6 +80,7 @@ def rnm_gaussian_eps(sigma, candidates, delta):
         raise ValueError(f"delta must be in (0,1), got {delta}")
     if candidates <= delta:
         raise ValueError("requires candidates/delta > 1")
-    return 2.0 / sigma**2 + (2.0 / sigma) * math.sqrt(
-        2.0 * math.log(candidates / delta)
-    )
+    ratio = candidates / delta
+    if ratio == math.inf:
+        raise ValueError(f"candidates/delta = {candidates:g}/{delta:g} overflows float64")
+    return 2.0 / sigma**2 + (2.0 / sigma) * math.sqrt(2.0 * math.log(ratio))

@@ -21,6 +21,7 @@ from .countdist import Binomial, Poisson, TruncNegBinomial, _check_shape
 from .errors import EmptyCurveError, NoAdmissibleEps1Error, UnreachableTargetError
 from .profiles import (
     PointDP,
+    Points,
     RdpCurve,
     Renyi,
     Scaled,
@@ -94,25 +95,50 @@ def _sorted_unique(x):
     return x[keep] + 0.0
 
 
-def optimize_eps1(base, penalty):
-    """Minimize penalty(eps1, base(eps1)) over eps1 >= 0.
-
-    Candidates are 0, a 200-point log-spaced grid up to where the base
-    delta bottoms out (capped at 50), any kink locations the profile
-    declares, and the penalty's admissibility threshold `eps1_min`.  The
-    base and the penalty node are evaluated over all of them in one array
-    pass each; the candidates whose array value lies within a small window
-    of the least are scored again by the penalty's scalar form, and the
-    best of those, the smallest eps1 on a tie, is sharpened by
-    golden-section search to 1e-6.  A penalty may return +inf to mark an
-    eps1 inadmissible.
-    """
+def _eps_hi(base):
+    """The top of the eps1 range: where the base delta bottoms out at
+    1e-15, capped at EPS1_CAP and at least 1e-3."""
     try:
         eps_hi = min(epsilon_for_delta(base, 1e-15), EPS1_CAP)
     except UnreachableTargetError:
         eps_hi = EPS1_CAP
-    eps_hi = max(eps_hi, 1e-3)
+    return max(eps_hi, 1e-3)
 
+
+def optimize_eps1(base, penalty):
+    """Minimize penalty(eps1, base(eps1)) over eps1 >= 0.
+
+    Two shapes of base settle eps1 without a search.  On a node whose
+    slope in x = e^eps lies in [-1, 0] (`lipschitz_in_exp`), the Poisson
+    shift m (x - 1 + U) and the binomial shift, a log1p of p (x - 1) +
+    p U, never fall as eps1 rises, so the count's threshold `eps1_min` (0
+    for Poisson) wins, with no base evaluation.  On a Points node, x + r U
+    of a negbin shift is a minimum of cones, each linear in x on both
+    sides of its knot, so the least penalty over 0, the knots and the
+    range's top wins, the smallest eps1 on a tie.  Points keep the search
+    for Poisson and binomial counts, whose penalty is flat there up to
+    rounding: the search's float stays the answer.
+
+    Otherwise the candidates are 0, a 200-point log-spaced grid up to
+    where the base delta bottoms out (capped at 50), any kink locations
+    the profile declares, and the penalty's admissibility threshold
+    `eps1_min`.  The base and the penalty node are evaluated over all of
+    them in one array pass each; the candidates whose array value lies
+    within a small window of the least are scored again by the penalty's
+    scalar form, and the best of those, the smallest eps1 on a tie, is
+    sharpened by golden-section search to 1e-6.  A penalty may return
+    +inf to mark an eps1 inadmissible.
+    """
+    if isinstance(base, Points):
+        if isinstance(penalty, NegBinPenalty):
+            eps_hi = _eps_hi(base)
+            # + 0.0 turns a -0.0 knot into 0.0
+            cand = {0.0, eps_hi, *(float(k) + 0.0 for k in base.knots if 0.0 <= k <= eps_hi)}
+            return min((penalty(e, base(e)), e) for e in cand)[1]
+    elif base.lipschitz_in_exp and isinstance(penalty, (PoissonPenalty, BinomialPenalty)):
+        return penalty.eps1_min
+
+    eps_hi = _eps_hi(base)
     cand = np.concatenate(([0.0], _grid(eps_hi), base.knots, [penalty.eps1_min]))
     cand = _sorted_unique(cand[(0.0 <= cand) & (cand <= eps_hi)])
     deltas = base.on_array(cand)
@@ -308,17 +334,21 @@ def select_negbin_pure(eps_base, eta):
     if not 0 <= eps_base < math.inf:
         raise ValueError(f"eps must be >= 0 and finite, got {eps_base}")
     _check_shape(eta)
-    return (eta + 2.0) * eps_base
+    eps = (eta + 2.0) * eps_base
+    if eps == math.inf:
+        raise ValueError(f"(eta+2)*eps = ({eta:g}+2)*{eps_base:g} overflows float64")
+    return eps
 
 
 def select_negbin_pointwise(point, eta, gamma):
     """Tuned guarantee from a single base point: (eps, delta) becomes
     ((eta+2)*eps + delta/gamma, E[K]*delta)."""
     m = TruncNegBinomial(eta, gamma).mean()
-    return PointDP(
-        (eta + 2.0) * point.eps + point.delta / gamma,
-        min(1.0, m * point.delta),
-    )
+    eps = (eta + 2.0) * point.eps + point.delta / gamma
+    if eps == math.inf:
+        raise ValueError(f"(eta+2)*eps + delta/gamma overflows float64 at eta={eta:g}, "
+                         f"gamma={gamma:g}, eps={point.eps:g}, delta={point.delta:g}")
+    return PointDP(eps, min(1.0, m * point.delta))
 
 
 def select_gdp_eps(sigma, eta, gamma, delta):
@@ -330,10 +360,14 @@ def select_gdp_eps(sigma, eta, gamma, delta):
     if not 0 < delta < 1:
         raise ValueError(f"delta must be in (0,1), got {delta}")
     # log(1/(gamma delta)) as a sum: gamma * delta may underflow to 0
-    return (eta + 2.0) * (
+    eps = (eta + 2.0) * (
         1.0 / (2.0 * sigma**2)
         + math.sqrt(-2.0 * (math.log(gamma) + math.log(delta))) / sigma
     ) + delta
+    if eps == math.inf:
+        raise ValueError(f"the closed-form eps overflows float64 at sigma={sigma:g}, "
+                         f"eta={eta:g}, gamma={gamma:g}, delta={delta:g}")
+    return eps
 
 
 def rdp_select_negbin(base_rdp, eta, gamma):

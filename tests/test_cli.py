@@ -3,7 +3,8 @@
 A test whose assertion is an exit code and output calls `cli.main` in
 this process, through `run_cli`.  A fresh interpreter runs what needs
 one: the probes of which modules a call loads, a call under `-W error`,
-a call with a timeout, and the Renyi-curve import probe.
+a call with a timeout, and the Renyi-curve import probe.  The
+config-error probes share one interpreter, asserting after each call.
 """
 
 import contextlib
@@ -391,69 +392,103 @@ def test_package_and_cli_load_numpy_alone():
     assert not scipy, scipy
 
 
-@pytest.mark.parametrize("argv,config,message", [
-    (GUARANTEE_HS[:-2], None, "error: give a target: --delta or --eps"),
-    (["guarantee", "--base", "gaussian", "--sigma", "nan", "--family", "negbin",
-      "--m", "300", "--delta", "1e-6"], None, "error: sigma must be finite, got nan"),
-    (["guarantee", "--delta", "1e-6"], {"base": [1]},
-     "error: config 'base' must be a JSON object, got list"),
-    (["guarantee", "--base", "subsampled_gaussian", "--q", "0.1", "--sigma", "1",
-      "--family", "binomial", "--n", "5", "--p", "0.5", "--method", "rdp",
-      "--delta", "1e-6"], None,
-     "error: method 'rdp' is not available for binomial, choose from hs"),
-    (["guarantee", "--base", "gaussian", "--sigma", "4", "--family", "binomial",
-      "--n", "2.5", "--p", "0.1", "--delta", "1e-6"], None,
-     "error: n must be an integer, got 2.5"),
-    (["guarantee", "--base", "gaussian", "--sigma", "4", "--family", "rnm",
-      "--m", "10", "--rounds", "0", "--delta", "1e-6"], None,
-     "error: rounds must be >= 1, got 0"),
-    (["guarantee", "--delta", "1e-6"],
-     {"base": {"kind": "gaussian", "sigma": 4},
-      "family": {"kind": "rnm", "m": 10, "monotone": "yes"}},
-     "error: monotone must be true or false, got 'yes'"),
-    (["guarantee", "--base", "gaussian", "--sigma", "4", "--family", "poisson",
-      "--m", "abc", "--delta", "1e-6"], None, "error: m must be a number, got 'abc'"),
+# each config error: the call, an optional --config file's contents, and
+# the one line it prints on stderr
+CONFIG_ERRORS = {
+    "missing-target": (GUARANTEE_HS[:-2], None, "error: give a target: --delta or --eps"),
+    "sigma-nan": (["guarantee", "--base", "gaussian", "--sigma", "nan", "--family", "negbin",
+                   "--m", "300", "--delta", "1e-6"], None,
+                  "error: sigma must be finite, got nan"),
+    "config-base-list": (["guarantee", "--delta", "1e-6"], {"base": [1]},
+                         "error: config 'base' must be a JSON object, got list"),
+    "subsampled-method": (["guarantee", "--base", "subsampled_gaussian", "--q", "0.1",
+                           "--sigma", "1", "--family", "binomial", "--n", "5", "--p", "0.5",
+                           "--method", "rdp", "--delta", "1e-6"], None,
+                          "error: method 'rdp' is not available for binomial, choose from hs"),
+    "binomial-n-fraction": (["guarantee", "--base", "gaussian", "--sigma", "4", "--family",
+                             "binomial", "--n", "2.5", "--p", "0.1", "--delta", "1e-6"], None,
+                            "error: n must be an integer, got 2.5"),
+    "rnm-rounds-zero": (["guarantee", "--base", "gaussian", "--sigma", "4", "--family", "rnm",
+                         "--m", "10", "--rounds", "0", "--delta", "1e-6"], None,
+                        "error: rounds must be >= 1, got 0"),
+    "config-monotone-yes": (["guarantee", "--delta", "1e-6"],
+                            {"base": {"kind": "gaussian", "sigma": 4},
+                             "family": {"kind": "rnm", "m": 10, "monotone": "yes"}},
+                            "error: monotone must be true or false, got 'yes'"),
+    "poisson-m-abc": (["guarantee", "--base", "gaussian", "--sigma", "4", "--family", "poisson",
+                       "--m", "abc", "--delta", "1e-6"], None,
+                      "error: m must be a number, got 'abc'"),
     # the loss grid is built only once the family fields are read
-    (["guarantee", "--base", "subsampled_gaussian", "--q", "0.1", "--sigma", "1",
-      "--family", "poisson", "--m", "abc", "--grid-spacing", "1e-3", "--delta", "1e-6"],
-     None, "error: m must be a number, got 'abc'"),
-    (["profile", "--base", "gaussian", "--sigma", "4", "--eps-grid", "abc"], None,
-     "error: bad eps grid 'abc', want lo:hi:step"),
+    "poisson-m-abc-grid": (["guarantee", "--base", "subsampled_gaussian", "--q", "0.1",
+                            "--sigma", "1", "--family", "poisson", "--m", "abc",
+                            "--grid-spacing", "1e-3", "--delta", "1e-6"], None,
+                           "error: m must be a number, got 'abc'"),
+    "profile-eps-grid": (["profile", "--base", "gaussian", "--sigma", "4", "--eps-grid", "abc"],
+                         None, "error: bad eps grid 'abc', want lo:hi:step"),
     # values out of the library's range, refused before a Gaussian is built
-    (["guarantee", "--base", "gaussian", "--sigma", "4", "--family", "poisson", "--m", "0",
-      "--delta", "1e-6"], None, "error: mean must be positive, got 0.0"),
-    (["guarantee", "--base", "pure", "--eps-base", "-1", "--delta", "1e-6"], None,
-     "error: points need finite eps >= 0 and delta in [0,1], got [(-1.0, 0.0)]"),
-    (["guarantee", "--base", "pure", "--eps-base", "1", "--method", "rdp", "--delta", "1e-6"],
-     None, "error: method rdp needs a gaussian or subsampled_gaussian base"),
-], ids=["missing-target", "sigma-nan", "config-base-list", "subsampled-method",
-        "binomial-n-fraction", "rnm-rounds-zero", "config-monotone-yes", "poisson-m-abc",
-        "poisson-m-abc-grid", "profile-eps-grid", "poisson-m-zero", "pure-eps-negative",
-        "pure-rdp"])
-def test_config_errors_exit_before_scipy_loads(argv, config, message, tmp_path):
-    if config is not None:
-        cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps(config))
-        argv = [*argv, "--config", str(cfg)]
-    r, printed, loaded = loaded_after(
-        f"from privsel import cli\nprint(cli.main({argv!r}))")
-    assert printed == ["2"], r.stderr
-    assert r.stderr == message + "\n"
-    assert "scipy" not in loaded
+    "poisson-m-zero": (["guarantee", "--base", "gaussian", "--sigma", "4", "--family",
+                        "poisson", "--m", "0", "--delta", "1e-6"], None,
+                       "error: mean must be positive, got 0.0"),
+    "pure-eps-negative": (["guarantee", "--base", "pure", "--eps-base", "-1", "--delta", "1e-6"],
+                          None, "error: points need finite eps >= 0 and delta in [0,1], "
+                                "got [(-1.0, 0.0)]"),
+    "pure-rdp": (["guarantee", "--base", "pure", "--eps-base", "1", "--method", "rdp",
+                  "--delta", "1e-6"], None,
+                 "error: method rdp needs a gaussian or subsampled_gaussian base"),
+    # a key the command does not read
+    "unread-config-key": (["guarantee", "--delta", "1e-6"],
+                          {"base": {"kind": "gaussian", "sigma": 4},
+                           "family": {"kind": "negbin", "m": 300}, "metod": "rdp"},
+                          "error: guarantee config does not read metod; "
+                          "its keys are base, family, method"),
+}
 
 
-def test_unread_config_key_exits_before_scipy_loads(tmp_path):
-    cfg = tmp_path / "metod.json"
-    cfg.write_text(json.dumps({"base": {"kind": "gaussian", "sigma": 4},
-                               "family": {"kind": "negbin", "m": 300},
-                               "metod": "rdp"}))
-    argv = ["guarantee", "--config", str(cfg), "--delta", "1e-6"]
-    r, printed, loaded = loaded_after(
-        f"from privsel import cli\nprint(cli.main({argv!r}))")
-    assert printed == ["2"], r.stderr
-    assert r.stderr == ("error: guarantee config does not read metod; "
-                        "its keys are base, family, method\n")
-    assert "scipy" not in loaded
+@pytest.fixture(scope="module")
+def config_error_calls(tmp_path_factory):
+    """Every call of CONFIG_ERRORS, in turn, in one fresh interpreter: by
+    name, its exit code, its stdout and stderr, and whether scipy was
+    loaded after it.  The set of loaded modules only grows, so a call
+    that loads scipy shows it at that call, as it would alone."""
+    configs = tmp_path_factory.mktemp("configs")
+    calls = {}
+    for name, (argv, config, _) in CONFIG_ERRORS.items():
+        if config is not None:
+            cfg = configs / f"{name}.json"
+            cfg.write_text(json.dumps(config))
+            argv = [*argv, "--config", str(cfg)]
+        calls[name] = argv
+    r, printed, _ = loaded_after(
+        "import contextlib, io\nfrom privsel import cli\n"
+        f"for name, argv in {calls!r}.items():\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        rc = cli.main(argv)\n"
+        "    print(json.dumps([name, rc, out.getvalue(), err.getvalue(), "
+        "'scipy' in sys.modules]))")
+    assert (r.returncode, r.stderr) == (0, "")
+    results = {}
+    for line in printed:
+        name, *result = json.loads(line)
+        results[name] = result
+    assert list(results) == list(CONFIG_ERRORS)
+    return results
+
+
+def assert_refused_before_scipy(name, calls):
+    rc, out, err, scipy_loaded = calls[name]
+    assert (rc, out) == (2, ""), err
+    assert err == CONFIG_ERRORS[name][2] + "\n"
+    assert not scipy_loaded
+
+
+@pytest.mark.parametrize("name", [n for n in CONFIG_ERRORS if n != "unread-config-key"])
+def test_config_errors_exit_before_scipy_loads(name, config_error_calls):
+    assert_refused_before_scipy(name, config_error_calls)
+
+
+def test_unread_config_key_exits_before_scipy_loads(config_error_calls):
+    assert_refused_before_scipy("unread-config-key", config_error_calls)
 
 
 NEGBIN_30 = ["--family", "negbin", "--eta", "1", "--m", "30"]

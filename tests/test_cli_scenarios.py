@@ -234,6 +234,15 @@ def test_bad_config_is_refused(cfg, tmp_path, capsys):
                         (["--sigma", "1", "--sensitivity", "1e200"],
                          "sigma=1.0, sensitivity=1e+200"),
                         (["--sigma", "1e200"], "sigma=1e+200, sensitivity=1.0"))),
+    (GAUSS + ["--family", "rnm", "--m", "1e305", "--method", "closed", "--delta", "1e-6"],
+     "error: candidates/delta = 1e+305/1e-06 overflows float64"),
+    (["guarantee", "--base", "pure", "--eps-base", "1e300", "--family", "negbin", "--eta",
+      "1e10", "--gamma", "0.5", "--method", "closed", "--delta", "1e-6"],
+     "error: (eta+2)*eps = (1e+10+2)*1e+300 overflows float64"),
+    (["guarantee", "--base", "gaussian", "--sigma", "1e-150", "--family", "negbin", "--eta",
+      "1e10", "--gamma", "0.5", "--method", "closed", "--delta", "1e-6"],
+     "error: the closed-form eps overflows float64 at sigma=1e-150, eta=1e+10, gamma=0.5, "
+     "delta=1e-06"),
 ], ids=["binomial-zero-trials-m", "binomial-zero-trials-p", "gaussian-ratio-underflow",
         "gaussian-rdp-square-underflow", "gaussian-rdp-subnormal-sigma",
         "gaussian-rdp-square-overflow", "subsampled-square-overflow",
@@ -242,13 +251,16 @@ def test_bad_config_is_refused(cfg, tmp_path, capsys):
         "negbin-gamma-reciprocal-rdp", "negbin-gamma-reciprocal-closed",
         "negbin-gamma-reciprocal-inf-times-zero",
         *(f"{family}-closed-square-{way}" for family in ("negbin", "rnm")
-          for way in ("underflow", "ratio-underflow", "overflow"))])
+          for way in ("underflow", "ratio-underflow", "overflow")),
+        "rnm-closed-eps-overflow", "pure-closed-eps-overflow",
+        "negbin-closed-eps-overflow"])
 def test_arithmetic_failure_is_refused_by_name(argv, message, capsys):
     # the m form divided by the trial count, the Gaussian leaf by an
     # underflowed ratio, the Renyi curve and the loss grid by a square
     # that under- or overflowed: each ended in a traceback.  A gamma whose
     # 1/gamma overflows was blamed on eps1, on a points list or on the target.
-    # The closed forms divided by a square that under- or overflowed
+    # The closed forms divided by a square that under- or overflowed, and
+    # an eps of theirs that overflowed was blamed on a points list
     assert cli.main(argv) == 2
     out = capsys.readouterr()
     assert (out.out, out.err) == ("", message + "\n")

@@ -28,6 +28,7 @@ from privsel.selection import (
     negbin_penalty,
     rdp_select_negbin,
     select_gdp_eps,
+    select_negbin_pointwise,
     select_negbin_pure,
     select_poisson_profile,
 )
@@ -113,6 +114,12 @@ def test_nan_eps_query_is_config_error(capsys):
     lambda: select_gdp_eps(1e200, 1.0, 0.1, 1e-6),
     lambda: rnm_gaussian_eps(1e-200, 10, 1e-6),
     lambda: rnm_gaussian_eps(1e200, 10, 1e-6),
+    # a closed form whose eps overflowed returned inf, which the points
+    # list refused with a message that named no input
+    lambda: rnm_gaussian_eps(4.0, 10**305, 1e-6),
+    lambda: select_negbin_pure(1e300, 1e10),
+    lambda: select_gdp_eps(1e-150, 1e10, 0.5, 1e-6),
+    lambda: select_negbin_pointwise(PointDP(1e300, 1e-6), 1e10, 0.5),
 ])
 def test_constructors_reject_non_finite(build):
     with pytest.raises(ValueError):

@@ -4,7 +4,9 @@ Each node (Gaussian, Points, Scaled, Renyi, Pld) evaluated over an array
 of eps must give exactly the floats its scalar evaluator gives one eps at
 a time, and refuse a NaN the same way.  `optimize_eps1` must choose the
 same eps1 as a scan that calls the base and the penalty once per
-candidate, and build the same candidate grid as `np.geomspace`.
+candidate, and build the same candidate grid as `np.geomspace`; where
+it settles eps1 without the scan, the base nodes' slope in e^eps, the
+rule's premise, is checked too.
 """
 
 import math
@@ -24,6 +26,7 @@ from privsel.pld import (
 )
 from privsel.profiles import (
     PointDP,
+    Points,
     Scaled,
     clip_delta_array,
     epsilon_for_delta,
@@ -42,6 +45,7 @@ from privsel.selection import (
     BinomialPenalty,
     NegBinPenalty,
     PoissonPenalty,
+    _binomial_eps1_min,
     _grid,
     _sorted_unique,
     negbin_penalty,
@@ -311,8 +315,97 @@ def test_penalty_array_form_tracks_the_scalar_form(penalty):
 @SCANS
 @given(bases, penalties())
 def test_optimize_eps1_matches_a_scalar_scan(base, penalty):
+    got, want = optimize_eps1(base, penalty), scalar_scan_optimize(base, penalty)
+    if want < penalty.eps1_min and not isinstance(base, Points):
+        # a drawn eps1_min past the scan's range leaves it only inadmissible
+        # candidates, and its answer one that bound_for_count refuses; the
+        # slope rule answers the threshold itself
+        assert got == penalty.eps1_min
+    else:
+        assert got.hex() == want.hex()
+
+
+def _rounded_up_pld(p, q, spacing):
+    """The loss distribution of P against Q on a few outcomes, each loss
+    log(p/q) rounded up to the grid, and P's mass where Q has none at
+    loss +inf: an upper-bounding discretization of a true pair."""
+    fin = (p > 0) & (q > 0)
+    cells = np.ceil(np.log(p[fin] / q[fin]) / spacing).astype(int)
+    lo = int(cells.min())
+    mass = np.zeros(int(cells.max()) - lo + 1)
+    np.add.at(mass, cells - lo, p[fin])
+    return DiscretePLD(spacing, lo, mass, float(p[q == 0].sum()))
+
+
+@st.composite
+def pair_plds(draw):
+    """The Pld node of a random pair of distributions on up to six
+    outcomes, some with no Q mass, in both directions."""
+    k = draw(st.integers(1, 6))
+    p = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k))) + 1e-3
+    q = np.array(draw(st.lists(st.floats(1e-3, 1.0) | st.just(0.0), min_size=k, max_size=k)))
+    q[0] += 1e-3
+    p, q = p / p.sum(), q / q.sum()
+    spacing = draw(st.sampled_from([0.05, 0.5, 1.0]))
+    return Pld(_rounded_up_pld(p, q, spacing), _rounded_up_pld(q, p, spacing))
+
+
+@PROPS
+@given(st.one_of(st.floats(0.05, 100.0).map(gaussian_profile),
+                 point_lists().map(profile_from_points),
+                 pair_plds()),
+       st.lists(st.floats(-5.0, 700.0), min_size=2, max_size=60))
+def test_base_nodes_fall_with_slope_in_minus_one_to_zero(base, eps):
+    # the premise of optimize_eps1's slope rule: in x = e^eps, U does not
+    # rise and x + U does not fall.  Rounding may break either by a few
+    # ulps: 2 ulps of 1 for U, and 4 ulps of max(1, x) for x + U (all
+    # three kinds of node stayed within 1.25 of the latter in 18,000
+    # random draws)
+    assert base.lipschitz_in_exp
+    eps = np.unique(np.concatenate([eps, [k for k in base.knots if k <= 700.0]]))
+    x = np.array([math.exp(e) for e in eps.tolist()])
+    du = np.diff(base.on_array(eps))
+    assert (du <= 2 * np.spacing(1.0)).all()
+    assert (du + np.diff(x) >= -4 * np.spacing(np.maximum(1.0, x[1:]))).all()
+
+
+def test_other_nodes_make_no_slope_claim():
+    # a Scaled node falls at factor times its base's slope, and a Renyi
+    # conversion is no hockey-stick curve: both keep the search
+    curve = gaussian_rdp_curve(4.0)
+    for node in (rdp_profile(curve), Scaled(gaussian_profile(4.0), 30.0, 0.7)):
+        assert not node.lipschitz_in_exp
+
+
+@SCANS
+@given(st.one_of(st.floats(0.3, 30.0).map(gaussian_profile), pair_plds()),
+       st.sampled_from(("poisson", "binomial")), st.floats(0.1, 1000.0),
+       st.integers(2, 200), st.floats(0.01, 0.99))
+def test_poisson_and_binomial_take_the_scans_eps1(base, kind, m, n, p):
+    # on a node whose slope in e^eps lies in [-1, 0], the Poisson and the
+    # binomial shift never fall as eps1 rises: the scan's winner is the
+    # threshold, which the rule returns with no search
+    if kind == "poisson":
+        penalty = PoissonPenalty(m)
+    else:
+        penalty = BinomialPenalty(n, p, _binomial_eps1_min(base, n, p))
     got = optimize_eps1(base, penalty)
     assert got.hex() == scalar_scan_optimize(base, penalty).hex()
+    assert got == penalty.eps1_min
+
+
+def test_a_flat_negbin_objective_on_points_takes_eps1_zero():
+    # at gamma = 0.5 (ratio 1) x + U is flat below the first knot, so the
+    # penalty is flat there up to rounding.  The rule takes eps1 = 0, with
+    # penalty 0.5; the scan finds a float one ulp lower near 1.07e-6.
+    # Either answer is sound; the rule's is an ulp looser
+    base = profile_from_points([(0.5, 0.0), (710.0, 0.0)])
+    penalty = negbin_penalty(0.0, 0.5)
+    got, scanned = optimize_eps1(base, penalty), scalar_scan_optimize(base, penalty)
+    assert got.hex() == "0x0.0p+0"
+    assert penalty(got, base(got)) == 0.5
+    assert scanned.hex() == "0x1.1ebbb047e274ep-20"
+    assert penalty(scanned, base(scanned)) == 0.5 - math.ulp(0.5)
 
 
 
