@@ -1,0 +1,35 @@
+"""The monotone searches under privsel's answers, on the stdlib alone:
+`countdist`, which `oracles` imports, searches without loading the bounds."""
+
+import sys
+
+
+def halve(pred, lo, hi, tol=0.0, steps=sys.maxsize):
+    """(lo, hi) after halving a float bracket whose lo fails pred and whose
+    hi passes it, each step moving one end to the midpoint.  Stops once
+    hi - lo <= tol, once the ends are adjacent floats (the midpoint then
+    rounds onto one of them and is not probed), or after `steps` probes."""
+    for _ in range(steps):
+        if not hi - lo > tol:
+            break
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+def gallop(pred, lo, hi, cap=float("inf")):
+    """(lo, hi) of an integer search from a lo that fails pred: while
+    pred(hi) fails, lo moves up to hi and hi doubles.  A hi past `cap` is
+    returned unprobed; otherwise the gap is halved until hi is the least
+    integer above lo at which pred holds."""
+    while hi <= cap and not pred(hi):
+        lo, hi = hi, 2 * hi
+    while hi <= cap and hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if pred(mid) else (mid, hi)
+    return lo, hi

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._search import gallop, halve
 from .errors import InfeasibleMeanError
 
 # Validation sums truncate the support where the right tail drops below this.
@@ -238,17 +239,8 @@ class Poisson:
             raise ValueError(f"tail must be in (0,1], got {tail}")
         rate, q = self.rate, 1 - tail
         beyond = 1 - q
-        # gallop, then bisect, to the least k with gammainc(k + 1) <= beyond
-        lo, hi = -1, max(1, math.ceil(rate))
-        while gammainc(hi + 1, rate) > beyond:
-            lo, hi = hi, 2 * hi
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if gammainc(mid + 1, rate) <= beyond:
-                hi = mid
-            else:
-                lo = mid
-        k = hi
+        # the least k with gammainc(k + 1) <= beyond
+        k = gallop(lambda j: gammainc(j + 1, rate) <= beyond, -1, max(1, math.ceil(rate)))[1]
         if k >= 1 and gammaincc(k, rate) >= q:
             k -= 1
         k += 2
@@ -316,12 +308,6 @@ def _solve_success(shape, m):
     if _negbin_mean(shape, hi) > m:
         raise InfeasibleMeanError(f"mean {m} out of reach for shape {shape}")
     # iterate to relative width ~1e-18 so the mean round-trips within 1e-9
-    # even when the solution sits at success ~ 1/m with m in the thousands;
-    # a step that leaves (lo, hi) as it was would leave it so for good
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        step = (mid, hi) if _negbin_mean(shape, mid) > m else (lo, mid)
-        if step == (lo, hi):
-            break
-        lo, hi = step
+    # even when the solution sits at success ~ 1/m with m in the thousands
+    lo, hi = halve(lambda g: not _negbin_mean(shape, g) > m, lo, hi, steps=90)
     return 0.5 * (lo + hi)

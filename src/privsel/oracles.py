@@ -331,15 +331,16 @@ SELECTION_INSTANCES = (
 
 def instance_pair(spec):
     """Dominating pair of a one-step gaussian or subsampled_gaussian base
-    spec; a subsampled pair moves by 1 at noise sigma / sensitivity."""
-    kind, sens = spec.get("kind"), spec.get("sensitivity", 1.0)
-    if spec.get("steps", 1) != 1:
-        raise ValueError(f"a composed base has no density pair here: {spec!r}")
+    spec read by `scenario.base_params`, moving by 1 at sigma / sensitivity."""
+    from .scenario import base_params
+    kind, params = base_params(spec)
     if kind == "gaussian":
-        return gaussian_pair(0.0, sens, spec["sigma"])
-    if kind == "subsampled_gaussian":
-        return subsampled_gaussian_pair(spec["q"], spec["sigma"] / sens, "remove")
-    raise ValueError(f"no density pair for base {spec!r}")
+        sigma, sens = params
+        return gaussian_pair(0.0, sens, sigma)
+    if kind == "subsampled_gaussian" and params[2] == 1:
+        q, ratio, _ = params
+        return subsampled_gaussian_pair(q, ratio, "remove")
+    raise ValueError(f"no density pair for a composed or non-gaussian base {spec!r}")
 
 
 def oracle_checks():

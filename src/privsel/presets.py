@@ -18,6 +18,7 @@ import math
 import numpy as np
 
 from . import scenario
+from ._search import gallop
 # pld and gaussian load here, not on the first table, so `import
 # privsel.presets` pays for them, and for scipy's compiled special
 # functions (not the scipy.special package), before any table is timed
@@ -170,18 +171,7 @@ def _max_passing(ok, lo, cap):
     4 lo, ... while they pass, then bisects the last doubling."""
     if not ok(lo):
         return 0
-    hi = 2 * lo
-    while hi <= cap and ok(hi):
-        lo, hi = hi, 2 * hi
-    if hi > cap:
-        return lo
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return gallop(lambda n: not ok(n), lo, 2 * lo, cap)[0]
 
 
 def fig7_max_counts():

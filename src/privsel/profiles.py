@@ -35,6 +35,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from ._search import halve
 from .errors import UnreachableTargetError
 
 BISECT_TOL = 1e-6
@@ -102,22 +103,13 @@ def _bisect(node, delta, floor):
     BISECT_TOL above it: brackets by doubling the width from 1 (from one
     ulp of floor where that is wider, as floor + 1 rounds back to floor
     once |floor| >= 2**53) until the end passes EPS_CAP (inf there), then
-    bisects, stopping at adjacent floats where those lie more than
-    BISECT_TOL apart.  hi is certified as it goes."""
+    halves to BISECT_TOL or to adjacent floats.  hi is certified as it goes."""
     lo, hi = floor, floor + max(1.0, math.ulp(floor))
     while node(hi) > delta:
         if hi >= EPS_CAP:
             return math.inf
         lo, hi = hi, min(floor + 2 * (hi - floor), EPS_CAP)
-    while hi - lo > BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if node(mid) <= delta:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return halve(lambda eps: node(eps) <= delta, lo, hi, BISECT_TOL)[1]
 
 
 def _certified(node, eps, delta, floor):

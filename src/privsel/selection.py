@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._search import halve
 from .countdist import Binomial, Poisson, TruncNegBinomial, _check_shape
 from .errors import EmptyCurveError, NoAdmissibleEps1Error, UnreachableTargetError
 from .profiles import (
@@ -95,14 +96,15 @@ def _sorted_unique(x):
     return x[keep] + 0.0
 
 
-def _eps_hi(base):
+def _eps_hi(base, eps1_min):
     """The top of the eps1 range: where the base delta bottoms out at
-    1e-15, capped at EPS1_CAP and at least 1e-3."""
+    1e-15, capped at EPS1_CAP and at least 1e-3, or the count's
+    admissibility threshold eps1_min where that lies higher."""
     try:
         eps_hi = min(epsilon_for_delta(base, 1e-15), EPS1_CAP)
     except UnreachableTargetError:
         eps_hi = EPS1_CAP
-    return max(eps_hi, 1e-3)
+    return max(eps_hi, 1e-3, eps1_min)
 
 
 def optimize_eps1(base, penalty):
@@ -119,26 +121,27 @@ def optimize_eps1(base, penalty):
     for Poisson and binomial counts, whose penalty is flat there up to
     rounding: the search's float stays the answer.
 
-    Otherwise the candidates are 0, a 200-point log-spaced grid up to
-    where the base delta bottoms out (capped at 50), any kink locations
-    the profile declares, and the penalty's admissibility threshold
-    `eps1_min`.  The base and the penalty node are evaluated over all of
+    Otherwise the candidates are 0, a 200-point log-spaced grid up to the
+    range's top, any kink locations the profile declares, and the
+    penalty's admissibility threshold `eps1_min`.  The range tops out where
+    the base delta bottoms out (capped at 50), or at `eps1_min` where that
+    lies higher.  The base and the penalty node are evaluated over all of
     them in one array pass each; the candidates whose array value lies
     within a small window of the least are scored again by the penalty's
     scalar form, and the best of those, the smallest eps1 on a tie, is
-    sharpened by golden-section search to 1e-6.  A penalty may return
-    +inf to mark an eps1 inadmissible.
+    sharpened by golden-section search to 1e-6.  A penalty may return +inf
+    to mark an eps1 inadmissible.
     """
-    if isinstance(base, Points):
-        if isinstance(penalty, NegBinPenalty):
-            eps_hi = _eps_hi(base)
-            # + 0.0 turns a -0.0 knot into 0.0
-            cand = {0.0, eps_hi, *(float(k) + 0.0 for k in base.knots if 0.0 <= k <= eps_hi)}
-            return min((penalty(e, base(e)), e) for e in cand)[1]
-    elif base.lipschitz_in_exp and isinstance(penalty, (PoissonPenalty, BinomialPenalty)):
+    points = isinstance(base, Points)
+    if (not points and base.lipschitz_in_exp
+            and isinstance(penalty, (PoissonPenalty, BinomialPenalty))):
         return penalty.eps1_min
+    eps_hi = _eps_hi(base, penalty.eps1_min)
+    if points and isinstance(penalty, NegBinPenalty):
+        # + 0.0 turns a -0.0 knot into 0.0
+        cand = {0.0, eps_hi, *(float(k) + 0.0 for k in base.knots if 0.0 <= k <= eps_hi)}
+        return min((penalty(e, base(e)), e) for e in cand)[1]
 
-    eps_hi = _eps_hi(base)
     cand = np.concatenate(([0.0], _grid(eps_hi), base.knots, [penalty.eps1_min]))
     cand = _sorted_unique(cand[(0.0 <= cand) & (cand <= eps_hi)])
     deltas = base.on_array(cand)
@@ -254,15 +257,7 @@ def _binomial_eps1_min(base, n, p):
         raise NoAdmissibleEps1Error(
             f"no admissible eps1 below {EPS1_CAP} for n={n}, p={p}"
         )
-    lo = 0.0
-    # a step that leaves (lo, hi) as it was would leave it so for good
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        step = (mid, hi) if g(mid) < 0 else (lo, mid)
-        if step == (lo, hi):
-            break
-        lo, hi = step
-    return hi
+    return halve(lambda e1: not g(e1) < 0, 0.0, hi, steps=80)[1]
 
 
 def _count_penalty(base, dist):

@@ -299,6 +299,17 @@ def test_closed_negbin_answers_where_gamma_times_delta_underflows(delta, eps, ca
     assert (out.out, out.err) == (f"eps={eps} delta={delta} method=closed eps1=nan\n", "")
 
 
+def test_binomial_threshold_above_the_points_range_answers(tmp_path, capsys):
+    # the points bottom out at eps = 0.001, below the admissibility threshold:
+    # an eps1 range topped there left only inadmissible candidates, exit 3
+    cfg = {"base": {"kind": "points", "points": [[0.001, 1e-16]]},
+           "family": {"kind": "binomial", "n": 2, "p": 0.99999999999999}}
+    assert cli.main(["guarantee", *config(tmp_path, cfg), "--delta", "1e-6"]) == 0
+    out = capsys.readouterr()
+    assert (out.out, out.err) == (
+        "eps=0.0109577512936 delta=1e-06 method=hs eps1=0.00995825079402\n", "")
+
+
 @pytest.mark.parametrize("argv", [
     ["guarantee", "--base", "subsampled_gaussian", "--q", "0.01", "--sigma", "1e-154",
      "--delta", "1e-6"],

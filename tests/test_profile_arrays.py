@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from privsel.errors import UnreachableTargetError
@@ -26,7 +26,6 @@ from privsel.pld import (
 )
 from privsel.profiles import (
     PointDP,
-    Points,
     Scaled,
     clip_delta_array,
     epsilon_for_delta,
@@ -314,12 +313,15 @@ def test_penalty_array_form_tracks_the_scalar_form(penalty):
 
 @SCANS
 @given(bases, penalties())
+# the points bottom out at eps = 0.001, below the drawn threshold
+@example(profile_from_points([(0.001, 1e-16)]), BinomialPenalty(2, 0.5, 0.01))
 def test_optimize_eps1_matches_a_scalar_scan(base, penalty):
     got, want = optimize_eps1(base, penalty), scalar_scan_optimize(base, penalty)
-    if want < penalty.eps1_min and not isinstance(base, Points):
-        # a drawn eps1_min past the scan's range leaves it only inadmissible
-        # candidates, and its answer one that bound_for_count refuses; the
-        # slope rule answers the threshold itself
+    if want < penalty.eps1_min:
+        # a drawn eps1_min past the scalar scan's range leaves it only
+        # inadmissible candidates, and its answer one that bound_for_count
+        # refuses; the slope rule answers the threshold itself, and
+        # optimize_eps1's range reaches up to it
         assert got == penalty.eps1_min
     else:
         assert got.hex() == want.hex()

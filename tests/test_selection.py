@@ -10,6 +10,7 @@ from privsel.errors import EmptyCurveError, NoAdmissibleEps1Error
 from privsel.profiles import (
     PointDP,
     RdpCurve,
+    Scaled,
     default_orders,
     epsilon_for_delta,
     gaussian_profile,
@@ -163,6 +164,19 @@ def test_binomial_inadmissible_eps1_raises():
     flat = profile_from_points([(0.0, 1.0)])
     with pytest.raises(NoAdmissibleEps1Error):
         bound_for_count(flat, Binomial(10, 0.9), 0.0)
+
+
+@pytest.mark.parametrize("scale", [None, 2.0], ids=["points", "scaled"])
+def test_binomial_threshold_above_the_base_range_is_in_the_eps1_range(scale):
+    # the base bottoms out at eps = 0.001, below the threshold 0.00996: a
+    # range topped there offered only inadmissible candidates
+    base = profile_from_points([(0.001, 1e-16)])
+    if scale is not None:
+        base = Scaled(base, scale)
+    dist = Binomial(2, 0.99999999999999)
+    threshold = _binomial_eps1_min(base, dist.trials, dist.prob)
+    assert threshold > 0.009
+    assert bound_for_count(base, dist).eps1 == threshold
 
 
 def test_fixed_eps1_whose_shift_overflows_raises():
