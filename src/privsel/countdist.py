@@ -4,12 +4,15 @@ Randomized selection draws a count K, runs the base mechanism K times and
 releases the best run.  Each distribution offers its pmf, cdf, mean, the
 derivative of its probability generating function (at a float or an
 array) and a tail support bound; the oracles and the fig4 table use those.
+Each also offers the shift its selection bound subtracts from a queried
+eps, a function of (eps1, delta1): `shift` on floats, by `math`, and
+`shifts` on arrays, by numpy, with the same operations in the same order.
 
-The bounds read only `mean()` and the parameters, so the module loads
-numpy alone.  `pmf`, the Poisson `cdf` and `support_upper` import their
-special functions from `_special` when called, which loads scipy's
-compiled ufuncs without the `scipy.special` package; only the binomial
-`cdf` (`betainc`, read by the fig4 table) imports the package.
+The bounds read only `mean()`, the shift and the parameters, so the
+module loads numpy alone.  `pmf`, the Poisson `cdf` and `support_upper`
+import their special functions from `_special` when called, which loads
+scipy's compiled ufuncs without the `scipy.special` package; only the
+binomial `cdf` (`betainc`, read by the fig4 table) imports the package.
 
 The truncated negative binomial lives on {1, 2, ...}; binomial and Poisson
 put mass on K = 0, which the selection bounds treat separately.
@@ -119,6 +122,16 @@ class TruncNegBinomial:
     def mean(self):
         return _negbin_mean(self.shape, self.success)
 
+    def shift(self, e1, d1):
+        """(eta+1) * log(e^eps1 + ((1-gamma)/gamma) * delta1)."""
+        return (self.shape + 1.0) * math.log(
+            math.exp(e1) + (1.0 - self.success) / self.success * d1)
+
+    def shifts(self, e1, d1):
+        with np.errstate(over="ignore"):
+            return (self.shape + 1.0) * np.log(
+                np.exp(e1) + (1.0 - self.success) / self.success * d1)
+
     def cdf(self, k):
         k = int(k)
         if k < 1:
@@ -176,6 +189,15 @@ class Binomial:
     def mean(self):
         return self.trials * self.prob
 
+    def shift(self, e1, d1):
+        """(n-1) * log(1 + p (e^eps1 - 1) + p delta1), meaningful only at
+        or above the bound's admissibility threshold for eps1."""
+        return (self.trials - 1.0) * math.log1p(self.prob * math.expm1(e1) + self.prob * d1)
+
+    def shifts(self, e1, d1):
+        with np.errstate(over="ignore"):
+            return (self.trials - 1.0) * np.log1p(self.prob * np.expm1(e1) + self.prob * d1)
+
     def cdf(self, k):
         from scipy.special import betainc
         k = math.floor(k)
@@ -212,6 +234,14 @@ class Poisson:
 
     def mean(self):
         return self.rate
+
+    def shift(self, e1, d1):
+        """m (e^eps1 - 1) + m delta1."""
+        return self.rate * math.expm1(e1) + self.rate * d1
+
+    def shifts(self, e1, d1):
+        with np.errstate(over="ignore"):
+            return self.rate * np.expm1(e1) + self.rate * d1
 
     def cdf(self, k):
         # pdtr(k, rate), the regularized upper incomplete gamma at k + 1

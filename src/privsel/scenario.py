@@ -121,7 +121,10 @@ def base_params(base):
         q, steps = _real(base, "q"), _count(base, "steps", 1)
         return kind, (q, _noise_ratio(sigma, sens), steps)
     if kind == "pure":
-        return kind, _real(base, "eps")
+        eps = _real(base, "eps")
+        if not eps >= 0:
+            raise ConfigError(f"pure base needs eps >= 0, got {eps}")
+        return kind, eps
     try:
         return kind, [(finite(e, "eps"), finite(d, "delta")) for e, d in base["points"]]
     except (KeyError, TypeError, ValueError) as e:
@@ -178,6 +181,8 @@ def _resolve_rnm(kind, params, fam, method, delta, grid_spacing):
         raise ConfigError(f"monotone must be true or false, got {monotone!r}")
     candidates = _count(fam, "m")
     rounds = _count(fam, "rounds", 1)
+    if candidates < 1:
+        raise ConfigError(f"m must be >= 1, got {candidates}")
     if rounds < 1:
         raise ConfigError(f"rounds must be >= 1, got {rounds}")
     if method == "closed":
@@ -223,6 +228,10 @@ def resolve(base, fam, method, *, eps1=None, delta=None, grid_spacing=None,
         built = build(kind, params, method, grid)
         return (profiles.rdp_profile(built) if method == "rdp" else built), None, None
     if method == "closed" and kind == "pure":
+        # no formula reads the target here, so it is checked as inverting
+        # a profile checks it
+        if delta is not None and not 0 < delta <= 1:
+            raise ConfigError(f"delta target must be in (0,1], got {delta}")
         # the pure-base form depends on the count only through its shape
         eps = selection.select_negbin_pure(params, dist.shape)
         return profiles.profile_from_points([(eps, 0.0)]), None, eps

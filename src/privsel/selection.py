@@ -3,9 +3,10 @@
 The tuning mechanism draws K from a count distribution, runs the base
 mechanism K times, and releases the highest-scoring output.  Its
 hockey-stick divergence at eps is bounded by E[K] times the base delta
-evaluated at eps minus a penalty; the penalty depends only on a free
-parameter eps1 and the base profile, so one penalty minimization serves
-every queried eps.  Alongside the profile bounds live closed-form
+evaluated at eps minus a shift.  The count defines the shift as a
+function of a free parameter eps1 and the base delta there (its `shift`
+and `shifts` methods), so one minimization over eps1 serves every
+queried eps.  Alongside the profile bounds live closed-form
 corollaries, Renyi-divergence baselines, a guarantee-adjustment helper,
 and a propose-test-release combiner.
 """
@@ -107,45 +108,49 @@ def _eps_hi(base, eps1_min):
     return max(eps_hi, 1e-3, eps1_min)
 
 
-def optimize_eps1(base, penalty):
-    """Minimize penalty(eps1, base(eps1)) over eps1 >= 0.
+def optimize_eps1(base, count, eps1_min=0.0):
+    """Minimize count.shift(eps1, base(eps1)) over eps1 >= eps1_min, the
+    count's admissibility threshold (the binomial's; 0 for the others).
 
     Two shapes of base settle eps1 without a search.  On a node whose
     slope in x = e^eps lies in [-1, 0] (`lipschitz_in_exp`), the Poisson
     shift m (x - 1 + U) and the binomial shift, a log1p of p (x - 1) +
-    p U, never fall as eps1 rises, so the count's threshold `eps1_min` (0
-    for Poisson) wins, with no base evaluation.  On a Points node, x + r U
-    of a negbin shift is a minimum of cones, each linear in x on both
-    sides of its knot, so the least penalty over 0, the knots and the
-    range's top wins, the smallest eps1 on a tie.  Points keep the search
-    for Poisson and binomial counts, whose penalty is flat there up to
-    rounding: the search's float stays the answer.
+    p U, never fall as eps1 rises, so the threshold `eps1_min` wins, with
+    no base evaluation.  On a Points node, x + r U of a negbin shift is a
+    minimum of cones, each linear in x on both sides of its knot, so the
+    least shift over 0, the knots and the range's top wins, the smallest
+    eps1 on a tie.  Points keep the search for Poisson and binomial
+    counts, whose shift is flat there up to rounding: the search's float
+    stays the answer.
 
     Otherwise the candidates are 0, a 200-point log-spaced grid up to the
-    range's top, any kink locations the profile declares, and the
-    penalty's admissibility threshold `eps1_min`.  The range tops out where
-    the base delta bottoms out (capped at 50), or at `eps1_min` where that
-    lies higher.  The base and the penalty node are evaluated over all of
-    them in one array pass each; the candidates whose array value lies
-    within a small window of the least are scored again by the penalty's
-    scalar form, and the best of those, the smallest eps1 on a tie, is
-    sharpened by golden-section search to 1e-6.  A penalty may return +inf
-    to mark an eps1 inadmissible.
+    range's top, any kink locations the profile declares, and `eps1_min`.
+    The range tops out where the base delta bottoms out (capped at 50),
+    or at `eps1_min` where that lies higher.  The base and the count's
+    `shifts` are evaluated over all of them in one array pass each; the
+    candidates whose array value lies within a small window of the least
+    are scored again by the scalar `shift`, and the best of those, the
+    smallest eps1 on a tie, is sharpened by golden-section search to
+    1e-6.  An eps1 below `eps1_min` scores +inf.
     """
     points = isinstance(base, Points)
-    if (not points and base.lipschitz_in_exp
-            and isinstance(penalty, (PoissonPenalty, BinomialPenalty))):
-        return penalty.eps1_min
-    eps_hi = _eps_hi(base, penalty.eps1_min)
-    if points and isinstance(penalty, NegBinPenalty):
+    if not points and base.lipschitz_in_exp and isinstance(count, (Poisson, Binomial)):
+        return eps1_min
+    eps_hi = _eps_hi(base, eps1_min)
+
+    def score(e1, d1):
+        return count.shift(e1, d1) if e1 >= eps1_min else math.inf
+
+    if points and isinstance(count, TruncNegBinomial):
         # + 0.0 turns a -0.0 knot into 0.0
         cand = {0.0, eps_hi, *(float(k) + 0.0 for k in base.knots if 0.0 <= k <= eps_hi)}
-        return min((penalty(e, base(e)), e) for e in cand)[1]
+        return min((score(e, base(e)), e) for e in cand)[1]
 
-    cand = np.concatenate(([0.0], _grid(eps_hi), base.knots, [penalty.eps1_min]))
+    cand = np.concatenate(([0.0], _grid(eps_hi), base.knots, [eps1_min]))
     cand = _sorted_unique(cand[(0.0 <= cand) & (cand <= eps_hi)])
     deltas = base.on_array(cand)
-    vals = penalty.on_array(cand, deltas)
+    vals = count.shifts(cand, deltas)
+    vals[cand < eps1_min] = math.inf
 
     # The array form only prunes.  It applies the scalar form's IEEE
     # operations in the same order, but numpy's exp, log, expm1 and log1p
@@ -162,7 +167,7 @@ def optimize_eps1(base, penalty):
     least = vals.min()
     near = np.flatnonzero(vals <= least + 1e-9 * abs(least) + 1e-12).tolist()
     best_v, best_e, i = min(
-        (penalty(e, d), e, j)
+        (score(e, d), e, j)
         for e, d, j in zip(cand[near].tolist(), deltas[near].tolist(), near)
     )
 
@@ -170,74 +175,13 @@ def optimize_eps1(base, penalty):
     hi = float(cand[i + 1]) if i + 1 < len(cand) else best_e
     if hi - lo > REFINE_TOL:
         def f(e1):
-            return penalty(e1, base(e1))
+            return score(e1, base(e1))
 
         refined = _golden(f, lo, hi, REFINE_TOL)
         rv = f(refined)
         if rv < best_v or (rv == best_v and refined < best_e):
             best_e, best_v = refined, rv
     return best_e
-
-
-@dataclass(frozen=True)
-class NegBinPenalty:
-    """weight * log(e^eps1 + ratio * delta1), the shift of a truncated
-    negative binomial count, with weight eta+1 and ratio (1-gamma)/gamma;
-    `negbin_penalty(eta, gamma)` builds it."""
-
-    weight: float
-    ratio: float
-    eps1_min = 0.0
-
-    def __call__(self, e1, d1):
-        return self.weight * math.log(math.exp(e1) + self.ratio * d1)
-
-    def on_array(self, e1, d1):
-        with np.errstate(over="ignore"):
-            return self.weight * np.log(np.exp(e1) + self.ratio * d1)
-
-
-def negbin_penalty(eta, gamma):
-    """The eps shift of a truncated-negative-binomial count as a function
-    of (eps1, delta1): (eta+1) * log(e^eps1 + ((1-gamma)/gamma) * delta1)."""
-    TruncNegBinomial(eta, gamma)  # the count's own checks of eta and gamma
-    return NegBinPenalty(eta + 1.0, (1.0 - gamma) / gamma)
-
-
-@dataclass(frozen=True)
-class BinomialPenalty:
-    """(n-1) * log(1 + p (e^eps1 - 1) + p delta1), the shift of a
-    Binomial(n, p) count, and +inf below its admissibility threshold
-    eps1_min."""
-
-    n: int
-    p: float
-    eps1_min: float
-
-    def __call__(self, e1, d1):
-        if e1 < self.eps1_min:
-            return math.inf
-        return (self.n - 1.0) * math.log1p(self.p * math.expm1(e1) + self.p * d1)
-
-    def on_array(self, e1, d1):
-        with np.errstate(over="ignore"):
-            v = (self.n - 1.0) * np.log1p(self.p * np.expm1(e1) + self.p * d1)
-        return np.where(e1 < self.eps1_min, math.inf, v)
-
-
-@dataclass(frozen=True)
-class PoissonPenalty:
-    """m (e^eps1 - 1) + m delta1, the shift of a Poisson(m) count."""
-
-    m: float
-    eps1_min = 0.0
-
-    def __call__(self, e1, d1):
-        return self.m * math.expm1(e1) + self.m * d1
-
-    def on_array(self, e1, d1):
-        with np.errstate(over="ignore"):
-            return self.m * np.expm1(e1) + self.m * d1
 
 
 def _binomial_eps1_min(base, n, p):
@@ -260,32 +204,22 @@ def _binomial_eps1_min(base, n, p):
     return halve(lambda e1: not g(e1) < 0, 0.0, hi, steps=80)[1]
 
 
-def _count_penalty(base, dist):
-    """The penalty node of a count distribution: it maps (eps1,
-    base(eps1)) to the shift subtracted from every queried eps, and is
-    +inf below its `eps1_min`, the smallest admissible eps1."""
-    if isinstance(dist, TruncNegBinomial):
-        return negbin_penalty(dist.shape, dist.success)
-    if isinstance(dist, Binomial):
-        n, p = dist.trials, dist.prob
-        return BinomialPenalty(n, p, _binomial_eps1_min(base, n, p))
-    if isinstance(dist, Poisson):
-        return PoissonPenalty(dist.rate)
-    raise TypeError(f"no selection bound for {type(dist).__name__}")
-
-
 def bound_for_count(base, dist, eps1=None):
     """Best-of-K bound for K drawn from dist: min(1, E[K] * base(eps - shift)).
 
-    The shift is the count's penalty at (eps1, base(eps1)), with eps1
+    The shift is the count's `shift` at (eps1, base(eps1)), with eps1
     optimized over the admissible range when None, else fixed by the
-    caller.  Binomial and Poisson counts can be zero, so their bounds
-    certify nothing at eps <= 0.
+    caller.  A binomial eps1 must reach the threshold
+    log(1 + p/(1-p) * base(eps1)); the other counts admit every eps1 >= 0.
+    Binomial and Poisson counts can be zero, so their bounds certify
+    nothing at eps <= 0.
     """
-    penalty = _count_penalty(base, dist)
-    eps1_min = penalty.eps1_min
+    if not isinstance(dist, (TruncNegBinomial, Binomial, Poisson)):
+        raise TypeError(f"no selection bound for {type(dist).__name__}")
+    eps1_min = (_binomial_eps1_min(base, dist.trials, dist.prob)
+                if isinstance(dist, Binomial) else 0.0)
     if eps1 is None:
-        eps1 = optimize_eps1(base, penalty)
+        eps1 = optimize_eps1(base, dist, eps1_min)
     else:
         eps1 = float(eps1)
         if not 0 <= eps1 < math.inf:
@@ -295,7 +229,7 @@ def bound_for_count(base, dist, eps1=None):
             f"eps1={eps1:g} is below the admissibility threshold {eps1_min:g}"
         )
     try:
-        shift = penalty(eps1, base(eps1))
+        shift = dist.shift(eps1, base(eps1))
     except OverflowError:
         shift = math.inf
     if shift == math.inf:
@@ -308,7 +242,7 @@ def bound_for_count(base, dist, eps1=None):
 
 def select_negbin_profile(base, eta, gamma):
     """Best-of-K bound for K truncated negative binomial: the queried eps
-    is reduced by negbin_penalty at (eps1, base(eps1))."""
+    is reduced by the count's shift at (eps1, base(eps1))."""
     return bound_for_count(base, TruncNegBinomial(eta, gamma))
 
 
@@ -427,7 +361,7 @@ def adjust_guarantee(eps1, delta1, eps_hat, eta, gamma, delta):
     """
     if min(eps1, delta1, eps_hat, delta) < 0:
         raise ValueError("inputs must be non-negative")
-    return PointDP(eps_hat + negbin_penalty(eta, gamma)(eps1, delta1), delta)
+    return PointDP(eps_hat + TruncNegBinomial(eta, gamma).shift(eps1, delta1), delta)
 
 
 def gptr_combine(eps, delta, eps_hat, delta_hat, delta_prime):

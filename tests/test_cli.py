@@ -429,9 +429,16 @@ CONFIG_ERRORS = {
     "poisson-m-zero": (["guarantee", "--base", "gaussian", "--sigma", "4", "--family",
                         "poisson", "--m", "0", "--delta", "1e-6"], None,
                        "error: mean must be positive, got 0.0"),
+    # the pure base checks its eps itself, so every method and command says the same
     "pure-eps-negative": (["guarantee", "--base", "pure", "--eps-base", "-1", "--delta", "1e-6"],
-                          None, "error: points need finite eps >= 0 and delta in [0,1], "
-                                "got [(-1.0, 0.0)]"),
+                          None, "error: pure base needs eps >= 0, got -1.0"),
+    "pure-eps-negative-closed": (["guarantee", "--base", "pure", "--eps-base", "-1", "--family",
+                                  "negbin", "--m", "10", "--method", "closed", "--delta", "1e-6"],
+                                 None, "error: pure base needs eps >= 0, got -1.0"),
+    "pure-eps-negative-profile": (["profile", "--base", "pure", "--eps-base", "-1"], None,
+                                  "error: pure base needs eps >= 0, got -1.0"),
+    "rnm-m-zero": (["guarantee", "--base", "gaussian", "--sigma", "4", "--family", "rnm",
+                    "--m", "0", "--delta", "1e-6"], None, "error: m must be >= 1, got 0"),
     "pure-rdp": (["guarantee", "--base", "pure", "--eps-base", "1", "--method", "rdp",
                   "--delta", "1e-6"], None,
                  "error: method rdp needs a gaussian or subsampled_gaussian base"),

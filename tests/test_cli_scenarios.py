@@ -701,6 +701,16 @@ def test_pure_base_with_negative_eps_is_refused(capsys):
     assert refused(argv, capsys)
 
 
+@pytest.mark.parametrize("delta", ["-1", "0", "2"])
+def test_pure_closed_form_checks_its_delta_target(delta, capsys):
+    # the closed form reads no delta, and printed this one back as the answer's
+    rc = cli.main(["guarantee", "--base", "pure", "--eps-base", "1", *NEGBIN,
+                   "--method", "closed", f"--delta={delta}"])
+    out = capsys.readouterr()
+    assert (rc, out.out) == (2, "")
+    assert out.err == f"error: delta target must be in (0,1], got {float(delta)}\n"
+
+
 @pytest.mark.parametrize("grid", ["0:inf:1", "-1e308:1e308:1", "0:1e9:1e-3",
                                   "0:1:1e-5"],
                          ids=["inf-bound", "overflowing-span", "huge", "over-cap"])

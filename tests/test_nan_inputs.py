@@ -25,7 +25,6 @@ from privsel.profiles import (
 from privsel.rnm import RnmSpec, rnm_gaussian_eps
 from privsel.selection import (
     adjust_guarantee,
-    negbin_penalty,
     rdp_select_negbin,
     select_gdp_eps,
     select_negbin_pointwise,
@@ -94,7 +93,7 @@ def test_nan_eps_query_is_config_error(capsys):
     lambda: SubsampledGaussianParams(0.01, 1e200),
     lambda: SubsampledGaussianParams(0.01, 1e-160),
     lambda: TruncNegBinomial(1.0, 1e-309),
-    lambda: negbin_penalty(1.0, 1e-309),
+    lambda: adjust_guarantee(1.0, 0.0, 0.0, 1.0, 1e-309, 1e-6),
     lambda: select_gdp_eps(4.0, 1.0, 1e-309, 1e-6),
     # a partial copy of a count's rule let a parameter the count refuses
     # through, to a negative, NaN or smaller eps, a count of mean 0.8, a
@@ -102,8 +101,8 @@ def test_nan_eps_query_is_config_error(capsys):
     lambda: select_gdp_eps(4.0, -3.0, 0.1, 1e-6),
     lambda: select_gdp_eps(4.0, math.nan, 0.1, 1e-6),
     lambda: adjust_guarantee(0.5, 1e-6, 1.0, -2.0, 0.1, 1e-6),
-    lambda: negbin_penalty(1.0, 2.0),
-    lambda: negbin_penalty(-2.0, 0.1),
+    lambda: adjust_guarantee(1.0, 0.0, 0.0, 1.0, 2.0, 1e-6),
+    lambda: adjust_guarantee(1.0, 0.0, 0.0, -2.0, 0.1, 1e-6),
     lambda: select_negbin_pure(1.0, math.nan),
     lambda: rdp_select_negbin(gaussian_rdp_curve(4.0), 1.0, 0.0),
     lambda: from_expected("binomial", 1.0, trials=2.5),

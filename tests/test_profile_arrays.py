@@ -3,7 +3,7 @@
 Each node (Gaussian, Points, Scaled, Renyi, Pld) evaluated over an array
 of eps must give exactly the floats its scalar evaluator gives one eps at
 a time, and refuse a NaN the same way.  `optimize_eps1` must choose the
-same eps1 as a scan that calls the base and the penalty once per
+same eps1 as a scan that calls the base and the count's shift once per
 candidate, and build the same candidate grid as `np.geomspace`; where
 it settles eps1 without the scan, the base nodes' slope in e^eps, the
 rule's premise, is checked too.
@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from privsel.countdist import Binomial, Poisson, TruncNegBinomial
 from privsel.errors import UnreachableTargetError
 from privsel.pld import (
     DiscretePLD,
@@ -41,13 +42,9 @@ from privsel.selection import (
     GRID_LO,
     GRID_POINTS,
     REFINE_TOL,
-    BinomialPenalty,
-    NegBinPenalty,
-    PoissonPenalty,
     _binomial_eps1_min,
     _grid,
     _sorted_unique,
-    negbin_penalty,
     optimize_eps1,
     rdp_select_negbin,
     rdp_select_poisson,
@@ -231,9 +228,10 @@ def test_clip_delta_array():
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def scalar_scan_optimize(base, penalty):
+def scalar_scan_optimize(base, count, eps1_min=0.0):
     """optimize_eps1 as it was before array evaluation: one scalar base
-    call per candidate, then the same golden-section refinement."""
+    call per candidate, then the same golden-section refinement.  An
+    eps1 below eps1_min scores +inf."""
     try:
         eps_hi = min(epsilon_for_delta(base, 1e-15), EPS1_CAP)
     except UnreachableTargetError:
@@ -242,12 +240,13 @@ def scalar_scan_optimize(base, penalty):
     cand = [0.0]
     cand.extend(np.geomspace(GRID_LO, eps_hi, GRID_POINTS))
     cand.extend(k for k in base.knots if 0.0 <= k <= eps_hi)
-    if penalty.eps1_min <= eps_hi:
-        cand.append(penalty.eps1_min)
+    if eps1_min <= eps_hi:
+        cand.append(eps1_min)
     cand = sorted(set(float(c) for c in cand))
 
     def f(e1):
-        return penalty(e1, base(e1))
+        d1 = base(e1)
+        return math.inf if e1 < eps1_min else count.shift(e1, d1)
 
     def golden(a, b):
         c = b - _INVPHI * (b - a)
@@ -278,51 +277,52 @@ def scalar_scan_optimize(base, penalty):
 
 
 @st.composite
-def penalties(draw):
-    """A negbin, Poisson, or binomial-shaped penalty, the last +inf below
-    a drawn threshold, its eps1_min."""
+def counts(draw):
+    """A (count, eps1_min) pair: a negbin or Poisson count with threshold
+    0, or a binomial one with a threshold drawn apart from any base."""
     kind = draw(st.sampled_from(("negbin", "poisson", "binomial")))
     if kind == "negbin":
-        return negbin_penalty(draw(st.floats(-0.9, 3.0)),
-                              draw(st.floats(1e-4, 0.9)))
+        return TruncNegBinomial(draw(st.floats(-0.9, 3.0)),
+                                draw(st.floats(1e-4, 0.9))), 0.0
     if kind == "poisson":
-        return PoissonPenalty(draw(st.floats(0.1, 1000.0)))
+        return Poisson(draw(st.floats(0.1, 1000.0))), 0.0
     n, p = draw(st.integers(2, 200)), draw(st.floats(0.01, 0.99))
-    return BinomialPenalty(n, p, draw(st.floats(0.0, 3.0)))
+    return Binomial(n, p), draw(st.floats(0.0, 3.0))
 
 
-@pytest.mark.parametrize("penalty", [
-    *map(PoissonPenalty, (0.1, 3.0, 1e3, 1e300)),
-    *(negbin_penalty(eta, gamma) for eta, gamma in
+@pytest.mark.parametrize("count", [
+    *map(Poisson, (0.1, 3.0, 1e3, 1e300)),
+    *(TruncNegBinomial(eta, gamma) for eta, gamma in
       ((-0.9, 0.9), (0.0, 0.5), (3.0, 1e-4), (1.0, 1e-300))),
-    BinomialPenalty(2, 0.01, 0.0), BinomialPenalty(200, 0.99, 1.5),
-    BinomialPenalty(10**6, 0.5, 0.3),
+    Binomial(2, 0.01), Binomial(200, 0.99), Binomial(10**6, 0.5),
 ], ids=repr)
-def test_penalty_array_form_tracks_the_scalar_form(penalty):
+def test_penalty_array_form_tracks_the_scalar_form(count):
     # the bound optimize_eps1's pruning window rests on, and no warning
     # (an error under this suite) where the scalar form is +inf
     e1 = np.concatenate(([0.0], np.geomspace(GRID_LO, EPS1_CAP, GRID_POINTS)))
     for d1 in (0.0, 1e-15, 1e-6, 0.3, 1.0):
-        got = penalty.on_array(e1, np.full(len(e1), d1))
-        want = np.array([penalty(e, d1) for e in e1.tolist()])
-        weight = getattr(penalty, "weight", 0.0)
+        got = count.shifts(e1, np.full(len(e1), d1))
+        want = np.array([count.shift(e, d1) for e in e1.tolist()])
+        weight = count.shape + 1.0 if isinstance(count, TruncNegBinomial) else 0.0
         assert (np.isinf(got) == np.isinf(want)).all()
         fin = np.isfinite(want)
         assert (abs(got[fin] - want[fin]) <= 1e-14 * want[fin] + weight * 1e-15).all()
 
 
 @SCANS
-@given(bases, penalties())
+@given(bases, counts())
 # the points bottom out at eps = 0.001, below the drawn threshold
-@example(profile_from_points([(0.001, 1e-16)]), BinomialPenalty(2, 0.5, 0.01))
-def test_optimize_eps1_matches_a_scalar_scan(base, penalty):
-    got, want = optimize_eps1(base, penalty), scalar_scan_optimize(base, penalty)
-    if want < penalty.eps1_min:
+@example(profile_from_points([(0.001, 1e-16)]), (Binomial(2, 0.5), 0.01))
+def test_optimize_eps1_matches_a_scalar_scan(base, count_and_min):
+    count, eps1_min = count_and_min
+    got = optimize_eps1(base, count, eps1_min)
+    want = scalar_scan_optimize(base, count, eps1_min)
+    if want < eps1_min:
         # a drawn eps1_min past the scalar scan's range leaves it only
         # inadmissible candidates, and its answer one that bound_for_count
         # refuses; the slope rule answers the threshold itself, and
         # optimize_eps1's range reaches up to it
-        assert got == penalty.eps1_min
+        assert got == eps1_min
     else:
         assert got.hex() == want.hex()
 
@@ -388,26 +388,26 @@ def test_poisson_and_binomial_take_the_scans_eps1(base, kind, m, n, p):
     # binomial shift never fall as eps1 rises: the scan's winner is the
     # threshold, which the rule returns with no search
     if kind == "poisson":
-        penalty = PoissonPenalty(m)
+        count, eps1_min = Poisson(m), 0.0
     else:
-        penalty = BinomialPenalty(n, p, _binomial_eps1_min(base, n, p))
-    got = optimize_eps1(base, penalty)
-    assert got.hex() == scalar_scan_optimize(base, penalty).hex()
-    assert got == penalty.eps1_min
+        count, eps1_min = Binomial(n, p), _binomial_eps1_min(base, n, p)
+    got = optimize_eps1(base, count, eps1_min)
+    assert got.hex() == scalar_scan_optimize(base, count, eps1_min).hex()
+    assert got == eps1_min
 
 
 def test_a_flat_negbin_objective_on_points_takes_eps1_zero():
     # at gamma = 0.5 (ratio 1) x + U is flat below the first knot, so the
-    # penalty is flat there up to rounding.  The rule takes eps1 = 0, with
-    # penalty 0.5; the scan finds a float one ulp lower near 1.07e-6.
+    # shift is flat there up to rounding.  The rule takes eps1 = 0, with
+    # shift 0.5; the scan finds a float one ulp lower near 1.07e-6.
     # Either answer is sound; the rule's is an ulp looser
     base = profile_from_points([(0.5, 0.0), (710.0, 0.0)])
-    penalty = negbin_penalty(0.0, 0.5)
-    got, scanned = optimize_eps1(base, penalty), scalar_scan_optimize(base, penalty)
+    count = TruncNegBinomial(0.0, 0.5)
+    got, scanned = optimize_eps1(base, count), scalar_scan_optimize(base, count)
     assert got.hex() == "0x0.0p+0"
-    assert penalty(got, base(got)) == 0.5
+    assert count.shift(got, base(got)) == 0.5
     assert scanned.hex() == "0x1.1ebbb047e274ep-20"
-    assert penalty(scanned, base(scanned)) == 0.5 - math.ulp(0.5)
+    assert count.shift(scanned, base(scanned)) == 0.5 - math.ulp(0.5)
 
 
 
@@ -449,31 +449,33 @@ def test_a_negative_zero_knot_yields_a_positive_zero_eps1():
         base = profile_from_points([(-0.0, 0.0)] + [
             (e, 0.0) for e in rng.uniform(0.0, 1e-3, 500).tolist()])
         assert math.copysign(1.0, base.knots[0]) == -1.0
-        for penalty in (negbin_penalty(1.0, 0.1), PoissonPenalty(3.0)):
-            assert optimize_eps1(base, penalty).hex() == "0x0.0p+0"
-            assert scalar_scan_optimize(base, penalty).hex() == "0x0.0p+0"
+        for count in (TruncNegBinomial(1.0, 0.1), Poisson(3.0)):
+            assert optimize_eps1(base, count).hex() == "0x0.0p+0"
+            assert scalar_scan_optimize(base, count).hex() == "0x0.0p+0"
 
 
 def test_exact_ties_go_to_the_smallest_eps1():
     # a flat base and a ratio so large that e^eps1 vanishes beside it:
-    # every candidate below eps1 ~ 7.6 has the same penalty, to the bit
+    # every candidate below eps1 ~ 7.6 has the same shift, to the bit.
+    # Weight eta + 1 = 2 and ratio (1 - gamma) / gamma = 1e20
     base = profile_from_points([(0.0, 0.3)])
-    penalty = NegBinPenalty(2.0, 1e20)
-    assert penalty(0.0, 0.3) == penalty(7.0, 0.3)
-    got = optimize_eps1(base, penalty)
+    count = TruncNegBinomial(1.0, 1e-20)
+    assert (1.0 - count.success) / count.success == 1e20
+    assert count.shift(0.0, 0.3) == count.shift(7.0, 0.3)
+    got = optimize_eps1(base, count)
     assert got == 0.0
-    assert got.hex() == scalar_scan_optimize(base, penalty).hex()
+    assert got.hex() == scalar_scan_optimize(base, count).hex()
 
 
 @pytest.mark.parametrize("e0", [0.1, 0.3, 0.5, 0.7, 1.0, 2.0])
 def test_rounding_level_ties_are_settled_by_the_scalar_form(e0):
-    # below e0 the base is e^e0 - e^eps1, so a Poisson penalty m (e^e0 - 1)
-    # and a negbin penalty with ratio 1, w e0, are flat in exact
-    # arithmetic; the candidates then differ only by rounding, where
-    # numpy's expm1 and exp differ from math's
+    # below e0 the base is e^e0 - e^eps1, so a Poisson shift m (e^e0 - 1)
+    # and a negbin shift with ratio 1 (gamma = 0.5), weight w = eta + 1,
+    # w e0, are flat in exact arithmetic; the candidates then differ only
+    # by rounding, where numpy's expm1 and exp differ from math's
     base = profile_from_points([(e0, 0.0)])
-    for penalty in [*map(PoissonPenalty, (0.5, 1.0, 3.0, 7.0, 10.0, 100.0)),
-                    *(NegBinPenalty(w, 1.0) for w in (1.0, 2.0, 3.5))]:
-        got = optimize_eps1(base, penalty)
-        assert got.hex() == scalar_scan_optimize(base, penalty).hex()
+    for count in [*map(Poisson, (0.5, 1.0, 3.0, 7.0, 10.0, 100.0)),
+                  *(TruncNegBinomial(w - 1.0, 0.5) for w in (1.0, 2.0, 3.5))]:
+        got = optimize_eps1(base, count)
+        assert got.hex() == scalar_scan_optimize(base, count).hex()
 

@@ -20,12 +20,10 @@ from privsel.profiles import (
 )
 from privsel.selection import (
     EPS1_CAP,
-    NegBinPenalty,
     _binomial_eps1_min,
     adjust_guarantee,
     bound_for_count,
     gptr_combine,
-    negbin_penalty,
     optimize_eps1,
     rdp_select_negbin,
     rdp_select_poisson,
@@ -191,12 +189,12 @@ def test_fixed_eps1_whose_shift_overflows_raises():
 
 def test_optimizer_no_worse_than_dense_scan():
     base = gaussian_profile(4.0, 1.0)
-    # 2 log(e^e1 + 99 d1)
-    penalty = NegBinPenalty(2.0, 99.0)
-    star = optimize_eps1(base, penalty)
-    best = penalty(star, base(star))
+    # 2 log(e^e1 + 99 d1): weight eta + 1 = 2, ratio (1 - 0.01) / 0.01 = 99
+    count = TruncNegBinomial(1.0, 0.01)
+    star = optimize_eps1(base, count)
+    best = count.shift(star, base(star))
     for e1 in np.linspace(0.0, 6.0, 2001):
-        assert best <= penalty(float(e1), base(float(e1))) + 1e-9
+        assert best <= count.shift(float(e1), base(float(e1))) + 1e-9
 
 
 def eighty_step_eps1_min(base, p):
@@ -295,8 +293,8 @@ def test_bound_for_count_dispatch():
     nb = bound_for_count(base, TruncNegBinomial(1.0, 0.1))
     bi = bound_for_count(base, Binomial(50, 0.2))
     po = bound_for_count(base, Poisson(10.0))
-    # each shift is its family's penalty at the eps1 it settled on
-    nb_pen = negbin_penalty(1.0, 0.1)(nb.eps1, base(nb.eps1))
+    # each shift is its family's at the eps1 it settled on
+    nb_pen = 2.0 * math.log(math.exp(nb.eps1) + 9.0 * base(nb.eps1))
     bi_pen = 49.0 * math.log1p(0.2 * math.expm1(bi.eps1) + 0.2 * base(bi.eps1))
     po_pen = 10.0 * math.expm1(po.eps1) + 10.0 * base(po.eps1)
     assert nb.shift == pytest.approx(nb_pen, rel=1e-14)
