@@ -23,6 +23,7 @@ numpy alone, range checks included.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -307,6 +308,8 @@ _EXIT_CODES = (
 )
 
 
+# built once a process: argparse leaves a parser as it was after each parse
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(prog="privsel", description="Privacy accounting for "
                                      "noisy-argmax and best-of-many selection mechanisms.")

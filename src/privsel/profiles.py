@@ -4,7 +4,10 @@ A privacy profile maps eps to an upper bound on the tight delta at that
 eps (the worst-case hockey-stick divergence between neighboring outputs).
 Profiles are data: a small tree of immutable nodes, each evaluated at one
 eps by a call and over an array of eps by `on_array`, bit for bit alike,
-and inverted at one delta by `inverse`.  Four leaves and one interior node:
+and inverted at one delta by `inverse`.  Only the nodes a scan reads in
+bulk, the Gaussian, Renyi and Pld nodes, write their own array form;
+the others call their scalar form once per entry.  Four leaves and one
+interior node:
 
 - `Gaussian(r)` (in `privsel.gaussian`): the Gaussian mechanism at
   r = sensitivity/sigma, inverted by bisection;
@@ -40,8 +43,6 @@ from .errors import UnreachableTargetError
 
 BISECT_TOL = 1e-6
 EPS_CAP = 1e4
-# (eps, point) cells Points.on_array evaluates at once
-_BATCH_CELLS = 1 << 16
 # least positive subnormal float
 _TINY = math.ulp(0.0)
 # upward steps `_certified` takes, one ulp and then doubling (255 ulps in
@@ -54,7 +55,9 @@ class PrivacyProfile:
 
     A node gives its value at one eps in `_at`, reached only through
     `__call__`, and over a 1-d float64 array of eps in `on_array`, equal
-    entry for entry bit for bit; both refuse a NaN eps.  A node with a
+    entry for entry bit for bit; both refuse a NaN eps.  `on_array` calls
+    `_at` once per entry unless the node writes a bulk form of its own,
+    as the Gaussian, Renyi and Pld nodes do.  A node with a
     form of its own for the least eps >= floor at which it is at most
     delta proposes it in `_inverse`, reached only through `inverse`,
     which certifies the proposal; any other node is bisected.  `knots`
@@ -74,7 +77,7 @@ class PrivacyProfile:
         return self._at(eps)
 
     def on_array(self, eps):
-        raise NotImplementedError
+        return np.array([self._at(e) for e in eps.tolist()], dtype=float)
 
     def inverse(self, delta, floor=0.0):
         """Least eps >= floor at which the node is at most delta (> 0),
@@ -267,10 +270,10 @@ class Points(PrivacyProfile):
         object.__setattr__(self, "_top", self.eps[-1] if math.isfinite(self._exp[-1]) else None)
         object.__setattr__(self, "knots", tuple(self.eps))
 
-    # the unclipped minimum over the points, at a float or at each entry
-    # of a column: `_below` takes e^min(eps, top), `_past` takes eps
+    # the unclipped minimum over the points: `_below` takes e^min(eps, top),
+    # `_past` takes eps
     def _below(self, e):
-        return (self.delta + np.maximum(self._exp - e, 0.0)).min(axis=-1)
+        return (self.delta + np.maximum(self._exp - e, 0.0)).min()
 
     def _past(self, eps):
         # e^eps_i overflows, so the gap above eps is e^eps expm1(eps_i - eps);
@@ -281,25 +284,12 @@ class Points(PrivacyProfile):
         above = ~(self.eps <= eps)
         with np.errstate(over="ignore", invalid="ignore"):
             gap = np.maximum(np.exp(eps), _TINY) * np.expm1(self.eps - eps)
-        return (self.delta + np.where(above, gap, 0.0)).min(axis=-1)
+        return (self.delta + np.where(above, gap, 0.0)).min()
 
     def _at(self, eps):
         if self._top is None:
             return clip_delta(float(self._past(eps)))
         return clip_delta(float(self._below(math.exp(min(eps, self._top)))))
-
-    def on_array(self, eps):
-        out = np.empty(len(eps))
-        step = max(1, _BATCH_CELLS // len(self.eps))
-        for i in range(0, len(eps), step):
-            block = eps[i:i + step]
-            if self._top is None:
-                out[i:i + step] = self._past(block[:, None])
-            else:
-                # math.exp per entry as in _at: np.exp rounds some values differently
-                e = [math.exp(x) for x in np.minimum(block, self._top).tolist()]
-                out[i:i + step] = self._below(np.array(e)[:, None])
-        return clip_delta_array(out)
 
     def _inverse(self, delta, floor):
         # point i certifies delta from e^eps = e^eps_i - (delta - delta_i)
@@ -354,14 +344,6 @@ class Scaled(PrivacyProfile):
         if self.positive_eps_only and eps <= 0:
             return 1.0
         return min(1.0, self.factor * self.base(eps - self.shift))
-
-    def on_array(self, eps):
-        # the base is evaluated at the eps _at evaluates it at, a NaN among them
-        keep = ~(eps <= 0) if self.positive_eps_only else slice(None)
-        d = self.base.on_array(eps[keep] - self.shift)
-        out = np.ones(len(eps))
-        out[keep] = np.where(self.factor * d < 1.0, self.factor * d, 1.0)
-        return out
 
     def _inverse(self, delta, floor):
         # the base's inverse at delta/factor, shifted.  Below the least

@@ -113,35 +113,34 @@ def optimize_eps1(base, count, eps1_min=0.0):
     count's admissibility threshold (the binomial's; 0 for the others).
 
     Two shapes of base settle eps1 without a search.  On a node whose
-    slope in x = e^eps lies in [-1, 0] (`lipschitz_in_exp`), the Poisson
-    shift m (x - 1 + U) and the binomial shift, a log1p of p (x - 1) +
-    p U, never fall as eps1 rises, so the threshold `eps1_min` wins, with
-    no base evaluation.  On a Points node, x + r U of a negbin shift is a
-    minimum of cones, each linear in x on both sides of its knot, so the
-    least shift over 0, the knots and the range's top wins, the smallest
-    eps1 on a tie.  Points keep the search for Poisson and binomial
-    counts, whose shift is flat there up to rounding: the search's float
-    stays the answer.
+    slope in x = e^eps lies in [-1, 0] (`lipschitz_in_exp`), point lists
+    included, the Poisson shift m (x - 1 + U) and the binomial shift, a
+    log1p of p (x - 1) + p U, never fall as eps1 rises, so the threshold
+    `eps1_min` wins, with no base evaluation.  On a Points node, x + r U
+    of a negbin shift is a minimum of cones, each linear in x on both
+    sides of its knot, so the least shift over 0, the knots and the
+    range's top wins, the smallest eps1 on a tie.  A Points base thus
+    never reaches the search.
 
-    Otherwise the candidates are 0, a 200-point log-spaced grid up to the
-    range's top, any kink locations the profile declares, and `eps1_min`.
-    The range tops out where the base delta bottoms out (capped at 50),
-    or at `eps1_min` where that lies higher.  The base and the count's
-    `shifts` are evaluated over all of them in one array pass each; the
-    candidates whose array value lies within a small window of the least
-    are scored again by the scalar `shift`, and the best of those, the
-    smallest eps1 on a tie, is sharpened by golden-section search to
+    Otherwise (negbin on a Gaussian or Pld base, and any count on a base
+    without a slope claim) the candidates are 0, a 200-point log-spaced
+    grid up to the range's top, any kink locations the profile declares,
+    and `eps1_min`.  The range tops out where the base delta bottoms out
+    (capped at 50), or at `eps1_min` where that lies higher.  The base's
+    `on_array` and the count's `shifts` are evaluated over all of them;
+    the candidates whose array value lies within a small window of the
+    least are scored again by the scalar `shift`, and the best of those,
+    the smallest eps1 on a tie, is sharpened by golden-section search to
     1e-6.  An eps1 below `eps1_min` scores +inf.
     """
-    points = isinstance(base, Points)
-    if not points and base.lipschitz_in_exp and isinstance(count, (Poisson, Binomial)):
+    if base.lipschitz_in_exp and isinstance(count, (Poisson, Binomial)):
         return eps1_min
     eps_hi = _eps_hi(base, eps1_min)
 
     def score(e1, d1):
         return count.shift(e1, d1) if e1 >= eps1_min else math.inf
 
-    if points and isinstance(count, TruncNegBinomial):
+    if isinstance(base, Points) and isinstance(count, TruncNegBinomial):
         # + 0.0 turns a -0.0 knot into 0.0
         cand = {0.0, eps_hi, *(float(k) + 0.0 for k in base.knots if 0.0 <= k <= eps_hi)}
         return min((score(e, base(e)), e) for e in cand)[1]

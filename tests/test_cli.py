@@ -82,6 +82,24 @@ def test_guarantee_json():
                    "method": "hs", "eps1": 0.6467361735528931}
 
 
+def test_main_builds_its_parser_once_a_process():
+    # two calls share one parser, and a call argparse refuses (exit 2)
+    # leaves the next call's parse as it was
+    cli.build_parser.cache_clear()
+    parser = cli.build_parser()
+    want = vars(parser.parse_args(GUARANTEE_HS))
+    first = run_cli(*GUARANTEE_HS)
+    for bad in (["--method", "best"], ["--no-such-flag"]):
+        refused = run_cli(*GUARANTEE_HS, *bad)
+        assert (refused.returncode, refused.stdout) == (2, "")
+        assert "error: " in refused.stderr
+    assert cli.build_parser() is parser
+    assert cli.build_parser.cache_info().misses == 1
+    assert vars(parser.parse_args(GUARANTEE_HS)) == want
+    assert run_cli(*GUARANTEE_HS) == first
+    assert first.returncode == 0, first.stderr
+
+
 def test_guarantee_closed_pure():
     r = run_cli("guarantee", "--base", "pure", "--eps-base", "1",
                 "--family", "negbin", "--eta", "1", "--m", "300",

@@ -1,12 +1,13 @@
 """Array evaluation of every profile node against its scalar form.
 
-Each node (Gaussian, Points, Scaled, Renyi, Pld) evaluated over an array
-of eps must give exactly the floats its scalar evaluator gives one eps at
-a time, and refuse a NaN the same way.  `optimize_eps1` must choose the
-same eps1 as a scan that calls the base and the count's shift once per
-candidate, and build the same candidate grid as `np.geomspace`; where
-it settles eps1 without the scan, the base nodes' slope in e^eps, the
-rule's premise, is checked too.
+Each node (Gaussian, Points, Scaled, Renyi, Pld, and one that defines
+only its scalar form) evaluated over an array of eps must give exactly
+the floats its scalar evaluator gives one eps at a time, and refuse a NaN
+the same way.  `optimize_eps1` must choose the same eps1 as a scan that
+calls the base and the count's shift once per candidate, and build the
+same candidate grid as `np.geomspace`; where it settles eps1 without the
+scan, the base nodes' slope in e^eps, the rule's premise, is checked too,
+and on a point list the rule's shift is bounded by the scan's.
 """
 
 import math
@@ -27,7 +28,10 @@ from privsel.pld import (
 )
 from privsel.profiles import (
     PointDP,
+    Points,
+    PrivacyProfile,
     Scaled,
+    clip_delta,
     clip_delta_array,
     epsilon_for_delta,
     gaussian_profile,
@@ -43,6 +47,7 @@ from privsel.selection import (
     GRID_POINTS,
     REFINE_TOL,
     _binomial_eps1_min,
+    _eps_hi,
     _grid,
     _sorted_unique,
     optimize_eps1,
@@ -101,12 +106,34 @@ def test_points_array_equals_scalar(points, eps):
 
 
 def test_points_array_is_evaluated_in_blocks():
-    # more (eps, point) cells than one block holds: blocks join seamlessly
+    # a long point list through the default array form, an _at call per
+    # entry, with and without a point past e^eps's overflow
     pts = [(0.01 * i, 0.5 / (1 + i)) for i in range(700)]
     eps = np.linspace(-1.0, 8.0, 400)
     for tail in ([], [(800.0, 0.0)]):
         prof = profile_from_points(pts + tail)
         assert array_values(prof, eps) == scalar_values(prof, eps)
+
+
+class Cone(PrivacyProfile):
+    """A node that defines only `_at`: the one-point cone (e - e^eps)_+."""
+
+    def _at(self, eps):
+        if eps != eps:
+            raise ValueError("the cone is undefined at NaN")
+        return clip_delta(math.e - math.exp(min(eps, 1.0)))
+
+
+@PROPS
+@given(eps_arrays)
+def test_default_array_form_is_the_scalar_form_per_entry(eps):
+    assert array_values(Cone(), eps) == scalar_values(Cone(), eps)
+
+
+def test_default_array_form_keeps_shape_and_refuses_nan_as_the_node_does():
+    assert array_values(Cone(), np.array([])) == []
+    with pytest.raises(ValueError, match="the cone is undefined at NaN"):
+        Cone().on_array(np.array([0.5, math.nan]))
 
 
 bases = st.one_of(
@@ -309,6 +336,30 @@ def test_penalty_array_form_tracks_the_scalar_form(count):
         assert (abs(got[fin] - want[fin]) <= 1e-14 * want[fin] + weight * 1e-15).all()
 
 
+def shift_rounding(count, e1, d1):
+    """A bound on how far count.shift(e1, d1) lies from the exact Poisson
+    or binomial shift at e1, for d1 a point list's value there.
+
+    Below 1 that value is a delta_i plus e^eps_i - e^e1 with e^eps_i at
+    most e^e1 + 1 (or, past e^709, e^e1 expm1(eps_i - e1) at most 1):
+    two exponentials, a difference and a sum, or two functions, a product
+    and a sum, each within an ulp of 2 max(1, e^e1), so d1 lies within
+    u = 4 ulps of that of the exact value, and expm1(e1) within one.  A
+    Poisson shift m expm1(e1) + m d1 then carries m times both, plus its
+    own three roundings.  A binomial shift (n - 1) log1p(a) with a =
+    p expm1(e1) + p d1 carries p times both and three roundings in a,
+    which log1p divides by 1 + a, plus an ulp of log1p and a rounding of
+    the product."""
+    u = 4 * math.ulp(2 * max(1.0, math.exp(e1)))
+    shift = count.shift(e1, d1)
+    if isinstance(count, Poisson):
+        return count.rate * 2 * u + 3 * math.ulp(shift)
+    a = count.prob * math.expm1(e1) + count.prob * d1
+    da = count.prob * 2 * u + 3 * math.ulp(a)
+    log_err = da / (1.0 + a - da) + math.ulp(math.log1p(a))
+    return (count.trials - 1.0) * log_err + math.ulp(shift)
+
+
 @SCANS
 @given(bases, counts())
 # the points bottom out at eps = 0.001, below the drawn threshold
@@ -323,6 +374,14 @@ def test_optimize_eps1_matches_a_scalar_scan(base, count_and_min):
         # refuses; the slope rule answers the threshold itself, and
         # optimize_eps1's range reaches up to it
         assert got == eps1_min
+    elif isinstance(base, Points) and not isinstance(count, TruncNegBinomial):
+        # the slope rule takes the threshold, where the scan picks a float
+        # on a shift flat up to rounding: in exact arithmetic the rule's
+        # shift is at most the scan's
+        assert got == eps1_min
+        d_got, d_want = base(got), base(want)
+        assert count.shift(got, d_got) <= count.shift(want, d_want) + (
+            shift_rounding(count, got, d_got) + shift_rounding(count, want, d_want))
     else:
         assert got.hex() == want.hex()
 
@@ -410,6 +469,19 @@ def test_a_flat_negbin_objective_on_points_takes_eps1_zero():
     assert count.shift(scanned, base(scanned)) == 0.5 - math.ulp(0.5)
 
 
+@SCANS
+@given(point_lists(), st.sampled_from(("poisson", "binomial")), st.floats(0.1, 1000.0),
+       st.integers(2, 200), st.floats(0.01, 0.99))
+def test_poisson_and_binomial_on_points_take_the_threshold(points, kind, m, n, p):
+    # a point list's slope in e^eps lies in [-1, 0] too, so the rule
+    # answers with no search: 0 for Poisson, the threshold for binomial
+    base = profile_from_points(points)
+    if kind == "poisson":
+        count, eps1_min = Poisson(m), 0.0
+    else:
+        count, eps1_min = Binomial(n, p), _binomial_eps1_min(base, n, p)
+    assert optimize_eps1(base, count, eps1_min) == eps1_min
+
 
 def test_grid_is_geomspace_bit_for_bit():
     rng = np.random.default_rng(7)
@@ -472,8 +544,13 @@ def test_rounding_level_ties_are_settled_by_the_scalar_form(e0):
     # below e0 the base is e^e0 - e^eps1, so a Poisson shift m (e^e0 - 1)
     # and a negbin shift with ratio 1 (gamma = 0.5), weight w = eta + 1,
     # w e0, are flat in exact arithmetic; the candidates then differ only
-    # by rounding, where numpy's expm1 and exp differ from math's
-    base = profile_from_points([(e0, 0.0)])
+    # by rounding, where numpy's expm1 and exp differ from math's.  The
+    # point list itself never reaches the scan; the Scaled node over it
+    # makes no slope claim, and has its values at every candidate
+    points = profile_from_points([(e0, 0.0)])
+    base = Scaled(points, 1.0)
+    cand = _sorted_unique(np.concatenate(([0.0], _grid(_eps_hi(base, 0.0)), base.knots)))
+    assert array_values(base, cand) == scalar_values(points, cand)
     for count in [*map(Poisson, (0.5, 1.0, 3.0, 7.0, 10.0, 100.0)),
                   *(TruncNegBinomial(w - 1.0, 0.5) for w in (1.0, 2.0, 3.5))]:
         got = optimize_eps1(base, count)
