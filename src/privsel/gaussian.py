@@ -10,12 +10,33 @@ scipy.  `profiles` still reads the three names defined here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._special import log_ndtr, ndtr
 from .profiles import PrivacyProfile, _check_positive, clip_delta, clip_delta_array
+
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+# Newton steps `_ndtri_of_log` may take; from its start it needs about six
+_NEWTON_STEPS = 50
+
+
+def _ndtri_of_log(t):
+    """Phi^-1(e^t) for t < log(1/2), by Newton's method on log Phi, which
+    is concave and increasing: from -sqrt(-2 t), which lies below the root
+    since Phi(-a) <= e^(-a^2/2) / 2, every step rises towards the root, so
+    the first step that does not rise ends the search."""
+    b = -math.sqrt(-2.0 * t)
+    for _ in range(_NEWTON_STEPS):
+        log_cdf = float(log_ndtr(b))
+        # (t - log Phi(b)) / (phi(b) / Phi(b)), the ratio taken in log space
+        step = (t - log_cdf) * math.exp(log_cdf + 0.5 * b * b + _LOG_SQRT_2PI)
+        if not b + step > b:
+            break
+        b += step
+    return b
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,6 +64,23 @@ class Gaussian(PrivacyProfile):
         # should be; the float division in _at does not warn
         with np.errstate(over="ignore"):
             return clip_delta_array(self._unclipped(eps))
+
+    def slope(self, eps):
+        """-Phi(-r/2 - eps/r), the slope in e^eps: the derivative in eps is
+        e^eps times it, since e^eps phi(-r/2 - eps/r) = phi(r/2 - eps/r)."""
+        r = self.r
+        return -float(ndtr(-r / 2 - eps / r))
+
+    def crossing(self, ratio, cap):
+        """The slope is -Phi(b) with b = -r/2 - eps/r, so 1 + ratio * slope
+        turns non-negative where Phi(b) = 1/ratio, at eps = -r (b + r/2),
+        clamped to [0, cap]; 0 where Phi(-r/2), the slope at eps = 0, is
+        at most 1/ratio already, as at every ratio <= 2."""
+        r = self.r
+        if not 1.0 + ratio * self.slope(0.0) < 0.0:
+            return 0.0
+        b = _ndtri_of_log(-math.log(ratio))
+        return min(max(-r * (b + r / 2), 0.0), cap)
 
 
 def gaussian_profile(sigma, sensitivity=1.0):

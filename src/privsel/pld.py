@@ -186,6 +186,13 @@ class DiscretePLD:
             return None
         return max(eps, floor)
 
+    def slope(self, eps):
+        """The slope of delta in e^eps from the right: -s2 at eps's cell,
+        minus the mass above eps weighted by e^-loss."""
+        ell, _, s2 = self._grid
+        i = int(np.searchsorted(ell, eps, side="right"))
+        return -float(s2[i]) if i < len(ell) else 0.0
+
     def _delta_in(self, i, eps):
         # delta at an eps whose grid search returned i
         ell, s1, s2 = self._grid
@@ -585,7 +592,9 @@ class Pld(PrivacyProfile):
     """The larger delta of two composed loss distributions, one per
     neighborhood direction; its inverse is the larger of theirs.  Each
     direction, s1 - e^eps s2 + tail, falls in e^eps at slope -s2, minus
-    the mass above eps weighted by e^-loss, in [-1, 0]."""
+    the mass above eps weighted by e^-loss, in [-1, 0]; it is a sum of
+    terms (1 - e^eps e^-loss)_+ mass, each convex in e^eps, and so is the
+    larger of the two."""
 
     remove: DiscretePLD
     add: DiscretePLD
@@ -593,6 +602,15 @@ class Pld(PrivacyProfile):
 
     def _at(self, eps):
         return max(self.remove.delta(eps), self.add.delta(eps))
+
+    def slope(self, eps):
+        """The slope of the larger direction at eps, from the right; on a
+        tie the larger of the two slopes, that of the curve that stays
+        larger past eps."""
+        rem, add = self.remove.delta(eps), self.add.delta(eps)
+        if rem != add:
+            return (self.remove if rem > add else self.add).slope(eps)
+        return max(self.remove.slope(eps), self.add.slope(eps))
 
     def on_array(self, eps):
         rem, add = self.remove.deltas(eps), self.add.deltas(eps)

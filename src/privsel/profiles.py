@@ -4,19 +4,21 @@ A privacy profile maps eps to an upper bound on the tight delta at that
 eps (the worst-case hockey-stick divergence between neighboring outputs).
 Profiles are data: a small tree of immutable nodes, each evaluated at one
 eps by a call and over an array of eps by `on_array`, bit for bit alike,
-and inverted at one delta by `inverse`.  Only the nodes a scan reads in
-bulk, the Gaussian, Renyi and Pld nodes, write their own array form;
-the others call their scalar form once per entry.  Four leaves and one
-interior node:
+and inverted at one delta by `inverse`.  The Gaussian, Renyi and Pld
+nodes write their own array form; the others call their scalar form
+once per entry.  The leaves that are true privacy profiles also give
+their slope in e^eps, from which the eps1 of a selection bound is read.
+Four leaves and one interior node:
 
 - `Gaussian(r)` (in `privsel.gaussian`): the Gaussian mechanism at
-  r = sensitivity/sigma, inverted by bisection;
+  r = sensitivity/sigma, inverted by bisection; slope -Phi(-r/2 - eps/r);
 - `Points(eps, delta)`: the pessimistic curve through (eps, delta) points,
-  inverted in closed form;
+  inverted in closed form; slope -1 or 0, by the least point's cone;
 - `Renyi(curve)`: a Renyi curve converted to delta, inverted in closed form;
 - `Pld(remove, add)` (in `privsel.pld`): the larger delta of two
   discretized privacy-loss distributions, inverted in closed form in one
-  grid cell of each;
+  grid cell of each; slope -s2, the larger direction's mass above eps
+  weighted by e^-loss;
 - `Scaled(base, factor, shift, positive_eps_only)`: min(1, factor *
   base(eps - shift)), the transform of every selection and argmax bound,
   inverted through its base at delta/factor.
@@ -66,8 +68,12 @@ class PrivacyProfile:
     them, a negbin shift is least at 0, at one of them, or at the top of
     its range.  `lipschitz_in_exp` is true on a node whose slope in
     x = e^eps lies in [-1, 0], as that of every true privacy profile
-    does; on such a node the Poisson and binomial shifts never fall as
-    eps1 rises.
+    does: the Gaussian, Points and Pld nodes, which give that slope, from
+    the right, in `slope`.  On such a node the Poisson and binomial
+    shifts never fall as eps1 rises.  The Gaussian and Pld nodes are
+    convex in x too, so x + ratio U(x) of a negbin shift is least where
+    its slope 1 + ratio U'(x) turns non-negative: `crossing` finds that
+    eps.
     """
 
     knots = ()
@@ -75,6 +81,20 @@ class PrivacyProfile:
 
     def __call__(self, eps):
         return self._at(eps)
+
+    def crossing(self, ratio, cap):
+        """The least eps in [0, cap] at which 1 + ratio * slope(eps) >= 0,
+        or cap where there is none, on a node that gives its slope and is
+        convex in e^eps, so that the sign flips once: halved on that sign
+        to adjacent floats."""
+        def rises(eps):
+            return not 1.0 + ratio * self.slope(eps) < 0.0
+
+        if rises(0.0):
+            return 0.0
+        if not rises(cap):
+            return cap
+        return halve(rises, 0.0, cap)[1]
 
     def on_array(self, eps):
         return np.array([self._at(e) for e in eps.tolist()], dtype=float)
@@ -175,11 +195,15 @@ class PointDP:
             raise ValueError(f"delta must be in [0,1], got {self.delta}")
 
 
+_ORDERS = tuple([1 + k / 10 for k in range(1, 91)] + [float(a) for a in range(11, 257)])
+# the same orders as a read-only array, for curves that scale them
+_ORDER_ARRAY = np.array(_ORDERS)
+_ORDER_ARRAY.flags.writeable = False
+
+
 def default_orders():
     """Shared grid of Renyi orders: 1.1 to 10 in steps of 0.1, then integers to 256."""
-    fine = [1 + k / 10 for k in range(1, 91)]
-    coarse = [float(a) for a in range(11, 257)]
-    return tuple(fine + coarse)
+    return _ORDERS
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,16 +262,15 @@ def _order_terms(orders):
 def gaussian_rdp_curve(sigma, sensitivity=1.0):
     """Renyi curve alpha -> alpha * sensitivity^2 / (2 sigma^2) of the Gaussian mechanism."""
     _check_positive(sigma=sigma, sensitivity=sensitivity)
-    orders = default_orders()
     try:
         c = sensitivity**2 / (2 * sigma**2)
     except (OverflowError, ZeroDivisionError):
         c = math.inf
     # the curve's largest value, at the last order, must be a float too
-    if c * orders[-1] == math.inf:
+    if c * _ORDERS[-1] == math.inf:
         raise ValueError(f"sensitivity**2 / (2 sigma**2) is out of float range, "
                          f"got sensitivity={sensitivity}, sigma={sigma}")
-    return RdpCurve(orders, np.asarray(orders, dtype=float) * c)
+    return RdpCurve(_ORDERS, _ORDER_ARRAY * c)
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,15 +288,20 @@ class Points(PrivacyProfile):
 
     def __post_init__(self):
         with np.errstate(over="ignore"):
-            object.__setattr__(self, "_exp", np.exp(self.eps))
+            exp = np.exp(self.eps)
+        # (e^eps_i, delta_i) as floats: on a handful of points numpy's
+        # dispatch costs more than the arithmetic
+        object.__setattr__(self, "_cones", list(zip(exp.tolist(), self.delta.tolist())))
         # the largest eps_i, past which the curve is flat, if every e^eps_i is finite
-        object.__setattr__(self, "_top", self.eps[-1] if math.isfinite(self._exp[-1]) else None)
+        object.__setattr__(self, "_top", float(self.eps[-1]) if math.isfinite(exp[-1]) else None)
         object.__setattr__(self, "knots", tuple(self.eps))
 
-    # the unclipped minimum over the points: `_below` takes e^min(eps, top),
-    # `_past` takes eps
-    def _below(self, e):
-        return (self.delta + np.maximum(self._exp - e, 0.0)).min()
+    # the unclipped minimum over the points: `_below` takes x = e^min(eps,
+    # top), `_past` takes eps and also returns which points lie above it
+    def _below(self, x):
+        # e - x is positive wherever e > x, so each term is numpy's
+        # delta + maximum(e - x, 0.0), bit for bit
+        return min(d + (e - x if e > x else 0.0) for e, d in self._cones)
 
     def _past(self, eps):
         # e^eps_i overflows, so the gap above eps is e^eps expm1(eps_i - eps);
@@ -284,12 +312,29 @@ class Points(PrivacyProfile):
         above = ~(self.eps <= eps)
         with np.errstate(over="ignore", invalid="ignore"):
             gap = np.maximum(np.exp(eps), _TINY) * np.expm1(self.eps - eps)
-        return (self.delta + np.where(above, gap, 0.0)).min()
+        return self.delta + np.where(above, gap, 0.0), above
 
     def _at(self, eps):
         if self._top is None:
-            return clip_delta(float(self._past(eps)))
-        return clip_delta(float(self._below(math.exp(min(eps, self._top)))))
+            return clip_delta(float(self._past(eps)[0].min()))
+        if eps != eps:
+            # every comparison with a NaN fails, so _below would drop it
+            return clip_delta(eps)
+        return clip_delta(self._below(math.exp(min(eps, self._top))))
+
+    def slope(self, eps):
+        """The slope in e^eps from the right: -1 where a least cone still
+        falls at eps (on a tie, the falling one), 0 where the least is flat
+        or clipped at 1."""
+        if self._top is None:
+            terms, above = self._past(eps)
+            least = terms.min()
+            slope = -1.0 if (above & (terms == least)).any() else 0.0
+        else:
+            x = math.exp(min(eps, self._top))
+            least, slope = min((d + (e - x if e > x else 0.0), -1.0 if e > x else 0.0)
+                               for e, d in self._cones)
+        return slope if least <= 1.0 else 0.0
 
     def _inverse(self, delta, floor):
         # point i certifies delta from e^eps = e^eps_i - (delta - delta_i)
@@ -297,8 +342,7 @@ class Points(PrivacyProfile):
         # the exponentials overflow, and the curve is bisected
         if self._top is None:
             return None
-        gaps = [e - (delta - d)
-                for e, d in zip(self._exp.tolist(), self.delta.tolist()) if d <= delta]
+        gaps = [e - (delta - d) for e, d in self._cones if d <= delta]
         if not gaps:
             return math.inf
         least = min(gaps)

@@ -41,6 +41,10 @@ _GRID_K = np.arange(GRID_POINTS, dtype=float)
 _LOG_GRID_LO = np.log10(GRID_LO)
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Newton steps the binomial threshold may take (it settles in about six),
+# and the steps away from where it settles that look for g's sign flip
+_NEWTON_STEPS = 40
+_NUDGES = 8
 
 
 @dataclass(frozen=True)
@@ -112,20 +116,23 @@ def optimize_eps1(base, count, eps1_min=0.0):
     """Minimize count.shift(eps1, base(eps1)) over eps1 >= eps1_min, the
     count's admissibility threshold (the binomial's; 0 for the others).
 
-    Two shapes of base settle eps1 without a search.  On a node whose
-    slope in x = e^eps lies in [-1, 0] (`lipschitz_in_exp`), point lists
-    included, the Poisson shift m (x - 1 + U) and the binomial shift, a
-    log1p of p (x - 1) + p U, never fall as eps1 rises, so the threshold
-    `eps1_min` wins, with no base evaluation.  On a Points node, x + r U
-    of a negbin shift is a minimum of cones, each linear in x on both
-    sides of its knot, so the least shift over 0, the knots and the
-    range's top wins, the smallest eps1 on a tie.  A Points base thus
-    never reaches the search.
+    A base whose slope in x = e^eps lies in [-1, 0] (`lipschitz_in_exp`:
+    Gaussian, Pld and Points nodes) settles eps1 without a search:
+    - the Poisson shift m (x - 1 + U) and the binomial shift, a log1p of
+      p (x - 1) + p U, never fall as eps1 rises, so the threshold
+      `eps1_min` wins, with no base evaluation;
+    - a negbin shift is (eta+1) log(x + r U) with r = (1-gamma)/gamma.
+      On a Gaussian or Pld node x + r U is convex, so it is least where
+      its slope 1 + r U' turns non-negative, which `crossing` finds (in
+      closed form on the Gaussian, by halving on the Pld), capped at 50;
+    - on a Points node x + r U is a minimum of cones, each linear in x on
+      both sides of its knot, so the least shift over 0, the knots and
+      the range's top wins, the smallest eps1 on a tie.
 
-    Otherwise (negbin on a Gaussian or Pld base, and any count on a base
-    without a slope claim) the candidates are 0, a 200-point log-spaced
-    grid up to the range's top, any kink locations the profile declares,
-    and `eps1_min`.  The range tops out where the base delta bottoms out
+    Otherwise (any count on a Renyi or Scaled base, which make no slope
+    claim) the candidates are 0, a 200-point log-spaced grid up to the
+    range's top, any kink locations the profile declares, and
+    `eps1_min`.  The range tops out where the base delta bottoms out
     (capped at 50), or at `eps1_min` where that lies higher.  The base's
     `on_array` and the count's `shifts` are evaluated over all of them;
     the candidates whose array value lies within a small window of the
@@ -135,6 +142,10 @@ def optimize_eps1(base, count, eps1_min=0.0):
     """
     if base.lipschitz_in_exp and isinstance(count, (Poisson, Binomial)):
         return eps1_min
+    if (base.lipschitz_in_exp and isinstance(count, TruncNegBinomial)
+            and not isinstance(base, Points)):
+        ratio = (1.0 - count.success) / count.success
+        return max(base.crossing(ratio, EPS1_CAP), eps1_min)
     eps_hi = _eps_hi(base, eps1_min)
 
     def score(e1, d1):
@@ -183,9 +194,50 @@ def optimize_eps1(base, count, eps1_min=0.0):
     return best_e
 
 
+def _newton_threshold(base, odds):
+    """The least float e1 with g(e1) = e1 - log1p(odds U(e1)) >= 0, where
+    g(0) < 0, or None where Newton's method does not settle.
+
+    Newton's method runs from 0, with g' = 1 - odds e^e1 U'(e1) / (1 +
+    odds U(e1)) >= 1, until a step is within 4 ulps or no longer halves
+    the one before, where the rounding of U takes over from convergence.
+    The root is then bracketed by stepping away from there, one ulp and
+    then doubling, up to _NUDGES times, until g's sign flips, and the
+    bracket is halved to adjacent floats.  None after _NEWTON_STEPS
+    steps, or where the steps find no flip."""
+    def passes(e1):
+        return not e1 - math.log1p(odds * base(e1)) < 0
+
+    e1, last = 0.0, math.inf
+    for _ in range(_NEWTON_STEPS):
+        u = base(e1)
+        grad = 1.0 - odds * math.exp(e1) * base.slope(e1) / (1.0 + odds * u)
+        step = (math.log1p(odds * u) - e1) / grad
+        e1 += step
+        if abs(step) <= 4 * math.ulp(e1) or abs(step) > last / 2:
+            break
+        last = abs(step)
+    else:
+        return None
+    above = passes(e1)
+    step = math.ulp(e1)
+    for _ in range(_NUDGES):
+        # g(0) < 0, so a step down that reaches 0 flips
+        other = max(e1 - step, 0.0) if above else e1 + step
+        if passes(other) != above:
+            lo, hi = (other, e1) if above else (e1, other)
+            return halve(passes, lo, hi)[1]
+        step *= 2
+    return None
+
+
 def _binomial_eps1_min(base, n, p):
     """Smallest eps1 with eps1 >= log(1 + p/(1-p) * base(eps1)), the
-    admissibility threshold of a Binomial(n, p) count."""
+    admissibility threshold of a Binomial(n, p) count.  g(eps1) = eps1 -
+    log1p(p/(1-p) base(eps1)) rises at slope >= 1 on a base whose slope
+    in e^eps lies in [-1, 0], where Newton's method finds its root within
+    a few ulps; elsewhere, or where Newton does not settle, the bracket
+    from 1, doubled until g >= 0, is halved 80 times."""
     odds = p / (1.0 - p)
 
     def g(e1):
@@ -193,6 +245,10 @@ def _binomial_eps1_min(base, n, p):
 
     if g(0.0) >= 0:
         return 0.0
+    if base.lipschitz_in_exp:
+        e1 = _newton_threshold(base, odds)
+        if e1 is not None:
+            return e1
     hi = 1.0
     while g(hi) < 0 and hi < EPS1_CAP:
         hi *= 2

@@ -272,19 +272,54 @@ def test_subnormal_gaussian_ratio_still_answers():
     assert run(argv) == (0, "eps=0 delta=2.5e-05 method=hs eps1=nan\n")
 
 
-@pytest.mark.parametrize("family, eps", [
-    (["negbin", "--m", "10"], "0"),
-    (["poisson", "--m", "10"], "9.53674316406e-07"),
-    (["binomial", "--n", "20", "--m", "5"], "9.53674316406e-07"),
+@pytest.mark.parametrize("family, eps, eps1", [
+    # the negbin crossing -r (Phi^-1(1/ratio) + r/2) at r = 1e-323 is two
+    # subnormal units: e^eps1 is 1 and the base is 0 there, as at eps1 = 0,
+    # so the shift is the same float
+    (["negbin", "--m", "10"], "0", "9.88131291682e-324"),
+    (["poisson", "--m", "10"], "9.53674316406e-07", "0"),
+    (["binomial", "--n", "20", "--m", "5"], "9.53674316406e-07", "0"),
 ], ids=["negbin", "poisson", "binomial"])
-def test_subnormal_gaussian_ratio_answers_a_count_without_a_warning(family, eps, capsys):
+def test_subnormal_gaussian_ratio_answers_a_count_without_a_warning(family, eps, eps1, capsys):
     # eps / r overflowed to inf in the eps1 search's array pass, with a
     # RuntimeWarning, which the suite turns into an error
     argv = ["guarantee", "--base", "gaussian", "--sigma", "0.5", "--sensitivity", "5e-324",
             "--family", *family, "--delta", "1e-6"]
     assert cli.main(argv) == 0
     out = capsys.readouterr()
-    assert (out.out, out.err) == (f"eps={eps} delta=1e-06 method=hs eps1=0\n", "")
+    assert (out.out, out.err) == (f"eps={eps} delta=1e-06 method=hs eps1={eps1}\n", "")
+
+
+@pytest.mark.parametrize("flags, out", [
+    # a ratio (1-gamma)/gamma <= 2 keeps the slope above -1/ratio from eps1 = 0 on
+    (["--sigma", "4", "--gamma", "0.5"], "eps=1.28803443909 delta=1e-06 method=hs eps1=0"),
+    (["--sigma", "4", "--gamma", repr(0.5 - 2**-54)],
+     "eps=1.28803443909 delta=1e-06 method=hs eps1=0"),
+    # a huge ratio crosses far out, past where the base bottoms out at 1e-15,
+    # the old search's range top (which answered eps=1321.82567692 here)
+    (["--sigma", "4", "--gamma", "1e-300"],
+     "eps=27.8267641068 delta=1e-06 method=hs eps1=9.23052407484"),
+    # at a large r the slope at eps1 = 0, -Phi(-r/2), is above -1/ratio already
+    (["--sigma", "0.025", "--m", "300"], "eps=1042.43838978 delta=1e-06 method=hs eps1=0"),
+    (["--sigma", "1e-200", "--sensitivity", "1e100", "--m", "300", "--eps", "5"],
+     "eps=5 delta=1 method=hs eps1=0"),
+    # unless the ratio is huge too: the crossing, near eps1 = 680, is capped
+    (["--sigma", "0.025", "--gamma", "1e-300"],
+     "eps=3677.5607748 delta=1e-06 method=hs eps1=50"),
+], ids=["gamma-half", "gamma-below-half", "gamma-1e-300", "r-40", "r-1e300", "r-40-capped"])
+def test_negbin_crossing_at_the_edges(flags, out, capsys):
+    argv = ["guarantee", "--base", "gaussian", "--family", "negbin", "--eta", "1", *flags]
+    if "--eps" not in flags:
+        argv += ["--delta", "1e-6"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr() == (out + "\n", "")
+
+
+def test_negbin_gamma_whose_reciprocal_overflows_is_refused(capsys):
+    argv = ["guarantee", "--base", "gaussian", "--sigma", "4", "--family", "negbin",
+            "--gamma", "5e-324", "--delta", "1e-6"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", "error: 1 / gamma overflows a float, got gamma=5e-324\n")
 
 
 @pytest.mark.parametrize("delta, eps", [("1e-10", "28.4314731123"),
@@ -548,9 +583,9 @@ ZERO_CFG = {"base": {"kind": "gaussian", "sigma": 4},
 def test_zero_valued_flag_overrides_the_config(tmp_path):
     argv = ["guarantee", *config(tmp_path, ZERO_CFG), "--delta", "1e-6"]
     assert run(argv) == (
-        0, "eps=2.28831100464 delta=1e-06 method=hs eps1=0.423411503464\n")
+        0, "eps=2.28831100464 delta=1e-06 method=hs eps1=0.423411398213\n")
     assert run(argv + ["--eta", "0"]) == (
-        0, "eps=1.9077539444 delta=1e-06 method=hs eps1=0.587818769544\n")
+        0, "eps=1.9077539444 delta=1e-06 method=hs eps1=0.587818893612\n")
 
 
 @pytest.mark.parametrize("cfg, flag, message", [

@@ -33,16 +33,16 @@ def negbin(base, eta, m):
 SELECTION = {
     "negbin-eta0-sigma0.8": (
         lambda: negbin(gaussian_profile(0.8), 0.0, 10.0), 1e-6,
-        ("0x1.232ac40000000p+3", "0x1.9d3804bbba46cp+0", "0x1.1b1a5f08821bep+1")),
+        ("0x1.232ac40000000p+3", "0x1.9d3805ab7e8b2p+0", "0x1.1b1a5f08821bbp+1")),
     "negbin-eta0.5-sigma4": (
         lambda: negbin(gaussian_profile(4.0), 0.5, 300.0), 1e-6,
-        ("0x1.406e980000000p+1", "0x1.66031909889b0p-1", "0x1.2922b4e4e4e8ep+0")),
+        ("0x1.406e980000000p+1", "0x1.66031510c1273p-1", "0x1.2922b4e4e4c57p+0")),
     "negbin-eta1-sigma9": (
         lambda: negbin(gaussian_profile(9.0), 1.0, 50.0), 1e-8,
-        ("0x1.274d600000000p+0", "0x1.c4cc3e0c9c28cp-3", "0x1.0cffaac078d7ap-1")),
+        ("0x1.274d600000000p+0", "0x1.c4cc50c99d618p-3", "0x1.0cffaac077f37p-1")),
     "negbin-eta2-sigma4": (
         lambda: negbin(gaussian_profile(4.0), 2.0, 20.0), 1e-5,
-        ("0x1.2ad2800000000p+1", "0x1.26d8b79dbdb3dp-2", "0x1.3c76763d3ff63p+0")),
+        ("0x1.2ad2800000000p+1", "0x1.26d8b370a3efdp-2", "0x1.3c76763d3fec2p+0")),
     "binomial-sigma4": (
         lambda: select_binomial_profile(gaussian_profile(4.0), 100, 0.1), 1e-6,
         ("0x1.1c12680000000p+1", "0x1.576c69bcb128ep-7", "0x1.099dd9c7f105ap+0")),

@@ -6,12 +6,14 @@ the floats its scalar evaluator gives one eps at a time, and refuse a NaN
 the same way.  `optimize_eps1` must choose the same eps1 as a scan that
 calls the base and the count's shift once per candidate, and build the
 same candidate grid as `np.geomspace`; where it settles eps1 without the
-scan, the base nodes' slope in e^eps, the rule's premise, is checked too,
-and on a point list the rule's shift is bounded by the scan's.
+scan, the base nodes' slope in e^eps, the rules' premise, is checked too,
+and the rule's shift is bounded by the scan's: on a point list, and for
+a negbin count at the slope's crossing on Gaussian and Pld bases.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -382,8 +384,49 @@ def test_optimize_eps1_matches_a_scalar_scan(base, count_and_min):
         d_got, d_want = base(got), base(want)
         assert count.shift(got, d_got) <= count.shift(want, d_want) + (
             shift_rounding(count, got, d_got) + shift_rounding(count, want, d_want))
+    elif isinstance(count, TruncNegBinomial) and not isinstance(base, Points):
+        # negbin on a Gaussian base: the crossing, where the shift is least
+        assert_no_worse_than_the_scan(base, count, got, want)
     else:
         assert got.hex() == want.hex()
+
+
+def negbin_rounding(count, e1, d1):
+    """A bound on how far count.shift(e1, d1) lies from (eta+1) log(y),
+    y = e^e1 + r U(e1), for d1 a Pld node's value s1 - e^e1 s2 + tail at
+    e1: 8 ulps of y, for the exponential, the sum and r U, whose rounding
+    is a few ulps of r s1, of e^e1 (r s2 <= 1 at the crossing) or of y,
+    carried through log by 1/y and weighted by eta+1, plus an ulp of the
+    shift."""
+    ratio = (1.0 - count.success) / count.success
+    y = math.exp(e1) + ratio * d1
+    shift = count.shift(e1, d1)
+    return (count.shape + 1.0) * 8 * math.ulp(y) / y + math.ulp(shift)
+
+
+def exact_gaussian_shift(base, count, e1):
+    """count.shift at (e1, base(e1)) on a Gaussian node, in mpmath: the
+    float form reads the node's second term through exp(e1 + log Phi),
+    whose rounding grows with |log Phi|, so a float comparison would
+    measure the base's rounding rather than the choice of e1."""
+    r, e = mpmath.mpf(base.r), mpmath.mpf(e1)
+    u = mpmath.ncdf(r / 2 - e / r) - mpmath.exp(e) * mpmath.ncdf(-r / 2 - e / r)
+    ratio = (1 - mpmath.mpf(count.success)) / count.success
+    return (count.shape + 1) * mpmath.log(mpmath.exp(e) + ratio * u)
+
+
+def assert_no_worse_than_the_scan(base, count, got, want):
+    # the crossing's shift is the least over every eps1 in [0, EPS1_CAP],
+    # so at most the scan's: in exact arithmetic on a Gaussian node, and up
+    # to rounding on a Pld node, whose s1 and s2 are the node's own floats
+    if isinstance(base, Pld):
+        d_got, d_want = base(got), base(want)
+        assert count.shift(got, d_got) <= count.shift(want, d_want) + (
+            negbin_rounding(count, got, d_got) + negbin_rounding(count, want, d_want))
+    else:
+        with mpmath.workdps(40):
+            want_shift = exact_gaussian_shift(base, count, want)
+            assert exact_gaussian_shift(base, count, got) <= want_shift * (1 + 1e-30)
 
 
 def _rounded_up_pld(p, q, spacing):
@@ -453,6 +496,28 @@ def test_poisson_and_binomial_take_the_scans_eps1(base, kind, m, n, p):
     got = optimize_eps1(base, count, eps1_min)
     assert got.hex() == scalar_scan_optimize(base, count, eps1_min).hex()
     assert got == eps1_min
+
+
+@SCANS
+@given(st.one_of(st.floats(0.05, 100.0).map(gaussian_profile), pair_plds()),
+       st.floats(-0.99, 30.0), st.floats(1e-12, 0.999) | st.floats(1e-300, 1e-6))
+def test_negbin_crossing_is_no_worse_than_the_scan(base, eta, gamma):
+    # x + r U is convex in x = e^eps on a Gaussian or Pld node, so the
+    # eps1 where its slope 1 + r U' turns non-negative minimizes the shift
+    count = TruncNegBinomial(eta, gamma)
+    got = optimize_eps1(base, count)
+    assert 0.0 <= got <= EPS1_CAP
+    assert_no_worse_than_the_scan(base, count, got, scalar_scan_optimize(base, count))
+    ratio = (1.0 - gamma) / gamma
+    if 0.0 < got < EPS1_CAP:
+        if isinstance(base, Pld):
+            # the slope from the right is piecewise constant: it crosses
+            # -1/r between got and the float below it
+            assert 1.0 + ratio * base.slope(got) >= 0.0
+            assert 1.0 + ratio * base.slope(math.nextafter(got, 0.0)) < 0.0
+        else:
+            # the Gaussian's slope is continuous, and -1/r at the crossing
+            assert abs(1.0 + ratio * base.slope(got)) <= 1e-12
 
 
 def test_a_flat_negbin_objective_on_points_takes_eps1_zero():

@@ -3,7 +3,8 @@
 Each reference below is a copy of a halving loop as it stood in its own
 module.  On random monotone thresholds the shared routine, and each
 caller built on it, must end on the same bracket and probe the same
-points in the same order.  The float loops of `_binomial_eps1_min` and
+points in the same order (`_binomial_eps1_min` halves only on a base
+without a slope claim).  The float loops of `_binomial_eps1_min` and
 `_solve_success` probed the midpoint once more after it had rounded onto
 an end, a probe whose answer was already known; that trailing repeat is
 the only probe the routines leave out.
@@ -250,8 +251,21 @@ def old_binomial_eps1_min(base, n, p):
     return hi
 
 
+class Recorded(PrivacyProfile):
+    """A base's values with no slope claim, each eps recorded."""
+
+    def __init__(self, base, calls):
+        self.base, self.calls = base, calls
+
+    def _at(self, eps):
+        self.calls.append(eps)
+        return self.base(eps)
+
+
 @pytest.mark.parametrize("seed", RNG_SEEDS)
 def test_binomial_eps1_min_is_its_old_loop(seed):
+    # on a base that makes no slope claim, Newton's method has no slope
+    # to take, and the threshold is the halving loop's
     rng = np.random.default_rng(seed)
     tiny = 0
     for _ in range(60):
@@ -259,7 +273,7 @@ def test_binomial_eps1_min_is_its_old_loop(seed):
         # p down to 1e-15 puts the threshold below 4e-9, where the 80-step cap binds
         p = log_uniform(rng, -15, math.log10(0.99))
         new, old = [], []
-        got = selection._binomial_eps1_min(recording(prof, new), 10, p)
+        got = selection._binomial_eps1_min(Recorded(prof, new), 10, p)
         want = old_binomial_eps1_min(recording(prof, old), 10, p)
         assert got.hex() == want.hex()
         # the old loop's repeat probe lands on an end already probed

@@ -1,14 +1,17 @@
 """Best-of-K selection bounds: profiles, closed forms, Renyi baselines."""
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 
 from privsel.countdist import Binomial, Poisson, TruncNegBinomial, from_expected
 from privsel.errors import EmptyCurveError, NoAdmissibleEps1Error
+from privsel.pld import GridSpec, SubsampledGaussianParams, subsampled_gaussian_profile
 from privsel.profiles import (
     PointDP,
+    Points,
     RdpCurve,
     Scaled,
     default_orders,
@@ -43,8 +46,6 @@ GDP_EPS_FROZEN = 4.352020320666333
 # optimized geometric-count bounds on the sigma=4 Gaussian base
 FROZEN_EPS_HS = {30: 2.288311004638672, 300: 2.7937984466552734,
                  3000: 3.213634490966797}
-FROZEN_EPS1 = {30: 0.4234115034644669, 300: 0.6467361735528931,
-               3000: 0.8194605191502615}
 
 
 def test_pure_base_triples_epsilon():
@@ -90,9 +91,14 @@ def test_gdp_closed_form():
 
 def test_optimized_geometric_bounds_frozen():
     base = gaussian_profile(4.0, 1.0)
+    r = 0.25
     for m, expected in FROZEN_EPS_HS.items():
-        res = select_negbin_profile(base, 1.0, 1.0 / m)
-        assert res.eps1 == pytest.approx(FROZEN_EPS1[m], rel=1e-9)
+        gamma = 1.0 / m
+        res = select_negbin_profile(base, 1.0, gamma)
+        # the slope -Phi(-r/2 - eps1/r) crosses -gamma/(1-gamma) at
+        # eps1 = -r (Phi^-1(gamma/(1-gamma)) + r/2)
+        crossing = -r * (NormalDist().inv_cdf(gamma / (1.0 - gamma)) + r / 2)
+        assert res.eps1 == pytest.approx(crossing, rel=1e-12)
         assert epsilon_for_delta(res.profile, DELTA) == pytest.approx(
             expected, abs=2e-6)
 
@@ -197,16 +203,17 @@ def test_optimizer_no_worse_than_dense_scan():
         assert best <= count.shift(float(e1), base(float(e1))) + 1e-9
 
 
-def eighty_step_eps1_min(base, p):
-    """The binomial admissibility threshold as it was before it stopped
-    early: 80 bisection steps from the same bracket, whatever they change."""
+def eighty_step_bracket(base, p):
+    """The binomial admissibility threshold's bracket as it was before
+    Newton's method: 80 bisection steps from 0 and the doubled hi, whatever
+    they change, and the threshold was the bracket's hi."""
     odds = p / (1.0 - p)
 
     def g(e1):
         return e1 - math.log1p(odds * base(e1))
 
     if g(0.0) >= 0:
-        return 0.0
+        return 0.0, 0.0
     hi = 1.0
     while g(hi) < 0 and hi < EPS1_CAP:
         hi *= 2
@@ -217,27 +224,56 @@ def eighty_step_eps1_min(base, p):
             lo = mid
         else:
             hi = mid
-    return hi
+    return lo, hi
 
 
-def test_binomial_threshold_stops_on_the_eighty_step_bits():
+_PLD_BASES = [subsampled_gaussian_profile(SubsampledGaussianParams(q, sigma, steps),
+                                          GridSpec(spacing=1e-3))
+              for q, sigma, steps in ((0.05, 1.0, 4), (0.3, 2.0, 1), (1.0, 3.0, 2))]
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "points", "pld"])
+def test_binomial_threshold_is_certified_within_the_eighty_step_bracket(kind):
+    # Newton's root, certified: g >= 0 there, and it lies in the old
+    # bisection's last bracket up to rounding.  g is monotone only up to
+    # the rounding of the base, which flips its sign back and forth over a
+    # few ulps of 1 around the root, so either search may end anywhere in
+    # that stretch (8 ulps of max(1, threshold) held 4.3 at most in 20,000
+    # draws on Gaussian and point-list bases)
     rng = np.random.default_rng(11)
     positive = 0
     for _ in range(150):
-        if rng.random() < 0.5:
+        if kind == "gaussian":
             base = gaussian_profile(float(rng.uniform(0.3, 10.0)))
-        else:
+        elif kind == "points":
             eps = rng.uniform(0.0, 5.0, int(rng.integers(1, 6)))
             base = profile_from_points(zip(eps.tolist(),
                                            (10.0 ** rng.uniform(-12, 0, len(eps))).tolist()))
-        p = float(rng.uniform(0.01, 0.99))
-        try:
-            got = _binomial_eps1_min(base, 10, p)
-        except NoAdmissibleEps1Error:
-            continue
-        assert got.hex() == eighty_step_eps1_min(base, p).hex()
+        else:
+            base = _PLD_BASES[int(rng.integers(len(_PLD_BASES)))]
+        p = float(10.0 ** rng.uniform(-15, math.log10(0.99)))
+        got = _binomial_eps1_min(base, 10, p)
+        lo, hi = eighty_step_bracket(base, p)
+        assert got - math.log1p(p / (1.0 - p) * base(got)) >= 0
+        tol = 8 * math.ulp(max(1.0, hi))
+        assert lo - tol <= got <= hi + tol
         positive += got > 0
     assert positive > 100
+
+
+class MisreportedSlope(Points):
+    """A flat point list that claims slope -1: Newton's steps then shrink
+    by about odds e^eps1 / (1 + odds delta) and do not settle."""
+
+    def slope(self, eps):
+        return -1.0
+
+
+def test_binomial_threshold_falls_back_to_halving_where_newton_does_not_settle():
+    base = MisreportedSlope(np.array([0.0]), np.array([1e-3]))
+    got = _binomial_eps1_min(base, 10, 0.99)
+    assert got.hex() == eighty_step_bracket(base, 0.99)[1].hex()
+    assert got == pytest.approx(math.log1p(99 * 1e-3), rel=1e-15)
 
 
 def test_rdp_negbin_constant_curve_identity():
