@@ -5,8 +5,7 @@ releases the best run.  Each distribution offers its pmf, cdf, mean, the
 derivative of its probability generating function (at a float or an
 array) and a tail support bound; the oracles and the fig4 table use those.
 Each also offers the shift its selection bound subtracts from a queried
-eps, a function of (eps1, delta1): `shift` on floats, by `math`, and
-`shifts` on arrays, by numpy, with the same operations in the same order.
+eps, a function of floats (eps1, delta1) evaluated by `math`: `shift`.
 
 The bounds read only `mean()`, the shift and the parameters, so the
 module loads numpy alone.  `pmf`, the Poisson `cdf` and `support_upper`
@@ -127,11 +126,6 @@ class TruncNegBinomial:
         return (self.shape + 1.0) * math.log(
             math.exp(e1) + (1.0 - self.success) / self.success * d1)
 
-    def shifts(self, e1, d1):
-        with np.errstate(over="ignore"):
-            return (self.shape + 1.0) * np.log(
-                np.exp(e1) + (1.0 - self.success) / self.success * d1)
-
     def cdf(self, k):
         k = int(k)
         if k < 1:
@@ -194,10 +188,6 @@ class Binomial:
         or above the bound's admissibility threshold for eps1."""
         return (self.trials - 1.0) * math.log1p(self.prob * math.expm1(e1) + self.prob * d1)
 
-    def shifts(self, e1, d1):
-        with np.errstate(over="ignore"):
-            return (self.trials - 1.0) * np.log1p(self.prob * np.expm1(e1) + self.prob * d1)
-
     def cdf(self, k):
         from scipy.special import betainc
         k = math.floor(k)
@@ -238,10 +228,6 @@ class Poisson:
     def shift(self, e1, d1):
         """m (e^eps1 - 1) + m delta1."""
         return self.rate * math.expm1(e1) + self.rate * d1
-
-    def shifts(self, e1, d1):
-        with np.errstate(over="ignore"):
-            return self.rate * np.expm1(e1) + self.rate * d1
 
     def cdf(self, k):
         # pdtr(k, rate), the regularized upper incomplete gamma at k + 1

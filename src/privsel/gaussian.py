@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._special import log_ndtr, ndtr
-from .profiles import PrivacyProfile, _check_positive, clip_delta, clip_delta_array
+from .profiles import PrivacyProfile, _check_positive, clip_delta
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 # Newton steps `_ndtri_of_log` may take; from its start it needs about six
@@ -51,19 +51,10 @@ class Gaussian(PrivacyProfile):
     r: float
     lipschitz_in_exp = True
 
-    def _unclipped(self, eps):
-        # one expression for a float and for an array of eps alike
-        r = self.r
-        return ndtr(r / 2 - eps / r) - np.exp(eps + log_ndtr(-r / 2 - eps / r))
-
     def _at(self, eps):
-        return clip_delta(float(self._unclipped(eps)))
-
-    def on_array(self, eps):
-        # at a subnormal r, eps / r overflows to inf, where delta is 0 as it
-        # should be; the float division in _at does not warn
-        with np.errstate(over="ignore"):
-            return clip_delta_array(self._unclipped(eps))
+        r = self.r
+        return clip_delta(float(ndtr(r / 2 - eps / r)
+                                - np.exp(eps + log_ndtr(-r / 2 - eps / r))))
 
     def slope(self, eps):
         """-Phi(-r/2 - eps/r), the slope in e^eps: the derivative in eps is

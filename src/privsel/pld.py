@@ -54,7 +54,7 @@ import numpy as np
 
 from .errors import ConfigError, GridTooCoarseError, MemoryBudgetError
 from .profiles import (PrivacyProfile, RdpCurve, _check_positive, _check_twice_square,
-                       clip_delta, clip_delta_array, default_orders)
+                       clip_delta, default_orders)
 
 # cells of one grid; subsampled_gaussian_profile composes both directions
 # at once, so two such working sets (and their FFT buffers) can coexist
@@ -145,23 +145,6 @@ class DiscretePLD:
         if eps != eps:
             raise ValueError("eps is NaN")
         return self._delta_in(int(np.searchsorted(self._grid[0], eps, side="right")), eps)
-
-    def deltas(self, eps):
-        """delta at each eps of a float64 array, with one search for the
-        cells; the factored form in one array pass, as _delta_in takes it."""
-        if np.isnan(eps).any():
-            raise ValueError("eps is NaN")
-        ell, s1, s2 = self._grid
-        cells = np.searchsorted(ell, eps, side="right")
-        factored = (cells < len(ell)) & (eps <= 500)
-        c = cells[factored]
-        # math.exp per entry as in _delta_in: np.exp rounds some values differently
-        e = np.array([math.exp(x) for x in eps[factored].tolist()])
-        out = np.empty(len(eps))
-        out[factored] = clip_delta_array(s1[c] - e * s2[c] + self.tail_mass)
-        for j in np.flatnonzero(~factored).tolist():
-            out[j] = self._delta_in(int(cells[j]), float(eps[j]))
-        return out
 
     def epsilon(self, delta, floor):
         """Least eps >= floor with delta(eps) <= delta (< 1), in closed form:
@@ -611,10 +594,6 @@ class Pld(PrivacyProfile):
         if rem != add:
             return (self.remove if rem > add else self.add).slope(eps)
         return max(self.remove.slope(eps), self.add.slope(eps))
-
-    def on_array(self, eps):
-        rem, add = self.remove.deltas(eps), self.add.deltas(eps)
-        return np.where(add > rem, add, rem)
 
     def _inverse(self, delta, floor):
         # both directions must drop to delta; past eps 500, bisection

@@ -3,12 +3,9 @@
 A privacy profile maps eps to an upper bound on the tight delta at that
 eps (the worst-case hockey-stick divergence between neighboring outputs).
 Profiles are data: a small tree of immutable nodes, each evaluated at one
-eps by a call and over an array of eps by `on_array`, bit for bit alike,
-and inverted at one delta by `inverse`.  The Gaussian, Renyi and Pld
-nodes write their own array form; the others call their scalar form
-once per entry.  The leaves that are true privacy profiles also give
-their slope in e^eps, from which the eps1 of a selection bound is read.
-Four leaves and one interior node:
+eps by a call and inverted at one delta by `inverse`.  The leaves that
+are true privacy profiles also give their slope in e^eps, from which the
+eps1 of a selection bound is read.  Four leaves and one interior node:
 
 - `Gaussian(r)` (in `privsel.gaussian`): the Gaussian mechanism at
   r = sensitivity/sigma, inverted by bisection; slope -Phi(-r/2 - eps/r);
@@ -56,27 +53,22 @@ class PrivacyProfile:
     """Non-increasing map eps -> delta in [0,1]; the base of the nodes.
 
     A node gives its value at one eps in `_at`, reached only through
-    `__call__`, and over a 1-d float64 array of eps in `on_array`, equal
-    entry for entry bit for bit; both refuse a NaN eps.  `on_array` calls
-    `_at` once per entry unless the node writes a bulk form of its own,
-    as the Gaussian, Renyi and Pld nodes do.  A node with a
-    form of its own for the least eps >= floor at which it is at most
-    delta proposes it in `_inverse`, reached only through `inverse`,
-    which certifies the proposal; any other node is bisected.  `knots`
-    lists eps values where the curve has kinks: the eps1 search adds them
-    to its candidates, and on a Points node, linear in exp(eps) between
-    them, a negbin shift is least at 0, at one of them, or at the top of
-    its range.  `lipschitz_in_exp` is true on a node whose slope in
-    x = e^eps lies in [-1, 0], as that of every true privacy profile
-    does: the Gaussian, Points and Pld nodes, which give that slope, from
-    the right, in `slope`.  On such a node the Poisson and binomial
-    shifts never fall as eps1 rises.  The Gaussian and Pld nodes are
-    convex in x too, so x + ratio U(x) of a negbin shift is least where
-    its slope 1 + ratio U'(x) turns non-negative: `crossing` finds that
-    eps.
+    `__call__`, and refuses a NaN eps.  A node with a form of its own for
+    the least eps >= floor at which it is at most delta proposes it in
+    `_inverse`, reached only through `inverse`, which certifies the
+    proposal; any other node is bisected.  `lipschitz_in_exp` is true on
+    a node whose slope in x = e^eps lies in [-1, 0], as that of every
+    true privacy profile does: the Gaussian, Points and Pld nodes, which
+    give that slope, from the right, in `slope`.  A selection bound reads
+    its eps1 off that slope and refuses a base without one.  On such a
+    node the Poisson and binomial shifts never fall as eps1 rises.  The
+    Gaussian and Pld nodes are convex in x too, so x + ratio U(x) of a
+    negbin shift is least where its slope 1 + ratio U'(x) turns
+    non-negative: `crossing` finds that eps.  A Points node is linear in
+    x between its `knots`, so there a negbin shift is least at 0, at a
+    knot or at the top of its range.
     """
 
-    knots = ()
     lipschitz_in_exp = False
 
     def __call__(self, eps):
@@ -95,9 +87,6 @@ class PrivacyProfile:
         if not rises(cap):
             return cap
         return halve(rises, 0.0, cap)[1]
-
-    def on_array(self, eps):
-        return np.array([self._at(e) for e in eps.tolist()], dtype=float)
 
     def inverse(self, delta, floor=0.0):
         """Least eps >= floor at which the node is at most delta (> 0),
@@ -158,13 +147,6 @@ def clip_delta(x):
     if x != x:
         raise ValueError("delta evaluated to NaN")
     return 1.0 if x > 1.0 else (x if x > 0.0 else 0.0)
-
-
-def clip_delta_array(x):
-    """clip_delta of every entry of a float64 array."""
-    if np.isnan(x).any():
-        raise ValueError("delta evaluated to NaN")
-    return np.where(x > 1.0, 1.0, np.where(x > 0.0, x, 0.0))
 
 
 def _check_positive(**kwargs):
@@ -294,6 +276,7 @@ class Points(PrivacyProfile):
         object.__setattr__(self, "_cones", list(zip(exp.tolist(), self.delta.tolist())))
         # the largest eps_i, past which the curve is flat, if every e^eps_i is finite
         object.__setattr__(self, "_top", float(self.eps[-1]) if math.isfinite(exp[-1]) else None)
+        # the eps where the curve has kinks, read by the eps1 knot rule
         object.__setattr__(self, "knots", tuple(self.eps))
 
     # the unclipped minimum over the points: `_below` takes x = e^min(eps,
@@ -369,7 +352,7 @@ def profile_from_points(points):
 
 @dataclass(frozen=True, eq=False)
 class Scaled(PrivacyProfile):
-    """min(1, factor * base(eps - shift)), with the base's knots shifted along.
+    """min(1, factor * base(eps - shift)).
 
     With positive_eps_only the profile is 1 at eps <= 0: a mechanism
     that may release nothing certifies nothing there.
@@ -379,10 +362,6 @@ class Scaled(PrivacyProfile):
     factor: float
     shift: float = 0.0
     positive_eps_only: bool = False
-
-    @property
-    def knots(self):
-        return tuple(k + self.shift for k in self.base.knots)
 
     def _at(self, eps):
         if self.positive_eps_only and eps <= 0:
@@ -430,9 +409,6 @@ class Renyi(PrivacyProfile):
     curve: RdpCurve
 
     def _at(self, eps):
-        return rdp_to_dp(self.curve, eps)
-
-    def on_array(self, eps):
         return rdp_to_dp(self.curve, eps)
 
     def _inverse(self, delta, floor):

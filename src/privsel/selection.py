@@ -5,10 +5,10 @@ mechanism K times, and releases the highest-scoring output.  Its
 hockey-stick divergence at eps is bounded by E[K] times the base delta
 evaluated at eps minus a shift.  The count defines the shift as a
 function of a free parameter eps1 and the base delta there (its `shift`
-and `shifts` methods), so one minimization over eps1 serves every
-queried eps.  Alongside the profile bounds live closed-form
-corollaries, Renyi-divergence baselines, a guarantee-adjustment helper,
-and a propose-test-release combiner.
+method), and eps1 is read off the base's slope in e^eps, so one choice
+of eps1 serves every queried eps.  Alongside the profile bounds live
+closed-form corollaries, Renyi-divergence baselines, a
+guarantee-adjustment helper, and a propose-test-release combiner.
 """
 
 from __future__ import annotations
@@ -25,22 +25,14 @@ from .profiles import (
     PointDP,
     Points,
     RdpCurve,
-    Renyi,
     Scaled,
     _check_positive,
     _check_twice_square,
     epsilon_for_delta,
+    rdp_to_dp,
 )
 
-GRID_POINTS = 200
-GRID_LO = 1e-6
 EPS1_CAP = 50.0
-REFINE_TOL = 1e-6
-# the grid's log10 steps and its low end, as np.geomspace forms them
-_GRID_K = np.arange(GRID_POINTS, dtype=float)
-_LOG_GRID_LO = np.log10(GRID_LO)
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # Newton steps the binomial threshold may take (it settles in about six),
 # and the steps away from where it settles that look for g's sign flip
 _NEWTON_STEPS = 40
@@ -61,49 +53,9 @@ class SelectionBoundResult:
             raise ValueError(f"eps1 must be >= 0, got {self.eps1}")
 
 
-def _golden(f, a, b, tol):
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
-def _grid(eps_hi):
-    """np.geomspace(GRID_LO, eps_hi, GRID_POINTS), bit for bit, by numpy's
-    own arithmetic for it: a linspace of log10 values raised to the
-    power 10, with both ends then set exactly."""
-    log_hi = np.log10(eps_hi)
-    y = _GRID_K * ((log_hi - _LOG_GRID_LO) / (GRID_POINTS - 1)) + _LOG_GRID_LO
-    y[-1] = log_hi
-    out = np.power(10.0, y)
-    out[0], out[-1] = GRID_LO, eps_hi
-    return out
-
-
-def _sorted_unique(x):
-    """np.unique(x) + 0.0 for a float array without NaN, by the steps
-    np.unique takes (whose check for a masked array loads numpy.ma): sort,
-    then keep each entry that differs from the one before.  + 0.0 turns a
-    -0.0 entry into 0.0."""
-    x = np.sort(x)
-    keep = np.empty(x.shape, dtype=bool)
-    keep[:1] = True
-    np.not_equal(x[1:], x[:-1], out=keep[1:])
-    return x[keep] + 0.0
-
-
 def _eps_hi(base, eps1_min):
-    """The top of the eps1 range: where the base delta bottoms out at
-    1e-15, capped at EPS1_CAP and at least 1e-3, or the count's
+    """The top of the knot rule's range: where the base delta bottoms out
+    at 1e-15, capped at EPS1_CAP and at least 1e-3, or the count's
     admissibility threshold eps1_min where that lies higher."""
     try:
         eps_hi = min(epsilon_for_delta(base, 1e-15), EPS1_CAP)
@@ -114,10 +66,10 @@ def _eps_hi(base, eps1_min):
 
 def optimize_eps1(base, count, eps1_min=0.0):
     """Minimize count.shift(eps1, base(eps1)) over eps1 >= eps1_min, the
-    count's admissibility threshold (the binomial's; 0 for the others).
-
-    A base whose slope in x = e^eps lies in [-1, 0] (`lipschitz_in_exp`:
-    Gaussian, Pld and Points nodes) settles eps1 without a search:
+    count's admissibility threshold (the binomial's; 0 for the others),
+    on a base whose slope in x = e^eps lies in [-1, 0]
+    (`lipschitz_in_exp`: Gaussian, Pld and Points nodes; `bound_for_count`
+    refuses any other).  The slope settles eps1 without a search:
     - the Poisson shift m (x - 1 + U) and the binomial shift, a log1p of
       p (x - 1) + p U, never fall as eps1 rises, so the threshold
       `eps1_min` wins, with no base evaluation;
@@ -127,71 +79,24 @@ def optimize_eps1(base, count, eps1_min=0.0):
       closed form on the Gaussian, by halving on the Pld), capped at 50;
     - on a Points node x + r U is a minimum of cones, each linear in x on
       both sides of its knot, so the least shift over 0, the knots and
-      the range's top wins, the smallest eps1 on a tie.
-
-    Otherwise (any count on a Renyi or Scaled base, which make no slope
-    claim) the candidates are 0, a 200-point log-spaced grid up to the
-    range's top, any kink locations the profile declares, and
-    `eps1_min`.  The range tops out where the base delta bottoms out
-    (capped at 50), or at `eps1_min` where that lies higher.  The base's
-    `on_array` and the count's `shifts` are evaluated over all of them;
-    the candidates whose array value lies within a small window of the
-    least are scored again by the scalar `shift`, and the best of those,
-    the smallest eps1 on a tie, is sharpened by golden-section search to
-    1e-6.  An eps1 below `eps1_min` scores +inf.
+      the range's top wins, the smallest eps1 on a tie.  The range tops
+      out where the base delta bottoms out (capped at 50), or at
+      `eps1_min` where that lies higher; an eps1 below `eps1_min` scores
+      +inf.
     """
-    if base.lipschitz_in_exp and isinstance(count, (Poisson, Binomial)):
+    if isinstance(count, (Poisson, Binomial)):
         return eps1_min
-    if (base.lipschitz_in_exp and isinstance(count, TruncNegBinomial)
-            and not isinstance(base, Points)):
+    if not isinstance(base, Points):
         ratio = (1.0 - count.success) / count.success
         return max(base.crossing(ratio, EPS1_CAP), eps1_min)
     eps_hi = _eps_hi(base, eps1_min)
 
-    def score(e1, d1):
-        return count.shift(e1, d1) if e1 >= eps1_min else math.inf
+    def score(e1):
+        return count.shift(e1, base(e1)) if e1 >= eps1_min else math.inf
 
-    if isinstance(base, Points) and isinstance(count, TruncNegBinomial):
-        # + 0.0 turns a -0.0 knot into 0.0
-        cand = {0.0, eps_hi, *(float(k) + 0.0 for k in base.knots if 0.0 <= k <= eps_hi)}
-        return min((score(e, base(e)), e) for e in cand)[1]
-
-    cand = np.concatenate(([0.0], _grid(eps_hi), base.knots, [eps1_min]))
-    cand = _sorted_unique(cand[(0.0 <= cand) & (cand <= eps_hi)])
-    deltas = base.on_array(cand)
-    vals = count.shifts(cand, deltas)
-    vals[cand < eps1_min] = math.inf
-
-    # The array form only prunes.  It applies the scalar form's IEEE
-    # operations in the same order, but numpy's exp, log, expm1 and log1p
-    # may each round an ulp or two away from math's.  For Poisson and
-    # binomial (sums and products of non-negative terms, log1p of a
-    # non-negative argument) the forms then differ by a few ulps of the
-    # value; for negbin, whose log may sit near log(1), by that plus
-    # (eta+1) times a few ulps of 1, about (eta+1) * 5e-16.  If err bounds
-    # that difference, the scalar winner w and the array minimizer c obey
-    # array(w) <= scalar(w) + err <= scalar(c) + err <= least + 2 err.
-    # The window below holds 2 err while eta+1 < 1000, and for any eta
-    # once the least value exceeds 1e-6 (eta+1); every candidate in it is
-    # scored again by the scalar form, so the choice is the scalar scan's.
-    least = vals.min()
-    near = np.flatnonzero(vals <= least + 1e-9 * abs(least) + 1e-12).tolist()
-    best_v, best_e, i = min(
-        (score(e, d), e, j)
-        for e, d, j in zip(cand[near].tolist(), deltas[near].tolist(), near)
-    )
-
-    lo = float(cand[i - 1]) if i > 0 else best_e
-    hi = float(cand[i + 1]) if i + 1 < len(cand) else best_e
-    if hi - lo > REFINE_TOL:
-        def f(e1):
-            return score(e1, base(e1))
-
-        refined = _golden(f, lo, hi, REFINE_TOL)
-        rv = f(refined)
-        if rv < best_v or (rv == best_v and refined < best_e):
-            best_e, best_v = refined, rv
-    return best_e
+    # + 0.0 turns a -0.0 knot into 0.0
+    cand = {0.0, eps_hi, *(float(k) + 0.0 for k in base.knots if 0.0 <= k <= eps_hi)}
+    return min((score(e), e) for e in cand)[1]
 
 
 def _newton_threshold(base, odds):
@@ -267,10 +172,15 @@ def bound_for_count(base, dist, eps1=None):
     caller.  A binomial eps1 must reach the threshold
     log(1 + p/(1-p) * base(eps1)); the other counts admit every eps1 >= 0.
     Binomial and Poisson counts can be zero, so their bounds certify
-    nothing at eps <= 0.
+    nothing at eps <= 0.  The base must state its slope in e^eps
+    (`lipschitz_in_exp`), which eps1 is read off: a Renyi or Scaled base
+    is refused with TypeError, before it is evaluated.
     """
     if not isinstance(dist, (TruncNegBinomial, Binomial, Poisson)):
         raise TypeError(f"no selection bound for {type(dist).__name__}")
+    if not base.lipschitz_in_exp:
+        raise TypeError(f"no selection bound over a {type(base).__name__} base, "
+                        f"which states no slope in e^eps")
     eps1_min = (_binomial_eps1_min(base, dist.trials, dist.prob)
                 if isinstance(dist, Binomial) else 0.0)
     if eps1 is None:
@@ -402,7 +312,7 @@ def rdp_poisson_curve(base_rdp, m):
     order, the least rdp_select_poisson curve over 40 base points, eps in
     geomspace(1e-3, 2) and delta read off the base curve there."""
     eps_hat = np.geomspace(1e-3, 2.0, 40)
-    return _rdp_poisson_min(base_rdp, eps_hat, Renyi(base_rdp).on_array(eps_hat), m)
+    return _rdp_poisson_min(base_rdp, eps_hat, rdp_to_dp(base_rdp, eps_hat), m)
 
 
 def adjust_guarantee(eps1, delta1, eps_hat, eta, gamma, delta):

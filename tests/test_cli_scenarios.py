@@ -281,8 +281,8 @@ def test_subnormal_gaussian_ratio_still_answers():
     (["binomial", "--n", "20", "--m", "5"], "9.53674316406e-07", "0"),
 ], ids=["negbin", "poisson", "binomial"])
 def test_subnormal_gaussian_ratio_answers_a_count_without_a_warning(family, eps, eps1, capsys):
-    # eps / r overflowed to inf in the eps1 search's array pass, with a
-    # RuntimeWarning, which the suite turns into an error
+    # eps / r once overflowed to inf in an array pass of the eps1 search,
+    # with a RuntimeWarning, which the suite turns into an error
     argv = ["guarantee", "--base", "gaussian", "--sigma", "0.5", "--sensitivity", "5e-324",
             "--family", *family, "--delta", "1e-6"]
     assert cli.main(argv) == 0

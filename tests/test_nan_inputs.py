@@ -3,7 +3,8 @@
 min/max clipping maps NaN to delta = 0 and `sigma <= 0` style guards let
 NaN through, so without explicit checks a NaN noise scale certified
 perfect privacy.  Every base kind is checked through the CLI (exit 2,
-run in-process) and every constructor directly (ValueError).
+run in-process), every constructor directly (ValueError), and every
+profile node at a NaN eps (ValueError).
 """
 
 import json
@@ -14,15 +15,17 @@ import pytest
 
 from privsel import cli
 from privsel.countdist import Poisson, TruncNegBinomial, from_expected
-from privsel.pld import DiscretePLD, GridSpec, SubsampledGaussianParams
+from privsel.pld import DiscretePLD, GridSpec, Pld, SubsampledGaussianParams
 from privsel.profiles import (
     PointDP,
+    Scaled,
     clip_delta,
     gaussian_profile,
     gaussian_rdp_curve,
     profile_from_points,
+    rdp_profile,
 )
-from privsel.rnm import RnmSpec, rnm_gaussian_eps
+from privsel.rnm import RnmSpec, rnm_composition_profile, rnm_gaussian_eps
 from privsel.selection import (
     adjust_guarantee,
     rdp_select_negbin,
@@ -123,6 +126,25 @@ def test_nan_eps_query_is_config_error(capsys):
 def test_constructors_reject_non_finite(build):
     with pytest.raises(ValueError):
         build()
+
+
+_PLD = DiscretePLD(1.0, 498, np.array([0.25, 0.5, 0.25]), 0.0)
+
+
+@pytest.mark.parametrize("profile", [
+    gaussian_profile(4.0),
+    profile_from_points([(0.5, 1e-3), (3.0, 1e-9)]),
+    profile_from_points([(0.5, 1e-3), (800.0, 0.0)]),
+    Scaled(gaussian_profile(4.0), 30.0, 0.7),
+    Scaled(profile_from_points([(0.5, 1e-3)]), 30.0, 0.7, positive_eps_only=True),
+    rnm_composition_profile(gaussian_profile(4.0, 4.0), 10, 4),
+    rdp_profile(gaussian_rdp_curve(4.0)),
+    Pld(_PLD, _PLD),
+], ids=["gaussian", "points", "points-past-exp-range", "scaled", "scaled-positive",
+        "rnm-composition", "renyi", "pld"])
+def test_nan_eps_is_refused_by_every_node(profile):
+    with pytest.raises(ValueError, match="NaN"):
+        profile(math.nan)
 
 
 def test_clip_delta_keeps_values_in_range():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from privsel.oracles import rnm_exact_divergence
-from privsel.profiles import epsilon_for_delta, gaussian_profile
+from privsel.profiles import epsilon_for_delta, gaussian_profile, profile_from_points
 from privsel.rnm import (
     RnmSpec,
     rnm_composition_profile,
@@ -94,3 +94,11 @@ def test_rnm_spec_rejects_bad_params():
         rnm_profile(gaussian_profile(1.0, 2.0), 0)
     with pytest.raises(ValueError):
         rnm_composition_profile(gaussian_profile(1.0, 2.0), 3, 0)
+
+
+def test_composition_factor_past_float_range_is_refused():
+    # candidates**rounds overflows a float: no delta below 1 is
+    # certifiable, even over a base that is exactly 0 from eps = 2 on
+    with pytest.raises(ValueError, match=r"candidates\*\*rounds"):
+        rnm_composition_profile(profile_from_points([(2.0, 0.0)]), 10**9, 40)
+    assert rnm_profile(profile_from_points([(2.0, 0.0)]), 7)(3.0) == 0.0
