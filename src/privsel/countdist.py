@@ -54,12 +54,12 @@ def _pmf_on(k, lo, hi, logpmf):
 
 def _check_shape(eta):
     if not eta > -1:
-        raise ValueError(f"shape must exceed -1, got {eta}")
+        raise ValueError(f"shape eta must exceed -1, got {eta}")
 
 
 def _check_trials(trials):
     if not (isinstance(trials, (int, np.integer)) and trials >= 1):
-        raise ValueError(f"trials must be a positive integer, got {trials}")
+        raise ValueError(f"trials n must be a positive integer, got {trials}")
 
 
 def _check_gamma(gamma):
@@ -94,7 +94,7 @@ class TruncNegBinomial:
     def __post_init__(self):
         _check_shape(self.shape)
         if not 0 < self.success < 1:
-            raise ValueError(f"success must be in (0,1), got {self.success}")
+            raise ValueError(f"success gamma must be in (0,1), got {self.success}")
         _check_gamma(self.success)
 
     def pmf(self, k):
@@ -171,7 +171,7 @@ class Binomial:
     def __post_init__(self):
         _check_trials(self.trials)
         if not 0 < self.prob < 1:
-            raise ValueError(f"prob must be in (0,1), got {self.prob}")
+            raise ValueError(f"prob p must be in (0,1), got {self.prob}")
 
     def pmf(self, k):
         from ._special import gammaln, xlog1py, xlogy
@@ -214,7 +214,7 @@ class Poisson:
 
     def __post_init__(self):
         if not 0 < self.rate < math.inf:
-            raise ValueError(f"rate must be positive and finite, got {self.rate}")
+            raise ValueError(f"rate m must be positive and finite, got {self.rate}")
 
     def pmf(self, k):
         from ._special import gammaln, xlogy
@@ -283,7 +283,7 @@ def from_expected(kind, m, *, shape=None, trials=None):
     "poisson" needs nothing extra.
     """
     if m <= 0:
-        raise InfeasibleMeanError(f"mean must be positive, got {m}")
+        raise InfeasibleMeanError(f"mean m must be positive, got {m}")
     if not m < math.inf:
         raise InfeasibleMeanError(f"mean m must be finite, got {m}")
     if kind == "negbin":

@@ -49,7 +49,6 @@ class Gaussian(PrivacyProfile):
     """
 
     r: float
-    lipschitz_in_exp = True
 
     def _at(self, eps):
         r = self.r

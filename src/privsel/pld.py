@@ -52,6 +52,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from ._search import halve
 from .errors import ConfigError, GridTooCoarseError, MemoryBudgetError
 from .profiles import (PrivacyProfile, RdpCurve, _check_positive, _check_twice_square,
                        clip_delta, default_orders)
@@ -581,7 +582,6 @@ class Pld(PrivacyProfile):
 
     remove: DiscretePLD
     add: DiscretePLD
-    lipschitz_in_exp = True
 
     def _at(self, eps):
         return max(self.remove.delta(eps), self.add.delta(eps))
@@ -594,6 +594,18 @@ class Pld(PrivacyProfile):
         if rem != add:
             return (self.remove if rem > add else self.add).slope(eps)
         return max(self.remove.slope(eps), self.add.slope(eps))
+
+    def crossing(self, ratio, cap):
+        """The least eps in [0, cap] at which 1 + ratio * slope(eps) >= 0, or cap:
+        convex in e^eps, the node's sign flips once, halved to adjacent floats."""
+        def rises(eps):
+            return not 1.0 + ratio * self.slope(eps) < 0.0
+
+        if rises(0.0):
+            return 0.0
+        if not rises(cap):
+            return cap
+        return halve(rises, 0.0, cap)[1]
 
     def _inverse(self, delta, floor):
         # both directions must drop to delta; past eps 500, bisection

@@ -56,37 +56,17 @@ class PrivacyProfile:
     `__call__`, and refuses a NaN eps.  A node with a form of its own for
     the least eps >= floor at which it is at most delta proposes it in
     `_inverse`, reached only through `inverse`, which certifies the
-    proposal; any other node is bisected.  `lipschitz_in_exp` is true on
-    a node whose slope in x = e^eps lies in [-1, 0], as that of every
-    true privacy profile does: the Gaussian, Points and Pld nodes, which
-    give that slope, from the right, in `slope`.  A selection bound reads
-    its eps1 off that slope and refuses a base without one.  On such a
-    node the Poisson and binomial shifts never fall as eps1 rises.  The
-    Gaussian and Pld nodes are convex in x too, so x + ratio U(x) of a
-    negbin shift is least where its slope 1 + ratio U'(x) turns
-    non-negative: `crossing` finds that eps.  A Points node is linear in
-    x between its `knots`, so there a negbin shift is least at 0, at a
-    knot or at the top of its range.
+    proposal; any other node is bisected.  A node whose slope in x =
+    e^eps lies in [-1, 0], as that of every true privacy profile does,
+    gives that slope, from the right, in `slope`: the Gaussian, Points
+    and Pld nodes.  On any other node `slope` is None, and a selection
+    bound, which reads its eps1 off the slope, refuses it.
     """
 
-    lipschitz_in_exp = False
+    slope = None
 
     def __call__(self, eps):
         return self._at(eps)
-
-    def crossing(self, ratio, cap):
-        """The least eps in [0, cap] at which 1 + ratio * slope(eps) >= 0,
-        or cap where there is none, on a node that gives its slope and is
-        convex in e^eps, so that the sign flips once: halved on that sign
-        to adjacent floats."""
-        def rises(eps):
-            return not 1.0 + ratio * self.slope(eps) < 0.0
-
-        if rises(0.0):
-            return 0.0
-        if not rises(cap):
-            return cap
-        return halve(rises, 0.0, cap)[1]
 
     def inverse(self, delta, floor=0.0):
         """Least eps >= floor at which the node is at most delta (> 0),
@@ -266,7 +246,6 @@ class Points(PrivacyProfile):
 
     eps: np.ndarray
     delta: np.ndarray
-    lipschitz_in_exp = True
 
     def __post_init__(self):
         with np.errstate(over="ignore"):
@@ -276,8 +255,6 @@ class Points(PrivacyProfile):
         object.__setattr__(self, "_cones", list(zip(exp.tolist(), self.delta.tolist())))
         # the largest eps_i, past which the curve is flat, if every e^eps_i is finite
         object.__setattr__(self, "_top", float(self.eps[-1]) if math.isfinite(exp[-1]) else None)
-        # the eps where the curve has kinks, read by the eps1 knot rule
-        object.__setattr__(self, "knots", tuple(self.eps))
 
     # the unclipped minimum over the points: `_below` takes x = e^min(eps,
     # top), `_past` takes eps and also returns which points lie above it

@@ -48,7 +48,8 @@ def finite(value, name):
         raise ConfigError(f"{name} must be a number, got {value!r}") from e
     if not math.isfinite(x):
         raise ConfigError(f"{name} must be finite, got {x}")
-    return x
+    # + 0.0 turns -0.0 into 0.0, so that no answer prints a negative zero
+    return x + 0.0
 
 
 def _real(spec, key, default=None):
@@ -125,9 +126,14 @@ def base_params(base):
         if not eps >= 0:
             raise ConfigError(f"pure base needs eps >= 0, got {eps}")
         return kind, eps
+    points = base.get("points")
+    if not (isinstance(points, (list, tuple))
+            and all(isinstance(p, (list, tuple)) and len(p) == 2 for p in points)):
+        raise ConfigError(f"bad points list: points must be a list of [eps, delta] pairs, "
+                          f"got {points!r}")
     try:
-        return kind, [(finite(e, "eps"), finite(d, "delta")) for e, d in base["points"]]
-    except (KeyError, TypeError, ValueError) as e:
+        return kind, [(finite(e, "eps"), finite(d, "delta")) for e, d in points]
+    except ConfigError as e:
         raise ConfigError(f"bad points list: {e}") from e
 
 

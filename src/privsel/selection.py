@@ -41,16 +41,22 @@ _NUDGES = 8
 
 @dataclass(frozen=True)
 class SelectionBoundResult:
-    """A selection bound: the output profile, the eps1 the optimizer
-    settled on, and the induced shift subtracted from queried eps values."""
+    """A selection bound: the output profile and the eps1 it was built at.
+    `shift`, subtracted from queried eps values, is the profile's."""
 
     profile: Scaled
     eps1: float
-    shift: float
 
-    def __post_init__(self):
-        if self.eps1 < 0:
-            raise ValueError(f"eps1 must be >= 0, got {self.eps1}")
+    @property
+    def shift(self):
+        return self.profile.shift
+
+
+def _check_slope(base):
+    """Refuse a base whose `slope`, which eps1 is read off, is None, unevaluated."""
+    if base.slope is None:
+        raise TypeError(f"no selection bound over a {type(base).__name__} base, "
+                        f"which states no slope in e^eps")
 
 
 def _eps_hi(base, eps1_min):
@@ -67,23 +73,24 @@ def _eps_hi(base, eps1_min):
 def optimize_eps1(base, count, eps1_min=0.0):
     """Minimize count.shift(eps1, base(eps1)) over eps1 >= eps1_min, the
     count's admissibility threshold (the binomial's; 0 for the others),
-    on a base whose slope in x = e^eps lies in [-1, 0]
-    (`lipschitz_in_exp`: Gaussian, Pld and Points nodes; `bound_for_count`
-    refuses any other).  The slope settles eps1 without a search:
+    on a base U whose slope in x = e^eps lies in [-1, 0] (Gaussian, Pld,
+    Points; one whose `slope` is None is refused with TypeError, before
+    it is evaluated).  The slope settles eps1 without a search:
     - the Poisson shift m (x - 1 + U) and the binomial shift, a log1p of
       p (x - 1) + p U, never fall as eps1 rises, so the threshold
       `eps1_min` wins, with no base evaluation;
     - a negbin shift is (eta+1) log(x + r U) with r = (1-gamma)/gamma.
       On a Gaussian or Pld node x + r U is convex, so it is least where
-      its slope 1 + r U' turns non-negative, which `crossing` finds (in
-      closed form on the Gaussian, by halving on the Pld), capped at 50;
+      its slope 1 + r U' turns non-negative, which its `crossing` finds
+      (in closed form on the Gaussian, by halving on the Pld), capped at 50;
     - on a Points node x + r U is a minimum of cones, each linear in x on
-      both sides of its knot, so the least shift over 0, the knots and
-      the range's top wins, the smallest eps1 on a tie.  The range tops
-      out where the base delta bottoms out (capped at 50), or at
+      both sides of its point's eps, so the least shift over 0, those eps
+      and the range's top wins, the smallest eps1 on a tie.  The range
+      tops out where the base delta bottoms out (capped at 50), or at
       `eps1_min` where that lies higher; an eps1 below `eps1_min` scores
       +inf.
     """
+    _check_slope(base)
     if isinstance(count, (Poisson, Binomial)):
         return eps1_min
     if not isinstance(base, Points):
@@ -95,7 +102,7 @@ def optimize_eps1(base, count, eps1_min=0.0):
         return count.shift(e1, base(e1)) if e1 >= eps1_min else math.inf
 
     # + 0.0 turns a -0.0 knot into 0.0
-    cand = {0.0, eps_hi, *(float(k) + 0.0 for k in base.knots if 0.0 <= k <= eps_hi)}
+    cand = {0.0, eps_hi, *(k + 0.0 for k in base.eps.tolist() if 0.0 <= k <= eps_hi)}
     return min((score(e), e) for e in cand)[1]
 
 
@@ -138,11 +145,11 @@ def _newton_threshold(base, odds):
 
 def _binomial_eps1_min(base, n, p):
     """Smallest eps1 with eps1 >= log(1 + p/(1-p) * base(eps1)), the
-    admissibility threshold of a Binomial(n, p) count.  g(eps1) = eps1 -
-    log1p(p/(1-p) base(eps1)) rises at slope >= 1 on a base whose slope
-    in e^eps lies in [-1, 0], where Newton's method finds its root within
-    a few ulps; elsewhere, or where Newton does not settle, the bracket
-    from 1, doubled until g >= 0, is halved 80 times."""
+    admissibility threshold of a Binomial(n, p) count, on a base whose
+    slope in e^eps lies in [-1, 0].  There g(eps1) = eps1 - log1p(p/(1-p)
+    base(eps1)) rises at slope >= 1, and Newton's method finds its root
+    within a few ulps; where Newton does not settle, the bracket from 1,
+    doubled until g >= 0, is halved 80 times."""
     odds = p / (1.0 - p)
 
     def g(e1):
@@ -150,10 +157,9 @@ def _binomial_eps1_min(base, n, p):
 
     if g(0.0) >= 0:
         return 0.0
-    if base.lipschitz_in_exp:
-        e1 = _newton_threshold(base, odds)
-        if e1 is not None:
-            return e1
+    e1 = _newton_threshold(base, odds)
+    if e1 is not None:
+        return e1
     hi = 1.0
     while g(hi) < 0 and hi < EPS1_CAP:
         hi *= 2
@@ -172,15 +178,13 @@ def bound_for_count(base, dist, eps1=None):
     caller.  A binomial eps1 must reach the threshold
     log(1 + p/(1-p) * base(eps1)); the other counts admit every eps1 >= 0.
     Binomial and Poisson counts can be zero, so their bounds certify
-    nothing at eps <= 0.  The base must state its slope in e^eps
-    (`lipschitz_in_exp`), which eps1 is read off: a Renyi or Scaled base
-    is refused with TypeError, before it is evaluated.
+    nothing at eps <= 0.  The base must state its slope in e^eps, which
+    eps1 is read off: a base whose `slope` is None (Renyi, Scaled) is
+    refused with TypeError, for a fixed eps1 too, before it is evaluated.
     """
     if not isinstance(dist, (TruncNegBinomial, Binomial, Poisson)):
         raise TypeError(f"no selection bound for {type(dist).__name__}")
-    if not base.lipschitz_in_exp:
-        raise TypeError(f"no selection bound over a {type(base).__name__} base, "
-                        f"which states no slope in e^eps")
+    _check_slope(base)
     eps1_min = (_binomial_eps1_min(base, dist.trials, dist.prob)
                 if isinstance(dist, Binomial) else 0.0)
     if eps1 is None:
@@ -202,7 +206,7 @@ def bound_for_count(base, dist, eps1=None):
                          f"overflows a float")
     profile = Scaled(base, dist.mean(), shift,
                      positive_eps_only=not isinstance(dist, TruncNegBinomial))
-    return SelectionBoundResult(profile, eps1, shift)
+    return SelectionBoundResult(profile, eps1)
 
 
 def select_negbin_profile(base, eta, gamma):

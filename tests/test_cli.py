@@ -446,7 +446,34 @@ CONFIG_ERRORS = {
     # values out of the library's range, refused before a Gaussian is built
     "poisson-m-zero": (["guarantee", "--base", "gaussian", "--sigma", "4", "--family",
                         "poisson", "--m", "0", "--delta", "1e-6"], None,
-                       "error: mean must be positive, got 0.0"),
+                       "error: mean m must be positive, got 0.0"),
+    # each named by the field the user typed beside the library's name for it
+    **{f"count-{name}": (["guarantee", "--base", "gaussian", "--sigma", "4",
+                          "--family", *family, "--delta", "1e-6"], None, f"error: {message}")
+       for name, family, message in (
+           ("negbin-eta", ["negbin", "--eta", "-2", "--gamma", "0.1"],
+            "shape eta must exceed -1, got -2.0"),
+           ("negbin-eta-m", ["negbin", "--eta", "-2", "--m", "10"],
+            "shape eta must exceed -1, got -2.0"),
+           ("negbin-gamma", ["negbin", "--gamma", "1.5"],
+            "success gamma must be in (0,1), got 1.5"),
+           ("negbin-m", ["negbin", "--m", "-1"], "mean m must be positive, got -1.0"),
+           ("binomial-p", ["binomial", "--n", "10", "--p", "1.5"],
+            "prob p must be in (0,1), got 1.5"),
+           ("binomial-m", ["binomial", "--n", "10", "--m", "0"],
+            "mean m must be positive, got 0.0"))},
+    # a points list of the wrong shape gets one message naming the field and its shape
+    **{f"points-{name}": (["guarantee", "--delta", "1e-6"], {"base": {"kind": "points", **base}},
+                          "error: bad points list: points must be a list of [eps, delta] "
+                          f"pairs, got {got}")
+       for name, base, got in (
+           ("missing", {}, "None"),
+           ("number", {"points": 5}, "5"),
+           ("string", {"points": "ab"}, "'ab'"),
+           ("short-pair", {"points": [[1.0]]}, "[[1.0]]"),
+           ("long-pair", {"points": [[0.5, 1e-3], [1.0, 1e-4, 0.0]]},
+            "[[0.5, 0.001], [1.0, 0.0001, 0.0]]"),
+           ("bare-entry", {"points": [5]}, "[5]"))},
     # the pure base checks its eps itself, so every method and command says the same
     "pure-eps-negative": (["guarantee", "--base", "pure", "--eps-base", "-1", "--delta", "1e-6"],
                           None, "error: pure base needs eps >= 0, got -1.0"),

@@ -193,9 +193,9 @@ def test_bad_config_is_refused(cfg, tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (GAUSS + ["--family", "binomial", "--n", "0", "--m", "1", "--delta", "1e-6"],
-     "error: trials must be a positive integer, got 0"),
+     "error: trials n must be a positive integer, got 0"),
     (GAUSS + ["--family", "binomial", "--n", "0", "--p", "0.5", "--delta", "1e-6"],
-     "error: trials must be a positive integer, got 0"),
+     "error: trials n must be a positive integer, got 0"),
     (["guarantee", "--base", "gaussian", "--sigma", "1000", "--sensitivity", "5e-324",
       "--delta", "2.5e-5"],
      "error: sensitivity / sigma underflows to 0, got sensitivity=5e-324, sigma=1000.0"),

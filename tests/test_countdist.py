@@ -68,7 +68,7 @@ def test_success_solve_stops_on_the_ninety_step_bits(shape, m):
 
 @pytest.mark.parametrize("shape", [-1.0, -2.0, -50.0, float("nan")])
 def test_success_solve_refuses_a_shape_at_or_below_minus_one(shape):
-    with pytest.raises(ValueError, match="shape must exceed -1"):
+    with pytest.raises(ValueError, match="^shape eta must exceed -1, got "):
         from_expected("negbin", 10.0, shape=shape)
 
 
@@ -227,7 +227,7 @@ def test_binomial_matches_scipy_stats(n, p):
 
 def test_binomial_mean_form_refuses_zero_trials():
     # it divided m by the trial count first
-    with pytest.raises(ValueError, match="^trials must be a positive integer, got 0$"):
+    with pytest.raises(ValueError, match="^trials n must be a positive integer, got 0$"):
         from_expected("binomial", 1.0, trials=0)
 
 

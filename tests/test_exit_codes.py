@@ -2,9 +2,10 @@
 
 Every `guarantee` call, however wild its fields, returns 0 or a code of
 `cli._EXIT_CODES`.  A non-zero code prints exactly one `error:` line and
-nothing on stdout; a zero code prints one answer line with a finite eps
-and a delta in [0, 1].  Under this suite a RuntimeWarning is an error,
-so a call that warns fails too.
+nothing on stdout; a zero code prints one answer line with a finite eps,
+a delta in [0, 1], an eps1 that is not negative, and no field printed as
+-0.  Under this suite a RuntimeWarning is an error, so a call that warns
+fails too.
 
 The calls range over every base kind that builds no loss grid (a
 subsampled Gaussian base composes one, whose memory a wild field can
@@ -37,7 +38,7 @@ INTEGER_FIELDS = {"n", "rounds"}
 LOG_RANGE = {"sigma": (-1, 2), "sensitivity": (-1, 1), "eps": (-3, 1),
              "eta": (-2, 1), "gamma": (-8, 0), "p": (-8, 0), "m": (0, 3),
              "n": (0, 3), "rounds": (0, 1), "delta": (-12, 0), "eps1": (-3, 1)}
-ANSWER = re.compile(r"eps=(\S+) delta=(\S+) method=\S+ eps1=\S+\n")
+ANSWER = re.compile(r"eps=(\S+) delta=(\S+) method=\S+ eps1=(\S+)\n")
 
 
 def draw(rng, field, integer, edge):
@@ -113,8 +114,10 @@ def test_every_call_ends_in_a_documented_exit_code(kind, tmp_path):
         if rc == 0:
             match = ANSWER.fullmatch(out)
             assert match and err == "", (argv, out, err)
-            eps, delta = float(match[1]), float(match[2])
+            eps, delta, eps1 = (float(field) for field in match.groups())
             assert math.isfinite(eps) and 0 <= delta <= 1, (argv, out)
+            # eps1 is nan where the route reads none
+            assert "-0" not in match.groups() and not eps1 < 0, (argv, out)
             answered += 1
         else:
             assert rc in EXIT_CODES, (argv, rc, err)
@@ -123,3 +126,29 @@ def test_every_call_ends_in_a_documented_exit_code(kind, tmp_path):
                 and err.endswith("\n"), (argv, err)
     # the draws reach the computing routes, not only the field checks
     assert answered >= CALLS_PER_BASE // 10
+
+
+# -0 passes every range check a field has; read as 0.0, it prints as 0
+NEGATIVE_ZERO_CALLS = [
+    (["--base", "gaussian", "--sigma", "4", "--family", "poisson", "--m", "10",
+      "--eps1", "-0", "--delta", "1e-6"],
+     "eps=2.17651081085 delta=1e-06 method=hs eps1=0"),
+    (["--base", "pure", "--eps-base", "-0", "--family", "negbin", "--m", "10",
+      "--method", "closed", "--delta", "1e-6"],
+     "eps=0 delta=1e-06 method=closed eps1=nan"),
+    (["--base", "gaussian", "--sigma", "4", "--family", "binomial", "--n", "10",
+      "--p", "0.1", "--eps=-0.0"],
+     "eps=0 delta=1 method=hs eps1=0.0104804531378"),
+]
+
+
+@pytest.mark.parametrize("argv, text", NEGATIVE_ZERO_CALLS,
+                         ids=["eps1", "eps-base", "eps"])
+def test_a_negative_zero_input_prints_no_negative_zero(argv, text, capsys):
+    assert cli.main(["guarantee", *argv]) == 0
+    assert capsys.readouterr().out == text + "\n"
+    assert cli.main(["guarantee", *argv, "--format", "json"]) == 0
+    answer = json.loads(capsys.readouterr().out)
+    for key in ("eps", "delta", "eps1"):
+        if answer[key] is not None:
+            assert math.copysign(1.0, answer[key]) == 1.0, (key, answer)

@@ -168,11 +168,11 @@ def test_every_node_inverse_is_certified_on_its_own(node, delta):
 
 
 def kinks(node):
-    """The eps where a node has kinks: a point list's knots, shifted along
+    """The eps where a node has kinks: a point list's eps, shifted along
     by a scaled node over one."""
     if isinstance(node, Scaled):
         return [k + node.shift for k in kinks(node.base)]
-    return [float(k) for k in node.knots] if isinstance(node, Points) else []
+    return node.eps.tolist() if isinstance(node, Points) else []
 
 
 def assert_non_increasing(node, eps, slack=0.0):

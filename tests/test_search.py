@@ -252,7 +252,7 @@ def old_binomial_eps1_min(base, n, p):
 
 
 class Recorded(PrivacyProfile):
-    """A base's values with no slope claim, each eps recorded."""
+    """A base's values and slope, each eps it is evaluated at recorded."""
 
     def __init__(self, base, calls):
         self.base, self.calls = base, calls
@@ -261,11 +261,15 @@ class Recorded(PrivacyProfile):
         self.calls.append(eps)
         return self.base(eps)
 
+    def slope(self, eps):
+        return self.base.slope(eps)
+
 
 @pytest.mark.parametrize("seed", RNG_SEEDS)
-def test_binomial_eps1_min_is_its_old_loop(seed):
-    # on a base that makes no slope claim, Newton's method has no slope
-    # to take, and the threshold is the halving loop's
+def test_binomial_eps1_min_is_its_old_loop(seed, monkeypatch):
+    # where Newton's method does not settle, the threshold is the halving
+    # loop's, probe for probe
+    monkeypatch.setattr(selection, "_newton_threshold", lambda base, odds: None)
     rng = np.random.default_rng(seed)
     tiny = 0
     for _ in range(60):

@@ -197,21 +197,25 @@ def test_binomial_threshold_above_the_base_range_is_in_the_eps1_range():
     assert bound_for_count(base, dist).eps1 == threshold
 
 
-@pytest.mark.parametrize("eps1", [None, 0.5], ids=["optimized", "fixed"])
+@pytest.mark.parametrize("select", [
+    lambda base, dist: bound_for_count(base, dist),
+    lambda base, dist: bound_for_count(base, dist, 0.5),
+    optimize_eps1,
+], ids=["optimized", "fixed", "optimize_eps1"])
 @pytest.mark.parametrize("dist", [TruncNegBinomial(1.0, 0.1), Binomial(50, 0.2),
                                   Poisson(10.0)], ids=["negbin", "binomial", "poisson"])
 @pytest.mark.parametrize("base", [Scaled(gaussian_profile(4.0), 30.0, 0.7),
                                   rdp_profile(gaussian_rdp_curve(4.0))],
                          ids=["scaled", "renyi"])
-def test_a_base_without_a_slope_is_refused_before_it_is_evaluated(base, dist, eps1,
+def test_a_base_without_a_slope_is_refused_before_it_is_evaluated(base, dist, select,
                                                                    monkeypatch):
-    # eps1 is read off the base's slope in e^eps, which neither node states
-    def evaluated(self, eps):
-        raise AssertionError(f"{type(self).__name__} evaluated at {eps}")
-
-    monkeypatch.setattr(type(base), "_at", evaluated)
+    # eps1 is read off the base's slope in e^eps, which neither node
+    # states: both entry points refuse it, a fixed eps1 too
+    evaluated = []
+    monkeypatch.setattr(type(base), "_at", lambda self, eps: evaluated.append(eps))
     with pytest.raises(TypeError, match=rf"\b{type(base).__name__}\b"):
-        bound_for_count(base, dist, eps1)
+        select(base, dist)
+    assert evaluated == []
 
 
 def test_fixed_eps1_whose_shift_overflows_raises():
@@ -427,7 +431,8 @@ bases = st.one_of(
 
 
 def knots(base):
-    return base.knots if isinstance(base, Points) else ()
+    """The eps where a point list has kinks, which the knot rule tries."""
+    return base.eps.tolist() if isinstance(base, Points) else []
 
 
 def scalar_scan_optimize(base, count, eps1_min=0.0):
@@ -637,7 +642,7 @@ def test_base_nodes_fall_with_slope_in_minus_one_to_zero(base, eps):
     # ulps: 2 ulps of 1 for U, and 4 ulps of max(1, x) for x + U (all
     # three kinds of node stayed within 1.25 of the latter in 18,000
     # random draws)
-    assert base.lipschitz_in_exp
+    assert base.slope is not None
     eps = sorted({*eps, *(float(k) for k in knots(base) if k <= 700.0)})
     x = [math.exp(e) for e in eps]
     u = [base(e) for e in eps]
@@ -649,10 +654,10 @@ def test_base_nodes_fall_with_slope_in_minus_one_to_zero(base, eps):
 
 def test_other_nodes_make_no_slope_claim():
     # a Scaled node falls at factor times its base's slope, and a Renyi
-    # conversion is no hockey-stick curve: bound_for_count refuses both
+    # conversion is no hockey-stick curve: the selection bounds refuse both
     curve = gaussian_rdp_curve(4.0)
     for node in (rdp_profile(curve), Scaled(gaussian_profile(4.0), 30.0, 0.7)):
-        assert not node.lipschitz_in_exp
+        assert node.slope is None
 
 
 @SCANS
@@ -729,7 +734,7 @@ def test_a_negative_zero_knot_yields_a_positive_zero_eps1():
     for _ in range(4):
         base = profile_from_points([(-0.0, 0.0)] + [
             (e, 0.0) for e in rng.uniform(0.0, 1e-3, 500).tolist()])
-        assert math.copysign(1.0, base.knots[0]) == -1.0
+        assert math.copysign(1.0, base.eps[0]) == -1.0
         for count in (TruncNegBinomial(1.0, 0.1), Poisson(3.0)):
             assert optimize_eps1(base, count).hex() == "0x0.0p+0"
             assert scalar_scan_optimize(base, count).hex() == "0x0.0p+0"
