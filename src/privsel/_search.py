@@ -1,21 +1,33 @@
 """The monotone searches under privsel's answers, on the stdlib alone:
 `countdist`, which `oracles` imports, searches without loading the bounds."""
 
+import math
 import sys
 
+# no side of the bracket is known in advance
+UNKNOWN = (-math.inf, math.inf)
 
-def halve(pred, lo, hi, tol=0.0, steps=sys.maxsize):
+
+def halve(pred, lo, hi, tol=0.0, steps=sys.maxsize, known=UNKNOWN):
     """(lo, hi) after halving a float bracket whose lo fails pred and whose
     hi passes it, each step moving one end to the midpoint.  Stops once
     hi - lo <= tol, once the ends are adjacent floats (the midpoint then
-    rounds onto one of them and is not probed), or after `steps` probes."""
+    rounds onto one of them and is not probed), or after `steps` halvings.
+
+    known = (a, b) are two points the caller has seen pred fail and pass
+    at: a midpoint at or below a is taken to fail and one at or above b
+    to pass, without a probe, and those halvings count towards `steps`
+    too.  Only midpoints strictly between a and b are probed, so the
+    result is the one without `known` wherever pred is monotone outside
+    (a, b)."""
+    a, b = known
     for _ in range(steps):
         if not hi - lo > tol:
             break
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        if pred(mid):
+        if mid >= b or (mid > a and pred(mid)):
             hi = mid
         else:
             lo = mid

@@ -24,13 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._search import gallop, halve
+from ._search import UNKNOWN, gallop, halve
 from .errors import InfeasibleMeanError
 
 # Validation sums truncate the support where the right tail drops below this.
 TAIL_MASS = 1e-15
 # below this |shape * log(success)|, 1 - success**shape cancels
 _NEAR_ZERO_SHAPE = 1e-3
+# Newton steps `_success_band` may take; it needs about six
+_SUCCESS_STEPS = 60
 
 
 def _near_zero_norm(g, eta):
@@ -312,18 +314,91 @@ def from_expected(kind, m, *, shape=None, trials=None):
 
 
 def _solve_success(shape, m):
+    """The success parameter at which the negbin mean is m: the midpoint of
+    the bracket that 90 halvings from [lo, 1 - 1e-12] end on.  The mean is
+    continuous and strictly decreasing in it, from +inf near 0 down to 1
+    near 1, so plain bisection is safe: lo is found by steps down from
+    1/m, and a halving that keeps the mean at lo at least m and at hi at
+    most m closes on the one root.  The halving probes only inside the
+    band `_success_band` puts about the root, and so ends on the floats a
+    plain one ends on wherever the computed mean is monotone outside it."""
     _check_shape(shape)
-    # mean is continuous and strictly decreasing in the success parameter,
-    # from +inf near 0 down to 1 near 1, so plain bisection is safe
     lo = min(0.5, 1 / m)
-    while _negbin_mean(shape, lo) < m:
+    while (mean_lo := _negbin_mean(shape, lo)) < m:
         lo /= 10
         if lo < 1e-280:
             raise InfeasibleMeanError(f"mean {m} out of reach for shape {shape}")
     hi = 1 - 1e-12
     if _negbin_mean(shape, hi) > m:
         raise InfeasibleMeanError(f"mean {m} out of reach for shape {shape}")
+
+    def passes(g):
+        return not _negbin_mean(shape, g) > m
+
+    known = _success_band(shape, m, lo, mean_lo, hi, passes)
     # iterate to relative width ~1e-18 so the mean round-trips within 1e-9
     # even when the solution sits at success ~ 1/m with m in the thousands
-    lo, hi = halve(lambda g: not _negbin_mean(shape, g) > m, lo, hi, steps=90)
+    lo, hi = halve(passes, lo, hi, steps=90, known=known)
     return 0.5 * (lo + hi)
+
+
+def _success_band(shape, m, lo, mean_lo, hi, passes):
+    """(a, b) about the root of mean = m in [lo, hi], the mean at lo being
+    mean_lo, with `passes` seen to fail at a and to hold at b; `UNKNOWN`
+    where Newton's method does not settle or the band does not straddle
+    the root.
+
+    The root is found by Newton's method in u = log g on log mean, from
+    lo, kept inside the bracket: a step that leaves it bisects it in u
+    instead.  Its slope, the elasticity d log mean / d u, is
+    -1/(1 - g) + g^eta eta/(1 - g^eta) = 1/expm1(u) - q/u with
+    q = t e^t/expm1(t), t = eta u.  Each step multiplies g by e^step, as
+    u itself resolves g no finer than ulp(u) relative.  The band's
+    half-width is `_band_ulps` ulps of the root, outside which the
+    rounding of the computed mean cannot reach m; Newton stops once a
+    step is a sixteenth of it."""
+    log_m = math.log(m)
+    g_lo, g_hi = lo, hi
+    g, v = lo, math.log(mean_lo) - log_m
+    for _ in range(_SUCCESS_STEPS):
+        u = math.log(g)
+        t = shape * u
+        q = t * math.exp(t) / math.expm1(t) if t else 1.0
+        slope = 1.0 / math.expm1(u) - q / u
+        # a slope that rounds to 0 or above takes a bisection step
+        step = -v / slope if slope < 0 else math.inf
+        if abs(step) <= _band_ulps(shape, u) * 2.0**-57:
+            g *= math.exp(step)
+            break
+        # capped below the overflow of exp; a step past the bracket bisects it
+        g *= math.exp(min(step, 700.0))
+        if not g_lo < g < g_hi:
+            g = math.sqrt(g_lo) * math.sqrt(g_hi)
+        v = math.log(_negbin_mean(shape, g)) - log_m
+        if v > 0:
+            g_lo = g
+        elif v < 0:
+            g_hi = g
+        else:
+            break
+    else:
+        return UNKNOWN
+    width = _band_ulps(shape, math.log(g)) * math.ulp(g)
+    a, b = max(g - width, lo), min(g + width, hi)
+    # at lo the mean is at least m and at hi at most m already
+    if (a > lo and passes(a)) or (b < hi and not passes(b)):
+        return UNKNOWN
+    return a, b
+
+
+def _band_ulps(eta, u):
+    """Half-width, in ulps of g = e^u, of the band about the root of
+    mean = m outside which the computed mean lies on the root's side:
+    2**10 ulps, plus 64 / c for the cancellation in 1 - g**eta
+    (c = |eta u|) or, under the expm1 form, in 1/g - 1 and log(1/g)
+    (c = |u|), both divided by the least elasticity |d log mean / d u|,
+    min(1, 1+eta)/2, its limit as g -> 1 (as g -> 0 it is
+    min(1, 1+eta))."""
+    t = abs(eta * u)
+    c = t if t >= _NEAR_ZERO_SHAPE else abs(u)
+    return (2.0**10 + 64.0 / c) / (0.5 * min(1.0, 1.0 + eta))

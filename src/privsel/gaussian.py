@@ -19,8 +19,11 @@ from ._special import log_ndtr, ndtr
 from .profiles import PrivacyProfile, _check_positive, clip_delta
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-# Newton steps `_ndtri_of_log` may take; from its start it needs about six
+# Newton steps `_ndtri_of_log` and `Gaussian._root` may take; from their
+# starts they need about six
 _NEWTON_STEPS = 50
+# `Gaussian._root` stops once a step is at most this, relative to max(1, |eps|)
+_ROOT_TOL = 1e-10
 
 
 def _ndtri_of_log(t):
@@ -54,6 +57,29 @@ class Gaussian(PrivacyProfile):
         r = self.r
         return clip_delta(float(ndtr(r / 2 - eps / r)
                                 - np.exp(eps + log_ndtr(-r / 2 - eps / r))))
+
+    def _root(self, delta):
+        """The eps at which the leaf falls to delta, estimated by Newton's
+        method on log delta, which is concave in eps, with d log delta /
+        d eps = -e^(eps + log Phi(b)) / delta, b = -r/2 - eps/r.  It starts
+        from the classical bound r^2/2 + r sqrt(2 log(1.25/delta)) and
+        stops once a step is at most _ROOT_TOL * max(1, |eps|).  The
+        estimate only steers `_bisect`, which checks it.  None where an
+        iterate's delta or its term e^eps Phi(b) is not positive, as where
+        they underflow, or where Newton does not settle."""
+        r = self.r
+        target = math.log(delta)
+        eps = r * r / 2 + r * math.sqrt(2.0 * math.log(1.25 / delta))
+        for _ in range(_NEWTON_STEPS):
+            tail = math.exp(eps + float(log_ndtr(-r / 2 - eps / r)))
+            value = float(ndtr(r / 2 - eps / r)) - tail
+            if not (value > 0.0 and tail > 0.0):
+                return None
+            step = (math.log(value) - target) * value / tail
+            eps += step
+            if abs(step) <= _ROOT_TOL * max(1.0, abs(eps)):
+                return eps
+        return None
 
     def slope(self, eps):
         """-Phi(-r/2 - eps/r), the slope in e^eps: the derivative in eps is

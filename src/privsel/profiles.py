@@ -8,7 +8,8 @@ are true privacy profiles also give their slope in e^eps, from which the
 eps1 of a selection bound is read.  Four leaves and one interior node:
 
 - `Gaussian(r)` (in `privsel.gaussian`): the Gaussian mechanism at
-  r = sensitivity/sigma, inverted by bisection; slope -Phi(-r/2 - eps/r);
+  r = sensitivity/sigma, inverted by a bisection that evaluates the
+  leaf only about its Newton root; slope -Phi(-r/2 - eps/r);
 - `Points(eps, delta)`: the pessimistic curve through (eps, delta) points,
   inverted in closed form; slope -1 or 0, by the least point's cone;
 - `Renyi(curve)`: a Renyi curve converted to delta, inverted in closed form;
@@ -37,7 +38,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from ._search import halve
+from ._search import UNKNOWN, halve
 from .errors import UnreachableTargetError
 
 BISECT_TOL = 1e-6
@@ -47,6 +48,11 @@ _TINY = math.ulp(0.0)
 # upward steps `_certified` takes, one ulp and then doubling (255 ulps in
 # all), before it falls back to bisection
 _NUDGES = 8
+# half-width of `_straddle`, relative to max(1, |root estimate|): far
+# wider than the shift the rounding of a Gaussian leaf's value can give
+# its crossing of delta, and so narrow against BISECT_TOL that the
+# halving seldom probes inside it
+_STRADDLE = 1e-9
 
 
 class PrivacyProfile:
@@ -56,7 +62,9 @@ class PrivacyProfile:
     `__call__`, and refuses a NaN eps.  A node with a form of its own for
     the least eps >= floor at which it is at most delta proposes it in
     `_inverse`, reached only through `inverse`, which certifies the
-    proposal; any other node is bisected.  A node whose slope in x =
+    proposal; any other node is bisected.  A bisected node may steer its
+    bisection with an estimate of the root in `_root(delta)`, as the
+    Gaussian does; elsewhere `_root` is None.  A node whose slope in x =
     e^eps lies in [-1, 0], as that of every true privacy profile does,
     gives that slope, from the right, in `slope`: the Gaussian, Points
     and Pld nodes.  On any other node `slope` is None, and a selection
@@ -64,13 +72,15 @@ class PrivacyProfile:
     """
 
     slope = None
+    _root = None
 
     def __call__(self, eps):
         return self._at(eps)
 
     def inverse(self, delta, floor=0.0):
         """Least eps >= floor at which the node is at most delta (> 0),
-        within BISECT_TOL above it where the node is bisected, or a value
+        within BISECT_TOL above it where the node is bisected (the
+        Gaussian's bisection probes only near its Newton root), or a value
         above EPS_CAP (possibly inf) where it stays above delta up to
         EPS_CAP.  Every answer up to EPS_CAP is certified: the node
         evaluates to at most delta there.  A Scaled node whose base target
@@ -95,13 +105,54 @@ def _bisect(node, delta, floor):
     BISECT_TOL above it: brackets by doubling the width from 1 (from one
     ulp of floor where that is wider, as floor + 1 rounds back to floor
     once |floor| >= 2**53) until the end passes EPS_CAP (inf there), then
-    halves to BISECT_TOL or to adjacent floats.  hi is certified as it goes."""
+    halves to BISECT_TOL or to adjacent floats.
+
+    A node with a root estimate (`_root`) is first evaluated just either
+    side of it.  Where those two values straddle delta, the same doubling
+    and halving run, but an end or midpoint outside the straddle is taken
+    to pass or fail without a probe: the answer is the plain search's
+    wherever the node is monotone outside the straddle, and an answer
+    taken unprobed is certified by one evaluation.  Where there is no
+    estimate, the two values do not straddle delta or the certification
+    fails, the plain search runs, probe for probe.  Either way the answer
+    up to EPS_CAP is certified."""
+    known = _straddle(node, delta)
+    if known is not None:
+        eps = _doubling_and_halving(node, delta, floor, known)
+        # an answer at or above the straddle was taken unprobed
+        if not known[1] <= eps <= EPS_CAP or node(eps) <= delta:
+            return eps
+    return _doubling_and_halving(node, delta, floor, UNKNOWN)
+
+
+def _straddle(node, delta):
+    """(x - w, x + w) around the node's root estimate x for delta, with
+    w = _STRADDLE * max(1, |x|), where the node is above delta at x - w
+    and at most delta at x + w; None where the node gives no estimate or
+    its values there do not straddle delta."""
+    x = node._root(delta) if node._root is not None else None
+    if x is None:
+        return None
+    w = _STRADDLE * max(1.0, abs(x))
+    if node(x - w) > delta and node(x + w) <= delta:
+        return x - w, x + w
+    return None
+
+
+def _doubling_and_halving(node, delta, floor, known):
+    # `_bisect`'s search, with an eps at or below known[0] taken to fail
+    # and one at or above known[1] to pass, without a probe
+    a, b = known
+
+    def passes(eps):
+        return eps >= b or (eps > a and node(eps) <= delta)
+
     lo, hi = floor, floor + max(1.0, math.ulp(floor))
-    while node(hi) > delta:
+    while not passes(hi):
         if hi >= EPS_CAP:
             return math.inf
         lo, hi = hi, min(floor + 2 * (hi - floor), EPS_CAP)
-    return halve(lambda eps: node(eps) <= delta, lo, hi, BISECT_TOL)[1]
+    return halve(lambda eps: node(eps) <= delta, lo, hi, BISECT_TOL, known=known)[1]
 
 
 def _certified(node, eps, delta, floor):
@@ -408,7 +459,9 @@ def epsilon_for_delta(profile, delta_target):
     0 if the profile is already there at eps = 0.  Otherwise the node's
     own inverse answers: Points, Pld and Renyi in closed form, Scaled
     through its base at delta_target/factor, and a Gaussian (and any node
-    without its own) by bisection, within BISECT_TOL above the true value.
+    without its own) by bisection, within BISECT_TOL above the true value;
+    the Gaussian's bisection evaluates the leaf only about its Newton
+    root, and ends on the plain bisection's bits.
     Every answer is certified, the profile evaluating to at most
     delta_target there; one that passes EPS_CAP (1e4), or a Scaled
     target delta_target/factor below the least normal float, raises

@@ -3,11 +3,16 @@
 Each reference below is a copy of a halving loop as it stood in its own
 module.  On random monotone thresholds the shared routine, and each
 caller built on it, must end on the same bracket and probe the same
-points in the same order (`_binomial_eps1_min` halves only on a base
-without a slope claim).  The float loops of `_binomial_eps1_min` and
+points in the same order (`_binomial_eps1_min` halves only where Newton's
+method does not settle).  The float loops of `_binomial_eps1_min` and
 `_solve_success` probed the midpoint once more after it had rounded onto
 an end, a probe whose answer was already known; that trailing repeat is
 the only probe the routines leave out.
+
+Two callers steer their halving from a Newton root, through `halve`'s
+`known`: the Gaussian leaf's bisection and `_solve_success`.  They must
+return the old loops' bits, probing a subsequence of the old loops'
+points, and where the steering fails, the old loop's points exactly.
 """
 
 import math
@@ -19,10 +24,12 @@ import pytest
 
 from privsel import _search, _special, countdist, presets, profiles, selection
 from privsel.countdist import Poisson
-from privsel.errors import InfeasibleMeanError, NoAdmissibleEps1Error
+from privsel.errors import InfeasibleMeanError, NoAdmissibleEps1Error, UnreachableTargetError
 from privsel.gaussian import gaussian_profile
-from privsel.profiles import BISECT_TOL, EPS_CAP, PrivacyProfile
+from privsel.profiles import BISECT_TOL, EPS_CAP, PrivacyProfile, Scaled
+from privsel.rnm import rnm_composition_profile
 from privsel.selection import EPS1_CAP
+from test_inverses import reference_bisection
 
 RNG_SEEDS = range(4)
 
@@ -118,6 +125,28 @@ def test_halve_to_a_tolerance_matches_the_profiles_loop(seed):
         got = _search.halve(recording(pred, new), lo, hi, BISECT_TOL)
         assert got == old_profiles_halving(recording(pred, old), lo, hi)
         assert new == old
+
+
+@pytest.mark.parametrize("seed", RNG_SEEDS)
+def test_halve_with_known_sides_ends_on_the_same_bracket(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(300):
+        lo = float(rng.choice([0.0, -1e21, 2.0**40, -3.5]))
+        hi = lo + max(float(rng.choice([1.0, 1e6, 2.0**30])), math.ulp(lo))
+        t = lo + float(rng.uniform(0.0, 1.0)) * (hi - lo)
+        # a band about t of up to an eighth of the bracket, or of a few ulps
+        width = float(rng.choice([(hi - lo) * 2.0 ** -rng.uniform(3, 60),
+                                  math.ulp(t) * rng.integers(1, 9)]))
+        a, b = t - width * rng.uniform(0.0, 1.0), t + width * rng.uniform(0.0, 1.0)
+        pred = (lambda x, t=t: x >= t)
+        if pred(a) or not pred(b):
+            continue
+        tol, steps = [(BISECT_TOL, sys.maxsize), (0.0, int(rng.integers(1, 120)))][int(rng.integers(2))]
+        new, old = [], []
+        got = _search.halve(recording(pred, new), lo, hi, tol, steps, known=(a, b))
+        assert got == _search.halve(recording(pred, old), lo, hi, tol, steps)
+        # only the midpoints strictly inside (a, b) are probed, in order
+        assert new == [x for x in old if a < x < b]
 
 
 @pytest.mark.parametrize("steps", [80, 90])
@@ -228,6 +257,80 @@ def test_profiles_bisect_is_its_old_loop(seed):
         assert new == old
 
 
+def gaussian_draw(rng):
+    """A Gaussian leaf, under a scaled or a composed argmax node or alone,
+    and a delta target in [1e-300, 0.5]."""
+    rounds = int(rng.integers(1, 60))
+    sens = float(rng.choice([1.0, 2.0, 2.0 * math.sqrt(rounds)]))
+    leaf = gaussian_profile(float(rng.uniform(0.3, 30.0)), sens)
+    node = [leaf,
+            Scaled(leaf, float(rng.uniform(1.0, 1e4)), float(rng.uniform(0.0, 5.0)), bool(rng.integers(2))),
+            rnm_composition_profile(leaf, int(rng.integers(1, 10**4)), int(rng.integers(1, 4)))][int(rng.integers(3))]
+    return leaf, node, log_uniform(rng, -300, math.log10(0.5))
+
+
+def old_epsilon_for_delta(node, delta, monkeypatch):
+    # epsilon_for_delta with the Gaussian bisected as it was
+    with monkeypatch.context() as patch:
+        patch.setattr(profiles, "_bisect", old_bisect)
+        try:
+            return profiles.epsilon_for_delta(node, delta).hex()
+        except UnreachableTargetError:
+            return None
+
+
+@pytest.mark.parametrize("seed", RNG_SEEDS)
+def test_gaussian_inverse_is_its_old_bisection(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    for _ in range(1300):
+        leaf, node, delta = gaussian_draw(rng)
+        floor = float(rng.choice([0.0, -rng.uniform(0.0, 30.0), -1e21]))
+        assert profiles._bisect(leaf, delta, floor).hex() == old_bisect(leaf, delta, floor).hex()
+        try:
+            got = profiles.epsilon_for_delta(node, delta).hex()
+        except UnreachableTargetError:
+            got = None
+        assert got == old_epsilon_for_delta(node, delta, monkeypatch)
+        if node is leaf and leaf(0.0) > delta:
+            assert got == reference_bisection(leaf, delta).hex()
+
+
+class Steered(PrivacyProfile):
+    """A node of the given values with the given root estimate; records
+    each eps it is evaluated at."""
+
+    def __init__(self, value, root, calls):
+        self.value, self.estimate, self.calls = value, root, calls
+
+    def _at(self, eps):
+        self.calls.append(eps)
+        return self.value(eps)
+
+    def _root(self, delta):
+        return self.estimate
+
+
+# a node that falls to 0 at 5, and one that also reads 0 just above 3.3
+STEP_AT_5 = (lambda eps: 1.0 if eps < 5.0 else 0.0)
+W = 1e-9 * 3.3
+DIP_AT_3_3 = (lambda eps: 0.0 if 3.3 <= eps < 3.3 + 2 * W or eps >= 5.0 else 1.0)
+
+
+@pytest.mark.parametrize("value, root, checks", [
+    (STEP_AT_5, None, 0),
+    # the value is above delta at 3.3 - W and at 3.3 + W too: two probes
+    (STEP_AT_5, 3.3, 2),
+    # the two values straddle delta, but the answer taken unprobed from
+    # them, just above 3.3 + W, is not certified: three probes
+    (DIP_AT_3_3, 3.3, 3),
+], ids=["no estimate", "a wrong estimate", "an uncertified answer"])
+def test_a_failed_steer_falls_back_to_the_old_bisection(value, root, checks):
+    new, old = [], []
+    got = profiles._bisect(Steered(value, root, new), 0.5, 0.0)
+    assert got == old_bisect(Steered(value, root, old), 0.5, 0.0) == 5.0
+    assert len(new) == checks + len(old) and new[checks:] == old
+
+
 def old_binomial_eps1_min(base, n, p):
     odds = p / (1.0 - p)
 
@@ -304,8 +407,68 @@ def old_solve_success(shape, m):
     return 0.5 * (lo + hi)
 
 
+def is_subsequence(part, whole):
+    rest = iter(whole)
+    return all(x in rest for x in part)
+
+
+def negbin_draw(rng):
+    """A shape and a mean: any shape, shapes within 1e-3 of 0, where the
+    mean takes its expm1 form, and shapes in (-1, -0.99], where it is
+    flattest; means from 1.001 up, to 1e12 where the 90-step cap binds."""
+    shape = float(rng.choice([
+        rng.uniform(-0.99, 0.0), rng.uniform(0.0, 5.0), 0.0,
+        rng.choice([-1.0, 1.0]) * log_uniform(rng, -16, -3),
+        -1.0 + log_uniform(rng, -6, -2)]))
+    m = float(rng.choice([1.0 + log_uniform(rng, -3, 12), log_uniform(rng, math.log10(1.001), 8)]))
+    return shape, m
+
+
 @pytest.mark.parametrize("seed", RNG_SEEDS)
 def test_solve_success_is_its_old_loop(seed, monkeypatch):
+    # the same bits; the halving probes a subsequence of the old loop's
+    # points, and a count out of reach is refused after the same probes
+    rng = np.random.default_rng(seed)
+    real, real_halve = countdist._negbin_mean, countdist.halve
+    probes, halving = [], []
+
+    def mean(shape, g):
+        probes.append(g)
+        return real(shape, g)
+
+    def halve(pred, *args, **kwargs):
+        return real_halve(recording(pred, halving), *args, **kwargs)
+
+    monkeypatch.setattr(countdist, "_negbin_mean", mean)
+    monkeypatch.setattr(countdist, "halve", halve)
+    solved = new_total = old_total = 0
+    for _ in range(1300):
+        shape, m = negbin_draw(rng)
+        answers = []
+        for solve in (countdist._solve_success, old_solve_success):
+            probes.clear()
+            halving.clear()
+            try:
+                answers.append(solve(shape, m).hex())
+            except InfeasibleMeanError:
+                answers.append(None)
+            answers.append((probes[:], halving[:]))
+        got, (new, new_halving), want, (old, _) = answers
+        assert got == want
+        if got is None:
+            assert new == old
+            continue
+        assert is_subsequence(new_halving, old)
+        solved += 1
+        new_total += len(new)
+        old_total += len(old)
+    assert solved > 900
+    assert 2 * new_total <= old_total
+
+
+@pytest.mark.parametrize("seed", RNG_SEEDS)
+def test_solve_success_without_a_band_is_its_old_loop(seed, monkeypatch):
+    # where the band is not found, the halving is the old loop's, probe for probe
     rng = np.random.default_rng(seed)
     real = countdist._negbin_mean
     probes = []
@@ -315,11 +478,9 @@ def test_solve_success_is_its_old_loop(seed, monkeypatch):
         return real(shape, g)
 
     monkeypatch.setattr(countdist, "_negbin_mean", mean)
-    solved = 0
-    for _ in range(200):
-        shape = float(rng.choice([rng.uniform(-0.99, 0.0), rng.uniform(0.0, 5.0), 0.0]))
-        # success near 1/m: m up to 1e12 leaves the 90-step cap to bind
-        m = 1.0 + log_uniform(rng, -3, 12)
+    monkeypatch.setattr(countdist, "_success_band", lambda *args: _search.UNKNOWN)
+    for _ in range(100):
+        shape, m = negbin_draw(rng)
         answers = []
         for solve in (countdist._solve_success, old_solve_success):
             probes.clear()
@@ -331,8 +492,6 @@ def test_solve_success_is_its_old_loop(seed, monkeypatch):
         got, new, want, old = answers
         assert got == want
         assert same_probes(new, old, old[:-1])
-        solved += got is not None
-    assert solved > 150
 
 
 @pytest.mark.parametrize("rate", [1e-3, 0.5, 3.0, 10.0, 1234.5, 1e6])
