@@ -15,12 +15,21 @@ binomial `cdf` (`betainc`, read by the fig4 table) imports the package.
 
 The truncated negative binomial lives on {1, 2, ...}; binomial and Poisson
 put mass on K = 0, which the selection bounds treat separately.
+
+`from_expected` solves a negbin success once per (shape, mean) and keeps
+the last `_SOLVES_KEPT` (1024) distinct solves for the process.  That
+saves work only where one process asks for the same two floats again,
+as the hs bound, the Renyi baseline and a point-list bound on one count
+do when each builds the count from its mean.
+The solve is a pure function of the floats, so a kept success has the
+bits of a fresh one; `_kept_success.cache_clear()` empties the memo.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,6 +42,9 @@ TAIL_MASS = 1e-15
 _NEAR_ZERO_SHAPE = 1e-3
 # Newton steps `_success_band` may take; it needs about six
 _SUCCESS_STEPS = 60
+# distinct (shape, mean) success solves `from_expected` keeps; a caller
+# that asks again for one of the last this many counts pays no solve
+_SOLVES_KEPT = 1024
 
 
 def _near_zero_norm(g, eta):
@@ -283,6 +295,12 @@ def from_expected(kind, m, *, shape=None, trials=None):
     kind "negbin" needs `shape` and solves for the success parameter
     (exactly 1/m in the geometric case), "binomial" needs `trials`,
     "poisson" needs nothing extra.
+
+    A negbin success is solved once per (float(shape), float(m)), an
+    np.float64 being the float it holds, and kept as a Python float for
+    the last `_SOLVES_KEPT` distinct pairs: a count asked for again in
+    the same process is the same count to the bit, with no solve.  A
+    pair that raises is solved again on every call.
     """
     if m <= 0:
         raise InfeasibleMeanError(f"mean m must be positive, got {m}")
@@ -297,7 +315,7 @@ def from_expected(kind, m, *, shape=None, trials=None):
             )
         if shape == 1:
             return TruncNegBinomial(1.0, 1.0 / m)
-        return TruncNegBinomial(shape, _solve_success(shape, m))
+        return TruncNegBinomial(shape, _kept_success(float(shape), float(m)))
     if kind == "binomial":
         if trials is None:
             raise ValueError("binomial needs a trials parameter")
@@ -311,6 +329,12 @@ def from_expected(kind, m, *, shape=None, trials=None):
     if kind == "poisson":
         return Poisson(m)
     raise ValueError(f"unknown count distribution kind {kind!r}")
+
+
+@lru_cache(maxsize=_SOLVES_KEPT)
+def _kept_success(shape, m):
+    # lru_cache keeps no exception, so an out-of-reach mean raises each time
+    return _solve_success(shape, m)
 
 
 def _solve_success(shape, m):

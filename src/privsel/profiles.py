@@ -23,7 +23,12 @@ eps1 of a selection bound is read.  Four leaves and one interior node:
 
 A Renyi curve is data too: its eps(alpha) bounds on a finite order grid,
 held as an array, so converting it to (eps, delta) in either direction
-is one numpy expression.
+is a few numpy steps.  A curve's `terms` (`OrderTerms`) are the arrays
+those steps read from its grid: the orders, alpha - 1, (alpha-1)
+log(1 - 1/alpha) and log alpha.  The shared grid's (`default_orders`)
+are module constants, which a curve on that grid finds by identity, with
+no hash of its 336 orders.  `rdp_to_dp` at a float eps skips the round
+trip through a 0-d array, to the bits of the array path.
 
 The module loads numpy alone.  The Gaussian leaf, which needs scipy's
 special functions, lives in `privsel.gaussian`.
@@ -33,6 +38,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -209,9 +215,31 @@ class PointDP:
 
 
 _ORDERS = tuple([1 + k / 10 for k in range(1, 91)] + [float(a) for a in range(11, 257)])
-# the same orders as a read-only array, for curves that scale them
-_ORDER_ARRAY = np.array(_ORDERS)
-_ORDER_ARRAY.flags.writeable = False
+
+
+# the order-only parts of the Renyi conversions on one grid, as arrays:
+# the orders, alpha - 1, (alpha-1) log(1 - 1/alpha) and log(alpha)
+OrderTerms = namedtuple("OrderTerms", "orders am1 log_frac log_a")
+
+
+# one entry per other order grid: the Poisson baselines' sub-grids
+@lru_cache(maxsize=64)
+def _order_terms(orders):
+    """The grid's `OrderTerms`, shared read-only by every curve on it; the
+    log terms are kept apart so that rdp_to_dp sums them in the order of
+    its per-order formula."""
+    a = np.asarray(orders, dtype=float)
+    am1 = a - 1
+    terms = OrderTerms(a, am1, am1 * np.log1p(-1 / a), np.log(a))
+    for t in terms:
+        t.flags.writeable = False
+    return terms
+
+
+# the shared grid's terms are module constants, which a curve on it finds
+# by identity: hashing 336 orders costs more than a conversion's arithmetic
+_ORDER_TERMS = _order_terms.__wrapped__(_ORDERS)
+_ORDER_ARRAY = _ORDER_TERMS.orders
 
 
 def default_orders():
@@ -250,26 +278,9 @@ class RdpCurve:
             raise ValueError(f"order {alpha:g} is not on the curve's grid") from None
 
     @cached_property
-    def _terms(self):
-        # looked up once a curve: hashing the orders costs more than a
-        # conversion's arithmetic
-        return _order_terms(self.orders)
-
-
-# one entry per order grid: default_orders, and the prefixes of it that
-# one-point Poisson curves keep
-@lru_cache(maxsize=64)
-def _order_terms(orders):
-    """Order-only parts of the Renyi-to-DP conversion, shared read-only by
-    every curve on the grid: alpha - 1, (alpha-1) log(1 - 1/alpha) and
-    log(alpha), kept apart so that rdp_to_dp sums them in the order of
-    its per-order formula."""
-    a = np.asarray(orders, dtype=float)
-    am1 = a - 1
-    terms = (am1, am1 * np.log1p(-1 / a), np.log(a))
-    for t in terms:
-        t.flags.writeable = False
-    return terms
+    def terms(self):
+        """The grid's `OrderTerms`, found once a curve."""
+        return _ORDER_TERMS if self.orders is _ORDERS else _order_terms(self.orders)
 
 
 def gaussian_rdp_curve(sigma, sensitivity=1.0):
@@ -415,18 +426,29 @@ def rdp_to_dp(curve, eps):
     """Delta implied by a Renyi curve at eps, a float or a 1-d array.
 
     Uses delta = exp((alpha-1)(eps' - eps)) / alpha * (1 - 1/alpha)^(alpha-1)
-    minimized over the curve's order grid, clipped to [0,1].
+    minimized over the curve's order grid, clipped to [0,1].  A float eps
+    (an np.float64 too) skips the round trip through a 0-d array; both
+    kinds run the same in-place steps, to the same bits.
     """
-    e = np.asarray(eps, dtype=float)
     # a NaN eps would read as delta 1: fmin(x, 0) is 0 at a NaN x
-    if np.isnan(e).any():
-        raise ValueError("eps is NaN")
-    am1, log_frac, log_a = curve._terms
+    if isinstance(eps, float):
+        if eps != eps:
+            raise ValueError("eps is NaN")
+        e = eps
+    else:
+        e = np.asarray(eps, dtype=float)
+        if np.isnan(e).any():
+            raise ValueError("eps is NaN")
+        e = e[..., None]
+    terms = curve.terms
     # past the largest float a term is +-inf, which is delta 1 or 0 as it should be
     with np.errstate(over="ignore"):
-        log_d = np.min(am1 * (curve.values - e[..., None]) + log_frac - log_a, axis=-1)
-    d = np.exp(np.fmin(log_d, 0.0))
-    return float(d) if e.ndim == 0 else d
+        log_d = curve.values - e
+        log_d *= terms.am1
+        log_d += terms.log_frac
+        log_d -= terms.log_a
+    d = np.exp(np.fmin(log_d.min(axis=-1), 0.0))
+    return float(d) if d.ndim == 0 else d
 
 
 @dataclass(frozen=True, eq=False)
@@ -443,8 +465,8 @@ class Renyi(PrivacyProfile):
         # order alpha certifies delta from eps(alpha) + (log(1/delta) +
         # (alpha-1) log(1-1/alpha) - log(alpha))/(alpha-1) on; the least
         # such eps wins
-        am1, log_frac, log_a = self.curve._terms
-        cand = self.curve.values + (-math.log(delta) + log_frac - log_a) / am1
+        terms = self.curve.terms
+        cand = self.curve.values + (-math.log(delta) + terms.log_frac - terms.log_a) / terms.am1
         return max(float(np.min(cand)), floor)
 
 

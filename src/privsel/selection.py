@@ -275,13 +275,13 @@ def rdp_select_negbin(base_rdp, eta, gamma):
     curve's own grid, plus log(E[K])/(alpha-1).
     """
     dist = TruncNegBinomial(eta, gamma)
-    orders = np.asarray(base_rdp.orders, dtype=float)
+    orders, am1 = base_rdp.terms.orders, base_rdp.terms.am1
     vals = base_rdp.values
     extra = (eta + 1.0) * float(
         np.min((1.0 - 1.0 / orders) * vals + math.log(1.0 / gamma) / orders)
     )
     log_m = math.log(dist.mean())
-    return RdpCurve(base_rdp.orders, vals + extra + log_m / (orders - 1.0))
+    return RdpCurve(base_rdp.orders, vals + extra + log_m / am1)
 
 
 def _rdp_poisson_min(base_rdp, eps_hat, delta_hat, m):
@@ -290,7 +290,7 @@ def _rdp_poisson_min(base_rdp, eps_hat, delta_hat, m):
     log(m)/(alpha-1) over the points with e^eps_hat <= 1 + 1/(alpha-1).
     Orders no point admits are dropped."""
     Poisson(m)  # the count's own check of m
-    orders = np.asarray(base_rdp.orders, dtype=float)
+    orders, am1 = base_rdp.terms.orders, base_rdp.terms.am1
     # each cap through math.expm1, as the one-point bound has always taken it
     caps = [math.inf if e == 0 else 1.0 + 1.0 / math.expm1(e) for e in eps_hat.tolist()]
     admits = orders <= np.array(caps)[:, None]
@@ -299,9 +299,11 @@ def _rdp_poisson_min(base_rdp, eps_hat, delta_hat, m):
         raise EmptyCurveError(f"no order admissible for base eps {eps_hat.min():g}; "
                               f"need alpha <= 1 + 1/(e^eps - 1)")
     with np.errstate(over="ignore"):  # an inf product is a value that bounds nothing
-        vals = base_rdp.values + (m * delta_hat)[:, None] + math.log(m) / (orders - 1.0)
+        vals = base_rdp.values + (m * delta_hat)[:, None] + math.log(m) / am1
     least = np.where(admits, vals, math.inf).min(axis=0)
-    return RdpCurve(tuple(orders[kept].tolist()), least[kept])
+    # a curve that keeps every order keeps its grid, and so the grid's terms
+    grid = base_rdp.orders if kept.all() else tuple(orders[kept].tolist())
+    return RdpCurve(grid, least[kept])
 
 
 def rdp_select_poisson(base_rdp, base_point, m):

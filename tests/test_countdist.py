@@ -4,6 +4,7 @@ and Poisson counts against scipy.stats."""
 import contextlib
 import importlib.util
 import math
+import os
 import sys
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from privsel import _special
+from privsel import _special, countdist
 from privsel.countdist import (
     TAIL_MASS,
     Binomial,
@@ -172,6 +173,77 @@ def test_from_expected_rejects_unreachable_means():
         from_expected("binomial", 5.0)
     with pytest.raises(ValueError):
         from_expected("uniform", 5.0)
+
+
+@pytest.fixture
+def mean_calls(monkeypatch):
+    """The shapes and successes `_negbin_mean` is called at, from an
+    empty solve memo on."""
+    calls = []
+    real = countdist._negbin_mean
+
+    def mean(shape, g):
+        calls.append((shape, g))
+        return real(shape, g)
+
+    monkeypatch.setattr(countdist, "_negbin_mean", mean)
+    countdist._kept_success.cache_clear()
+    yield calls
+    countdist._kept_success.cache_clear()
+
+
+def test_a_count_asked_for_again_is_solved_once(mean_calls):
+    countdist._solve_success(0.5, 123.4)
+    one_solve = mean_calls[:]
+    mean_calls.clear()
+    got = {from_expected("negbin", 123.4, shape=0.5).success.hex() for _ in range(3)}
+    assert mean_calls == one_solve
+    assert got == {countdist._solve_success(0.5, 123.4).hex()}
+
+
+def test_a_mean_out_of_reach_raises_on_every_call(mean_calls):
+    # no mean reaches 1e6 at shape -0.99 above success 1e-280
+    messages = []
+    for _ in range(3):
+        before = len(mean_calls)
+        with pytest.raises(InfeasibleMeanError) as e:
+            from_expected("negbin", 1e6, shape=-0.99)
+        messages.append(str(e.value))
+        assert len(mean_calls) > before
+    assert messages == ["mean 1000000.0 out of reach for shape -0.99"] * 3
+    assert countdist._kept_success.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("first", ["float", "float64"])
+def test_a_float64_mean_gives_the_float_success(first, mean_calls):
+    m, shape = 417.25, 2.0
+    want = countdist._solve_success(shape, m)
+    means = [m, np.float64(m)] if first == "float" else [np.float64(m), m]
+    for mean in means:
+        got = from_expected("negbin", mean, shape=np.float64(shape)).success
+        assert type(got) is float and got.hex() == want.hex()
+
+
+def test_the_memo_stays_at_its_bound_and_empties(mean_calls):
+    kept = countdist._SOLVES_KEPT
+    for i in range(kept + 50):
+        from_expected("negbin", 2.0 + i / 7, shape=0.5)
+    assert countdist._kept_success.cache_info().currsize == kept
+    countdist._kept_success.cache_clear()
+    assert countdist._kept_success.cache_info().currsize == 0
+
+
+def test_the_benchmark_reset_empties_the_memo(mean_calls):
+    # perfbench replays CLI calls in one process, clearing privsel's
+    # caches between them so that each starts as cold as a fresh process
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "child.py")
+    spec = importlib.util.spec_from_file_location("perfbench_child", path)
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    from_expected("negbin", 50.0, shape=0.0)
+    assert countdist._kept_success.cache_info().currsize == 1
+    child._reset_process_caches()
+    assert countdist._kept_success.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("shape", [5e-324, -5e-324, 1e-131, 1e-10, -1e-10])
