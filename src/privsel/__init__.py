@@ -30,9 +30,8 @@ import numpy  # noqa: F401
 
 _EXPORTS = {
     "countdist": ("Binomial", "Poisson", "TruncNegBinomial", "from_expected"),
-    "errors": ("ConfigError", "EmptyCurveError", "GridTooCoarseError",
-               "InfeasibleMeanError", "MemoryBudgetError",
-               "NoAdmissibleEps1Error", "UnreachableTargetError"),
+    "errors": ("ConfigError", "GridTooCoarseError", "InfeasibleMeanError",
+               "MemoryBudgetError", "NoAdmissibleEps1Error", "UnreachableTargetError"),
     "gaussian": ("gaussian_profile", "gaussian_sigma_for_eps_delta"),
     "pld": ("DiscretePLD", "GridSpec", "SubsampledGaussianParams", "compose",
             "renyi_subsampled_gaussian", "subsampled_gaussian_pld",

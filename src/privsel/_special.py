@@ -4,7 +4,11 @@ scipy subpackages that hold them.
 `load_extension` loads one extension module of a scipy subpackage
 straight from its file, under its own dotted name, so a later import of
 the subpackage finds it in `sys.modules` and uses these very objects.
-It serves three extensions:
+The import system binds a submodule to its package only when it loads
+the submodule itself, so a finder first on `sys.meta_path` binds each
+extension loaded here to its package once the package is set up, and
+`scipy.special._special_ufuncs` reads as it would have.  It serves three
+extensions:
 - `scipy.special._special_ufuncs`, whose `gammainc`, `gammaincc`,
   `gammaln`, `log_ndtr`, `ndtr`, `xlog1py` and `xlogy` this module
   reads.  `import scipy.special` spends about 0.2 s setting up its
@@ -28,6 +32,33 @@ import os
 import sys
 
 NAMES = ("gammainc", "gammaincc", "gammaln", "log_ndtr", "ndtr", "xlog1py", "xlogy")
+# package -> {name: extension module} for the extensions loaded here
+_UNBOUND = {}
+
+
+class _BindOnImport:
+    """Meta path finder for the packages in `_UNBOUND`: it finds a
+    package's spec as the import system would, and has its loader bind
+    the extensions to the package after running its set-up."""
+
+    @staticmethod
+    def find_spec(fullname, path, target=None):
+        extensions = _UNBOUND.pop(fullname, None)
+        spec = extensions and importlib.util.find_spec(fullname)
+        if not spec:
+            return None
+        run = spec.loader.exec_module
+
+        def exec_module(module):
+            run(module)
+            for name, extension in extensions.items():
+                setattr(module, name, extension)
+
+        spec.loader.exec_module = exec_module
+        return spec
+
+
+sys.meta_path.insert(0, _BindOnImport)
 
 
 def load_extension(subpackage, name):
@@ -48,6 +79,8 @@ def load_extension(subpackage, name):
     module = importlib.util.module_from_spec(spec)
     sys.modules[dotted] = module
     spec.loader.exec_module(module)
+    # each package loads its extension as it is set up, so it is not set up yet
+    _UNBOUND.setdefault(f"scipy.{subpackage}", {})[name] = module
     return module
 
 

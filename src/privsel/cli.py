@@ -32,8 +32,8 @@ import sys
 import numpy as np
 
 from . import scenario
-from .errors import (ConfigError, EmptyCurveError, GridTooCoarseError, InfeasibleMeanError,
-                     MemoryBudgetError, NoAdmissibleEps1Error, UnreachableTargetError)
+from .errors import (ConfigError, GridTooCoarseError, InfeasibleMeanError, MemoryBudgetError,
+                     NoAdmissibleEps1Error, UnreachableTargetError)
 
 
 def __getattr__(name):
@@ -298,11 +298,10 @@ _FLAGS = (
 )
 # the subcommands; the --help line of each is its docstring
 _COMMANDS = (cmd_profile, cmd_compare, cmd_guarantee, cmd_adjust, cmd_oracle)
-# the exit code of each error a command raises, from the first row that
-# matches: EmptyCurveError is a ValueError, so ValueError comes last
+# the exit code of each error a command raises, from the first row that matches
 _EXIT_CODES = (
     ((ConfigError, InfeasibleMeanError), 2),
-    ((UnreachableTargetError, NoAdmissibleEps1Error, EmptyCurveError), 3),
+    ((UnreachableTargetError, NoAdmissibleEps1Error), 3),
     ((GridTooCoarseError, MemoryBudgetError), 4),
     ((ValueError,), 2),
 )

@@ -27,7 +27,3 @@ class MemoryBudgetError(RuntimeError):
 
 class NoAdmissibleEps1Error(RuntimeError):
     """No eps1 in the search range satisfies the bound's admissibility condition."""
-
-
-class EmptyCurveError(ValueError):
-    """A Renyi curve ends up with no admissible orders."""

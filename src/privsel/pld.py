@@ -671,5 +671,4 @@ def renyi_subsampled_gaussian(params, alpha):
 def subsampled_rdp_curve(params):
     """Renyi curve of the composed subsampled Gaussian on the shared
     order grid, one one-step value per order."""
-    orders = default_orders()
-    return RdpCurve(orders, [renyi_subsampled_gaussian(params, a) for a in orders])
+    return RdpCurve([renyi_subsampled_gaussian(params, a) for a in default_orders()])

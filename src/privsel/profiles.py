@@ -21,14 +21,15 @@ eps1 of a selection bound is read.  Four leaves and one interior node:
   base(eps - shift)), the transform of every selection and argmax bound,
   inverted through its base at delta/factor.
 
-A Renyi curve is data too: its eps(alpha) bounds on a finite order grid,
-held as an array, so converting it to (eps, delta) in either direction
-is a few numpy steps.  A curve's `terms` (`OrderTerms`) are the arrays
-those steps read from its grid: the orders, alpha - 1, (alpha-1)
-log(1 - 1/alpha) and log alpha.  The shared grid's (`default_orders`)
-are module constants, which a curve on that grid finds by identity, with
-no hash of its 336 orders.  `rdp_to_dp` at a float eps skips the round
-trip through a 0-d array, to the bits of the array path.
+A Renyi curve is data too: one eps(alpha) bound at each of the 336
+orders of the one grid (`default_orders`), held as an array, with +inf
+at an order where the curve bounds nothing.  Converting it to (eps,
+delta) in either direction is a few numpy steps over that array and the
+grid's order terms, alpha - 1, (alpha-1) log(1 - 1/alpha) and log alpha,
+which are module constants.  An order at +inf drops out of the minimum
+over orders, and a curve at +inf everywhere reads delta 1.  `rdp_to_dp`
+at a float eps skips the round trip through a 0-d array, to the bits of
+the array path.
 
 The module loads numpy alone.  The Gaussian leaf, which needs scipy's
 special functions, lives in `privsel.gaussian`.
@@ -38,9 +39,7 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -216,30 +215,15 @@ class PointDP:
 
 _ORDERS = tuple([1 + k / 10 for k in range(1, 91)] + [float(a) for a in range(11, 257)])
 
-
-# the order-only parts of the Renyi conversions on one grid, as arrays:
-# the orders, alpha - 1, (alpha-1) log(1 - 1/alpha) and log(alpha)
-OrderTerms = namedtuple("OrderTerms", "orders am1 log_frac log_a")
-
-
-# one entry per other order grid: the Poisson baselines' sub-grids
-@lru_cache(maxsize=64)
-def _order_terms(orders):
-    """The grid's `OrderTerms`, shared read-only by every curve on it; the
-    log terms are kept apart so that rdp_to_dp sums them in the order of
-    its per-order formula."""
-    a = np.asarray(orders, dtype=float)
-    am1 = a - 1
-    terms = OrderTerms(a, am1, am1 * np.log1p(-1 / a), np.log(a))
-    for t in terms:
-        t.flags.writeable = False
-    return terms
-
-
-# the shared grid's terms are module constants, which a curve on it finds
-# by identity: hashing 336 orders costs more than a conversion's arithmetic
-_ORDER_TERMS = _order_terms.__wrapped__(_ORDERS)
-_ORDER_ARRAY = _ORDER_TERMS.orders
+# the order-only parts of the Renyi conversions, read-only: the orders,
+# alpha - 1, (alpha-1) log(1 - 1/alpha) and log(alpha).  The log terms are
+# kept apart so that rdp_to_dp sums them in the order of its per-order formula
+_ORDER_ARRAY = np.array(_ORDERS)
+_AM1 = _ORDER_ARRAY - 1
+_LOG_FRAC = _AM1 * np.log1p(-1 / _ORDER_ARRAY)
+_LOG_A = np.log(_ORDER_ARRAY)
+for _terms in (_ORDER_ARRAY, _AM1, _LOG_FRAC, _LOG_A):
+    _terms.flags.writeable = False
 
 
 def default_orders():
@@ -249,38 +233,31 @@ def default_orders():
 
 @dataclass(frozen=True, eq=False)
 class RdpCurve:
-    """Renyi curve as data: `values[i]` bounds eps at order `orders[i]`.
+    """Renyi curve as data: `values[i]` bounds eps at order
+    `default_orders()[i]`, and is +inf where the curve bounds nothing.
 
-    `orders` is a tuple of alpha > 1 and `values` a read-only float64
-    array.  Calling the curve looks an order up on that grid and refuses
-    any other order, where the curve certifies nothing.  Equality is
-    identity.
+    `values` is a read-only float64 array of one value per order.  Calling
+    the curve looks an order up on the grid and refuses any other order.
+    Equality is identity.
     """
 
-    orders: tuple
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "orders", tuple(self.orders))
         vals = np.array(self.values, dtype=float)
-        if vals.shape != (len(self.orders),):
-            raise ValueError(f"{vals.shape} values for {len(self.orders)} orders")
+        if vals.shape != _ORDER_ARRAY.shape:
+            raise ValueError(f"{vals.shape} values for {len(_ORDERS)} orders")
         if np.isnan(vals).any():
-            bad = self.orders[int(np.argmax(np.isnan(vals)))]
+            bad = _ORDERS[int(np.argmax(np.isnan(vals)))]
             raise ValueError(f"Renyi curve is NaN at order {bad:g}")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
     def __call__(self, alpha):
         try:
-            return float(self.values[self.orders.index(alpha)])
+            return float(self.values[_ORDERS.index(alpha)])
         except ValueError:
             raise ValueError(f"order {alpha:g} is not on the curve's grid") from None
-
-    @cached_property
-    def terms(self):
-        """The grid's `OrderTerms`, found once a curve."""
-        return _ORDER_TERMS if self.orders is _ORDERS else _order_terms(self.orders)
 
 
 def gaussian_rdp_curve(sigma, sensitivity=1.0):
@@ -294,7 +271,7 @@ def gaussian_rdp_curve(sigma, sensitivity=1.0):
     if c * _ORDERS[-1] == math.inf:
         raise ValueError(f"sensitivity**2 / (2 sigma**2) is out of float range, "
                          f"got sensitivity={sensitivity}, sigma={sigma}")
-    return RdpCurve(_ORDERS, _ORDER_ARRAY * c)
+    return RdpCurve(_ORDER_ARRAY * c)
 
 
 @dataclass(frozen=True, eq=False)
@@ -426,7 +403,8 @@ def rdp_to_dp(curve, eps):
     """Delta implied by a Renyi curve at eps, a float or a 1-d array.
 
     Uses delta = exp((alpha-1)(eps' - eps)) / alpha * (1 - 1/alpha)^(alpha-1)
-    minimized over the curve's order grid, clipped to [0,1].  A float eps
+    minimized over the orders, clipped to [0,1]; an order at eps' = +inf
+    gives +inf and drops out.  A float eps
     (an np.float64 too) skips the round trip through a 0-d array; both
     kinds run the same in-place steps, to the same bits.
     """
@@ -440,13 +418,12 @@ def rdp_to_dp(curve, eps):
         if np.isnan(e).any():
             raise ValueError("eps is NaN")
         e = e[..., None]
-    terms = curve.terms
     # past the largest float a term is +-inf, which is delta 1 or 0 as it should be
     with np.errstate(over="ignore"):
         log_d = curve.values - e
-        log_d *= terms.am1
-        log_d += terms.log_frac
-        log_d -= terms.log_a
+        log_d *= _AM1
+        log_d += _LOG_FRAC
+        log_d -= _LOG_A
     d = np.exp(np.fmin(log_d.min(axis=-1), 0.0))
     return float(d) if d.ndim == 0 else d
 
@@ -464,9 +441,8 @@ class Renyi(PrivacyProfile):
     def _inverse(self, delta, floor):
         # order alpha certifies delta from eps(alpha) + (log(1/delta) +
         # (alpha-1) log(1-1/alpha) - log(alpha))/(alpha-1) on; the least
-        # such eps wins
-        terms = self.curve.terms
-        cand = self.curve.values + (-math.log(delta) + terms.log_frac - terms.log_a) / terms.am1
+        # such eps wins, +inf where no order bounds anything
+        cand = self.curve.values + (-math.log(delta) + _LOG_FRAC - _LOG_A) / _AM1
         return max(float(np.min(cand)), floor)
 
 

@@ -20,8 +20,10 @@ import numpy as np
 
 from ._search import halve
 from .countdist import Binomial, Poisson, TruncNegBinomial, _check_shape
-from .errors import EmptyCurveError, NoAdmissibleEps1Error, UnreachableTargetError
+from .errors import NoAdmissibleEps1Error, UnreachableTargetError
 from .profiles import (
+    _AM1,
+    _ORDER_ARRAY,
     PointDP,
     Points,
     RdpCurve,
@@ -272,43 +274,35 @@ def rdp_select_negbin(base_rdp, eta, gamma):
     """Renyi baseline for truncated-negative-binomial K.
 
     Adds to the base curve an order-independent term minimized over the
-    curve's own grid, plus log(E[K])/(alpha-1).
+    orders, plus log(E[K])/(alpha-1).
     """
     dist = TruncNegBinomial(eta, gamma)
-    orders, am1 = base_rdp.terms.orders, base_rdp.terms.am1
     vals = base_rdp.values
     extra = (eta + 1.0) * float(
-        np.min((1.0 - 1.0 / orders) * vals + math.log(1.0 / gamma) / orders)
+        np.min((1.0 - 1.0 / _ORDER_ARRAY) * vals + math.log(1.0 / gamma) / _ORDER_ARRAY)
     )
     log_m = math.log(dist.mean())
-    return RdpCurve(base_rdp.orders, vals + extra + log_m / am1)
+    return RdpCurve(vals + extra + log_m / _AM1)
 
 
 def _rdp_poisson_min(base_rdp, eps_hat, delta_hat, m):
     """Renyi baseline for Poisson K from base points (eps_hat, delta_hat):
     at each order alpha, the least of base(alpha) + m delta_hat +
-    log(m)/(alpha-1) over the points with e^eps_hat <= 1 + 1/(alpha-1).
-    Orders no point admits are dropped."""
+    log(m)/(alpha-1) over the points with e^eps_hat <= 1 + 1/(alpha-1),
+    and +inf, a value that bounds nothing, where no point admits alpha."""
     Poisson(m)  # the count's own check of m
-    orders, am1 = base_rdp.terms.orders, base_rdp.terms.am1
     # each cap through math.expm1, as the one-point bound has always taken it
     caps = [math.inf if e == 0 else 1.0 + 1.0 / math.expm1(e) for e in eps_hat.tolist()]
-    admits = orders <= np.array(caps)[:, None]
-    kept = admits.any(axis=0)
-    if not kept.any():
-        raise EmptyCurveError(f"no order admissible for base eps {eps_hat.min():g}; "
-                              f"need alpha <= 1 + 1/(e^eps - 1)")
+    admits = _ORDER_ARRAY <= np.array(caps)[:, None]
     with np.errstate(over="ignore"):  # an inf product is a value that bounds nothing
-        vals = base_rdp.values + (m * delta_hat)[:, None] + math.log(m) / am1
-    least = np.where(admits, vals, math.inf).min(axis=0)
-    # a curve that keeps every order keeps its grid, and so the grid's terms
-    grid = base_rdp.orders if kept.all() else tuple(orders[kept].tolist())
-    return RdpCurve(grid, least[kept])
+        vals = base_rdp.values + (m * delta_hat)[:, None] + math.log(m) / _AM1
+    return RdpCurve(np.where(admits, vals, math.inf).min(axis=0))
 
 
 def rdp_select_poisson(base_rdp, base_point, m):
     """Renyi baseline for Poisson K, valid only at orders alpha with
-    e^(base eps) <= 1 + 1/(alpha-1); inadmissible orders are dropped."""
+    e^(base eps) <= 1 + 1/(alpha-1); the curve is +inf at the others, and
+    a base eps that admits no order gives a curve that reads delta 1."""
     return _rdp_poisson_min(base_rdp, np.array([base_point.eps]),
                             np.array([base_point.delta]), m)
 

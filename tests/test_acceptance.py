@@ -24,6 +24,7 @@ from privsel.oracles import (
 from privsel.pld import GridSpec, SubsampledGaussianParams, subsampled_gaussian_pld, subsampled_gaussian_profile
 from privsel.profiles import (
     RdpCurve,
+    default_orders,
     epsilon_for_delta,
     gaussian_profile,
     gaussian_rdp_curve,
@@ -233,7 +234,10 @@ def test_10_noise_ladder_step_budgets():
 
 
 def test_11_renyi_conversion_hand_value():
-    curve = RdpCurve((2.0,), [1.0])
+    # the curve at order 2 alone: +inf, a value that bounds nothing, elsewhere
+    values = np.full(len(default_orders()), math.inf)
+    values[default_orders().index(2.0)] = 1.0
+    curve = RdpCurve(values)
     got = rdp_to_dp(curve, 3.0)
     want = math.exp(-2.0) / 4.0
     grid = [rdp_to_dp(curve, e) for e in np.linspace(0.0, 6.0, 25)]

@@ -384,6 +384,25 @@ def test_oracle_loads_quadpack_and_brent_without_their_packages():
     assert printed[-5] == "7/7 oracle checks passed"
 
 
+def test_a_later_package_import_exposes_each_extension_privsel_loaded():
+    # the import system binds a submodule to its package only when it
+    # loads the submodule itself; privsel._special binds the ones it loaded
+    r, printed, _ = loaded_after(
+        "from privsel import cli\n"
+        "print(cli.main(['guarantee', '--base', 'gaussian', '--sigma', '4', '--family', "
+        "'negbin', '--m', '300', '--delta', '1e-6']), cli.main(['oracle']))\n"
+        "names = ('scipy.special._special_ufuncs', 'scipy.integrate._quadpack', "
+        "'scipy.optimize._zeros')\n"
+        "loaded = [sys.modules[name] for name in names]\n"
+        "print(sorted({'scipy.integrate', 'scipy.optimize', 'scipy.special'}"
+        " & set(sys.modules)))\n"
+        "import scipy.special, scipy.integrate, scipy.optimize\n"
+        "print(scipy.special._special_ufuncs is loaded[0], "
+        "scipy.integrate._quadpack is loaded[1], scipy.optimize._zeros is loaded[2])")
+    assert r.returncode == 0, r.stderr
+    assert printed[-3:] == ["0 0", "[]", "True True True"]
+
+
 def test_oracle_falls_back_to_the_scipy_integrate_and_optimize_packages():
     # where the extensions cannot be found, as on older scipy releases
     r, printed, _ = loaded_after(

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from privsel.errors import UnreachableTargetError
@@ -25,6 +26,15 @@ GAUSS4_DELTA_AT_1 = 2.9242721048563415e-06
 # exp((alpha-1)(eps' - eps)) / alpha * (1 - 1/alpha)^(alpha-1)
 # at alpha=2, eps'=1, eps=3: e^(-2) / 4
 RDP_SINGLE_ORDER_DELTA = 0.03383382080915317
+
+
+def curve_at(values):
+    """The curve with the given {order: value}, and +inf, a value that
+    bounds nothing, at every other order of the grid."""
+    vals = np.full(len(default_orders()), math.inf)
+    for alpha, v in values.items():
+        vals[default_orders().index(alpha)] = v
+    return RdpCurve(vals)
 
 
 def test_gaussian_profile_frozen_values():
@@ -125,12 +135,12 @@ def test_point_dp_validation():
 
 
 def test_rdp_to_dp_single_order():
-    curve = RdpCurve((2.0,), [1.0])
+    curve = curve_at({2.0: 1.0})
     assert rdp_to_dp(curve, 3.0) == pytest.approx(RDP_SINGLE_ORDER_DELTA, rel=1e-14)
 
 
 def test_rdp_to_dp_clips_to_one():
-    curve = RdpCurve((2.0, 4.0), [50.0, 50.0])
+    curve = curve_at({2.0: 50.0, 4.0: 50.0})
     assert rdp_to_dp(curve, 0.0) == 1.0
 
 
@@ -139,7 +149,7 @@ def test_rdp_profile_beats_no_order():
     curve = gaussian_rdp_curve(2.0)
     prof = rdp_profile(curve)
     for eps in (0.5, 1.0, 2.0):
-        single = rdp_to_dp(RdpCurve((8.0,), [curve(8.0)]), eps)
+        single = rdp_to_dp(curve_at({8.0: curve(8.0)}), eps)
         assert prof(eps) <= single + 1e-18
 
 

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from privsel import scenario
 from privsel.countdist import TruncNegBinomial
-from privsel.errors import EmptyCurveError, UnreachableTargetError
+from privsel.errors import UnreachableTargetError
 from privsel.pld import subsampled_rdp_curve
 from privsel.presets import DELTA_DEFAULT, FIG6_BASE, FIG6_PARAMS
 from privsel.profiles import (
@@ -58,16 +58,13 @@ def curves(draw):
     if kind == "poisson":
         eps_hat = draw(base_eps)
         point = PointDP(eps_hat, rdp_to_dp(base, eps_hat))
-        try:
-            return rdp_select_poisson(base, point, draw(means))
-        except EmptyCurveError:
-            return base
+        return rdp_select_poisson(base, point, draw(means))
     return base
 
 
 def reference_rdp_to_dp(curve, eps):
     best = 0.0
-    for a in curve.orders:
+    for a in default_orders():
         log_d = ((a - 1) * (curve(a) - eps) + (a - 1) * math.log1p(-1 / a)
                  - math.log(a))
         best = min(best, log_d)
@@ -89,8 +86,7 @@ def bisection_eps(curve, delta):
     return epsilon_for_delta(BisectedRenyi(curve), delta)
 
 
-def assert_curve_is(curve, orders, values):
-    assert curve.orders == tuple(orders)
+def assert_curve_is(curve, values):
     assert curve.values.dtype == np.float64
     assert np.array_equal(curve.values, np.array(values, dtype=float))
 
@@ -101,20 +97,20 @@ def test_values_match_per_order_formulas_bit_for_bit(sigma, eta, gamma, eps_hat,
     orders = default_orders()
     base = gaussian_rdp_curve(sigma)
     base_ref = [a * (1.0 / (2 * sigma**2)) for a in orders]
-    assert_curve_is(base, orders, base_ref)
+    assert_curve_is(base, base_ref)
 
     extra = (eta + 1.0) * min((1.0 - 1.0 / a) * v + math.log(1.0 / gamma) / a
                               for a, v in zip(orders, base_ref))
     log_mean = math.log(TruncNegBinomial(eta, gamma).mean())
-    assert_curve_is(rdp_select_negbin(base, eta, gamma), orders,
+    assert_curve_is(rdp_select_negbin(base, eta, gamma),
                     [v + extra + log_mean / (a - 1.0) for a, v in zip(orders, base_ref)])
 
     delta_hat = rdp_to_dp(base, eps_hat)
     cap = 1.0 + 1.0 / math.expm1(eps_hat)
-    kept = [(a, v) for a, v in zip(orders, base_ref) if a <= cap]
+    # +inf, a value that bounds nothing, at each order the point does not admit
     assert_curve_is(rdp_select_poisson(base, PointDP(eps_hat, delta_hat), m),
-                    [a for a, _ in kept],
-                    [v + m * delta_hat + math.log(m) / (a - 1.0) for a, v in kept])
+                    [v + m * delta_hat + math.log(m) / (a - 1.0) if a <= cap else math.inf
+                     for a, v in zip(orders, base_ref)])
 
 
 @PROPS
@@ -127,13 +123,12 @@ def test_rdp_to_dp_matches_per_order_loop(curve, eps):
 def scanned_poisson_eps(base, m, delta):
     """The Poisson Renyi eps as a loop: the least eps over the one-point
     curves of 40 base points read off the base curve, skipping each point
-    that admits no order."""
+    that admits no order, whose curve is +inf everywhere."""
     best = math.inf
     for eps_hat in np.geomspace(1e-3, 2.0, 40).tolist():
         point = PointDP(eps_hat, rdp_to_dp(base, eps_hat))
-        try:
-            curve = rdp_select_poisson(base, point, m)
-        except EmptyCurveError:
+        curve = rdp_select_poisson(base, point, m)
+        if np.isinf(curve.values).all():
             continue
         best = min(best, epsilon_for_delta(rdp_profile(curve), delta))
     return best
@@ -143,7 +138,7 @@ def outcome(f, *args):
     """f(*args) in hex, or the name of the exception it raises."""
     try:
         return f(*args).hex()
-    except (UnreachableTargetError, EmptyCurveError) as e:
+    except UnreachableTargetError as e:
         return type(e).__name__
 
 
@@ -189,9 +184,14 @@ def test_closed_form_eps_is_certified_and_within_bisection_tolerance(curve, delt
 
 def test_nan_in_curve_raises_when_array_is_built():
     with pytest.raises(ValueError, match="NaN"):
-        RdpCurve(default_orders(), [math.nan if a > 5 else a for a in default_orders()])
-    with pytest.raises(ValueError, match="NaN"):
-        RdpCurve((2.0, 3.0), np.array([2.0, np.nan]))
+        RdpCurve([math.nan if a > 5 else a for a in default_orders()])
+    values = np.full(len(default_orders()), 2.0)
+    values[1] = np.nan
+    with pytest.raises(ValueError, match="NaN at order 1.2$"):
+        RdpCurve(values)
+    # a curve is one value per order of the grid
+    with pytest.raises(ValueError, match=r"^\(2,\) values for 336 orders$"):
+        RdpCurve([1.0, 2.0])
 
 
 def test_inverse_keeps_the_contract_at_the_edges():
@@ -200,7 +200,7 @@ def test_inverse_keeps_the_contract_at_the_edges():
     # every order certifies delta = 1 at eps = 0
     assert epsilon_for_delta(profile, 1.0) == 0.0
     # far beyond the search cap the closed form refuses as bisection does
-    huge = RdpCurve((2.0, 4.0), [1e6, 1e6])
+    huge = RdpCurve(np.full(len(default_orders()), 1e6))
     with pytest.raises(UnreachableTargetError):
         epsilon_for_delta(rdp_profile(huge), 1e-6)
     assert rdp_profile(huge).inverse(1e-6) > 1e4
@@ -212,11 +212,11 @@ def test_an_order_off_the_grid_is_refused():
     with pytest.raises(ValueError, match="not on the curve's grid"):
         base(2.05)
     # only orders up to 1 + 1/(e^0.5 - 1) = 2.54 are admissible here, so
-    # the Poisson curve drops 200 and certifies nothing there
+    # the Poisson curve is +inf, a value that bounds nothing, from 2.6 on
     poisson = rdp_select_poisson(base, PointDP(0.5, 1e-7), 10.0)
-    assert max(poisson.orders) < 2.6
+    assert math.isfinite(poisson(2.5)) and poisson(2.6) == poisson(200.0) == math.inf
     with pytest.raises(ValueError, match="not on the curve's grid"):
-        poisson(200.0)
+        poisson(2.55)
     # equality is identity, not a comparison of arrays
     assert gaussian_rdp_curve(2.0) != gaussian_rdp_curve(2.0)
 

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from privsel.countdist import Binomial, Poisson, TruncNegBinomial, from_expected
-from privsel.errors import EmptyCurveError, NoAdmissibleEps1Error, UnreachableTargetError
+from privsel.errors import NoAdmissibleEps1Error, UnreachableTargetError
 from privsel.pld import (
     DiscretePLD,
     GridSpec,
@@ -37,6 +37,7 @@ from privsel.profiles import (
     gaussian_rdp_curve,
     profile_from_points,
     rdp_profile,
+    rdp_to_dp,
 )
 from privsel.selection import (
     EPS1_CAP,
@@ -314,8 +315,8 @@ def test_binomial_threshold_falls_back_to_halving_where_newton_does_not_settle()
 def test_rdp_negbin_constant_curve_identity():
     c, eta, gamma = 0.5, 1.0, 0.1
     grid = default_orders()
-    curve = rdp_select_negbin(RdpCurve(grid, np.full(len(grid), c)), eta, gamma)
-    orders = np.asarray(curve.orders)
+    curve = rdp_select_negbin(RdpCurve(np.full(len(grid), c)), eta, gamma)
+    orders = np.asarray(grid)
     extra = (eta + 1.0) * float(
         np.min((1 - 1 / orders) * c + math.log(1 / gamma) / orders))
     m = TruncNegBinomial(eta, gamma).mean()
@@ -324,16 +325,22 @@ def test_rdp_negbin_constant_curve_identity():
         assert curve(alpha) == pytest.approx(expect, rel=1e-12)
 
 
-def test_rdp_poisson_filters_orders():
+def test_rdp_poisson_bounds_nothing_at_inadmissible_orders():
     base = gaussian_rdp_curve(4.0)
     point = PointDP(0.1, 1e-7)
     curve = rdp_select_poisson(base, point, 10.0)
     cap = 1.0 + 1.0 / math.expm1(0.1)
-    assert max(curve.orders) <= cap
+    assert np.array_equal(np.isinf(curve.values), np.asarray(default_orders()) > cap)
     assert curve(2.0) == pytest.approx(
         base(2.0) + 10.0 * 1e-7 + math.log(10.0), rel=1e-12)
-    with pytest.raises(EmptyCurveError):
-        rdp_select_poisson(base, PointDP(10.0, 1e-7), 10.0)
+    # a base eps that admits no order: a curve that reads delta 1, whose
+    # inversion is refused
+    nothing = rdp_select_poisson(base, PointDP(10.0, 1e-7), 10.0)
+    assert np.isinf(nothing.values).all()
+    assert rdp_to_dp(nothing, 50.0) == 1.0
+    assert rdp_to_dp(nothing, np.array([0.0, 1e3])).tolist() == [1.0, 1.0]
+    with pytest.raises(UnreachableTargetError):
+        epsilon_for_delta(rdp_profile(nothing), 1e-6)
 
 
 def test_adjust_guarantee_arithmetic():
